@@ -6,11 +6,10 @@ __version__ = "0.1.0"
 
 from .ingest import (  # noqa: F401
     CATEGORIES,
-    MobilityRecord,
     MobilityTable,
     ImputationReport,
     parse_cmr_csv,
-    filter_region,
+    select,
     impute_missing,
 )
 from .timeseries import DailySeries, Decomposition, loess_smooth, stl_decompose, deseasonalize  # noqa: F401

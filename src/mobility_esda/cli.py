@@ -8,7 +8,9 @@ from a single seed, and outputs are written atomically (temp + rename).
 from __future__ import annotations
 
 import argparse
+import csv
 import datetime as dt
+import io
 import json
 import os
 import sys
@@ -24,9 +26,8 @@ from . import render as rd
 from . import weights as wt
 from .errors import (
     DataError,
-    GeometryError,
+    IdMismatchError,
     MobilityError,
-    NotFoundError,
     ParameterError,
     SchemaError,
     ZeroVarianceError,
@@ -34,7 +35,7 @@ from .errors import (
 from .geometry import load_geojson
 from .indicator import RadarConfig, circulation_indicator
 from .ingest import CATEGORIES
-from .timeseries import DailySeries, deseasonalize, stl_decompose
+from .timeseries import DailySeries, stl_decompose
 
 DEFAULT_ANALYSIS_WINDOW = (dt.date(2020, 2, 15), dt.date(2020, 5, 16))
 SEED_ENV_VAR = "ESDA_MOBILITY_SEED"
@@ -44,9 +45,7 @@ EXIT_SCHEMA = 2
 EXIT_DATA = 3
 EXIT_ID_MISMATCH = 4
 
-
-class IdMismatchError(MobilityError):
-    """Geometry and mobility region ids do not reconcile."""
+REQUIRED = object()  # default of an option that the command line or config must give
 
 
 def atomic_write(path: Path, data: str | bytes) -> None:
@@ -63,10 +62,15 @@ def atomic_write(path: Path, data: str | bytes) -> None:
         raise
 
 
-def write_manifest(out_dir: Path, command: str, config: dict) -> None:
-    # out_dir intentionally excluded so identical runs into different
-    # directories produce byte-identical trees
-    manifest = {"command": command, "version": __version__, "config": config}
+def write_manifest(out_dir: Path, args, omit=(), **resolved) -> None:
+    """Echo the command's resolved options, with ``resolved`` replacing raw ones.
+
+    out_dir is intentionally excluded so identical runs into different
+    directories produce byte-identical trees.
+    """
+    skip = {"command", "config", "out_dir", "seed", "date_from", "date_to", *omit}
+    config = {k: v for k, v in vars(args).items() if k not in skip} | resolved
+    manifest = {"command": args.command, "version": __version__, "config": config}
     atomic_write(out_dir / "run-manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
@@ -89,11 +93,26 @@ def _parse_column_map(pairs: list[str]) -> dict[str, str]:
 
 def _load_config_file(path: str) -> dict:
     text = Path(path).read_bytes()
-    if path.endswith(".toml"):
-        import tomllib
+    try:
+        if path.endswith(".toml"):
+            import tomllib
 
-        return tomllib.loads(text.decode("utf-8"))
-    return json.loads(text)
+            config = tomllib.loads(text.decode("utf-8"))
+        else:
+            config = json.loads(text)
+    except ValueError as exc:
+        raise ParameterError(f"config file {path}: {exc}") from None
+    if not isinstance(config, dict):
+        raise ParameterError(f"config file {path}: expected a table of option values")
+    return config
+
+
+def _read_json(path: str):
+    try:
+        with open(path, "rb") as fh:
+            return json.load(fh)
+    except ValueError as exc:
+        raise SchemaError(f"{path} is not JSON: {exc}") from None
 
 
 def _resolve_seed(args) -> int:
@@ -105,74 +124,105 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, tuple]]]:
+    """The argument parser, and per subcommand each option's (default, type).
+
+    Every option parses to None when absent; :func:`resolve_options` fills
+    it from the config file, else from its default, so explicit flags win.
+    """
     parser = argparse.ArgumentParser(
         prog="mobility-esda",
         description="Mobility-report ingestion, circulation indicator, and spatial autocorrelation analysis.",
     )
     parser.add_argument("--config", help="TOML/JSON config file; CLI flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults: dict[str, dict[str, tuple]] = {}
 
-    def common(p):
-        p.add_argument("--out-dir", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help=f"RNG seed (fallback: ${SEED_ENV_VAR}, then 0)")
+    def command(name: str, help: str):
+        p = sub.add_parser(name, help=help)
+        own = defaults[name] = {}
 
-    p = sub.add_parser("ingest", help="parse, validate and impute a mobility CSV")
-    common(p)
-    p.add_argument("--input", required=True, help="mobility CSV path")
-    p.add_argument("--country", help="restrict to one country code")
-    p.add_argument("--column-map", nargs="*", default=[], metavar="KEY=HEADER")
-    p.add_argument("--lenient", action="store_true", help="skip bad rows instead of aborting")
+        def option(*flags, default=None, required=False, **kw):
+            action = p.add_argument(*flags, default=None, **kw)
+            own[action.dest] = (REQUIRED if required else default, kw.get("type"))
 
-    p = sub.add_parser("indicator", help="daily circulation indicator per region")
-    common(p)
-    p.add_argument("--input", required=True)
-    p.add_argument("--country", help="country code; with --subnational expands to all sub-regions")
-    p.add_argument("--region", action="append", default=[], help="explicit region id (repeatable)")
-    p.add_argument("--subnational", action="store_true")
-    p.add_argument("--from", dest="date_from", default=DEFAULT_ANALYSIS_WINDOW[0].isoformat())
-    p.add_argument("--to", dest="date_to", default=DEFAULT_ANALYSIS_WINDOW[1].isoformat())
-    p.add_argument("--center", type=float, default=-100.0, help="radar chart center value C")
-    p.add_argument("--axis-order", nargs=6, default=list(CATEGORIES), metavar="CAT")
-    p.add_argument("--deseasonalize", action="store_true")
-    p.add_argument("--period", type=int, default=7)
-    p.add_argument("--seasonal-window", type=int, default=7)
-    p.add_argument("--robust", action="store_true", help="robustness iterations in the decomposition")
-    p.add_argument("--trend-only", action="store_true", help="plot the smooth trend instead of trend+residual")
+        option("--out-dir", default="out", help="output directory")
+        option("--seed", type=int, help=f"RNG seed (fallback: ${SEED_ENV_VAR}, then 0)")
+        return option
 
-    p = sub.add_parser("moran", help="global and local Moran analysis per category")
-    common(p)
-    p.add_argument("--input", required=True)
-    p.add_argument("--geometry", required=True, help="GeoJSON FeatureCollection")
-    p.add_argument("--country", required=True)
-    p.add_argument("--id-property", default="region_id", help="feature property holding the sub-region name")
-    p.add_argument("--from", dest="date_from", default=DEFAULT_ANALYSIS_WINDOW[0].isoformat())
-    p.add_argument("--to", dest="date_to", default=DEFAULT_ANALYSIS_WINDOW[1].isoformat())
-    p.add_argument("--contiguity", choices=["queen", "rook"], default="queen")
-    p.add_argument("--permutations", type=int, default=999)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--snap-tol", type=float, default=1e-7)
-    p.add_argument("--island-knn", type=int, default=0,
-                   help="attach islands to their k nearest centroids (0 = leave islands)")
-    p.add_argument("--categories", nargs="*", default=list(CATEGORIES))
+    option = command("ingest", "parse, validate and impute a mobility CSV")
+    option("--input", required=True, help="mobility CSV path")
+    option("--country", help="restrict to one country code")
+    option("--column-map", nargs="*", default=[], metavar="KEY=HEADER")
+    option("--lenient", action="store_true", default=False, help="skip bad rows instead of aborting")
 
-    p = sub.add_parser("weights", help="build and export contiguity weights")
-    common(p)
-    p.add_argument("--geometry", required=True)
-    p.add_argument("--id-property", default="region_id")
-    p.add_argument("--contiguity", choices=["queen", "rook"], default="queen")
-    p.add_argument("--snap-tol", type=float, default=1e-7)
-    p.add_argument("--island-knn", type=int, default=0,
-                   help="attach islands to their k nearest centroids (0 = leave islands)")
-    p.add_argument("--row-standardize", action="store_true")
+    option = command("indicator", "daily circulation indicator per region")
+    option("--input", required=True)
+    option("--country", help="country code; with --subnational expands to all sub-regions")
+    option("--region", action="append", default=[], help="explicit region id (repeatable)")
+    option("--subnational", action="store_true", default=False)
+    option("--from", dest="date_from", default=DEFAULT_ANALYSIS_WINDOW[0].isoformat())
+    option("--to", dest="date_to", default=DEFAULT_ANALYSIS_WINDOW[1].isoformat())
+    option("--center", type=float, default=-100.0, help="radar chart center value C")
+    option("--axis-order", nargs=6, default=list(CATEGORIES), metavar="CAT")
+    option("--deseasonalize", action="store_true", default=False)
+    option("--period", type=int, default=7)
+    option("--seasonal-window", type=int, default=7)
+    option("--robust", action="store_true", default=False,
+           help="robustness iterations in the decomposition")
+    option("--trend-only", action="store_true", default=False,
+           help="plot the smooth trend instead of trend+residual")
 
-    p = sub.add_parser("render", help="choropleth of a per-region values CSV")
-    common(p)
-    p.add_argument("--geometry", required=True)
-    p.add_argument("--id-property", default="region_id")
-    p.add_argument("--values", required=True, help="CSV with region_id,value columns")
-    p.add_argument("--title", default="")
-    return parser
+    option = command("moran", "global and local Moran analysis per category")
+    option("--input", required=True)
+    option("--geometry", required=True, help="GeoJSON FeatureCollection")
+    option("--country", required=True)
+    option("--id-property", default="region_id", help="feature property holding the sub-region name")
+    option("--from", dest="date_from", default=DEFAULT_ANALYSIS_WINDOW[0].isoformat())
+    option("--to", dest="date_to", default=DEFAULT_ANALYSIS_WINDOW[1].isoformat())
+    option("--contiguity", choices=["queen", "rook"], default="queen")
+    option("--permutations", type=int, default=999)
+    option("--alpha", type=float, default=0.05)
+    option("--snap-tol", type=float, default=1e-7)
+    option("--island-knn", type=int, default=0,
+           help="attach islands to their k nearest centroids (0 = leave islands)")
+    option("--categories", nargs="*", default=list(CATEGORIES))
+
+    option = command("weights", "build and export contiguity weights")
+    option("--geometry", required=True)
+    option("--id-property", default="region_id")
+    option("--contiguity", choices=["queen", "rook"], default="queen")
+    option("--snap-tol", type=float, default=1e-7)
+    option("--island-knn", type=int, default=0,
+           help="attach islands to their k nearest centroids (0 = leave islands)")
+    option("--row-standardize", action="store_true", default=False)
+
+    option = command("render", "choropleth of a per-region values CSV")
+    option("--geometry", required=True)
+    option("--id-property", default="region_id")
+    option("--values", required=True, help="CSV with region_id,value columns")
+    option("--title", default="")
+    return parser, defaults
+
+
+def resolve_options(args, defaults: dict[str, tuple], config: dict) -> None:
+    """Fill each option the command line left unset from ``config``, else its default."""
+    config = {k.replace("-", "_"): v for k, v in config.items()}
+    unknown = sorted(set(config) - set(defaults))
+    if unknown:
+        raise ParameterError(f"config keys not defined for {args.command}: {unknown}")
+    for dest, (default, convert) in defaults.items():
+        if getattr(args, dest) is not None:
+            continue
+        value = config.get(dest, default)
+        if value is REQUIRED:
+            raise ParameterError(f"--{dest.replace('_', '-')} is required")
+        if convert is not None and isinstance(value, str):
+            try:
+                value = convert(value)
+            except ValueError:
+                raise ParameterError(f"config {dest}: invalid value {value!r}") from None
+        setattr(args, dest, value)
 
 
 def cmd_ingest(args) -> int:
@@ -182,25 +232,11 @@ def cmd_ingest(args) -> int:
             fh, column_map=_parse_column_map(args.column_map) or None, strict=not args.lenient
         )
     if args.country:
-        kept = [r for r in table.records if r.country_code == args.country]
-        if not kept:
-            raise NotFoundError(
-                f"no rows for country {args.country!r}; available: {sorted(table.country_codes())}"
-            )
-        table = ing.MobilityTable(kept, baseline_window=table.baseline_window)
+        table = ing.select(table, args.country)
     table, report = ing.impute_missing(table)
     atomic_write(out_dir / "mobility-normalized.csv", ing.write_csv(table))
     atomic_write(out_dir / "imputation-report.json", report.to_json())
-    write_manifest(
-        out_dir,
-        "ingest",
-        {
-            "input": args.input,
-            "country": args.country,
-            "column_map": _parse_column_map(args.column_map),
-            "lenient": args.lenient,
-        },
-    )
+    write_manifest(out_dir, args, column_map=_parse_column_map(args.column_map))
     return EXIT_OK
 
 
@@ -208,7 +244,7 @@ def _select_regions(table, args) -> list[str]:
     regions = list(args.region)
     if args.country:
         if args.subnational:
-            regions += ing.subnational(table, args.country).region_ids()
+            regions += ing.select(table, args.country, subnational=True).region_ids
         else:
             regions.append(ing.region_key(args.country))
     if not regions:
@@ -219,8 +255,7 @@ def _select_regions(table, args) -> list[str]:
 def cmd_indicator(args) -> int:
     out_dir = Path(args.out_dir)
     window = (_parse_date(args.date_from), _parse_date(args.date_to))
-    with open(args.input, "rb") as fh:
-        table = ing.parse_cmr_csv(fh)
+    table = ing.parse_cmr_csv(Path(args.input).read_bytes())
     table, _ = ing.impute_missing(table)
     config = RadarConfig(center=args.center, axis_order=tuple(args.axis_order))
     regions = _select_regions(table, args)
@@ -231,22 +266,13 @@ def cmd_indicator(args) -> int:
         series = circulation_indicator(table, rid, config, window)
         deseason = None
         if args.deseasonalize:
-            daily = DailySeries(series.dates, series.indicators)
-            if args.trend_only:
-                dec = stl_decompose(
-                    daily,
-                    period=args.period,
-                    seasonal_window=args.seasonal_window,
-                    outer_iters=1 if args.robust else 0,
-                )
-                deseason = dec.trend
-            else:
-                deseason = deseasonalize(
-                    daily,
-                    period=args.period,
-                    seasonal_window=args.seasonal_window,
-                    outer_iters=1 if args.robust else 0,
-                ).values
+            dec = stl_decompose(
+                DailySeries(series.dates, series.indicators),
+                period=args.period,
+                seasonal_window=args.seasonal_window,
+                outer_iters=1 if args.robust else 0,
+            )
+            deseason = dec.trend if args.trend_only else series.indicators - dec.seasonal
         for k, date in enumerate(series.dates):
             row = f"{rid},{date.isoformat()},{series.areas[k]:.15g},{series.indicators[k]:.15g}"
             if deseason is not None:
@@ -254,10 +280,8 @@ def cmd_indicator(args) -> int:
             rows.append(row)
         overlay[rid] = (series.dates, deseason if deseason is not None else series.indicators)
         # radar of the window-mean category values
-        mean_values = {
-            cat: float(np.mean([r.values[cat] for r in table.records if r.region_id == rid and window[0] <= r.date <= window[1]]))
-            for cat in CATEGORIES
-        }
+        in_window = table.rows(rid, window)
+        mean_values = {cat: float(table.column(cat)[in_window].mean()) for cat in CATEGORIES}
         safe = rid.replace("/", "_").strip("_") or "national"
         atomic_write(out_dir / f"radar-{safe}.svg", rd.render_radar(mean_values, config))
     atomic_write(out_dir / "circulation.csv", "\n".join(rows) + "\n")
@@ -267,19 +291,10 @@ def cmd_indicator(args) -> int:
     )
     write_manifest(
         out_dir,
-        "indicator",
-        {
-            "input": args.input,
-            "regions": sorted(regions),
-            "window": [window[0].isoformat(), window[1].isoformat()],
-            "center": args.center,
-            "axis_order": list(args.axis_order),
-            "deseasonalize": args.deseasonalize,
-            "period": args.period,
-            "seasonal_window": args.seasonal_window,
-            "robust": args.robust,
-            "trend_only": args.trend_only,
-        },
+        args,
+        omit=("country", "region", "subnational"),
+        regions=sorted(regions),
+        window=[window[0].isoformat(), window[1].isoformat()],
     )
     return EXIT_OK
 
@@ -300,18 +315,20 @@ def cmd_moran(args) -> int:
     out_dir = Path(args.out_dir)
     seed = _resolve_seed(args)
     window = (_parse_date(args.date_from), _parse_date(args.date_to))
-    with open(args.input, "rb") as fh:
-        table = ing.parse_cmr_csv(fh)
+    table = ing.parse_cmr_csv(Path(args.input).read_bytes())
     table, _ = ing.impute_missing(table)
-    table = ing.subnational(table, args.country)
-    with open(args.geometry) as fh:
-        geojson_doc = json.load(fh)
+    table = ing.select(table, args.country, subnational=True)
+    geojson_doc = _read_json(args.geometry)
     geoms = load_geojson(geojson_doc, id_property=args.id_property)
 
     # geometry ids carry the sub-region name; align against mobility keys
     geom_region_ids = [ing.region_key(args.country, g.region_id) for g in geoms]
-    _reconcile_ids(geom_region_ids, table.region_ids())
-    order = {rid: k for k, rid in enumerate(geom_region_ids)}
+    _reconcile_ids(geom_region_ids, table.region_ids)
+    rows = [table.rows(rid, window) for rid in geom_region_ids]
+    empty = [rid for rid, r in zip(geom_region_ids, rows) if r.start == r.stop]
+    if empty:
+        raise DataError(f"no data in window for: {sorted(empty)}")
+    columns = {category: table.column(category) for category in args.categories}
 
     build = wt.queen_adjacency if args.contiguity == "queen" else wt.rook_adjacency
     W_binary = build(geoms, snap_tol=args.snap_tol)
@@ -321,16 +338,9 @@ def cmd_moran(args) -> int:
     atomic_write(out_dir / "weights.txt", wt.to_text(W_binary))
     atomic_write(out_dir / "weights.json", wt.to_json(W))
 
-    for category in args.categories:
+    for category, values in columns.items():
         # regional variable: mean daily percent change over the window
-        sums = {rid: [] for rid in geom_region_ids}
-        for rec in table.records:
-            if window[0] <= rec.date <= window[1]:
-                sums[rec.region_id].append(rec.values[category])
-        empty = [rid for rid, vals in sums.items() if not vals]
-        if empty:
-            raise DataError(f"no {category} data in window for: {sorted(empty)}")
-        x = np.array([float(np.mean(sums[rid])) for rid in geom_region_ids])
+        x = np.array([values[r].mean() for r in rows])
 
         field = mr.standardize_values(x)
         if field.zero_variance:
@@ -405,31 +415,13 @@ def cmd_moran(args) -> int:
                 id_property=args.id_property,
             ),
         )
-    write_manifest(
-        out_dir,
-        "moran",
-        {
-            "input": args.input,
-            "geometry": args.geometry,
-            "country": args.country,
-            "id_property": args.id_property,
-            "window": [window[0].isoformat(), window[1].isoformat()],
-            "contiguity": args.contiguity,
-            "permutations": args.permutations,
-            "alpha": args.alpha,
-            "seed": seed,
-            "snap_tol": args.snap_tol,
-            "island_knn": args.island_knn,
-            "categories": list(args.categories),
-        },
-    )
+    write_manifest(out_dir, args, seed=seed, window=[window[0].isoformat(), window[1].isoformat()])
     return EXIT_OK
 
 
 def cmd_weights(args) -> int:
     out_dir = Path(args.out_dir)
-    with open(args.geometry) as fh:
-        geoms = load_geojson(fh, id_property=args.id_property)
+    geoms = load_geojson(_read_json(args.geometry), id_property=args.id_property)
     build = wt.queen_adjacency if args.contiguity == "queen" else wt.rook_adjacency
     W = build(geoms, snap_tol=args.snap_tol)
     if args.island_knn > 0:
@@ -438,33 +430,25 @@ def cmd_weights(args) -> int:
         W = wt.row_standardize(W)
     atomic_write(out_dir / "weights.txt", wt.to_text(W))
     atomic_write(out_dir / "weights.json", wt.to_json(W))
-    write_manifest(
-        out_dir,
-        "weights",
-        {
-            "geometry": args.geometry,
-            "id_property": args.id_property,
-            "contiguity": args.contiguity,
-            "snap_tol": args.snap_tol,
-            "island_knn": args.island_knn,
-            "row_standardize": args.row_standardize,
-        },
-    )
+    write_manifest(out_dir, args)
     return EXIT_OK
 
 
 def cmd_render(args) -> int:
-    import csv as _csv
-
     out_dir = Path(args.out_dir)
-    with open(args.geometry) as fh:
-        geoms = load_geojson(fh, id_property=args.id_property)
+    geoms = load_geojson(_read_json(args.geometry), id_property=args.id_property)
+    try:
+        text = Path(args.values).read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"values CSV is not UTF-8 text: {exc}") from None
     values: dict[str, float | None] = {}
-    with open(args.values, newline="") as fh:
-        for row in _csv.DictReader(fh):
-            if "region_id" not in row or "value" not in row:
-                raise SchemaError("values CSV needs region_id and value columns")
+    for row in csv.DictReader(io.StringIO(text, newline="")):
+        if "region_id" not in row or "value" not in row:
+            raise SchemaError("values CSV needs region_id and value columns")
+        try:
             values[row["region_id"]] = float(row["value"]) if row["value"] else None
+        except ValueError:
+            raise DataError(f"values CSV: non-numeric value {row['value']!r}") from None
     present = [v for v in values.values() if v is not None]
     if not present:
         raise DataError("values CSV contains no numeric values")
@@ -478,16 +462,7 @@ def cmd_render(args) -> int:
         out_dir / "choropleth.svg",
         rd.render_choropleth(geoms, values, scale, rd.FigureSpec(title=args.title)),
     )
-    write_manifest(
-        out_dir,
-        "render",
-        {
-            "geometry": args.geometry,
-            "id_property": args.id_property,
-            "values": args.values,
-            "title": args.title,
-        },
-    )
+    write_manifest(out_dir, args)
     return EXIT_OK
 
 
@@ -501,27 +476,11 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    # peel off --config first so its values become parser defaults,
-    # which explicit CLI flags then override
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    pre_ns, _ = pre.parse_known_args(argv)
-    parser = build_parser()
-    if pre_ns.config:
-        defaults = {
-            k.replace("-", "_"): v for k, v in _load_config_file(pre_ns.config).items()
-        }
-        for action in parser._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                for sub in action.choices.values():
-                    known = {a.dest for a in sub._actions}
-                    sub.set_defaults(**{k: v for k, v in defaults.items() if k in known})
-                    for a in sub._actions:
-                        if a.required and a.dest in defaults:
-                            a.required = False
-    args = parser.parse_args(argv)
+    parser, defaults = build_parser()
+    args = parser.parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
+        config = _load_config_file(args.config) if args.config else {}
+        resolve_options(args, defaults[args.command], config)
         return COMMANDS[args.command](args)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
@@ -529,7 +488,7 @@ def main(argv=None) -> int:
     except IdMismatchError as exc:
         print(f"id mismatch: {exc}", file=sys.stderr)
         return EXIT_ID_MISMATCH
-    except (DataError, ZeroVarianceError, NotFoundError, GeometryError, ParameterError) as exc:
+    except (MobilityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -27,3 +27,7 @@ class ZeroVarianceError(MobilityError):
 
 class NotFoundError(MobilityError):
     """A requested region/country key does not exist in the data."""
+
+
+class IdMismatchError(MobilityError):
+    """Geometry and mobility region ids do not reconcile."""

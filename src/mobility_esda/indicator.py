@@ -52,25 +52,35 @@ class CirculationSeries:
         return float(self.areas.sum() / (len(self.areas) * self.baseline_area))
 
 
-def radar_radii(values: dict[str, float], config: RadarConfig = RadarConfig()) -> np.ndarray:
-    """Radii in axis order: value minus the chart center C."""
-    radii = np.empty(6)
-    for k, cat in enumerate(config.axis_order):
-        v = values[cat]
-        if v < config.center:
-            raise ParameterError(f"{cat} value {v} below center {config.center}")
-        radii[k] = v - config.center
-    return radii
+def radar_radii(values, config: RadarConfig = RadarConfig()) -> np.ndarray:
+    """Radii in axis order: value minus the chart center C.
+
+    ``values`` maps each category to its value, or is a (..., 6) array with
+    the categories in ``CATEGORIES`` order, one row per chart.
+    """
+    if isinstance(values, dict):
+        values = [values[cat] for cat in CATEGORIES]
+    ordered = np.asarray(values, dtype=float)[..., [CATEGORIES.index(c) for c in config.axis_order]]
+    below = np.argwhere(ordered < config.center)
+    if below.size:
+        cat, v = config.axis_order[below[0][-1]], float(ordered[tuple(below[0])])
+        raise ParameterError(f"{cat} value {v} below center {config.center}")
+    return ordered - config.center
 
 
-def radar_area(radii) -> float:
-    """Hexagon area: sum over adjacent radius pairs of (1/2) r_k r_{k+1} sin 60."""
+def radar_area(radii):
+    """Hexagon area: sum over adjacent radius pairs of (1/2) r_k r_{k+1} sin 60.
+
+    Six radii give one area as a float; a (..., 6) array gives an array of
+    areas, one per row.
+    """
     radii = np.asarray(radii, dtype=float)
-    if radii.shape != (6,):
+    if radii.ndim == 0 or radii.shape[-1] != 6:
         raise ParameterError(f"expected six radii, got shape {radii.shape}")
     if np.any(radii < 0):
         raise ParameterError("radii must be non-negative")
-    return float(0.5 * SIN_60 * np.sum(radii * np.roll(radii, -1)))
+    area = 0.5 * SIN_60 * np.sum(radii * np.roll(radii, -1, axis=-1), axis=-1)
+    return float(area) if radii.ndim == 1 else area
 
 
 def baseline_area(config: RadarConfig = RadarConfig()) -> float:
@@ -89,26 +99,23 @@ def circulation_indicator(
     The region's series must be complete (imputed) over the window;
     missing cells are a hard error here, not silently skipped.
     """
-    recs = [r for r in table.records if r.region_id == region_id]
-    if window is not None:
-        recs = [r for r in recs if window[0] <= r.date <= window[1]]
-    if not recs:
+    rows = table.rows(region_id, window)
+    days = rows.stop - rows.start
+    if days <= 0:
         raise DataError(f"no data for region {region_id!r} in requested window")
     if window is not None:
         expected = (window[1] - window[0]).days + 1
-        if len(recs) != expected:
+        if days != expected:
             raise DataError(
-                f"region {region_id!r} covers {len(recs)} of {expected} days "
+                f"region {region_id!r} covers {days} of {expected} days "
                 f"in {window[0]}..{window[1]}"
             )
-    dates = []
-    areas = []
-    for rec in recs:
-        missing = rec.missing_categories()
-        if missing:
-            raise DataError(
-                f"{region_id} {rec.date}: missing {missing}; impute first"
-            )
-        dates.append(rec.date)
-        areas.append(radar_area(radar_radii(rec.values, config)))
-    return CirculationSeries(dates, np.array(areas), baseline_area(config))
+    block = table.values[rows]
+    dates = table.date_list(rows)
+    absent = np.isnan(block)
+    incomplete = np.flatnonzero(absent.any(axis=1))
+    if incomplete.size:
+        i = incomplete[0]
+        missing = [cat for cat, gone in zip(CATEGORIES, absent[i]) if gone]
+        raise DataError(f"{region_id} {dates[i]}: missing {missing}; impute first")
+    return CirculationSeries(dates, radar_area(radar_radii(block, config)), baseline_area(config))

@@ -1,18 +1,25 @@
-"""Parsing, filtering, and mean imputation of mobility-report CSV data.
+"""Parsing, row selection, and mean imputation of mobility-report CSV data.
 
 The input format is the Google community mobility report layout: one row
 per (region, date) with six percent-change-from-baseline columns. Empty
 cells are genuinely missing values (suppressed below significance
 thresholds), never zeros.
+
+A :class:`MobilityTable` keeps the rows as columns, sorted by
+(region_id, date), so each region is one contiguous slice of every column.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import datetime as dt
 import io
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .errors import DataError, NotFoundError, SchemaError
 
@@ -37,6 +44,10 @@ DEFAULT_COLUMNS = {
     "residential": "residential_percent_change_from_baseline",
 }
 
+# finer levels of the published report; a row with a value in one of these
+# columns is a county or metro row, not a sub_region_1-level row
+FINER_LEVEL_COLUMNS = ("sub_region_2", "metro_area")
+
 DEFAULT_BASELINE_WINDOW = (dt.date(2020, 1, 3), dt.date(2020, 2, 6))
 
 
@@ -49,75 +60,123 @@ def region_key(country_code: str, sub_region: str = "") -> str:
 
 
 @dataclass
-class MobilityRecord:
-    region_id: str
-    country_code: str
-    sub_region: str
-    date: dt.date
-    values: dict[str, float | None]
-
-    def missing_categories(self) -> list[str]:
-        return [c for c in CATEGORIES if self.values.get(c) is None]
-
-
-@dataclass
 class MobilityTable:
-    records: list[MobilityRecord]
-    coverage: tuple[dt.date, dt.date] | None = None
+    """Mobility rows as columns, sorted by (region_id, date).
+
+    ``region_ids`` are sorted and unique, with each region's country code
+    and sub-region alongside. Per row, ``region`` indexes ``region_ids``,
+    ``dates`` holds the date ordinal and ``values`` the six categories in
+    ``CATEGORIES`` order, NaN where missing. Region ``k`` owns rows
+    ``offsets[k]:offsets[k + 1]``.
+    """
+
+    region_ids: tuple[str, ...]
+    country_codes: tuple[str, ...]
+    sub_regions: tuple[str, ...]
+    region: np.ndarray
+    dates: np.ndarray
+    values: np.ndarray
+    offsets: np.ndarray
     baseline_window: tuple[dt.date, dt.date] = DEFAULT_BASELINE_WINDOW
     issues: list[str] = field(default_factory=list)
 
-    def __post_init__(self):
-        self.records.sort(key=lambda r: (r.region_id, r.date))
-        if self.coverage is None and self.records:
-            dates = [r.date for r in self.records]
-            self.coverage = (min(dates), max(dates))
-        self._validate()
+    @classmethod
+    def from_rows(cls, rows, baseline_window=DEFAULT_BASELINE_WINDOW, issues=()) -> MobilityTable:
+        """Sort and validate rows of (country_code, sub_region, date ordinal, six values).
+
+        Duplicate (region, date) pairs and values below -100 are errors;
+        date gaps are reported in ``issues``.
+        """
+        rows = list(rows)
+        keys = [region_key(country, sub) for country, sub, _, _ in rows]
+        hierarchy = dict(zip(keys, (row[:2] for row in rows)))
+        region_ids = sorted(hierarchy)
+        index = {rid: k for k, rid in enumerate(region_ids)}
+        region = np.array([index[key] for key in keys], dtype=np.intp)
+        dates = np.array([row[2] for row in rows], dtype=np.int64)
+        order = np.lexsort((dates, region))
+        region = region[order]
+        table = cls(
+            tuple(region_ids),
+            tuple(hierarchy[rid][0] for rid in region_ids),
+            tuple(hierarchy[rid][1] for rid in region_ids),
+            region,
+            dates[order],
+            np.array([row[3] for row in rows], dtype=float).reshape(-1, len(CATEGORIES))[order],
+            np.searchsorted(region, np.arange(len(region_ids) + 1)),
+            baseline_window,
+            list(issues),
+        )
+        table._validate()
+        return table
 
     def _validate(self) -> None:
-        seen: set[tuple[str, dt.date]] = set()
-        for rec in self.records:
-            key = (rec.region_id, rec.date)
-            if key in seen:
-                raise DataError(f"duplicate (region, date) pair: {key}")
-            seen.add(key)
-            for cat, v in rec.values.items():
-                if v is not None and v < -100:
-                    raise DataError(
-                        f"{rec.region_id} {rec.date} {cat}: value {v} below -100"
-                    )
-        # gaps are reported, not fatal: a region's dates must be contiguous
-        for rid, dates in self._dates_by_region().items():
-            for a, b in zip(dates, dates[1:]):
-                if (b - a).days != 1:
-                    self.issues.append(f"gap in {rid}: {a} .. {b}")
-
-    def _dates_by_region(self) -> dict[str, list[dt.date]]:
-        out: dict[str, list[dt.date]] = {}
-        for rec in self.records:
-            out.setdefault(rec.region_id, []).append(rec.date)
-        return out
-
-    def region_ids(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for rec in self.records:
-            seen.setdefault(rec.region_id)
-        return list(seen)
-
-    def country_codes(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for rec in self.records:
-            seen.setdefault(rec.country_code)
-        return list(seen)
-
-    def series(self, region_id: str, category: str) -> tuple[list[dt.date], list[float | None]]:
-        """Daily (dates, values) for one region and category."""
-        recs = [r for r in self.records if r.region_id == region_id]
-        if not recs:
-            raise NotFoundError(
-                f"unknown region {region_id!r}; available: {sorted(self.region_ids())}"
+        same_region = self.region[1:] == self.region[:-1]
+        step = np.diff(self.dates)
+        duplicate = np.flatnonzero(same_region & (step == 0))
+        if duplicate.size:
+            i = duplicate[0] + 1
+            key = (self.region_ids[self.region[i]], _date(self.dates[i]))
+            raise DataError(f"duplicate (region, date) pair: {key}")
+        low = np.argwhere(self.values < -100)
+        if low.size:
+            i, k = low[0]
+            raise DataError(
+                f"{self.region_ids[self.region[i]]} {_date(self.dates[i])} {CATEGORIES[k]}: "
+                f"value {float(self.values[i, k])} below -100"
             )
-        return [r.date for r in recs], [r.values.get(category) for r in recs]
+        # gaps are reported, not fatal: a region's dates must be contiguous
+        for i in np.flatnonzero(same_region & (step != 1)):
+            self.issues.append(
+                f"gap in {self.region_ids[self.region[i]]}: "
+                f"{_date(self.dates[i])} .. {_date(self.dates[i + 1])}"
+            )
+
+    @property
+    def coverage(self) -> tuple[dt.date, dt.date] | None:
+        return (_date(self.dates.min()), _date(self.dates.max())) if len(self.dates) else None
+
+    def rows(self, region_id: str, window: tuple[dt.date, dt.date] | None = None) -> slice:
+        """Row slice of one region (empty if absent), clipped to an inclusive window."""
+        k = bisect.bisect_left(self.region_ids, region_id)
+        if k == len(self.region_ids) or self.region_ids[k] != region_id:
+            return slice(0, 0)
+        start, stop = int(self.offsets[k]), int(self.offsets[k + 1])
+        if window is not None:
+            dates = self.dates[start:stop]
+            lo = np.searchsorted(dates, window[0].toordinal(), side="left")
+            hi = np.searchsorted(dates, window[1].toordinal(), side="right")
+            start, stop = start + int(lo), start + int(hi)
+        return slice(start, stop)
+
+    def column(self, category: str) -> np.ndarray:
+        """One category's values for every row (a view into ``values``)."""
+        if category not in CATEGORIES:
+            raise NotFoundError(f"unknown category {category!r}; available: {list(CATEGORIES)}")
+        return self.values[:, CATEGORIES.index(category)]
+
+    def date_list(self, rows: slice = slice(None)) -> list[dt.date]:
+        return [dt.date.fromordinal(d) for d in self.dates[rows].tolist()]
+
+    def _subset(self, regions: list[int]) -> MobilityTable:
+        """The rows of the given regions, which are in ascending order."""
+        keep = np.isin(self.region, regions)
+        counts = np.diff(self.offsets)[regions]
+        return MobilityTable(
+            tuple(self.region_ids[k] for k in regions),
+            tuple(self.country_codes[k] for k in regions),
+            tuple(self.sub_regions[k] for k in regions),
+            np.repeat(np.arange(len(regions)), counts),
+            self.dates[keep],
+            self.values[keep],
+            np.concatenate(([0], np.cumsum(counts))),
+            self.baseline_window,
+            list(self.issues),
+        )
+
+
+def _date(ordinal) -> dt.date:
+    return dt.date.fromordinal(int(ordinal))
 
 
 @dataclass
@@ -158,17 +217,16 @@ class ImputationReport:
         return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
 
-def _as_text(source) -> io.TextIOBase:
-    if isinstance(source, (str, bytes)):
-        if isinstance(source, bytes):
-            return io.StringIO(source.decode("utf-8"))
-        return io.StringIO(source)
-    if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        return io.StringIO(data)
-    raise TypeError(f"unsupported source type: {type(source)!r}")
+def _as_text(source) -> str:
+    data = source.read() if hasattr(source, "read") else source
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"input is not UTF-8 text: {exc}") from None
+    if not isinstance(data, str):
+        raise TypeError(f"unsupported source type: {type(source)!r}")
+    return data.removeprefix("\ufeff")
 
 
 def parse_cmr_csv(
@@ -180,9 +238,11 @@ def parse_cmr_csv(
     """Parse a community-mobility CSV into a :class:`MobilityTable`.
 
     ``column_map`` maps logical names (keys of ``DEFAULT_COLUMNS``) to
-    actual header names. Empty cells become ``None``. In strict mode any
-    bad row aborts the parse; in lenient mode bad rows are skipped and
-    reported in ``table.issues``.
+    actual header names. Empty cells become NaN; non-finite cells are
+    errors. In strict mode any bad row aborts the parse; in lenient mode
+    bad rows are skipped and reported in ``table.issues``. Rows below the
+    sub_region_1 level (see ``FINER_LEVEL_COLUMNS``) are always skipped
+    and counted in one ``issues`` line.
     """
     columns = dict(DEFAULT_COLUMNS)
     if column_map:
@@ -191,98 +251,86 @@ def parse_cmr_csv(
             raise SchemaError(f"unknown column-map keys: {sorted(unknown)}")
         columns.update(column_map)
 
-    reader = csv.DictReader(_as_text(source))
-    if reader.fieldnames is None:
-        raise SchemaError("empty input: no header row")
-    missing_cols = [v for v in columns.values() if v not in reader.fieldnames]
-    if missing_cols:
-        raise SchemaError(f"missing columns: {missing_cols}")
-
-    records: list[MobilityRecord] = []
-    issues: list[str] = []
-    for lineno, row in enumerate(reader, start=2):
-        try:
-            records.append(_parse_row(row, columns, lineno))
-        except DataError as exc:
-            if strict:
-                raise
-            issues.append(str(exc))
-    table = MobilityTable(records, baseline_window=baseline_window)
-    table.issues = issues + table.issues
-    return table
-
-
-def _parse_row(row: dict, columns: dict[str, str], lineno: int) -> MobilityRecord:
-    raw_date = (row.get(columns["date"]) or "").strip()
+    reader = csv.reader(io.StringIO(_as_text(source)))
+    lineno = 1
     try:
-        date = dt.date.fromisoformat(raw_date)
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError("empty input: no header row")
+        # a repeated header name refers to its last column
+        position = {name: i for i, name in enumerate(header)}
+        missing_cols = [v for v in columns.values() if v not in position]
+        if missing_cols:
+            raise SchemaError(f"missing columns: {missing_cols}")
+        wanted = [position[columns[k]] for k in ("country_code", "sub_region", "date", *CATEGORIES)]
+        finer = [position[c] for c in FINER_LEVEL_COLUMNS if c in position]
+        rows, issues, finer_rows = [], [], 0
+        for row in reader:
+            if not row:
+                continue
+            lineno += 1
+            cells = [row[i].strip() if i < len(row) else "" for i in wanted + finer]
+            if any(cells[len(wanted):]):
+                finer_rows += 1
+                continue
+            try:
+                rows.append(_parse_row(cells[: len(wanted)], lineno))
+            except DataError as exc:
+                if strict:
+                    raise
+                issues.append(str(exc))
+    except csv.Error as exc:
+        raise SchemaError(f"line {lineno}: malformed CSV: {exc}") from None
+    if finer_rows:
+        issues.append(
+            f"skipped {finer_rows} rows below the sub_region_1 level "
+            f"({'/'.join(FINER_LEVEL_COLUMNS)} set)"
+        )
+    return MobilityTable.from_rows(rows, baseline_window, issues)
+
+
+def _parse_row(cells: list[str], lineno: int) -> tuple[str, str, int, list[float]]:
+    country, sub_region, raw_date, *raw = cells
+    try:
+        date = dt.date.fromisoformat(raw_date).toordinal()
     except ValueError:
         raise DataError(f"line {lineno}: unparseable date {raw_date!r}") from None
-    country = (row.get(columns["country_code"]) or "").strip()
     if not country:
         raise DataError(f"line {lineno}: empty country code")
-    sub_region = (row.get(columns["sub_region"]) or "").strip()
-    values: dict[str, float | None] = {}
-    for cat in CATEGORIES:
-        cell = (row.get(columns[cat]) or "").strip()
+    values = []
+    for cat, cell in zip(CATEGORIES, raw):
         if cell == "":
-            values[cat] = None
+            values.append(math.nan)
             continue
         try:
-            values[cat] = float(cell)
+            v = float(cell)
         except ValueError:
-            raise DataError(
-                f"line {lineno}: non-numeric {cat} cell {cell!r}"
-            ) from None
-    return MobilityRecord(
-        region_id=region_key(country, sub_region),
-        country_code=country,
-        sub_region=sub_region,
-        date=date,
-        values=values,
-    )
+            raise DataError(f"line {lineno}: non-numeric {cat} cell {cell!r}") from None
+        if not math.isfinite(v):
+            raise DataError(f"line {lineno}: non-finite {cat} cell {cell!r}")
+        values.append(v)
+    return country, sub_region, date, values
 
 
-def filter_region(
-    table: MobilityTable, country_code: str, sub_region: str | None = None
+def select(
+    table: MobilityTable, country_code: str, sub_region: str | None = None, subnational: bool = False
 ) -> MobilityTable:
-    """Subset to one country; ``sub_region=None`` keeps national rows only."""
-    if country_code not in table.country_codes():
-        raise NotFoundError(
-            f"unknown country {country_code!r}; available: {sorted(table.country_codes())}"
-        )
-    if sub_region is None:
-        recs = [r for r in table.records if r.country_code == country_code and r.sub_region == ""]
-    else:
-        recs = [
-            r
-            for r in table.records
-            if r.country_code == country_code and r.sub_region == sub_region
-        ]
-        if not recs:
-            avail = sorted(
-                {r.sub_region for r in table.records if r.country_code == country_code and r.sub_region}
-            )
-            raise NotFoundError(
-                f"unknown sub-region {sub_region!r} in {country_code}; available: {avail}"
-            )
-    return MobilityTable(
-        [MobilityRecord(r.region_id, r.country_code, r.sub_region, r.date, dict(r.values)) for r in recs],
-        baseline_window=table.baseline_window,
-    )
+    """Rows of one country.
 
-
-def subnational(table: MobilityTable, country_code: str) -> MobilityTable:
-    """Subset to a country's sub-region rows (national-level rows dropped)."""
-    if country_code not in table.country_codes():
-        raise NotFoundError(
-            f"unknown country {country_code!r}; available: {sorted(table.country_codes())}"
-        )
-    recs = [r for r in table.records if r.country_code == country_code and r.sub_region != ""]
-    return MobilityTable(
-        [MobilityRecord(r.region_id, r.country_code, r.sub_region, r.date, dict(r.values)) for r in recs],
-        baseline_window=table.baseline_window,
-    )
+    By default every row of the country is kept. ``sub_region`` keeps one
+    sub-region (``""`` is the national series); ``subnational=True`` keeps
+    every sub-region and drops the national rows.
+    """
+    countries = sorted(set(table.country_codes))
+    if country_code not in countries:
+        raise NotFoundError(f"unknown country {country_code!r}; available: {countries}")
+    subs = [(k, sub) for k, (c, sub) in enumerate(zip(table.country_codes, table.sub_regions))
+            if c == country_code]
+    keep = [k for k, sub in subs if (sub != "" if subnational else sub_region in (None, sub))]
+    if sub_region and not keep:
+        avail = sorted(sub for _, sub in subs if sub)
+        raise NotFoundError(f"unknown sub-region {sub_region!r} in {country_code}; available: {avail}")
+    return table._subset(keep)
 
 
 def impute_missing(table: MobilityTable) -> tuple[MobilityTable, ImputationReport]:
@@ -292,54 +340,26 @@ def impute_missing(table: MobilityTable) -> tuple[MobilityTable, ImputationRepor
     values for the same country and category. A pair with missing cells
     but no present values at all is unimputable.
     """
-    sums: dict[tuple[str, str], float] = {}
-    counts: dict[tuple[str, str], int] = {}
-    missing: dict[tuple[str, str], int] = {}
-    totals: dict[tuple[str, str], int] = {}
-    for rec in table.records:
-        for cat in CATEGORIES:
-            key = (rec.country_code, cat)
-            totals[key] = totals.get(key, 0) + 1
-            v = rec.values.get(cat)
-            if v is None:
-                missing[key] = missing.get(key, 0) + 1
-            else:
-                sums[key] = sums.get(key, 0.0) + v
-                counts[key] = counts.get(key, 0) + 1
-
-    fills: dict[tuple[str, str], float | None] = {}
-    for key in totals:
-        if counts.get(key, 0) > 0:
-            fills[key] = sums[key] / counts[key]
-        else:
-            fills[key] = None
-        if missing.get(key, 0) > 0 and fills[key] is None:
-            raise DataError(
-                f"cannot impute ({key[0]}, {key[1]}): every value is missing"
-            )
-
-    new_records = []
-    for rec in table.records:
-        values = dict(rec.values)
-        for cat in CATEGORIES:
-            if values.get(cat) is None:
-                values[cat] = fills[(rec.country_code, cat)]
-        new_records.append(
-            MobilityRecord(rec.region_id, rec.country_code, rec.sub_region, rec.date, values)
-        )
-
-    entries = [
-        ImputationEntry(
-            country_code=country,
-            category=cat,
-            missing_count=missing.get((country, cat), 0),
-            total_count=totals[(country, cat)],
-            fill_value=fills[(country, cat)],
-        )
-        for country, cat in sorted(totals)
-    ]
-    out = MobilityTable(new_records, baseline_window=table.baseline_window)
-    return out, ImputationReport(entries)
+    countries = {c: j for j, c in enumerate(dict.fromkeys(table.country_codes))}
+    row_country = np.array([countries[c] for c in table.country_codes], dtype=np.intp)[table.region]
+    absent = np.isnan(table.values)
+    fills = np.empty((len(countries), len(CATEGORIES)))
+    entries = []
+    for country, j in countries.items():
+        rows = row_country == j
+        total = int(rows.sum())
+        missing = absent[rows].sum(axis=0)
+        # summed down the rows in table order
+        sums = np.where(absent[rows], 0.0, table.values[rows]).sum(axis=0)
+        for k, cat in enumerate(CATEGORIES):
+            present = total - int(missing[k])
+            if not present:
+                raise DataError(f"cannot impute ({country}, {cat}): every value is missing")
+            fills[j, k] = float(sums[k]) / present
+            entries.append(ImputationEntry(country, cat, int(missing[k]), total, float(fills[j, k])))
+    entries.sort(key=lambda e: (e.country_code, e.category))
+    filled = np.where(absent, fills[row_country], table.values)
+    return replace(table, values=filled, issues=list(table.issues)), ImputationReport(entries)
 
 
 def write_csv(table: MobilityTable) -> str:
@@ -348,10 +368,8 @@ def write_csv(table: MobilityTable) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     header = [DEFAULT_COLUMNS[k] for k in ("country_code", "sub_region", "date", *CATEGORIES)]
     writer.writerow(header)
-    for rec in table.records:
-        row = [rec.country_code, rec.sub_region, rec.date.isoformat()]
-        for cat in CATEGORIES:
-            v = rec.values.get(cat)
-            row.append("" if v is None else f"{v:.15g}")
+    for r, date, values in zip(table.region.tolist(), table.date_list(), table.values.tolist()):
+        row = [table.country_codes[r], table.sub_regions[r], date.isoformat()]
+        row += ["" if math.isnan(v) else f"{v:.15g}" for v in values]
         writer.writerow(row)
     return buf.getvalue()

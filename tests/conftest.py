@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from mobility_esda.geometry import grid_geometries
-from mobility_esda.ingest import CATEGORIES, MobilityRecord, MobilityTable, region_key
+from mobility_esda.ingest import CATEGORIES, MobilityTable
 from mobility_esda.weights import SpatialWeights, queen_adjacency, rook_adjacency, row_standardize
 
 
@@ -132,22 +132,17 @@ def star_5():
 
 def make_table(rows, baseline_window=None) -> MobilityTable:
     """rows: (country, sub_region, iso_date, {category: value_or_None})."""
-    records = []
-    for country, sub, date, values in rows:
-        full = {cat: values.get(cat) for cat in CATEGORIES}
-        records.append(
-            MobilityRecord(
-                region_id=region_key(country, sub),
-                country_code=country,
-                sub_region=sub,
-                date=dt.date.fromisoformat(date),
-                values=full,
-            )
-        )
     kwargs = {}
     if baseline_window is not None:
         kwargs["baseline_window"] = baseline_window
-    return MobilityTable(records, **kwargs)
+    return MobilityTable.from_rows(
+        [
+            (country, sub, dt.date.fromisoformat(date).toordinal(),
+             [math.nan if values.get(cat) is None else values[cat] for cat in CATEGORIES])
+            for country, sub, date, values in rows
+        ],
+        **kwargs,
+    )
 
 
 def flat_values(v: float) -> dict[str, float]:

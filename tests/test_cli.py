@@ -340,3 +340,112 @@ class TestConfigAndSeed:
         assert code == 0
         manifest = json.loads((out / "run-manifest.json").read_text())
         assert manifest["config"]["seed"] == 77
+
+    def test_config_key_typo_rejected(self, sy, tmp_path, capsys):
+        csv_path, geo_path = sy
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"permutatons": 5}))
+        code = main(
+            [
+                "--config", str(cfg),
+                "moran",
+                "--input", str(csv_path),
+                "--geometry", str(geo_path),
+                "--country", "SY",
+                "--out-dir", str(tmp_path / "o"),
+            ]
+        )
+        assert code == 3
+        assert "permutatons" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+HEADER = (
+    "country_region_code,sub_region_1,date,"
+    "retail_and_recreation_percent_change_from_baseline,"
+    "grocery_and_pharmacy_percent_change_from_baseline,"
+    "parks_percent_change_from_baseline,"
+    "transit_stations_percent_change_from_baseline,"
+    "workplaces_percent_change_from_baseline,"
+    "residential_percent_change_from_baseline"
+)
+
+
+def failing_run(kind, sy, tmp):
+    """argv of a run that fails in the given way."""
+    csv_path, geo_path = map(str, sy)
+    moran = ["moran", "--input", csv_path, "--geometry", geo_path, "--country", "SY",
+             "--from", "2020-03-01", "--to", "2020-03-21", "--permutations", "9"]
+    if kind == "schema":
+        (tmp / "bad.csv").write_text("country_region_code,date\nBR,2020-03-01\n")
+        return ["ingest", "--input", str(tmp / "bad.csv")]
+    if kind == "undecodable":
+        (tmp / "bad.csv").write_bytes(b"\xff\xfe\x00\x01")
+        return ["ingest", "--input", str(tmp / "bad.csv")]
+    if kind == "geometry not json":
+        (tmp / "bad.geojson").write_text("{")
+        return ["weights", "--geometry", str(tmp / "bad.geojson")]
+    if kind == "data":
+        (tmp / "gap.csv").write_text(f"{HEADER}\nBR,,2020-03-01,1,2,,4,5,6\n")
+        return ["ingest", "--input", str(tmp / "gap.csv")]
+    if kind == "non-finite":
+        (tmp / "nan.csv").write_text(f"{HEADER}\nBR,,2020-03-01,1,2,nan,4,5,6\n")
+        return ["ingest", "--input", str(tmp / "nan.csv")]
+    if kind == "unknown country":
+        return ["ingest", "--input", csv_path, "--country", "XX"]
+    if kind == "bad date":
+        return ["indicator", "--input", csv_path, "--country", "SY", "--from", "03/01/2020"]
+    if kind == "unknown category":
+        return moran + ["--categories", "cinemas"]
+    if kind == "missing input":
+        return ["ingest", "--input", str(tmp / "absent.csv")]
+    if kind == "missing geometry":
+        return moran[:3] + ["--geometry", str(tmp / "absent.geojson"), "--country", "SY"]
+    if kind == "undecodable values":
+        (tmp / "vals.csv").write_bytes(b"\xff\xferegion_id,value\n")
+        return ["render", "--geometry", geo_path, "--values", str(tmp / "vals.csv")]
+    if kind == "missing values":
+        return ["render", "--geometry", geo_path, "--values", str(tmp / "absent.csv")]
+    if kind == "missing config":
+        return ["--config", str(tmp / "absent.json"), "ingest", "--input", csv_path]
+    if kind == "bad config":
+        (tmp / "run.json").write_text("{permutations: 5")
+        return ["--config", str(tmp / "run.json"), "ingest", "--input", csv_path]
+    if kind == "required option":
+        return ["moran", "--input", csv_path, "--country", "SY"]
+    if kind == "id mismatch":
+        (tmp / "wrong.geojson").write_text(json.dumps(grid_geojson(3, 3)))
+        return ["moran", "--input", csv_path, "--geometry", str(tmp / "wrong.geojson"),
+                "--country", "SY", "--from", "2020-03-01", "--to", "2020-03-21"]
+    raise AssertionError(kind)
+
+
+@pytest.mark.parametrize(
+    "kind, code",
+    [
+        ("schema", 2),
+        ("undecodable", 2),
+        ("geometry not json", 2),
+        ("undecodable values", 2),
+        ("data", 3),
+        ("non-finite", 3),
+        ("unknown country", 3),
+        ("bad date", 3),
+        ("unknown category", 3),
+        ("missing input", 3),
+        ("missing geometry", 3),
+        ("missing values", 3),
+        ("missing config", 3),
+        ("bad config", 3),
+        ("required option", 3),
+        ("id mismatch", 4),
+    ],
+)
+def test_failure_exit_codes(kind, code, sy, tmp_path, capsys):
+    argv = failing_run(kind, sy, tmp_path)
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    first, *rest = err.splitlines()
+    assert first.startswith(("schema error: ", "error: ", "id mismatch: "))
+    assert kind == "id mismatch" or not rest

@@ -79,6 +79,21 @@ class TestArea:
         for lam in (0.25, 0.5, 2.0):
             assert radar_area(lam * radii) == pytest.approx(lam**2 * radar_area(radii), rel=1e-12)
 
+    def test_rows_of_radii_match_one_chart_at_a_time(self):
+        rng = np.random.default_rng(8)
+        block = rng.uniform(0, 120, (40, 6))
+        areas = radar_area(block)
+        assert areas.shape == (40,)
+        assert areas.tolist() == [radar_area(radii) for radii in block]
+        values = rng.uniform(-100, 50, (40, 6))
+        assert np.array_equal(
+            radar_radii(values), [radar_radii(dict(zip(CATEGORIES, row))) for row in values]
+        )
+
+    def test_wrong_radius_count_rejected(self):
+        with pytest.raises(ParameterError, match="six radii"):
+            radar_area(np.ones((3, 5)))
+
     def test_monotone_in_single_radius(self):
         radii = np.array([50.0, 60, 70, 80, 90, 100])
         base = radar_area(radii)

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mobility_esda.errors import DataError, NotFoundError, SchemaError
+from mobility_esda.errors import DataError, MobilityError, NotFoundError, SchemaError
 from mobility_esda.ingest import (
     CATEGORIES,
-    filter_region,
+    MobilityTable,
     impute_missing,
     parse_cmr_csv,
-    region_key,
-    subnational,
+    select,
     write_csv,
 )
 
@@ -42,15 +41,16 @@ class TestParse:
                 "BR,,2020-03-03,-12,-7,-22,-32,-17,7",
             )
         )
-        assert len(table.records) == 3
-        assert all(not r.missing_categories() for r in table.records)
+        assert len(table.dates) == 3
+        assert not np.isnan(table.values).any()
         assert table.coverage == (dt.date(2020, 3, 1), dt.date(2020, 3, 3))
 
     def test_empty_cell_is_absent_not_zero(self):
         table = parse_cmr_csv(csv_bytes("BR,,2020-03-01,-10,-5,-20,,-15,5"))
-        rec = table.records[0]
-        assert rec.values["transit_stations"] is None
-        assert rec.missing_categories() == ["transit_stations"]
+        assert np.isnan(table.column("transit_stations")[0])
+        assert [c for c, gone in zip(CATEGORIES, np.isnan(table.values[0])) if gone] == [
+            "transit_stations"
+        ]
 
     def test_missing_column_names_it(self):
         bad = HEADER.replace("parks_percent_change_from_baseline", "parks")
@@ -73,8 +73,8 @@ class TestParse:
                 "residential": "f",
             },
         )
-        assert table.records[0].region_id == "AR/Salta"
-        assert table.records[0].values["residential"] == 6
+        assert table.region_ids[table.region[0]] == "AR/Salta"
+        assert table.column("residential")[0] == 6
 
     def test_bad_date_strict_aborts_with_line_number(self):
         with pytest.raises(DataError, match="line 3"):
@@ -93,7 +93,7 @@ class TestParse:
             ),
             strict=False,
         )
-        assert len(table.records) == 1
+        assert len(table.dates) == 1
         assert any("line 3" in msg for msg in table.issues)
 
     def test_value_below_floor_rejected(self):
@@ -141,9 +141,85 @@ class TestParse:
         )
         again = parse_cmr_csv(write_csv(table).encode())
         assert write_csv(again) == write_csv(table)
-        assert [(r.region_id, r.date, r.values) for r in again.records] == [
-            (r.region_id, r.date, r.values) for r in table.records
+        assert again.region_ids == table.region_ids
+        assert np.array_equal(again.region, table.region)
+        assert np.array_equal(again.dates, table.dates)
+        assert np.array_equal(again.values, table.values, equal_nan=True)
+
+
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
+    def test_non_finite_cell_rejected(self, cell):
+        rows = ["BR,,2020-03-01,1,1,1,1,1,1", f"BR,,2020-03-02,1,1,{cell},1,1,1"]
+        with pytest.raises(DataError, match="line 3: non-finite parks"):
+            parse_cmr_csv(csv_bytes(*rows))
+        table = parse_cmr_csv(csv_bytes(*rows), strict=False)
+        assert len(table.dates) == 1
+        assert any("line 3" in msg and "parks" in msg for msg in table.issues)
+
+    def test_byte_order_mark_before_header(self):
+        table = parse_cmr_csv(b"\xef\xbb\xbf" + csv_bytes("BR,,2020-03-01,1,2,3,4,5,6"))
+        assert table.region_ids == ("BR/",)
+
+    def test_undecodable_bytes_are_a_schema_error(self):
+        with pytest.raises(SchemaError, match="UTF-8"):
+            parse_cmr_csv(b"\xff\xfe" + csv_bytes("BR,,2020-03-01,1,2,3,4,5,6"))
+
+    def test_published_layout_skips_finer_levels(self):
+        # the published report: national, sub_region_1, sub_region_2 and
+        # metro rows in one file; the finer rows repeat sub_region_1
+        header = (
+            "country_region_code,country_region,sub_region_1,sub_region_2,metro_area,"
+            "iso_3166_2_code,census_fips_code,place_id,date,"
+            + HEADER.split(",date,")[1]
+        )
+        rows = [header]
+        for day in ("2020-03-01", "2020-03-02"):
+            rows += [
+                f"BR,Brazil,,,,,,p0,{day},-10,-5,-20,-30,-15,5",
+                f"BR,Brazil,Sao Paulo,,,BR-SP,,p1,{day},-11,-6,-21,-31,-16,6",
+                f"BR,Brazil,Sao Paulo,Campinas,,,,p2,{day},-12,-7,-22,-32,-17,7",
+                f"BR,Brazil,Sao Paulo,Santos,,,,p3,{day},-13,-8,-23,,-18,8",
+                f"BR,Brazil,,,Sao Paulo Metro,,,p4,{day},-14,-9,-24,-34,-19,9",
+            ]
+        table = parse_cmr_csv(("\n".join(rows) + "\n").encode())
+        assert table.region_ids == ("BR/", "BR/Sao Paulo")
+        assert table.column("residential").tolist() == [5, 5, 6, 6]
+        assert table.issues == [
+            "skipped 6 rows below the sub_region_1 level (sub_region_2/metro_area set)"
         ]
+
+
+def parses_or_raises_package_error(data: bytes) -> None:
+    for strict in (True, False):
+        try:
+            table = parse_cmr_csv(data, strict=strict)
+        except MobilityError:
+            continue
+        assert isinstance(table, MobilityTable)
+        assert table.values.shape == (len(table.dates), len(CATEGORIES))
+
+
+CELLS = st.sampled_from(
+    ["", "BR", "AR", "Salta", "2020-03-01", "2020-03-02", "2020-02-30", "-101", "-100",
+     "0", "12.5", "nan", "inf", "x", '"', '","', "\ufeff", " "]
+)
+
+
+class TestFuzz:
+    @given(data=st.binary(max_size=300))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_bytes(self, data):
+        parses_or_raises_package_error(data)
+
+    @given(body=st.text(max_size=300))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_text_under_header(self, body):
+        parses_or_raises_package_error((HEADER + "\n" + body).encode())
+
+    @given(rows=st.lists(st.lists(CELLS, min_size=0, max_size=11), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_cells_under_header(self, rows):
+        parses_or_raises_package_error(csv_bytes(*(",".join(row) for row in rows)))
 
 
 class TestFilter:
@@ -160,22 +236,28 @@ class TestFilter:
         )
 
     def test_country_level_only(self, two_country):
-        out = filter_region(two_country, "BR")
-        assert [r.region_id for r in out.records] == ["BR/"]
+        out = select(two_country, "BR", "")
+        assert [out.region_ids[r] for r in out.region] == ["BR/"]
 
     def test_sub_region_series(self, two_country):
-        out = filter_region(two_country, "AR", "Salta")
-        assert [r.date.isoformat() for r in out.records] == ["2020-03-01", "2020-03-02"]
+        out = select(two_country, "AR", "Salta")
+        assert [d.isoformat() for d in out.date_list()] == ["2020-03-01", "2020-03-02"]
 
     def test_unknown_keys_listed(self, two_country):
         with pytest.raises(NotFoundError, match="Jujuy"):
-            filter_region(two_country, "AR", "Cordoba")
+            select(two_country, "AR", "Cordoba")
         with pytest.raises(NotFoundError, match="AR"):
-            filter_region(two_country, "CO")
+            select(two_country, "CO")
 
     def test_subnational_groups(self, two_country):
-        out = subnational(two_country, "AR")
-        assert sorted(out.region_ids()) == ["AR/Jujuy", "AR/Salta"]
+        out = select(two_country, "AR", subnational=True)
+        assert sorted(out.region_ids) == ["AR/Jujuy", "AR/Salta"]
+
+    def test_whole_country_keeps_every_level(self, two_country):
+        out = select(two_country, "AR")
+        assert out.region_ids == ("AR/", "AR/Jujuy", "AR/Salta")
+        assert out.rows("AR/Salta") == slice(2, 4)
+        assert out.column("parks").tolist() == [-20, -40, -30, -31]
 
 
 class TestImpute:
@@ -188,8 +270,26 @@ class TestImpute:
             ]
         )
         filled, report = impute_missing(table)
-        assert filled.records[1].values["parks"] == 15
+        assert filled.column("parks")[1] == 15
         assert report.entry("BR", "parks").fill_value == 15
+
+    def test_fill_is_the_running_mean_in_row_order(self):
+        # the fill must equal a left-to-right running sum over the country's
+        # rows, so normalized output stays byte-identical across layouts
+        rng = np.random.default_rng(3)
+        start = dt.date(2020, 3, 1)
+        rows = []
+        for reg in range(7):
+            for day in range(40):
+                value = None if rng.random() < 0.2 else float(np.round(rng.uniform(-100, 150), 2))
+                date = (start + dt.timedelta(days=day)).isoformat()
+                rows.append(("CO", f"D{reg}", date, {**flat_values(0), "workplaces": value}))
+        _, report = impute_missing(make_table(rows))
+        total = 0.0
+        present = [values["workplaces"] for *_, values in rows if values["workplaces"] is not None]
+        for value in present:
+            total += value
+        assert report.entry("CO", "workplaces").fill_value == total / len(present)
 
     def test_no_missing_identity(self):
         table = make_table([("BR", "", "2020-03-01", flat_values(-12.5))])
@@ -216,8 +316,8 @@ class TestImpute:
             ]
         )
         filled, _ = impute_missing(table)
-        by_id = {(r.region_id, r.date.isoformat()): r for r in filled.records}
-        assert by_id[("BR/", "2020-03-02")].values["parks"] == 10
+        day = dt.date(2020, 3, 2)
+        assert filled.column("parks")[filled.rows("BR/", (day, day))].tolist() == [10]
 
     def test_colombia_shaped_residential_rate(self):
         # 25 regions x 100 days with 457/2500 residential cells blanked:
@@ -245,8 +345,7 @@ class TestImpute:
         ]
         expected_fill = sum(present) / len(present)
         assert entry.fill_value == pytest.approx(expected_fill, rel=1e-12)
-        for rec in filled.records:
-            assert rec.values["residential"] is not None
+        assert not np.isnan(filled.column("residential")).any()
 
     @given(
         data=st.lists(
@@ -268,13 +367,13 @@ class TestImpute:
         filled, _ = impute_missing(table)
 
         # present values preserved
-        for before, after in zip(table.records, filled.records):
-            if before.values["parks"] is not None:
-                assert after.values["parks"] == before.values["parks"]
+        before, after = table.column("parks"), filled.column("parks")
+        present = ~np.isnan(before)
+        assert np.array_equal(after[present], before[present])
         # column mean unchanged
         present = [v for v in data if v is not None]
         premean = sum(present) / len(present)
-        vals = [r.values["parks"] for r in filled.records]
+        vals = filled.column("parks").tolist()
         assert sum(vals) / len(vals) == pytest.approx(premean, rel=1e-9, abs=1e-9)
         # idempotent
         twice, report2 = impute_missing(filled)
