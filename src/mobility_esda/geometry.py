@@ -89,7 +89,10 @@ def load_geojson(source, id_property: str = "region_id") -> list[RegionGeometry]
         if rid in seen:
             raise DataError(f"duplicate region id {rid!r}")
         seen.add(rid)
-        geoms.append(RegionGeometry(rid, _rings_from_geometry(feature["geometry"])))
+        geom = feature.get("geometry")
+        if not isinstance(geom, dict):
+            raise GeometryError(f"{rid}: feature has no geometry")
+        geoms.append(RegionGeometry(rid, _rings_from_geometry(geom)))
     return geoms
 
 

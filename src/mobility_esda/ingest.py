@@ -48,9 +48,6 @@ DEFAULT_COLUMNS = {
 # columns is a county or metro row, not a sub_region_1-level row
 FINER_LEVEL_COLUMNS = ("sub_region_2", "metro_area")
 
-DEFAULT_BASELINE_WINDOW = (dt.date(2020, 1, 3), dt.date(2020, 2, 6))
-
-
 def region_key(country_code: str, sub_region: str = "") -> str:
     """Stable region identifier: ``country_code + "/" + sub_region``.
 
@@ -77,15 +74,14 @@ class MobilityTable:
     dates: np.ndarray
     values: np.ndarray
     offsets: np.ndarray
-    baseline_window: tuple[dt.date, dt.date] = DEFAULT_BASELINE_WINDOW
     issues: list[str] = field(default_factory=list)
 
     @classmethod
-    def from_rows(cls, rows, baseline_window=DEFAULT_BASELINE_WINDOW, issues=()) -> MobilityTable:
+    def from_rows(cls, rows, issues=()) -> MobilityTable:
         """Sort and validate rows of (country_code, sub_region, date ordinal, six values).
 
-        Duplicate (region, date) pairs and values below -100 are errors;
-        date gaps are reported in ``issues``.
+        Duplicate (region, date) pairs are errors; date gaps are reported
+        in ``issues``.
         """
         rows = list(rows)
         keys = [region_key(country, sub) for country, sub, _, _ in rows]
@@ -104,7 +100,6 @@ class MobilityTable:
             dates[order],
             np.array([row[3] for row in rows], dtype=float).reshape(-1, len(CATEGORIES))[order],
             np.searchsorted(region, np.arange(len(region_ids) + 1)),
-            baseline_window,
             list(issues),
         )
         table._validate()
@@ -118,13 +113,6 @@ class MobilityTable:
             i = duplicate[0] + 1
             key = (self.region_ids[self.region[i]], _date(self.dates[i]))
             raise DataError(f"duplicate (region, date) pair: {key}")
-        low = np.argwhere(self.values < -100)
-        if low.size:
-            i, k = low[0]
-            raise DataError(
-                f"{self.region_ids[self.region[i]]} {_date(self.dates[i])} {CATEGORIES[k]}: "
-                f"value {float(self.values[i, k])} below -100"
-            )
         # gaps are reported, not fatal: a region's dates must be contiguous
         for i in np.flatnonzero(same_region & (step != 1)):
             self.issues.append(
@@ -170,7 +158,6 @@ class MobilityTable:
             self.dates[keep],
             self.values[keep],
             np.concatenate(([0], np.cumsum(counts))),
-            self.baseline_window,
             list(self.issues),
         )
 
@@ -233,14 +220,15 @@ def parse_cmr_csv(
     source,
     column_map: dict[str, str] | None = None,
     strict: bool = True,
-    baseline_window: tuple[dt.date, dt.date] = DEFAULT_BASELINE_WINDOW,
 ) -> MobilityTable:
     """Parse a community-mobility CSV into a :class:`MobilityTable`.
 
     ``column_map`` maps logical names (keys of ``DEFAULT_COLUMNS``) to
-    actual header names. Empty cells become NaN; non-finite cells are
-    errors. In strict mode any bad row aborts the parse; in lenient mode
-    bad rows are skipped and reported in ``table.issues``. Rows below the
+    actual header names. Empty cells become NaN; non-finite cells and
+    values below -100 are errors. In strict mode any bad row aborts the
+    parse; in lenient mode bad rows are skipped and reported in
+    ``table.issues``. A duplicate (region, date) pair is an error in both
+    modes, since neither row can be chosen over the other. Rows below the
     sub_region_1 level (see ``FINER_LEVEL_COLUMNS``) are always skipped
     and counted in one ``issues`` line.
     """
@@ -286,7 +274,7 @@ def parse_cmr_csv(
             f"skipped {finer_rows} rows below the sub_region_1 level "
             f"({'/'.join(FINER_LEVEL_COLUMNS)} set)"
         )
-    return MobilityTable.from_rows(rows, baseline_window, issues)
+    return MobilityTable.from_rows(rows, issues)
 
 
 def _parse_row(cells: list[str], lineno: int) -> tuple[str, str, int, list[float]]:
@@ -308,6 +296,8 @@ def _parse_row(cells: list[str], lineno: int) -> tuple[str, str, int, list[float
             raise DataError(f"line {lineno}: non-numeric {cat} cell {cell!r}") from None
         if not math.isfinite(v):
             raise DataError(f"line {lineno}: non-finite {cat} cell {cell!r}")
+        if v < -100:
+            raise DataError(f"line {lineno}: {cat} value {v} below -100")
         values.append(v)
     return country, sub_region, date, values
 

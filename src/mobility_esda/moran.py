@@ -71,16 +71,25 @@ def expected_i(n: int) -> float:
     return -1.0 / (n - 1)
 
 
-def _moran_stat(z: np.ndarray, W: SpatialWeights, Wmat: np.ndarray, s0: float) -> float:
+def _moran_stat(z: np.ndarray, Wmat: np.ndarray, s0: float) -> float:
     n = len(z)
     return float(n / s0 * (z @ Wmat @ z) / (z @ z))
+
+
+def _moran_sims(z: np.ndarray, perms: np.ndarray, Wmat: np.ndarray, s0: float) -> np.ndarray:
+    """The global index of ``z[perm]`` for every row of the R x n ``perms``.
+
+    A relabeling leaves ``z @ z`` unchanged, so the denominator is shared.
+    """
+    zp = z[perms]
+    return len(z) / s0 * ((zp @ Wmat) * zp).sum(axis=1) / (z @ z)
 
 
 def moran_global(field: ValueField, W: SpatialWeights) -> float:
     _require_variance(field)
     _check_aligned(field, W)
     z = field.x - field.mean
-    return _moran_stat(z, W, W.dense(), W.s0)
+    return _moran_stat(z, W.dense(), W.s0)
 
 
 @dataclass
@@ -139,20 +148,17 @@ def moran_permutation(
     Wmat = W.dense()
     s0 = W.s0
     z = field.x - field.mean
-    observed = _moran_stat(z, W, Wmat, s0)
+    observed = _moran_stat(z, Wmat, s0)
     if exhaustive:
         if n > 9:
             raise ParameterError(f"exhaustive mode limited to n <= 9, got {n}")
-        sims = np.array(
-            [_moran_stat(z[list(p)], W, Wmat, s0) for p in itertools.permutations(range(n))]
-        )
+        perms = np.array(list(itertools.permutations(range(n))))
     else:
         if permutations < 1:
             raise ParameterError(f"permutations must be >= 1, got {permutations}")
         rng = np.random.default_rng(seed)
-        sims = np.array(
-            [_moran_stat(z[rng.permutation(n)], W, Wmat, s0) for _ in range(permutations)]
-        )
+        perms = np.array([rng.permutation(n) for _ in range(permutations)])
+    sims = _moran_sims(z, perms, Wmat, s0)
     return MoranGlobalResult(
         I=observed,
         expected=expected_i(n),
@@ -200,6 +206,24 @@ def moran_local(field: ValueField, W: SpatialWeights) -> np.ndarray:
     return field.z * spatial_lag(W, field.z)
 
 
+def _ordered_draws(rng: np.random.Generator, m: int, k: int, size: int) -> np.ndarray:
+    """``size`` rows of k distinct indices from range(m), each row uniform
+    over the m!/(m-k)! ordered k-tuples.
+
+    Floyd's subset algorithm runs on all rows at once: round j draws from
+    range(j + 1) and takes j instead when the draw repeats an earlier pick,
+    which leaves a uniform k-subset in k rounds with no redraws. Sorting
+    each row by uniform keys then puts the subset in uniform order.
+    """
+    picks = np.empty((size, k), dtype=np.intp)
+    for t, j in enumerate(range(m - k, m)):
+        draw = rng.integers(0, j + 1, size=size)
+        repeat = (picks[:, :t] == draw[:, None]).any(axis=1)
+        picks[:, t] = np.where(repeat, j, draw)
+    order = np.argsort(rng.random((size, k)), axis=1)
+    return np.take_along_axis(picks, order, axis=1)
+
+
 def lisa_permutation(
     field: ValueField,
     W: SpatialWeights,
@@ -211,13 +235,20 @@ def lisa_permutation(
     """Conditional permutation pseudo p-value per region.
 
     For each region i, z_i is held fixed and its |N(i)| neighbor values
-    are drawn without replacement from the other n-1 values. Each
-    region's random stream derives from (seed, i), so regions can be
-    evaluated in parallel with identical results. Exhaustive mode
-    enumerates every arrangement of neighbor values.
+    are drawn without replacement from the other n-1 values (Anselin
+    1995, conditional randomization). Region i draws all of its
+    ``permutations`` arrangements as one block from the stream
+    ``default_rng((seed, i))``, so regions can be evaluated in parallel
+    with identical results. The block sampler (``_ordered_draws``) reads
+    the stream differently from the earlier one-arrangement-per-call
+    sampler, so seeded p-values differ from earlier releases while
+    following the same null distribution. Exhaustive mode enumerates
+    every arrangement of neighbor values.
     """
     _require_variance(field)
     _check_aligned(field, W)
+    if not exhaustive and permutations < 1:
+        raise ParameterError(f"permutations must be >= 1, got {permutations}")
     n = W.n
     z = field.z
     p = np.ones(n)
@@ -235,17 +266,10 @@ def lisa_permutation(
                 raise ParameterError(
                     f"exhaustive conditional enumeration too large for region {i}"
                 )
-            sims = np.array(
-                [z[i] * np.dot(wts, others[list(a)]) for a in itertools.permutations(range(n - 1), k)]
-            )
+            draws = np.array(list(itertools.permutations(range(n - 1), k)))
         else:
-            rng = np.random.default_rng((seed, i))
-            sims = np.array(
-                [
-                    z[i] * np.dot(wts, others[rng.choice(n - 1, size=k, replace=False)])
-                    for _ in range(permutations)
-                ]
-            )
+            draws = _ordered_draws(np.random.default_rng((seed, i)), n - 1, k, permutations)
+        sims = z[i] * (others[draws] @ wts)
         p[i] = _pseudo_p(observed, sims, reference, sided)
     return p
 

@@ -9,7 +9,9 @@ contiguity needs a single shared boundary point; rook needs a shared edge
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DataError, GeometryError, ParameterError
 from .geometry import RegionGeometry
@@ -56,8 +58,6 @@ class SpatialWeights:
         return cls(list(ids), nbr_idx, wts, mode="binary")
 
     def dense(self):
-        import numpy as np
-
         W = np.zeros((self.n, self.n))
         for i, (nbrs, wts) in enumerate(zip(self.neighbors, self.weights)):
             for j, w in zip(nbrs, wts):
@@ -123,12 +123,6 @@ def _vertex_touches(gi: RegionGeometry, gj: RegionGeometry, tol: float) -> bool:
     return False
 
 
-def _bbox_overlap(g1: RegionGeometry, g2: RegionGeometry, tol: float) -> bool:
-    x0, y0, x1, y1 = g1.bbox()
-    u0, v0, u1, v1 = g2.bbox()
-    return x0 - tol <= u1 and u0 - tol <= x1 and y0 - tol <= v1 and v0 - tol <= y1
-
-
 def queen_adjacency(geoms: list[RegionGeometry], snap_tol: float = 1e-7) -> SpatialWeights:
     """Binary weights: adjacent iff sharing any snapped boundary point."""
     _check_geoms(geoms)
@@ -146,10 +140,17 @@ def queen_adjacency(geoms: list[RegionGeometry], snap_tol: float = 1e-7) -> Spat
             for j in members:
                 if i != j:
                     adjacency[i].add(j)
-    # a vertex of one region lying mid-segment on another still counts
+    # a vertex of one region lying mid-segment on another still counts;
+    # candidates are the later regions whose tol-widened boxes overlap
+    x0, y0, x1, y1 = np.array([g.bbox() for g in geoms]).T
     for i in range(len(geoms)):
-        for j in range(i + 1, len(geoms)):
-            if j in adjacency[i] or not _bbox_overlap(geoms[i], geoms[j], snap_tol):
+        later = slice(i + 1, None)
+        overlap = (
+            (x0[i] - snap_tol <= x1[later]) & (x0[later] - snap_tol <= x1[i])
+            & (y0[i] - snap_tol <= y1[later]) & (y0[later] - snap_tol <= y1[i])
+        )
+        for j in (np.flatnonzero(overlap) + i + 1).tolist():
+            if j in adjacency[i]:
                 continue
             if _vertex_touches(geoms[i], geoms[j], snap_tol) or _vertex_touches(
                 geoms[j], geoms[i], snap_tol

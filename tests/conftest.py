@@ -130,18 +130,14 @@ def star_5():
     return row_standardize(W)
 
 
-def make_table(rows, baseline_window=None) -> MobilityTable:
+def make_table(rows) -> MobilityTable:
     """rows: (country, sub_region, iso_date, {category: value_or_None})."""
-    kwargs = {}
-    if baseline_window is not None:
-        kwargs["baseline_window"] = baseline_window
     return MobilityTable.from_rows(
         [
             (country, sub, dt.date.fromisoformat(date).toordinal(),
              [math.nan if values.get(cat) is None else values[cat] for cat in CATEGORIES])
             for country, sub, date, values in rows
-        ],
-        **kwargs,
+        ]
     )
 
 

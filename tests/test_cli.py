@@ -385,6 +385,14 @@ def failing_run(kind, sy, tmp):
     if kind == "geometry not json":
         (tmp / "bad.geojson").write_text("{")
         return ["weights", "--geometry", str(tmp / "bad.geojson")]
+    if kind in ("feature without geometry", "null geometry"):
+        doc = grid_geojson(1, 2)
+        if kind == "null geometry":
+            doc["features"][1]["geometry"] = None
+        else:
+            del doc["features"][1]["geometry"]
+        (tmp / "holey.geojson").write_text(json.dumps(doc))
+        return ["weights", "--geometry", str(tmp / "holey.geojson")]
     if kind == "data":
         (tmp / "gap.csv").write_text(f"{HEADER}\nBR,,2020-03-01,1,2,,4,5,6\n")
         return ["ingest", "--input", str(tmp / "gap.csv")]
@@ -434,6 +442,8 @@ def failing_run(kind, sy, tmp):
         ("unknown category", 3),
         ("missing input", 3),
         ("missing geometry", 3),
+        ("feature without geometry", 3),
+        ("null geometry", 3),
         ("missing values", 3),
         ("missing config", 3),
         ("bad config", 3),

@@ -100,6 +100,17 @@ class TestParse:
         with pytest.raises(DataError, match="-101"):
             parse_cmr_csv(csv_bytes("BR,,2020-03-01,-101,1,1,1,1,1"))
 
+    def test_value_below_floor_lenient_skips_and_reports(self):
+        table = parse_cmr_csv(
+            csv_bytes(
+                "BR,,2020-03-01,1,1,1,1,1,1",
+                "BR,,2020-03-02,-101,1,1,1,1,1",
+            ),
+            strict=False,
+        )
+        assert len(table.dates) == 1
+        assert any("line 3" in msg and "-101" in msg for msg in table.issues)
+
     def test_gap_reported_not_fatal(self):
         table = parse_cmr_csv(
             csv_bytes(
@@ -116,6 +127,16 @@ class TestParse:
                     "BR,,2020-03-01,1,1,1,1,1,1",
                     "BR,,2020-03-01,2,2,2,2,2,2",
                 )
+            )
+
+    def test_duplicate_region_date_rejected_in_lenient_mode(self):
+        with pytest.raises(DataError, match="duplicate"):
+            parse_cmr_csv(
+                csv_bytes(
+                    "BR,,2020-03-01,1,1,1,1,1,1",
+                    "BR,,2020-03-01,2,2,2,2,2,2",
+                ),
+                strict=False,
             )
 
     def test_argentina_style_missing_rate(self):

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from mobility_esda.errors import ParameterError, ZeroVarianceError
 from mobility_esda.geometry import grid_geometries
 from mobility_esda.moran import (
+    _moran_sims,
+    _ordered_draws,
     expected_i,
     lisa_classify,
     lisa_permutation,
@@ -214,6 +219,37 @@ class TestGlobalPermutation:
     def test_expected_value(self):
         assert expected_i(4) == pytest.approx(-1 / 3)
 
+    def test_batched_sims_match_oracle(self, queen_6x6_rs):
+        W = queen_6x6_rs
+        rng = np.random.default_rng(11)
+        x = rng.normal(0, 1, 36)
+        perms = np.array([rng.permutation(36) for _ in range(50)])
+        sims = _moran_sims(x - x.mean(), perms, W.dense(), W.s0)
+        expected = [moran_oracle(x[perm], W) for perm in perms]
+        assert np.allclose(sims, expected, rtol=0, atol=1e-12)
+
+
+def chi2_upper_quantile(df: int, z: float = 3.09) -> float:
+    """Wilson-Hilferty approximation of the chi-square quantile at normal
+    deviate z (3.09: the 0.999 quantile)."""
+    c = 2 / (9 * df)
+    return df * (1 - c + z * math.sqrt(c)) ** 3
+
+
+class TestOrderedDraws:
+    @pytest.mark.parametrize("m, k", [(4, 2), (5, 3), (4, 4), (6, 1)])
+    def test_uniform_over_ordered_tuples(self, m, k):
+        tuples = list(itertools.permutations(range(m), k))
+        size = 200 * len(tuples)
+        rows = _ordered_draws(np.random.default_rng(0), m, k, size)
+        assert rows.shape == (size, k)
+        assert all(len(set(row)) == k for row in rows.tolist())
+        index = {t: c for c, t in enumerate(tuples)}
+        counts = np.bincount([index[tuple(row)] for row in rows.tolist()], minlength=len(tuples))
+        expected = size / len(tuples)
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        assert chi2 < chi2_upper_quantile(len(tuples) - 1)
+
 
 class TestLisaPermutation:
     def test_zero_z_region_p_one(self):
@@ -254,6 +290,25 @@ class TestLisaPermutation:
         f = standardize_values([1.0, -1.0, 0.0])
         p = lisa_permutation(f, W, permutations=99, seed=0)
         assert p[2] == 1.0
+
+    @pytest.mark.parametrize("sided", ["greater", "less"])
+    def test_calibration_under_null(self, sided):
+        # one tail has nominal level 0.05; the folded p tests the tail the
+        # observation falls on, so its rate at 0.05 is about 0.10
+        W = row_standardize(rook_adjacency(grid_geometries(5, 5)))
+        rng = np.random.default_rng(2020)
+        rejected = [
+            lisa_permutation(
+                standardize_values(rng.normal(0, 1, 25)), W, permutations=199, seed=t, sided=sided
+            ) <= 0.05
+            for t in range(40)
+        ]
+        assert 0.01 <= np.mean(rejected) <= 0.10
+
+    def test_no_permutations_refused(self, queen_6x6_rs):
+        f = standardize_values(np.random.default_rng(14).normal(0, 1, 36))
+        with pytest.raises(ParameterError):
+            lisa_permutation(f, queen_6x6_rs, permutations=0)
 
 
 class TestClassify:

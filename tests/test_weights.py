@@ -242,6 +242,16 @@ class TestGeoJson:
         with pytest.raises(GeometryError, match="not closed"):
             load_geojson(doc)
 
+    @pytest.mark.parametrize("null", [False, True])
+    def test_feature_without_geometry_names_region(self, null):
+        doc = grid_geojson(1, 2)
+        if null:
+            doc["features"][1]["geometry"] = None
+        else:
+            del doc["features"][1]["geometry"]
+        with pytest.raises(GeometryError, match="cell0_1: feature has no geometry"):
+            load_geojson(doc)
+
     def test_custom_id_property(self):
         doc = grid_geojson(1, 2)
         for f in doc["features"]:
