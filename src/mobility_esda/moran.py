@@ -242,13 +242,16 @@ def lisa_permutation(
     with identical results. The block sampler (``_ordered_draws``) reads
     the stream differently from the earlier one-arrangement-per-call
     sampler, so seeded p-values differ from earlier releases while
-    following the same null distribution. Exhaustive mode enumerates
-    every arrangement of neighbor values.
+    following the same null distribution. ``seed=None`` draws fresh
+    entropy once and uses it in place of the integer seed. Exhaustive
+    mode enumerates every arrangement of neighbor values.
     """
     _require_variance(field)
     _check_aligned(field, W)
     if not exhaustive and permutations < 1:
         raise ParameterError(f"permutations must be >= 1, got {permutations}")
+    if seed is None:
+        seed = np.random.SeedSequence().entropy
     n = W.n
     z = field.z
     p = np.ones(n)

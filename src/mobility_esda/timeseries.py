@@ -6,11 +6,19 @@ detrend, smooth each cycle-subseries, low-pass filter, subtract to get
 the seasonal component, then re-estimate the trend on the deseasonalized
 series. The residual is defined as input - trend - seasonal, so the
 additive identity holds exactly.
+
+Every LOESS fit is a hat matrix H with ``fit = H @ ys`` (the smoother
+matrix of Hastie & Tibshirani, *Generalized Additive Models*, 1990).
+Without robustness weights every step of the loop is linear in the
+series, so the whole decomposition is a pair of n x n operators built
+once per (length, period, windows, iterations) and then applied to each
+series by matrix-vector products (Cleveland et al. 1990).
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +40,8 @@ class DailySeries:
                 raise DataError(f"non-contiguous dates: {a} .. {b}")
         if np.any(np.isnan(self.values)):
             raise DataError("series contains missing values; impute first")
+        if not np.all(np.isfinite(self.values)):
+            raise DataError("series contains infinite values")
 
 
 @dataclass
@@ -51,31 +61,38 @@ def _check_window(window: int, degree: int, n: int) -> None:
         raise ParameterError(f"window {window} exceeds series length {n}")
 
 
-def _loess_eval(xs, ys, window, degree, eval_xs):
-    """Fit a local weighted polynomial at each point of eval_xs.
+def _loess_hat(xs, window, degree, eval_xs, rho=None) -> np.ndarray:
+    """E x N hat matrix of a local weighted polynomial fit at each eval x.
 
-    Uses the `window` nearest data points with tricube weights
-    w(u) = (1 - |u|^3)^3, u = distance / max distance in window.
+    Each row fits the `window` nearest data points (stable order on
+    ties) with tricube weights w(u) = (1 - |u|^3)^3, u = distance / max
+    distance in window, times the robustness weights ``rho`` if given.
+    The pseudo-inverse keeps the minimum-norm least-squares fit when
+    zero weights leave fewer points than coefficients.
     """
     xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    out = np.empty(len(eval_xs))
-    for k, x0 in enumerate(eval_xs):
-        d = np.abs(xs - x0)
-        idx = np.argsort(d, kind="stable")[:window]
-        h = d[idx].max()
-        if h == 0:
-            out[k] = ys[idx[0]]
-            continue
-        u = d[idx] / h
-        w = np.clip(1 - u**3, 0, None) ** 3
-        # centered design matrix keeps the fit well conditioned
-        t = xs[idx] - x0
-        A = np.vander(t, degree + 1, increasing=True)
-        sw = np.sqrt(w)
-        coef, *_ = np.linalg.lstsq(A * sw[:, None], ys[idx] * sw, rcond=None)
-        out[k] = coef[0]
-    return out
+    eval_xs = np.asarray(eval_xs, dtype=float)
+    d = np.abs(eval_xs[:, None] - xs[None, :])
+    idx = np.argsort(d, axis=1, kind="stable")[:, :window]
+    dw = np.take_along_axis(d, idx, axis=1)
+    h = dw.max(axis=1)
+    exact = h == 0
+    u = dw / np.where(exact, 1.0, h)[:, None]
+    w = np.clip(1 - u**3, 0, None) ** 3
+    if rho is not None:
+        w = w * rho[idx]
+    # centered design matrix keeps the fit well conditioned
+    t = xs[idx] - eval_xs[:, None]
+    A = t[:, :, None] ** np.arange(degree + 1)
+    sw = np.sqrt(w)
+    # same singular-value cutoff as np.linalg.lstsq(..., rcond=None)
+    rcond = max(window, degree + 1) * np.finfo(float).eps
+    rows = np.linalg.pinv(A * sw[:, :, None], rcond=rcond)[:, 0, :] * sw
+    rows[exact] = 0.0
+    rows[exact, 0] = 1.0
+    H = np.zeros(d.shape)
+    np.put_along_axis(H, idx, rows, axis=1)
+    return H
 
 
 def loess_smooth(xs, ys, window: int, degree: int = 1) -> np.ndarray:
@@ -89,7 +106,7 @@ def loess_smooth(xs, ys, window: int, degree: int = 1) -> np.ndarray:
     if degree not in (0, 1, 2):
         raise ParameterError(f"degree must be 0, 1 or 2, got {degree}")
     _check_window(window, degree, len(xs))
-    return _loess_eval(xs, ys, window, degree, xs)
+    return _loess_hat(xs, window, degree, xs) @ ys
 
 
 def _odd_at_most(k: int, n: int) -> int:
@@ -98,14 +115,62 @@ def _odd_at_most(k: int, n: int) -> int:
 
 
 def _moving_average(values: np.ndarray, length: int) -> np.ndarray:
-    kernel = np.full(length, 1.0 / length)
-    return np.convolve(values, kernel, mode="valid")
+    """Moving averages of ``length`` consecutive rows (axis 0)."""
+    m = len(values) - length + 1
+    return sum(values[j : j + m] for j in range(length)) / length
 
 
 def _default_trend_window(period: int, seasonal_window: int) -> int:
     # smallest odd integer >= 1.5 * period / (1 - 1.5 / seasonal_window)
     w = int(np.ceil(1.5 * period / (1 - 1.5 / seasonal_window)))
     return w + 1 if w % 2 == 0 else w
+
+
+def _stl_pass(y, trend, period, seasonal_window, trend_window, inner_iters, rho=None):
+    """Inner STL loop on the columns of ``y`` (shape (n, ...)), from ``trend``.
+
+    Returns (trend, seasonal) of the same shape as ``y``. ``rho`` are the
+    robustness weights of the n points, or None for none.
+    """
+    n = len(y)
+    grid = np.arange(n, dtype=float)
+    # cycle-subseries fits, extended one period on each end so the
+    # low-pass moving averages return length n
+    subseries = []
+    for k in range(period):
+        sub_idx = np.arange(k, n, period)
+        m = len(sub_idx)
+        win = _odd_at_most(seasonal_window, m)
+        sub_rho = None if rho is None else rho[sub_idx]
+        H = _loess_hat(np.arange(m), win, 1 if win >= 2 else 0, np.arange(-1, m + 1), sub_rho)
+        subseries.append((sub_idx, H))
+    lowpass_window = period if period % 2 == 1 else period + 1
+    lowpass = _loess_hat(grid, _odd_at_most(lowpass_window, n), 1, grid)
+    trend_hat = _loess_hat(grid, trend_window, 1, grid, rho)
+
+    seasonal = np.zeros_like(y)
+    C = np.empty((n + 2 * period,) + y.shape[1:])
+    for _inner in range(inner_iters):
+        detrended = y - trend
+        for k, (sub_idx, H) in enumerate(subseries):
+            C[k::period] = H @ detrended[sub_idx]
+        L = _moving_average(C, period)
+        L = _moving_average(L, period)
+        L = _moving_average(L, 3)
+        seasonal = C[period : period + n] - lowpass @ L
+        trend = trend_hat @ (y - seasonal)
+    return trend, seasonal
+
+
+@functools.lru_cache(maxsize=8)
+def _stl_operators(n, period, seasonal_window, trend_window, inner_iters):
+    """Read-only n x n operators (T, S): trend = T @ y, seasonal = S @ y."""
+    T, S = _stl_pass(
+        np.eye(n), np.zeros((n, n)), period, seasonal_window, trend_window, inner_iters
+    )
+    T.flags.writeable = False
+    S.flags.writeable = False
+    return T, S
 
 
 def stl_decompose(
@@ -118,8 +183,16 @@ def stl_decompose(
 ) -> Decomposition:
     """Additive season-trend decomposition of a daily series.
 
+    Without robustness iterations the decomposition is linear in the
+    series: a pair of n x n operators (trend, seasonal) is built once per
+    (n, period, seasonal_window, trend_window, inner_iters), cached, and
+    applied by matrix-vector products. The operator is assembled in a
+    different order of arithmetic than a point-by-point fit, so results
+    can differ from earlier versions around the 15th significant digit.
+
     ``outer_iters`` adds robustness iterations that down-weight points
-    with large residuals (bisquare weights).
+    with large residuals (bisquare weights); each one refits this series
+    with weighted smoothers, starting from the previous trend.
     """
     y = series.values
     n = len(y)
@@ -129,81 +202,27 @@ def stl_decompose(
         raise ParameterError(f"series length {n} < 2 x period {period}")
     if seasonal_window % 2 == 0:
         raise ParameterError(f"seasonal_window must be odd, got {seasonal_window}")
+    if seasonal_window < 3:
+        raise ParameterError(f"seasonal_window must be >= 3, got {seasonal_window}")
     if trend_window is None:
         trend_window = _default_trend_window(period, seasonal_window)
     trend_window = _odd_at_most(trend_window, n)
-    lowpass_window = period if period % 2 == 1 else period + 1
+    if trend_window < 3:
+        raise ParameterError(f"trend_window must be >= 3, got {trend_window}")
 
-    rho = np.ones(n)  # robustness weights
-    trend = np.zeros(n)
-    seasonal = np.zeros(n)
-    for _outer in range(outer_iters + 1):
-        for _inner in range(inner_iters):
-            detrended = y - trend
-            # cycle-subseries smoothing, extended one period on each end
-            # so the low-pass moving averages return length n
-            C = np.empty(n + 2 * period)
-            for k in range(period):
-                sub_idx = np.arange(k, n, period)
-                sub = detrended[sub_idx]
-                m = len(sub)
-                win = _odd_at_most(seasonal_window, m)
-                win = max(win, 1)
-                positions = np.arange(m, dtype=float)
-                eval_pos = np.arange(-1, m + 1, dtype=float)
-                deg = 1 if win >= 2 else 0
-                smoothed = _weighted_subseries_loess(
-                    positions, sub, win, deg, eval_pos, rho[sub_idx]
-                )
-                C[k::period][: m + 2] = smoothed
-            L = _moving_average(C, period)
-            L = _moving_average(L, period)
-            L = _moving_average(L, 3)
-            L = loess_smooth(np.arange(n), L, _odd_at_most(lowpass_window, n), 1)
-            seasonal = C[period : period + n] - L
-            deseason = y - seasonal
-            trend = _weighted_series_loess(deseason, trend_window, rho)
+    T, S = _stl_operators(n, period, seasonal_window, trend_window, inner_iters)
+    trend = T @ y
+    seasonal = S @ y
+    for _outer in range(outer_iters):
         resid = y - trend - seasonal
-        if _outer < outer_iters:
-            s = np.median(np.abs(resid))
-            h = 6 * s if s > 0 else 1.0
-            rho = np.clip(1 - (np.abs(resid) / h) ** 2, 0, None) ** 2
+        s = np.median(np.abs(resid))
+        h = 6 * s if s > 0 else 1.0
+        rho = np.clip(1 - (np.abs(resid) / h) ** 2, 0, None) ** 2
+        trend, seasonal = _stl_pass(
+            y, trend, period, seasonal_window, trend_window, inner_iters, rho
+        )
     residual = y - trend - seasonal
     return Decomposition(trend=trend, seasonal=seasonal, residual=residual, period=period)
-
-
-def _weighted_subseries_loess(xs, ys, window, degree, eval_xs, rho):
-    if np.all(rho == 1):
-        return _loess_eval(xs, ys, window, degree, eval_xs)
-    return _loess_eval_weighted(xs, ys, window, degree, eval_xs, rho)
-
-
-def _weighted_series_loess(ys, window, rho):
-    xs = np.arange(len(ys), dtype=float)
-    if np.all(rho == 1):
-        return _loess_eval(xs, ys, window, 1, xs)
-    return _loess_eval_weighted(xs, ys, window, 1, xs, rho)
-
-
-def _loess_eval_weighted(xs, ys, window, degree, eval_xs, rho):
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    out = np.empty(len(eval_xs))
-    for k, x0 in enumerate(eval_xs):
-        d = np.abs(xs - x0)
-        idx = np.argsort(d, kind="stable")[:window]
-        h = d[idx].max()
-        if h == 0:
-            out[k] = ys[idx[0]]
-            continue
-        u = d[idx] / h
-        w = np.clip(1 - u**3, 0, None) ** 3 * rho[idx]
-        t = xs[idx] - x0
-        A = np.vander(t, degree + 1, increasing=True)
-        sw = np.sqrt(w)
-        coef, *_ = np.linalg.lstsq(A * sw[:, None], ys[idx] * sw, rcond=None)
-        out[k] = coef[0]
-    return out
 
 
 def deseasonalize(series: DailySeries, period: int = 7, **kwargs) -> DailySeries:

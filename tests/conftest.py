@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the package's own code paths: the
 Moran oracle is a plain double loop over the weights, the LOESS oracle
-solves each local weighted least-squares problem directly, and the
-permutation oracles enumerate relabelings by brute force.
+solves each local weighted least-squares problem directly, the STL
+oracle runs the decomposition loop with one least-squares fit per
+point, and the permutation oracles enumerate relabelings by brute force.
 """
 
 from __future__ import annotations
@@ -52,6 +53,81 @@ def loess_oracle_point(xs, ys, window, degree, x0) -> float:
     WX = X * w[:, None]
     beta = np.linalg.solve(WX.T @ X, WX.T @ ys[idx])
     return float(beta[0])
+
+
+def _loess_eval_oracle(xs, ys, window, degree, eval_xs, rho):
+    """Per-point weighted LOESS by least squares, one fit per eval x."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    out = np.empty(len(eval_xs))
+    for k, x0 in enumerate(eval_xs):
+        d = np.abs(xs - x0)
+        idx = np.argsort(d, kind="stable")[:window]
+        h = d[idx].max()
+        if h == 0:
+            out[k] = ys[idx[0]]
+            continue
+        u = d[idx] / h
+        w = np.clip(1 - u**3, 0, None) ** 3 * rho[idx]
+        t = xs[idx] - x0
+        A = np.vander(t, degree + 1, increasing=True)
+        sw = np.sqrt(w)
+        coef, *_ = np.linalg.lstsq(A * sw[:, None], ys[idx] * sw, rcond=None)
+        out[k] = coef[0]
+    return out
+
+
+def stl_oracle(y, period=7, seasonal_window=7, inner_iters=2, outer_iters=0, trend_window=None):
+    """Season-trend decomposition fitted point by point: the classic loop
+    with one weighted least-squares solve per evaluation point and no
+    precomputed operators. Returns (trend, seasonal)."""
+    y = np.asarray(y, dtype=float)
+    n = len(y)
+
+    def odd_at_most(k, m):
+        k = min(k, m)
+        return k if k % 2 == 1 else k - 1
+
+    def moving_average(values, length):
+        return np.convolve(values, np.full(length, 1.0 / length), mode="valid")
+
+    if trend_window is None:
+        w = int(np.ceil(1.5 * period / (1 - 1.5 / seasonal_window)))
+        trend_window = w + 1 if w % 2 == 0 else w
+    trend_window = odd_at_most(trend_window, n)
+    lowpass_window = period if period % 2 == 1 else period + 1
+    grid = np.arange(n, dtype=float)
+
+    rho = np.ones(n)  # robustness weights
+    trend = np.zeros(n)
+    seasonal = np.zeros(n)
+    for outer in range(outer_iters + 1):
+        for _inner in range(inner_iters):
+            detrended = y - trend
+            C = np.empty(n + 2 * period)
+            for k in range(period):
+                sub_idx = np.arange(k, n, period)
+                sub = detrended[sub_idx]
+                m = len(sub)
+                win = max(odd_at_most(seasonal_window, m), 1)
+                positions = np.arange(m, dtype=float)
+                eval_pos = np.arange(-1, m + 1, dtype=float)
+                deg = 1 if win >= 2 else 0
+                C[k::period][: m + 2] = _loess_eval_oracle(
+                    positions, sub, win, deg, eval_pos, rho[sub_idx]
+                )
+            L = moving_average(C, period)
+            L = moving_average(L, period)
+            L = moving_average(L, 3)
+            L = _loess_eval_oracle(grid, L, odd_at_most(lowpass_window, n), 1, grid, np.ones(n))
+            seasonal = C[period : period + n] - L
+            trend = _loess_eval_oracle(grid, y - seasonal, trend_window, 1, grid, rho)
+        resid = y - trend - seasonal
+        if outer < outer_iters:
+            s = np.median(np.abs(resid))
+            h = 6 * s if s > 0 else 1.0
+            rho = np.clip(1 - (np.abs(resid) / h) ** 2, 0, None) ** 2
+    return trend, seasonal
 
 
 def exhaustive_pseudo_p(x, W: SpatialWeights, sided="one_sided_folded") -> float:

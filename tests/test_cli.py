@@ -403,6 +403,10 @@ def failing_run(kind, sy, tmp):
         return ["ingest", "--input", csv_path, "--country", "XX"]
     if kind == "bad date":
         return ["indicator", "--input", csv_path, "--country", "SY", "--from", "03/01/2020"]
+    if kind == "seasonal window 1":
+        return ["indicator", "--input", csv_path, "--country", "SY", "--subnational",
+                "--from", "2020-03-01", "--to", "2020-03-21",
+                "--deseasonalize", "--seasonal-window", "1"]
     if kind == "unknown category":
         return moran + ["--categories", "cinemas"]
     if kind == "missing input":
@@ -439,6 +443,7 @@ def failing_run(kind, sy, tmp):
         ("non-finite", 3),
         ("unknown country", 3),
         ("bad date", 3),
+        ("seasonal window 1", 3),
         ("unknown category", 3),
         ("missing input", 3),
         ("missing geometry", 3),

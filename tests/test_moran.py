@@ -279,6 +279,19 @@ class TestLisaPermutation:
         b = lisa_permutation(f, queen_6x6_rs, permutations=99, seed=5)
         assert np.array_equal(a, b)
 
+    def test_seeded_p_values_pinned(self):
+        # the integer-seed stream default_rng((seed, i)) fixes every p-value
+        W = row_standardize(queen_adjacency(grid_geometries(3, 3)))
+        f = standardize_values(np.random.default_rng(8).normal(0, 1, 9))
+        p = lisa_permutation(f, W, permutations=99, seed=7)
+        assert np.array_equal(p, np.array([11, 8, 15, 16, 100, 39, 44, 12, 20]) / 100)
+
+    def test_seed_none_draws_fresh_stream(self, queen_6x6_rs):
+        f = standardize_values(np.random.default_rng(14).normal(0, 1, 36))
+        p = lisa_permutation(f, queen_6x6_rs, permutations=49, seed=None)
+        assert p.shape == (36,)
+        assert np.all((p >= 1 / 50) & (p <= 1))
+
     def test_island_p_is_one(self):
         from mobility_esda.weights import SpatialWeights, row_standardize
 

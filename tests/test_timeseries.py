@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from mobility_esda.errors import DataError, ParameterError
-from mobility_esda.timeseries import DailySeries, deseasonalize, loess_smooth, stl_decompose
+from mobility_esda.timeseries import (
+    DailySeries,
+    _stl_operators,
+    deseasonalize,
+    loess_smooth,
+    stl_decompose,
+)
 
-from conftest import loess_oracle_point
+from conftest import loess_oracle_point, stl_oracle
 
 
 def daily(values, start="2020-03-01"):
@@ -43,6 +49,14 @@ class TestLoess:
         ys = np.sin(xs)
         out = loess_smooth(xs, ys, window=7, degree=1)
         expected = [loess_oracle_point(xs, ys, 7, 1, x0) for x0 in xs]
+        assert np.max(np.abs(out - expected)) < 1e-9
+
+    @pytest.mark.parametrize("degree, window", [(0, 5), (1, 7), (2, 9)])
+    def test_matches_wls_oracle_each_degree(self, degree, window):
+        xs = np.array([0.0, 0.5, 1.0, 2.0, 3.5, 4.0, 5.0, 7.0, 8.0, 8.5, 10.0, 12.0, 13.0])
+        ys = np.cos(xs) + 0.1 * xs**2
+        out = loess_smooth(xs, ys, window=window, degree=degree)
+        expected = [loess_oracle_point(xs, ys, window, degree, x0) for x0 in xs]
         assert np.max(np.abs(out - expected)) < 1e-9
 
     def test_even_window_rejected(self):
@@ -100,11 +114,87 @@ class TestStl:
         with pytest.raises(DataError, match="non-contiguous"):
             DailySeries(dates, np.zeros(3))
 
+    @pytest.mark.parametrize("seasonal_window", [1, -3])
+    def test_seasonal_window_below_three_rejected(self, seasonal_window):
+        with pytest.raises(ParameterError, match="seasonal_window"):
+            stl_decompose(daily(np.arange(28.0)), seasonal_window=seasonal_window)
+
+    @pytest.mark.parametrize("trend_window", [1, 2, -21])
+    def test_trend_window_below_three_rejected(self, trend_window):
+        with pytest.raises(ParameterError, match="trend_window"):
+            stl_decompose(daily(np.arange(28.0)), trend_window=trend_window)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(np.inf, "infinite"), (-np.inf, "infinite"), (np.nan, "missing values; impute first")],
+    )
+    def test_non_finite_value_rejected(self, bad, message):
+        y = np.arange(14.0)
+        y[5] = bad
+        with pytest.raises(DataError, match=message):
+            daily(y)
+
     def test_robust_mode_runs(self):
         y = np.tile(WEEK_PATTERN, 6) + 40.0
         y[20] += 50  # outlier
         dec = stl_decompose(daily(y), outer_iters=2)
         assert np.max(np.abs(dec.trend + dec.seasonal + dec.residual - y)) < 1e-9 * np.max(np.abs(y))
+
+
+def _oracle_case(n, period, seed, outlier=False):
+    rng = np.random.default_rng(seed)
+    t = np.arange(n)
+    y = 30 + np.cumsum(rng.normal(0, 1, n)) + 3 * np.sin(2 * np.pi * t / period)
+    if outlier:
+        y[n // 3] += 1e4
+    return y
+
+
+class TestStlOracle:
+    """stl_decompose against the point-by-point fit in conftest."""
+
+    @pytest.mark.parametrize("n", [14, 15, 30, 92])
+    def test_matches_point_by_point_fit(self, n):
+        for period in (4, 5, 7):
+            for seasonal_window in (3, 7, 13):
+                for outer_iters in (0, 1, 2):
+                    y = _oracle_case(n, period, seed=n * 100 + period)
+                    dec = stl_decompose(
+                        daily(y), period=period, seasonal_window=seasonal_window,
+                        outer_iters=outer_iters,
+                    )
+                    trend, seasonal = stl_oracle(y, period, seasonal_window, 2, outer_iters)
+                    scale = np.max(np.abs(y))
+                    case = (period, seasonal_window, outer_iters)
+                    assert np.max(np.abs(dec.trend - trend)) < 1e-9 * scale, case
+                    assert np.max(np.abs(dec.seasonal - seasonal)) < 1e-9 * scale, case
+
+    @pytest.mark.parametrize("outer_iters", [1, 2])
+    def test_outlier_with_zero_robustness_weight(self, outer_iters):
+        y = _oracle_case(92, 7, seed=5, outlier=True)
+        # the outlier lies beyond 6 x the median absolute residual of the
+        # first pass, so its bisquare robustness weight is exactly 0
+        resid = np.abs(stl_decompose(daily(y)).residual)
+        assert resid[30] > 6 * np.median(resid)
+        dec = stl_decompose(daily(y), outer_iters=outer_iters)
+        trend, seasonal = stl_oracle(y, 7, 7, 2, outer_iters)
+        scale = np.max(np.abs(y))
+        assert np.max(np.abs(dec.trend - trend)) < 1e-9 * scale
+        assert np.max(np.abs(dec.seasonal - seasonal)) < 1e-9 * scale
+
+    def test_cached_operators_reused_and_read_only(self):
+        a = daily(_oracle_case(35, 7, seed=1))
+        b = daily(_oracle_case(35, 7, seed=2))
+        first = stl_decompose(a)
+        stl_decompose(b)
+        again = stl_decompose(a)
+        for name in ("trend", "seasonal", "residual"):
+            assert np.array_equal(getattr(first, name), getattr(again, name))
+        trend_op, seasonal_op = _stl_operators(35, 7, 7, 15, 2)
+        assert not trend_op.flags.writeable
+        assert not seasonal_op.flags.writeable
+        with pytest.raises(ValueError):
+            seasonal_op[0, 0] = 1.0
 
 
 class TestDeseasonalize:
