@@ -116,12 +116,17 @@ def _read_json(path: str):
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return 0
+    """``--seed`` (or the config's ``seed``), else $ESDA_MOBILITY_SEED, else 0."""
+    seed, source = args.seed, "--seed (or config seed)"
+    if seed is None:
+        seed, source = os.environ.get(SEED_ENV_VAR, "0"), f"${SEED_ENV_VAR}"
+        try:
+            seed = int(seed)
+        except ValueError:
+            pass  # rejected below with the text as given
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ParameterError(f"{source} must be a non-negative integer, got {seed!r}")
+    return seed
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, tuple]]]:
@@ -328,7 +333,15 @@ def cmd_moran(args) -> int:
     empty = [rid for rid, r in zip(geom_region_ids, rows) if r.start == r.stop]
     if empty:
         raise DataError(f"no data in window for: {sorted(empty)}")
-    columns = {category: table.column(category) for category in args.categories}
+    fields = {}
+    for category in args.categories:
+        # regional variable: mean daily percent change over the window
+        column = table.column(category)
+        fields[category] = mr.standardize_values(np.array([column[r].mean() for r in rows]))
+        if fields[category].zero_variance:
+            raise ZeroVarianceError(
+                f"{category}: identical mean variation in every region; Moran undefined"
+            )
 
     build = wt.queen_adjacency if args.contiguity == "queen" else wt.rook_adjacency
     W_binary = build(geoms, snap_tol=args.snap_tol)
@@ -338,18 +351,13 @@ def cmd_moran(args) -> int:
     atomic_write(out_dir / "weights.txt", wt.to_text(W_binary))
     atomic_write(out_dir / "weights.json", wt.to_json(W))
 
-    for category, values in columns.items():
-        # regional variable: mean daily percent change over the window
-        x = np.array([values[r].mean() for r in rows])
-
-        field = mr.standardize_values(x)
-        if field.zero_variance:
-            raise ZeroVarianceError(
-                f"{category}: identical mean variation in every region; Moran undefined"
-            )
-        result = mr.moran_permutation(field, W, permutations=args.permutations, seed=seed)
+    # one set of draws for all categories: each equals a run on it alone
+    group = list(fields.values())
+    results = mr.moran_permutation(group, W, permutations=args.permutations, seed=seed)
+    p_locals = mr.lisa_permutation(group, W, permutations=args.permutations, seed=seed)
+    for (category, field), result, p_local in zip(fields.items(), results, p_locals):
+        x = field.x
         scatter = mr.moran_scatter(field, W)
-        p_local = mr.lisa_permutation(field, W, permutations=args.permutations, seed=seed)
         lisa = mr.lisa_classify(field, W, p_local, alpha=args.alpha)
 
         cat_dir = out_dir / category

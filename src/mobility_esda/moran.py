@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,27 +129,42 @@ def _pseudo_p(observed: float, sims: np.ndarray, reference: float, sided: str) -
     return (M + 1) / (R + 1)
 
 
+def _field_group(
+    fields: ValueField | Sequence[ValueField], W: SpatialWeights
+) -> tuple[list[ValueField], bool]:
+    """The fields of a permutation call, each checked against ``W``, and
+    whether a single field (not a sequence) was passed."""
+    single = isinstance(fields, ValueField)
+    group = [fields] if single else list(fields)
+    for field in group:
+        _require_variance(field)
+        _check_aligned(field, W)
+    return group, single
+
+
 def moran_permutation(
-    field: ValueField,
+    fields: ValueField | Sequence[ValueField],
     W: SpatialWeights,
     permutations: int = 999,
     seed: int | None = 0,
     sided: str = "one_sided_folded",
     exhaustive: bool = False,
-) -> MoranGlobalResult:
+) -> MoranGlobalResult | list[MoranGlobalResult]:
     """Permutation test of spatial independence for the global index.
 
     Values are shuffled across regions uniformly at random. With
     ``exhaustive=True`` every one of the n! relabelings is evaluated
     instead (n <= 9 only) and ``permutations``/``seed`` are ignored.
+
+    ``fields`` is one field, giving one result, or a sequence of fields
+    on the same regions, giving one result per field in order. The
+    relabelings are drawn once and every field is tested against them,
+    so each field's result equals a call on that field alone.
     """
-    _require_variance(field)
-    _check_aligned(field, W)
+    group, single = _field_group(fields, W)
     n = W.n
     Wmat = W.dense()
     s0 = W.s0
-    z = field.x - field.mean
-    observed = _moran_stat(z, Wmat, s0)
     if exhaustive:
         if n > 9:
             raise ParameterError(f"exhaustive mode limited to n <= 9, got {n}")
@@ -158,18 +174,25 @@ def moran_permutation(
             raise ParameterError(f"permutations must be >= 1, got {permutations}")
         rng = np.random.default_rng(seed)
         perms = np.array([rng.permutation(n) for _ in range(permutations)])
-    sims = _moran_sims(z, perms, Wmat, s0)
-    return MoranGlobalResult(
-        I=observed,
-        expected=expected_i(n),
-        permutations=len(sims),
-        seed=None if exhaustive else seed,
-        sided=sided,
-        sim_mean=float(sims.mean()),
-        sim_sd=float(sims.std()),
-        pseudo_p=_pseudo_p(observed, sims, expected_i(n), sided),
-        exhaustive=exhaustive,
-    )
+    results = []
+    for field in group:
+        z = field.x - field.mean
+        observed = _moran_stat(z, Wmat, s0)
+        sims = _moran_sims(z, perms, Wmat, s0)
+        results.append(
+            MoranGlobalResult(
+                I=observed,
+                expected=expected_i(n),
+                permutations=len(sims),
+                seed=None if exhaustive else seed,
+                sided=sided,
+                sim_mean=float(sims.mean()),
+                sim_sd=float(sims.std()),
+                pseudo_p=_pseudo_p(observed, sims, expected_i(n), sided),
+                exhaustive=exhaustive,
+            )
+        )
+    return results[0] if single else results
 
 
 def _quadrant(zi: float, lagi: float) -> str:
@@ -199,11 +222,16 @@ def moran_scatter(field: ValueField, W: SpatialWeights) -> MoranScatter:
     return MoranScatter(field.z.copy(), lag, quads, slope)
 
 
-def moran_local(field: ValueField, W: SpatialWeights) -> np.ndarray:
-    """Local index I_i = z_i * lag_i; islands get 0."""
+def _local_and_lag(field: ValueField, W: SpatialWeights) -> tuple[np.ndarray, np.ndarray]:
     _require_variance(field)
     _check_aligned(field, W)
-    return field.z * spatial_lag(W, field.z)
+    lag = spatial_lag(W, field.z)
+    return field.z * lag, lag
+
+
+def moran_local(field: ValueField, W: SpatialWeights) -> np.ndarray:
+    """Local index I_i = z_i * lag_i; islands get 0."""
+    return _local_and_lag(field, W)[0]
 
 
 def _ordered_draws(rng: np.random.Generator, m: int, k: int, size: int) -> np.ndarray:
@@ -225,13 +253,13 @@ def _ordered_draws(rng: np.random.Generator, m: int, k: int, size: int) -> np.nd
 
 
 def lisa_permutation(
-    field: ValueField,
+    fields: ValueField | Sequence[ValueField],
     W: SpatialWeights,
     permutations: int = 999,
     seed: int | None = 0,
     sided: str = "one_sided_folded",
     exhaustive: bool = False,
-) -> np.ndarray:
+) -> np.ndarray | list[np.ndarray]:
     """Conditional permutation pseudo p-value per region.
 
     For each region i, z_i is held fixed and its |N(i)| neighbor values
@@ -245,25 +273,26 @@ def lisa_permutation(
     following the same null distribution. ``seed=None`` draws fresh
     entropy once and uses it in place of the integer seed. Exhaustive
     mode enumerates every arrangement of neighbor values.
+
+    ``fields`` is one field, giving one p array, or a sequence of fields
+    on the same regions, giving one p array per field in order. Each
+    region's block is drawn once and every field is evaluated on it
+    before the next region is drawn, so each field's p-values equal a
+    call on that field alone.
     """
-    _require_variance(field)
-    _check_aligned(field, W)
+    group, single = _field_group(fields, W)
     if not exhaustive and permutations < 1:
         raise ParameterError(f"permutations must be >= 1, got {permutations}")
     if seed is None:
         seed = np.random.SeedSequence().entropy
     n = W.n
-    z = field.z
-    p = np.ones(n)
+    p = np.ones((len(group), n))
     for i in range(n):
         k = len(W.neighbors[i])
         if k == 0:
             continue  # island: no lag, leave p = 1
         wts = np.asarray(W.weights[i])
-        others = np.delete(z, i)
-        observed = float(z[i] * np.dot(wts, z[W.neighbors[i]]))
         wsum = float(wts.sum())
-        reference = -(z[i] ** 2) * wsum / (n - 1)
         if exhaustive:
             if math.perm(n - 1, k) > 500_000:
                 raise ParameterError(
@@ -272,9 +301,13 @@ def lisa_permutation(
             draws = np.array(list(itertools.permutations(range(n - 1), k)))
         else:
             draws = _ordered_draws(np.random.default_rng((seed, i)), n - 1, k, permutations)
-        sims = z[i] * (others[draws] @ wts)
-        p[i] = _pseudo_p(observed, sims, reference, sided)
-    return p
+        for f, field in enumerate(group):
+            z = field.z
+            observed = float(z[i] * np.dot(wts, z[W.neighbors[i]]))
+            reference = -(z[i] ** 2) * wsum / (n - 1)
+            sims = z[i] * (np.delete(z, i)[draws] @ wts)
+            p[f, i] = _pseudo_p(observed, sims, reference, sided)
+    return p[0] if single else list(p)
 
 
 @dataclass
@@ -297,8 +330,7 @@ def lisa_classify(
     """Cluster/outlier labels and significance tiers per region."""
     if not 0 < alpha < 1:
         raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
-    local_i = moran_local(field, W)
-    lag = spatial_lag(W, field.z)
+    local_i, lag = _local_and_lag(field, W)
     labels = []
     tiers: list[float | None] = []
     for i in range(W.n):
@@ -307,6 +339,6 @@ def lisa_classify(
             tiers.append(None)
             continue
         labels.append(_quadrant(field.z[i], lag[i]))
-        # finest tier: smallest threshold still satisfied
-        tiers.append(min(t for t in SIGNIFICANCE_TIERS if p[i] <= t))
+        # finest tier: smallest threshold still satisfied, None above 0.05
+        tiers.append(min((t for t in SIGNIFICANCE_TIERS if p[i] <= t), default=None))
     return LisaResult(list(W.ids), local_i, lag, np.asarray(p, dtype=float), labels, tiers, alpha)

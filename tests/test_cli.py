@@ -251,6 +251,47 @@ class TestMoranCmd:
         assert code == 3
         assert "identical" in capsys.readouterr().err
 
+    def test_constant_third_category_writes_nothing(self, tmp_path, capsys):
+        # parks is flat across regions; the categories before it vary
+        rows = [HEADER]
+        for r in range(2):
+            for c in range(2):
+                v = -10 * (1 + r + 2 * c)
+                for d in range(1, 8):
+                    rows.append(f"SY,cell{r}_{c},2020-03-{d:02d},{v},{v + d},-50,{v},{v},{-v}")
+        csv_path = tmp_path / "flat-parks.csv"
+        csv_path.write_text("\n".join(rows) + "\n")
+        geo_path = tmp_path / "grid.geojson"
+        geo_path.write_text(json.dumps(grid_geojson(2, 2)))
+        out = tmp_path / "o"
+        code = main(self.moran_args(csv_path, geo_path, out, extra=["--to", "2020-03-07"]))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: parks: identical mean variation")
+        # every category is standardized before anything is written
+        assert not out.exists()
+
+    def test_categories_share_draws(self, sy, tmp_path):
+        # a category's outputs in a six-category run equal a run on it alone
+        csv_path, geo_path = sy
+        together = tmp_path / "all"
+        assert main(self.moran_args(csv_path, geo_path, together)) == 0
+        for cat in ("retail_recreation", "grocery_pharmacy", "parks",
+                    "transit_stations", "workplaces", "residential"):
+            alone = tmp_path / cat
+            assert main(self.moran_args(csv_path, geo_path, alone, extra=["--categories", cat])) == 0
+            assert hash_tree(together / cat) == hash_tree(alone / cat), cat
+
+    def test_alpha_above_finest_tier(self, sy, tmp_path):
+        csv_path, geo_path = sy
+        out = tmp_path / "out"
+        assert main(self.moran_args(csv_path, geo_path, out, extra=["--alpha", "0.5"])) == 0
+        with open(out / "residential" / "lisa.csv", newline="") as fh:
+            recs = list(csv.DictReader(fh))
+        between = [r for r in recs if 0.05 < float(r["pseudo_p"]) <= 0.5]
+        assert between, "fixture gives no p in (0.05, 0.5]"
+        assert all(r["quadrant"] != "ns" and r["tier"] == "" for r in between)
+
     def test_id_mismatch_exit_4(self, sy, tmp_path, capsys):
         csv_path, _ = sy
         geo_path = tmp_path / "wrong.geojson"
@@ -371,7 +412,7 @@ HEADER = (
 )
 
 
-def failing_run(kind, sy, tmp):
+def failing_run(kind, sy, tmp, monkeypatch):
     """argv of a run that fails in the given way."""
     csv_path, geo_path = map(str, sy)
     moran = ["moran", "--input", csv_path, "--geometry", geo_path, "--country", "SY",
@@ -407,6 +448,14 @@ def failing_run(kind, sy, tmp):
         return ["indicator", "--input", csv_path, "--country", "SY", "--subnational",
                 "--from", "2020-03-01", "--to", "2020-03-21",
                 "--deseasonalize", "--seasonal-window", "1"]
+    if kind == "negative seed":
+        return moran + ["--seed", "-1"]
+    if kind == "negative config seed":
+        (tmp / "run.json").write_text(json.dumps({"seed": -3}))
+        return ["--config", str(tmp / "run.json")] + moran
+    if kind in ("bad seed env", "negative seed env"):
+        monkeypatch.setenv("ESDA_MOBILITY_SEED", "abc" if kind == "bad seed env" else "-2")
+        return moran
     if kind == "unknown category":
         return moran + ["--categories", "cinemas"]
     if kind == "missing input":
@@ -445,6 +494,10 @@ def failing_run(kind, sy, tmp):
         ("bad date", 3),
         ("seasonal window 1", 3),
         ("unknown category", 3),
+        ("negative seed", 3),
+        ("negative config seed", 3),
+        ("bad seed env", 3),
+        ("negative seed env", 3),
         ("missing input", 3),
         ("missing geometry", 3),
         ("feature without geometry", 3),
@@ -456,11 +509,21 @@ def failing_run(kind, sy, tmp):
         ("id mismatch", 4),
     ],
 )
-def test_failure_exit_codes(kind, code, sy, tmp_path, capsys):
-    argv = failing_run(kind, sy, tmp_path)
+def test_failure_exit_codes(kind, code, sy, tmp_path, capsys, monkeypatch):
+    argv = failing_run(kind, sy, tmp_path, monkeypatch)
     assert main(argv + ["--out-dir", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     first, *rest = err.splitlines()
     assert first.startswith(("schema error: ", "error: ", "id mismatch: "))
     assert kind == "id mismatch" or not rest
+    assert FAILURE_MESSAGES.get(kind, "") in first
+
+
+# the error line names where a bad seed came from
+FAILURE_MESSAGES = {
+    "negative seed": "error: --seed (or config seed) must be a non-negative integer, got -1",
+    "negative config seed": "error: --seed (or config seed) must be a non-negative integer, got -3",
+    "bad seed env": "error: $ESDA_MOBILITY_SEED must be a non-negative integer, got 'abc'",
+    "negative seed env": "error: $ESDA_MOBILITY_SEED must be a non-negative integer, got -2",
+}

@@ -324,6 +324,68 @@ class TestLisaPermutation:
             lisa_permutation(f, queen_6x6_rs, permutations=0)
 
 
+def _island_weights():
+    # a 6-region graph whose last region has no neighbours (k = 0)
+    from mobility_esda.weights import SpatialWeights
+
+    return row_standardize(
+        SpatialWeights.from_neighbors(
+            list("abcdef"),
+            {"a": ["b", "c"], "b": ["a", "d"], "c": ["a", "d", "e"],
+             "d": ["b", "c", "e"], "e": ["c", "d"], "f": []},
+        )
+    )
+
+
+class TestSharedDraws:
+    """Several fields in one call are tested against one set of draws, so
+    each field's result equals a call on that field alone, bit for bit."""
+
+    @staticmethod
+    def fields(n, count, seed):
+        rng = np.random.default_rng(seed)
+        return [standardize_values(rng.normal(0, 1 + f, n)) for f in range(count)]
+
+    @pytest.mark.parametrize(
+        "weights, kwargs",
+        [
+            ("queen_6x6_rs", {"permutations": 99, "seed": 3}),
+            ("star_5", {"exhaustive": True}),
+            ("island", {"permutations": 49, "seed": 8}),
+            ("island", {"exhaustive": True}),
+        ],
+    )
+    def test_group_equals_one_call_per_field(self, weights, kwargs, request):
+        W = _island_weights() if weights == "island" else request.getfixturevalue(weights)
+        group = self.fields(W.n, 4, seed=W.n)
+        results = moran_permutation(group, W, **kwargs)
+        p_group = lisa_permutation(group, W, **kwargs)
+        assert len(results) == len(p_group) == len(group)
+        for field, res, p in zip(group, results, p_group):
+            alone = moran_permutation(field, W, **kwargs)
+            assert (res.I, res.sim_mean, res.sim_sd, res.pseudo_p) == (
+                alone.I, alone.sim_mean, alone.sim_sd, alone.pseudo_p
+            )
+            assert res.permutations == alone.permutations
+            assert np.array_equal(p, lisa_permutation(field, W, **kwargs))
+        if weights == "island":
+            assert all(p[5] == 1.0 for p in p_group)
+
+    def test_one_element_group(self, queen_6x6_rs):
+        (field,) = self.fields(36, 1, seed=30)
+        [res] = moran_permutation([field], queen_6x6_rs, permutations=49, seed=2)
+        [p] = lisa_permutation([field], queen_6x6_rs, permutations=49, seed=2)
+        assert res == moran_permutation(field, queen_6x6_rs, permutations=49, seed=2)
+        assert np.array_equal(p, lisa_permutation(field, queen_6x6_rs, permutations=49, seed=2))
+
+    def test_constant_member_refused(self, queen_6x6_rs):
+        group = self.fields(36, 2, seed=31) + [standardize_values(np.ones(36))]
+        with pytest.raises(ZeroVarianceError):
+            moran_permutation(group, queen_6x6_rs, permutations=9)
+        with pytest.raises(ZeroVarianceError):
+            lisa_permutation(group, queen_6x6_rs, permutations=9)
+
+
 class TestClassify:
     def test_all_insignificant(self, rook_2x2_rs):
         f = standardize_values(CHECKERBOARD)
@@ -342,6 +404,13 @@ class TestClassify:
         res = lisa_classify(f, pair_weights, np.array([0.004, 0.2]))
         assert res.labels == ["HL", "ns"]
         assert res.tiers == [0.01, None]
+
+    def test_alpha_above_finest_tier(self, pair_weights):
+        # p in (0.05, alpha] is significant but meets no tier
+        f = standardize_values([1.0, -1.0])
+        res = lisa_classify(f, pair_weights, np.array([0.08, 0.2]), alpha=0.1)
+        assert res.labels == ["HL", "ns"]
+        assert res.tiers == [None, None]
 
     def test_hh_label(self):
         from mobility_esda.weights import SpatialWeights, row_standardize
