@@ -52,9 +52,12 @@ def atomic_write(path: Path, data: str | bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     mode = "wb" if isinstance(data, bytes) else "w"
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
+    umask = os.umask(0)  # reading the umask means setting it; restore at once
+    os.umask(umask)
     try:
         with os.fdopen(fd, mode) as fh:
             fh.write(data)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates 0600 whatever the umask
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -129,13 +132,20 @@ def _resolve_seed(args) -> int:
     return seed
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a schema error: one line on stderr and exit 2."""
+
+    def error(self, message):
+        raise SchemaError(f"{self.prog}: {message}")
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, tuple]]]:
     """The argument parser, and per subcommand each option's (default, type).
 
     Every option parses to None when absent; :func:`resolve_options` fills
     it from the config file, else from its default, so explicit flags win.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mobility-esda",
         description="Mobility-report ingestion, circulation indicator, and spatial autocorrelation analysis.",
     )
@@ -152,7 +162,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, tuple]]
             own[action.dest] = (REQUIRED if required else default, kw.get("type"))
 
         option("--out-dir", default="out", help="output directory")
-        option("--seed", type=int, help=f"RNG seed (fallback: ${SEED_ENV_VAR}, then 0)")
         return option
 
     option = command("ingest", "parse, validate and impute a mobility CSV")
@@ -192,6 +201,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, tuple]]
     option("--island-knn", type=int, default=0,
            help="attach islands to their k nearest centroids (0 = leave islands)")
     option("--categories", nargs="*", default=list(CATEGORIES))
+    option("--seed", type=int, help=f"RNG seed (fallback: ${SEED_ENV_VAR}, then 0)")
 
     option = command("weights", "build and export contiguity weights")
     option("--geometry", required=True)
@@ -485,8 +495,8 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     parser, defaults = build_parser()
-    args = parser.parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
+        args = parser.parse_args(sys.argv[1:] if argv is None else list(argv))
         config = _load_config_file(args.config) if args.config else {}
         resolve_options(args, defaults[args.command], config)
         return COMMANDS[args.command](args)

@@ -61,36 +61,36 @@ def spatial_lag(W: SpatialWeights, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if len(z) != W.n:
         raise ParameterError(f"lag input length {len(z)} != {W.n} regions")
-    lag = np.zeros(W.n)
-    for i, (nbrs, wts) in enumerate(zip(W.neighbors, W.weights)):
-        for j, w in zip(nbrs, wts):
-            lag[i] += w * z[j]
-    return lag
+    # bincount adds each row's terms in stored (ascending neighbor) order
+    return np.bincount(W.rows, weights=W.data * z[W.indices], minlength=W.n)
 
 
 def expected_i(n: int) -> float:
     return -1.0 / (n - 1)
 
 
-def _moran_stat(z: np.ndarray, Wmat: np.ndarray, s0: float) -> float:
-    n = len(z)
-    return float(n / s0 * (z @ Wmat @ z) / (z @ z))
-
-
-def _moran_sims(z: np.ndarray, perms: np.ndarray, Wmat: np.ndarray, s0: float) -> np.ndarray:
+def _moran_sims(z: np.ndarray, perms: np.ndarray, W: SpatialWeights) -> np.ndarray:
     """The global index of ``z[perm]`` for every row of the R x n ``perms``.
 
     A relabeling leaves ``z @ z`` unchanged, so the denominator is shared.
+    The numerator gathers both ends of every stored weight; relabelings
+    go in blocks of R*n // nnz so each gather is no larger than the
+    R x n ``z[perms]`` itself.
     """
-    zp = z[perms]
-    return len(z) / s0 * ((zp @ Wmat) * zp).sum(axis=1) / (z @ z)
+    rows = W.rows
+    block = max(1, perms.size // max(1, len(W.indices)))
+    num = np.empty(len(perms))
+    for start in range(0, len(perms), block):
+        zp = z[perms[start : start + block]]
+        num[start : start + block] = (zp[:, rows] * zp[:, W.indices]) @ W.data
+    return len(z) / W.s0 * num / (z @ z)
 
 
 def moran_global(field: ValueField, W: SpatialWeights) -> float:
     _require_variance(field)
     _check_aligned(field, W)
     z = field.x - field.mean
-    return _moran_stat(z, W.dense(), W.s0)
+    return float(_moran_sims(z, np.arange(W.n)[None, :], W)[0])
 
 
 @dataclass
@@ -163,8 +163,6 @@ def moran_permutation(
     """
     group, single = _field_group(fields, W)
     n = W.n
-    Wmat = W.dense()
-    s0 = W.s0
     if exhaustive:
         if n > 9:
             raise ParameterError(f"exhaustive mode limited to n <= 9, got {n}")
@@ -176,9 +174,8 @@ def moran_permutation(
         perms = np.array([rng.permutation(n) for _ in range(permutations)])
     results = []
     for field in group:
-        z = field.x - field.mean
-        observed = _moran_stat(z, Wmat, s0)
-        sims = _moran_sims(z, perms, Wmat, s0)
+        observed = moran_global(field, W)
+        sims = _moran_sims(field.x - field.mean, perms, W)
         results.append(
             MoranGlobalResult(
                 I=observed,
@@ -288,10 +285,10 @@ def lisa_permutation(
     n = W.n
     p = np.ones((len(group), n))
     for i in range(n):
-        k = len(W.neighbors[i])
+        nbrs, wts = W.neighbors(i), W.weights(i)
+        k = len(nbrs)
         if k == 0:
             continue  # island: no lag, leave p = 1
-        wts = np.asarray(W.weights[i])
         wsum = float(wts.sum())
         if exhaustive:
             if math.perm(n - 1, k) > 500_000:
@@ -303,7 +300,7 @@ def lisa_permutation(
             draws = _ordered_draws(np.random.default_rng((seed, i)), n - 1, k, permutations)
         for f, field in enumerate(group):
             z = field.z
-            observed = float(z[i] * np.dot(wts, z[W.neighbors[i]]))
+            observed = float(z[i] * np.dot(wts, z[nbrs]))
             reference = -(z[i] ** 2) * wsum / (n - 1)
             sims = z[i] * (np.delete(z, i)[draws] @ wts)
             p[f, i] = _pseudo_p(observed, sims, reference, sided)

@@ -165,7 +165,8 @@ def render_choropleth(
     get the scale's missing color and are listed in a warnings comment."""
     project = _projector(geoms, spec)
     parts = _svg_open(spec)
-    warnings = [rid for rid in values if rid not in {g.region_id for g in geoms}]
+    known = {g.region_id for g in geoms}
+    warnings = [rid for rid in values if rid not in known]
     if warnings:
         parts.append(f"<!-- warning: no geometry for {', '.join(sorted(warnings))} -->")
     for g in sorted(geoms, key=lambda g: g.region_id):
@@ -376,9 +377,10 @@ def join_geojson(doc: dict, properties: dict[str, dict], id_property: str = "reg
     unjoinable = sorted(set(properties) - feature_ids)
     if unjoinable:
         raise DataError(f"unjoinable region ids: {unjoinable}")
-    out = json.loads(json.dumps(doc))  # deep copy
-    for f in out.get("features", []):
+    # shallow copies, and a new properties dict per joined feature, leave doc unchanged
+    out = {**doc, "features": [dict(f) for f in doc.get("features", [])]}
+    for f in out["features"]:
         rid = str((f.get("properties") or {}).get(id_property))
         if rid in properties:
-            f["properties"].update(properties[rid])
+            f["properties"] = {**f["properties"], **properties[rid]}
     return json.dumps(out, indent=2, sort_keys=True) + "\n"

@@ -19,50 +19,86 @@ from .geometry import RegionGeometry
 
 @dataclass
 class SpatialWeights:
+    """Weights in compressed sparse row form.
+
+    Region i's neighbours are ``indices[indptr[i]:indptr[i + 1]]`` in
+    ascending order, with their weights at the same positions of ``data``.
+    """
+
     ids: list[str]
-    neighbors: list[list[int]]  # sorted neighbor indices per region
-    weights: list[list[float]]  # aligned with neighbors
+    indptr: np.ndarray  # n + 1 row offsets into indices/data
+    indices: np.ndarray  # neighbor index per stored weight
+    data: np.ndarray  # weight per stored neighbor
     mode: str = "binary"  # binary | row_standardized
 
     def __post_init__(self):
-        if len(self.neighbors) != len(self.ids) or len(self.weights) != len(self.ids):
-            raise DataError("ids/neighbors/weights lengths differ")
-        for i, nbrs in enumerate(self.neighbors):
-            for j in nbrs:
-                if i not in self.neighbors[j]:
-                    raise DataError(
-                        f"asymmetric neighbor graph: {self.ids[i]} -> {self.ids[j]}"
-                    )
+        self.indptr = np.asarray(self.indptr, dtype=np.intp)
+        self.indices = np.asarray(self.indices, dtype=np.intp)
+        self.data = np.asarray(self.data, dtype=float)
+        nnz = len(self.indices)
+        if len(self.indptr) != self.n + 1 or self.indptr[-1] != nnz or len(self.data) != nnz:
+            raise DataError("ids/indptr/indices/data lengths differ")
+        if nnz and not 0 <= self.indices.min() <= self.indices.max() < self.n:
+            raise DataError("neighbor index out of range")
+        # every (row, col) pair needs its (col, row) pair; report the first without
+        rows = self.rows
+        lonely = ~np.isin(rows * self.n + self.indices, self.indices * self.n + rows)
+        if lonely.any():
+            k = int(np.argmax(lonely))
+            raise DataError(
+                f"asymmetric neighbor graph: {self.ids[rows[k]]} -> {self.ids[self.indices[k]]}"
+            )
 
     @property
     def n(self) -> int:
         return len(self.ids)
 
     @property
+    def rows(self) -> np.ndarray:
+        """The region index of every stored weight, aligned with ``indices``."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
+
+    @property
     def s0(self) -> float:
-        return float(sum(sum(row) for row in self.weights))
+        return float(self.data.sum())
 
     @property
     def islands(self) -> list[int]:
-        return [i for i, nbrs in enumerate(self.neighbors) if not nbrs]
+        return np.flatnonzero(np.diff(self.indptr) == 0).tolist()
 
     def degree(self, i: int) -> int:
-        return len(self.neighbors[i])
+        return int(self.indptr[i + 1] - self.indptr[i])
+
+    def neighbors(self, i: int) -> np.ndarray:
+        return self.indices[self.indptr[i] : self.indptr[i + 1]]
+
+    def weights(self, i: int) -> np.ndarray:
+        return self.data[self.indptr[i] : self.indptr[i + 1]]
+
+    @classmethod
+    def from_rows(
+        cls, ids: list[str], neighbors: list, weights: list | None = None, mode: str = "binary"
+    ) -> "SpatialWeights":
+        """Weights from each region's neighbor indices, in any order, and the
+        weights aligned with them (every weight 1.0 without ``weights``)."""
+        neighbors = [list(nbrs) for nbrs in neighbors]
+        counts = [len(nbrs) for nbrs in neighbors]
+        if weights is None:
+            data = np.ones(sum(counts))
+        elif [len(wts) for wts in weights] != counts:
+            raise DataError("each region needs one weight per neighbor")
+        else:
+            data = np.array([w for wts in weights for w in wts], dtype=float)
+        indices = np.array([j for nbrs in neighbors for j in nbrs], dtype=np.intp)
+        order = np.lexsort((indices, np.repeat(np.arange(len(counts)), counts)))
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        return cls(list(ids), indptr, indices[order], data[order], mode)
 
     @classmethod
     def from_neighbors(cls, ids: list[str], neighbors: dict[str, list[str]]) -> "SpatialWeights":
         """Binary weights from an id -> neighbor-ids mapping."""
         index = {rid: i for i, rid in enumerate(ids)}
-        nbr_idx = [sorted(index[m] for m in neighbors.get(rid, [])) for rid in ids]
-        wts = [[1.0] * len(nbrs) for nbrs in nbr_idx]
-        return cls(list(ids), nbr_idx, wts, mode="binary")
-
-    def dense(self):
-        W = np.zeros((self.n, self.n))
-        for i, (nbrs, wts) in enumerate(zip(self.neighbors, self.weights)):
-            for j, w in zip(nbrs, wts):
-                W[i, j] = w
-        return W
+        return cls.from_rows(ids, [[index[m] for m in neighbors.get(rid, [])] for rid in ids])
 
 
 def _snap(p: tuple[float, float], tol: float) -> tuple[int, int]:
@@ -123,23 +159,29 @@ def _vertex_touches(gi: RegionGeometry, gj: RegionGeometry, tol: float) -> bool:
     return False
 
 
-def queen_adjacency(geoms: list[RegionGeometry], snap_tol: float = 1e-7) -> SpatialWeights:
-    """Binary weights: adjacent iff sharing any snapped boundary point."""
-    _check_geoms(geoms)
-    verts = [_snapped_vertices(g, snap_tol) for g in geoms]
-    # degenerate-ring check shared with rook
-    for g in geoms:
-        _snapped_edges(g, snap_tol)
-    adjacency: list[set[int]] = [set() for _ in geoms]
-    by_vertex: dict[tuple[int, int], list[int]] = {}
-    for i, vs in enumerate(verts):
-        for v in vs:
-            by_vertex.setdefault(v, []).append(i)
-    for members in by_vertex.values():
+def _sharing(keysets: list[set]) -> list[set[int]]:
+    """For each region, the other regions whose snapped vertices or edges
+    (``keysets``) meet its own."""
+    by_key: dict = {}
+    for i, keys in enumerate(keysets):
+        for key in keys:
+            by_key.setdefault(key, []).append(i)
+    adjacency: list[set[int]] = [set() for _ in keysets]
+    for members in by_key.values():
         for i in members:
             for j in members:
                 if i != j:
                     adjacency[i].add(j)
+    return adjacency
+
+
+def queen_adjacency(geoms: list[RegionGeometry], snap_tol: float = 1e-7) -> SpatialWeights:
+    """Binary weights: adjacent iff sharing any snapped boundary point."""
+    _check_geoms(geoms)
+    # degenerate-ring check shared with rook
+    for g in geoms:
+        _snapped_edges(g, snap_tol)
+    adjacency = _sharing([_snapped_vertices(g, snap_tol) for g in geoms])
     # a vertex of one region lying mid-segment on another still counts;
     # candidates are the later regions whose tol-widened boxes overlap
     x0, y0, x1, y1 = np.array([g.bbox() for g in geoms]).T
@@ -157,31 +199,14 @@ def queen_adjacency(geoms: list[RegionGeometry], snap_tol: float = 1e-7) -> Spat
             ):
                 adjacency[i].add(j)
                 adjacency[j].add(i)
-    return _binary(geoms, adjacency)
+    return SpatialWeights.from_rows([g.region_id for g in geoms], adjacency)
 
 
 def rook_adjacency(geoms: list[RegionGeometry], snap_tol: float = 1e-7) -> SpatialWeights:
     """Binary weights: adjacent iff sharing a positive-length boundary edge."""
     _check_geoms(geoms)
-    edges = [_snapped_edges(g, snap_tol) for g in geoms]
-    adjacency: list[set[int]] = [set() for _ in geoms]
-    by_edge: dict[frozenset, list[int]] = {}
-    for i, es in enumerate(edges):
-        for e in es:
-            by_edge.setdefault(e, []).append(i)
-    for members in by_edge.values():
-        for i in members:
-            for j in members:
-                if i != j:
-                    adjacency[i].add(j)
-    return _binary(geoms, adjacency)
-
-
-def _binary(geoms: list[RegionGeometry], adjacency: list[set[int]]) -> SpatialWeights:
-    ids = [g.region_id for g in geoms]
-    neighbors = [sorted(a) for a in adjacency]
-    weights = [[1.0] * len(nbrs) for nbrs in neighbors]
-    return SpatialWeights(ids, neighbors, weights, mode="binary")
+    adjacency = _sharing([_snapped_edges(g, snap_tol) for g in geoms])
+    return SpatialWeights.from_rows([g.region_id for g in geoms], adjacency)
 
 
 def connect_islands_knn(
@@ -204,7 +229,7 @@ def connect_islands_knn(
     if missing:
         raise DataError(f"no geometry for ids {missing}")
     centroids = [by_id[rid].centroid() for rid in W.ids]
-    adjacency = [set(nbrs) for nbrs in W.neighbors]
+    adjacency = [set(W.neighbors(i).tolist()) for i in range(W.n)]
     for i in W.islands:
         xi, yi = centroids[i]
         dist = sorted(
@@ -215,27 +240,23 @@ def connect_islands_knn(
         for _, j in dist[:k]:
             adjacency[i].add(j)
             adjacency[j].add(i)
-    neighbors = [sorted(a) for a in adjacency]
-    weights = [[1.0] * len(nbrs) for nbrs in neighbors]
-    return SpatialWeights(list(W.ids), neighbors, weights, mode="binary")
+    return SpatialWeights.from_rows(W.ids, adjacency)
 
 
 def row_standardize(W: SpatialWeights) -> SpatialWeights:
     """Rescale each row to sum to one; island rows stay zero and are flagged."""
     if W.mode != "binary":
         raise ParameterError(f"expected binary weights, got mode {W.mode!r}")
-    weights = []
-    for nbrs, wts in zip(W.neighbors, W.weights):
-        total = sum(wts)
-        weights.append([w / total for w in wts] if total > 0 else [])
-    return SpatialWeights(list(W.ids), [list(n) for n in W.neighbors], weights, mode="row_standardized")
+    rows = W.rows
+    totals = np.bincount(rows, weights=W.data, minlength=W.n)
+    return SpatialWeights(list(W.ids), W.indptr, W.indices, W.data / totals[rows], "row_standardized")
 
 
 def to_text(W: SpatialWeights) -> str:
     """Plain-text neighbor list: one ``id: n1 n2 ...`` line per region."""
     lines = []
     for i, rid in enumerate(W.ids):
-        nbrs = " ".join(W.ids[j] for j in W.neighbors[i])
+        nbrs = " ".join(W.ids[j] for j in W.neighbors(i).tolist())
         lines.append(f"{rid}: {nbrs}".rstrip())
     return "\n".join(lines) + "\n"
 
@@ -259,8 +280,8 @@ def to_json(W: SpatialWeights) -> str:
         "regions": [
             {
                 "id": rid,
-                "neighbors": [W.ids[j] for j in W.neighbors[i]],
-                "weights": W.weights[i],
+                "neighbors": [W.ids[j] for j in W.neighbors(i).tolist()],
+                "weights": W.weights(i).tolist(),
             }
             for i, rid in enumerate(W.ids)
         ],
@@ -270,12 +291,11 @@ def to_json(W: SpatialWeights) -> str:
 
 def from_json(text: str) -> SpatialWeights:
     payload = json.loads(text)
-    ids = [r["id"] for r in payload["regions"]]
-    index = {rid: i for i, rid in enumerate(ids)}
-    neighbors = []
-    weights = []
-    for r in payload["regions"]:
-        order = sorted(range(len(r["neighbors"])), key=lambda k: index[r["neighbors"][k]])
-        neighbors.append([index[r["neighbors"][k]] for k in order])
-        weights.append([float(r["weights"][k]) for k in order])
-    return SpatialWeights(ids, neighbors, weights, mode=payload.get("mode", "binary"))
+    regions = payload["regions"]
+    index = {r["id"]: i for i, r in enumerate(regions)}
+    return SpatialWeights.from_rows(
+        [r["id"] for r in regions],
+        [[index[m] for m in r["neighbors"]] for r in regions],
+        [r["weights"] for r in regions],
+        mode=payload.get("mode", "binary"),
+    )

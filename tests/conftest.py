@@ -32,7 +32,7 @@ def moran_oracle(x, W: SpatialWeights) -> float:
     num = 0.0
     s0 = 0.0
     for i in range(n):
-        for j, w in zip(W.neighbors[i], W.weights[i]):
+        for j, w in zip(W.neighbors(i), W.weights(i)):
             num += w * (x[i] - mu) * (x[j] - mu)
             s0 += w
     den = sum((xi - mu) ** 2 for xi in x)
@@ -152,8 +152,8 @@ def exhaustive_conditional_p(z, W: SpatialWeights, i: int) -> float:
     """Brute-force conditional enumeration of the local test at region i."""
     z = np.asarray(z, float)
     n = len(z)
-    nbrs = W.neighbors[i]
-    wts = W.weights[i]
+    nbrs = W.neighbors(i)
+    wts = W.weights(i)
     others = np.delete(z, i)
     observed = z[i] * sum(w * z[j] for j, w in zip(nbrs, wts))
     sims = [

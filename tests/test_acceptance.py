@@ -136,7 +136,7 @@ def test_05_contiguity():
         q = queen_adjacency(gs)
         r = rook_adjacency(gs)
         for i in range(q.n):
-            assert set(r.neighbors[i]) <= set(q.neighbors[i])
+            assert set(r.neighbors(i)) <= set(q.neighbors(i))
 
 
 @criterion(6, "indicator closed forms and axis-rotation invariance")

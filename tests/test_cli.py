@@ -1,11 +1,12 @@
 import csv
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import pytest
 
-from mobility_esda.cli import main
+from mobility_esda.cli import atomic_write, main
 
 from conftest import grid_geojson, synthetic_country_csv
 
@@ -25,6 +26,16 @@ def sy(tmp_path):
     geo_path = tmp_path / "sy.geojson"
     geo_path.write_text(json.dumps(grid_geojson(4, 4), indent=1))
     return csv_path, geo_path
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_atomic_write_follows_umask(umask, mode, tmp_path):
+    old = os.umask(umask)
+    try:
+        atomic_write(tmp_path / "out.txt", "x")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "out.txt").stat().st_mode & 0o777 == mode
 
 
 class TestIngestCmd:
@@ -456,6 +467,11 @@ def failing_run(kind, sy, tmp, monkeypatch):
     if kind in ("bad seed env", "negative seed env"):
         monkeypatch.setenv("ESDA_MOBILITY_SEED", "abc" if kind == "bad seed env" else "-2")
         return moran
+    if kind == "weights seed":
+        return ["weights", "--geometry", geo_path, "--seed", "1"]
+    if kind == "weights config seed":
+        (tmp / "run.json").write_text(json.dumps({"seed": 1}))
+        return ["--config", str(tmp / "run.json"), "weights", "--geometry", geo_path]
     if kind == "unknown category":
         return moran + ["--categories", "cinemas"]
     if kind == "missing input":
@@ -488,6 +504,7 @@ def failing_run(kind, sy, tmp, monkeypatch):
         ("undecodable", 2),
         ("geometry not json", 2),
         ("undecodable values", 2),
+        ("weights seed", 2),
         ("data", 3),
         ("non-finite", 3),
         ("unknown country", 3),
@@ -498,6 +515,7 @@ def failing_run(kind, sy, tmp, monkeypatch):
         ("negative config seed", 3),
         ("bad seed env", 3),
         ("negative seed env", 3),
+        ("weights config seed", 3),
         ("missing input", 3),
         ("missing geometry", 3),
         ("feature without geometry", 3),

@@ -218,6 +218,12 @@ class TestExports:
         props = {f["properties"]["region_id"]: f["properties"] for f in parsed["features"]}
         assert props["cell0_0"]["value"] == 1.5
 
+    def test_geojson_join_leaves_doc_unchanged(self):
+        doc = grid_geojson(1, 2)
+        before = json.dumps(doc, sort_keys=True)
+        join_geojson(doc, {"cell0_0": {"value": 1.5}})
+        assert json.dumps(doc, sort_keys=True) == before
+
     def test_geojson_join_missing_id_error(self):
         doc = grid_geojson(1, 2)
         with pytest.raises(DataError, match="ghost"):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from conftest import grid_geojson
 
 def neighbor_ids(W, rid):
     i = W.ids.index(rid)
-    return [W.ids[j] for j in W.neighbors[i]]
+    return [W.ids[j] for j in W.neighbors(i)]
 
 
 class TestQueen:
@@ -101,14 +103,14 @@ class TestRook:
             rook = rook_adjacency(geoms)
             queen = queen_adjacency(geoms)
             for i in range(rook.n):
-                assert set(rook.neighbors[i]) <= set(queen.neighbors[i])
+                assert set(rook.neighbors(i)) <= set(queen.neighbors(i))
 
 
 class TestRowStandardize:
     def test_four_neighbors_quarter_each(self):
         W = row_standardize(rook_adjacency(grid_geometries(3, 3)))
         center = W.ids.index("cell1_1")
-        assert W.weights[center] == [0.25, 0.25, 0.25, 0.25]
+        assert W.weights(center).tolist() == [0.25, 0.25, 0.25, 0.25]
 
     def test_island_flagged_with_zero_row(self):
         a = RegionGeometry("a", square(0, 0))
@@ -116,11 +118,11 @@ class TestRowStandardize:
         c = RegionGeometry("isle", square(10, 10))
         W = row_standardize(queen_adjacency([a, b, c]))
         assert W.islands == [2]
-        assert W.weights[2] == []
+        assert W.weights(2).tolist() == []
 
     def test_2x2_rook_half_weights(self):
         W = row_standardize(rook_adjacency(grid_geometries(2, 2)))
-        assert all(w == [0.5, 0.5] for w in W.weights)
+        assert all(W.weights(i).tolist() == [0.5, 0.5] for i in range(W.n))
         assert W.s0 == pytest.approx(4.0)
 
     def test_s0_equals_non_island_count(self):
@@ -168,7 +170,8 @@ class TestIslandKnn:
         geoms = grid_geometries(2, 2)
         before = queen_adjacency(geoms)
         after = connect_islands_knn(before, geoms, 2)
-        assert after.neighbors == before.neighbors
+        assert np.array_equal(after.indptr, before.indptr)
+        assert np.array_equal(after.indices, before.indices)
 
     def test_bad_k_rejected(self):
         geoms = self.offshore()
@@ -184,20 +187,32 @@ class TestSerialization:
         W = queen_adjacency(grid_geometries(3, 3))
         W2 = from_text(to_text(W))
         assert W2.ids == W.ids
-        assert W2.neighbors == W.neighbors
+        assert np.array_equal(W2.indptr, W.indptr)
+        assert np.array_equal(W2.indices, W.indices)
 
     def test_json_round_trip_preserves_weights(self):
         W = row_standardize(queen_adjacency(grid_geometries(3, 3)))
         W2 = from_json(to_json(W))
         assert W2.ids == W.ids
-        assert W2.neighbors == W.neighbors
+        assert np.array_equal(W2.indptr, W.indptr)
+        assert np.array_equal(W2.indices, W.indices)
         assert W2.mode == "row_standardized"
-        for a, b in zip(W2.weights, W.weights):
-            assert a == pytest.approx(b)
+        for i in range(W.n):
+            assert W2.weights(i) == pytest.approx(W.weights(i))
 
     def test_asymmetric_graph_rejected(self):
         with pytest.raises(DataError, match="asymmetric"):
-            SpatialWeights(["a", "b"], [[1], []], [[1.0], []])
+            SpatialWeights(["a", "b"], [0, 1, 1], [1], [1.0])
+
+    def test_neighbor_index_out_of_range_rejected(self):
+        with pytest.raises(DataError, match="out of range"):
+            SpatialWeights(["a", "b"], [0, 1, 2], [-1, 0], [1.0, 1.0])
+
+    def test_json_weight_count_must_match_neighbors(self):
+        payload = json.loads(to_json(queen_adjacency(grid_geometries(2, 2))))
+        payload["regions"][0]["weights"].append(1.0)
+        with pytest.raises(DataError, match="one weight per neighbor"):
+            from_json(json.dumps(payload))
 
 
 class TestGeoJson:
