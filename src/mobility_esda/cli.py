@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime as dt
+import hashlib
 import io
 import json
 import os
@@ -65,14 +66,26 @@ def atomic_write(path: Path, data: str | bytes) -> None:
         raise
 
 
+def _file_record(path: str) -> dict:
+    """An input file by its base name, sha256 and size, not by where it lies."""
+    with open(path, "rb") as fh:
+        digest = hashlib.file_digest(fh, "sha256").hexdigest()
+        size = fh.tell()
+    return {"name": Path(path).name, "sha256": digest, "bytes": size}
+
+
 def write_manifest(out_dir: Path, args, omit=(), **resolved) -> None:
     """Echo the command's resolved options, with ``resolved`` replacing raw ones.
 
-    out_dir is intentionally excluded so identical runs into different
+    out_dir is intentionally excluded, and input files are recorded by
+    name and content, so identical runs from and into different
     directories produce byte-identical trees.
     """
     skip = {"command", "config", "out_dir", "seed", "date_from", "date_to", *omit}
     config = {k: v for k, v in vars(args).items() if k not in skip} | resolved
+    for key in ("input", "geometry", "values"):
+        if key in config:
+            config[key] = _file_record(config[key])
     manifest = {"command": args.command, "version": __version__, "config": config}
     atomic_write(out_dir / "run-manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -244,10 +257,11 @@ def cmd_ingest(args) -> int:
     out_dir = Path(args.out_dir)
     with open(args.input, "rb") as fh:
         table = ing.parse_cmr_csv(
-            fh, column_map=_parse_column_map(args.column_map) or None, strict=not args.lenient
+            fh,
+            column_map=_parse_column_map(args.column_map) or None,
+            strict=not args.lenient,
+            country=args.country or None,
         )
-    if args.country:
-        table = ing.select(table, args.country)
     table, report = ing.impute_missing(table)
     atomic_write(out_dir / "mobility-normalized.csv", ing.write_csv(table))
     atomic_write(out_dir / "imputation-report.json", report.to_json())
@@ -270,7 +284,8 @@ def _select_regions(table, args) -> list[str]:
 def cmd_indicator(args) -> int:
     out_dir = Path(args.out_dir)
     window = (_parse_date(args.date_from), _parse_date(args.date_to))
-    table = ing.parse_cmr_csv(Path(args.input).read_bytes())
+    with open(args.input, "rb") as fh:
+        table = ing.parse_cmr_csv(fh)
     table, _ = ing.impute_missing(table)
     config = RadarConfig(center=args.center, axis_order=tuple(args.axis_order))
     regions = _select_regions(table, args)
@@ -330,7 +345,8 @@ def cmd_moran(args) -> int:
     out_dir = Path(args.out_dir)
     seed = _resolve_seed(args)
     window = (_parse_date(args.date_from), _parse_date(args.date_to))
-    table = ing.parse_cmr_csv(Path(args.input).read_bytes())
+    with open(args.input, "rb") as fh:
+        table = ing.parse_cmr_csv(fh, country=args.country)
     table, _ = ing.impute_missing(table)
     table = ing.select(table, args.country, subnational=True)
     geojson_doc = _read_json(args.geometry)

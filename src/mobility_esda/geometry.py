@@ -95,20 +95,3 @@ def load_geojson(source, id_property: str = "region_id") -> list[RegionGeometry]
         geoms.append(RegionGeometry(rid, _rings_from_geometry(geom)))
     return geoms
 
-
-def square(x: float, y: float, size: float = 1.0) -> list[Ring]:
-    """Unit-square helper for fixtures: lower-left corner at (x, y)."""
-    return [[(x, y), (x + size, y), (x + size, y + size), (x, y + size), (x, y)]]
-
-
-def grid_geometries(
-    nrows: int, ncols: int, prefix: str = "cell", size: float = 1.0
-) -> list[RegionGeometry]:
-    """A nrows x ncols lattice of adjacent squares, row-major ids."""
-    geoms = []
-    for r in range(nrows):
-        for c in range(ncols):
-            geoms.append(
-                RegionGeometry(f"{prefix}{r}_{c}", square(c * size, -r * size, size))
-            )
-    return geoms

@@ -12,9 +12,11 @@ A :class:`MobilityTable` keeps the rows as columns, sorted by
 from __future__ import annotations
 
 import bisect
+import contextlib
 import csv
 import datetime as dt
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -77,19 +79,20 @@ class MobilityTable:
     issues: list[str] = field(default_factory=list)
 
     @classmethod
-    def from_rows(cls, rows, issues=()) -> MobilityTable:
-        """Sort and validate rows of (country_code, sub_region, date ordinal, six values).
+    def from_columns(cls, pairs, region, dates, values, issues=()) -> MobilityTable:
+        """Sort and validate rows given as columns.
 
-        Duplicate (region, date) pairs are errors; date gaps are reported
-        in ``issues``.
+        ``region`` indexes ``pairs`` of (country_code, sub_region); pairs no
+        row refers to are left out. Duplicate (region, date) pairs are
+        errors; date gaps are reported in ``issues``.
         """
-        rows = list(rows)
-        keys = [region_key(country, sub) for country, sub, _, _ in rows]
-        hierarchy = dict(zip(keys, (row[:2] for row in rows)))
+        used = np.flatnonzero(np.bincount(region, minlength=len(pairs))).tolist()
+        hierarchy = {region_key(*pairs[k]): pairs[k] for k in used}
         region_ids = sorted(hierarchy)
         index = {rid: k for k, rid in enumerate(region_ids)}
-        region = np.array([index[key] for key in keys], dtype=np.intp)
-        dates = np.array([row[2] for row in rows], dtype=np.int64)
+        rank = np.zeros(len(pairs), dtype=np.intp)
+        rank[used] = [index[region_key(*pairs[k])] for k in used]
+        region = rank[region]
         order = np.lexsort((dates, region))
         region = region[order]
         table = cls(
@@ -98,7 +101,7 @@ class MobilityTable:
             tuple(hierarchy[rid][1] for rid in region_ids),
             region,
             dates[order],
-            np.array([row[3] for row in rows], dtype=float).reshape(-1, len(CATEGORIES))[order],
+            values[order],
             np.searchsorted(region, np.arange(len(region_ids) + 1)),
             list(issues),
         )
@@ -204,33 +207,200 @@ class ImputationReport:
         return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
 
-def _as_text(source) -> str:
-    data = source.read() if hasattr(source, "read") else source
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8-sig")
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"input is not UTF-8 text: {exc}") from None
-    if not isinstance(data, str):
+# records read and converted at a time: enough to amortize the per-chunk
+# numpy calls, few enough that a chunk's cell strings stay small (on 400
+# regions x 92 days, 1,024 parsed about as fast as 2,048 and 15% faster
+# than 8,192, with half the peak memory)
+CHUNK_ROWS = 1024
+
+# region codes of a row of a country filtered out, and of a row with no country
+_DROPPED, _NO_COUNTRY = -2, -1
+
+
+@contextlib.contextmanager
+def _text_lines(source):
+    """``source`` (bytes, str, or a binary or text file) as an iterator of text lines.
+
+    Bytes are decoded as UTF-8 while they are read, and a byte-order mark is
+    dropped; line ends are left to the CSV reader. A file passed in stays open.
+    """
+    wrapper = None
+    if isinstance(source, str):
+        stream = io.StringIO(source, newline="")
+    elif isinstance(source, io.TextIOBase):
+        stream = source
+    elif isinstance(source, (bytes, bytearray)) or hasattr(source, "read"):
+        binary = io.BytesIO(source) if isinstance(source, (bytes, bytearray)) else source
+        stream = wrapper = io.TextIOWrapper(binary, encoding="utf-8-sig", newline="")
+    else:
         raise TypeError(f"unsupported source type: {type(source)!r}")
-    return data.removeprefix("\ufeff")
+    try:
+        first = next(stream, "")
+        yield itertools.chain((first.removeprefix("\ufeff"),), stream)
+    finally:
+        if wrapper is not None:
+            wrapper.detach()  # closing the wrapper would close the caller's file
+
+
+def _chunks(reader):
+    """The records ``reader`` has left, up to ``CHUNK_ROWS`` at a time, with
+    the physical line each ends on."""
+    start = reader.line_num
+    while records := list(itertools.islice(reader, CHUNK_ROWS)):
+        stop = reader.line_num
+        if stop - start == len(records):
+            ends = range(start + 1, stop + 1)
+        else:
+            # a quoted cell spans lines: a record ends one line, plus the line
+            # breaks its cells hold, after the one before it; the last ends
+            # where the reader is (a quote left open at the end of the input
+            # also holds the last line's break)
+            spans = (1 + sum(map(_line_breaks, row)) for row in records)
+            ends = list(itertools.accumulate(spans, initial=start))[1:]
+            ends[-1] = stop
+        start = stop
+        yield records, ends
+        del records  # freed before the next chunk is read
+
+
+def _line_breaks(cell: str) -> int:
+    return cell.count("\n") + cell.count("\r") - cell.count("\r\n")
+
+
+def _ordinal(text: str) -> int:
+    """Date ordinal of an ISO date cell; 0, which no date has, if it does not parse."""
+    try:
+        return dt.date.fromisoformat(text.strip()).toordinal()
+    except ValueError:
+        return 0
+
+
+def _floats(cells) -> list[float]:
+    """Cells as floats, NaN where blank and inf where not a number."""
+    try:
+        return [float(c) if c else math.nan for c in cells]
+    except ValueError:
+        return list(map(_float_or_inf, cells))
+
+
+def _float_or_inf(cell: str) -> float:
+    try:
+        return float(cell) if cell.strip() else math.nan
+    except ValueError:
+        return math.inf
+
+
+class _Columns:
+    """The rows kept so far, as arrays per chunk, and the lookups that
+    converting the chunks has built."""
+
+    def __init__(self, wanted: list[int], finer: list[int], strict: bool, country: str | None):
+        self.wanted = wanted  # columns of the country, sub-region, date and CATEGORIES
+        self.finer = finer  # columns of FINER_LEVEL_COLUMNS in the header
+        self.width = max(wanted + finer) + 1
+        self.strict, self.country = strict, country
+        self.pairs: dict[tuple[str, str], int] = {}  # (country, sub-region) -> region index
+        self.codes: dict[tuple[str, str], int] = {}  # raw cells -> region index or code
+        self.ordinals: dict[str, int] = {}  # raw date cell -> ordinal, 0 if unparseable
+        self.countries: set[str] = set()
+        self.issues: list[str] = []
+        self.finer_rows = 0
+        # per chunk: region index, date ordinal and values of the rows kept
+        self.parts = [(np.empty(0, np.intp), np.empty(0, np.int64), np.empty((0, len(CATEGORIES))))]
+
+    def add(self, records: list[list[str]], ends) -> None:
+        """Convert one chunk of records; ``ends`` are their line numbers."""
+        if not all(records):  # blank lines
+            ends = [end for row, end in zip(records, ends) if row]
+            records = [row for row in records if row]
+            if not records:
+                return
+        if min(map(len, records)) < self.width:
+            records = [row + [""] * (self.width - len(row)) for row in records]
+        columns = list(zip(*records))
+        n = len(records)
+        raw = columns[self.wanted[0]], columns[self.wanted[1]]
+        # new cell pairs in first-seen order, so that no table depends on string hashing
+        for key in [key for key in dict.fromkeys(zip(*raw)) if key not in self.codes]:
+            country, sub = key[0].strip(), key[1].strip()
+            self.countries.add(country)
+            if self.country is not None and country != self.country:
+                self.codes[key] = _DROPPED
+            elif not country:
+                self.codes[key] = _NO_COUNTRY
+            else:
+                self.codes[key] = self.pairs.setdefault((country, sub), len(self.pairs))
+        region = np.fromiter(map(self.codes.__getitem__, zip(*raw)), np.intp, n)
+        keep = region != _DROPPED
+        deeper = np.zeros(n, dtype=bool)
+        for i in self.finer:
+            if any(columns[i]):
+                deeper |= np.fromiter(map(bool, map(str.strip, columns[i])), bool, n)
+        self.finer_rows += int((deeper & keep).sum())
+        keep &= ~deeper
+        rows = np.flatnonzero(keep).tolist()
+        if not rows:
+            return
+        cells = [columns[i] for i in self.wanted[2:]]
+        if len(rows) < n:
+            cells = [[col[j] for j in rows] for col in cells]
+            region = region[rows]
+        for text in set(cells[0]).difference(self.ordinals):
+            self.ordinals[text] = _ordinal(text)
+        dates = np.fromiter(map(self.ordinals.__getitem__, cells[0]), np.int64, len(rows))
+        values = np.column_stack([_floats(col) for col in cells[1:]])
+
+        # rows that may be bad: _parse_row decides, and words the message
+        suspect = (region == _NO_COUNTRY) | (dates == 0)
+        suspect |= (np.isinf(values) | (values < -100)).any(axis=1)
+        at, cat = np.nonzero(np.isnan(values))
+        for r, k in zip(at.tolist(), cat.tolist()):
+            suspect[r] |= cells[k + 1][r] != ""  # NaN from a "nan" cell
+        bad = []
+        for r in np.flatnonzero(suspect).tolist():
+            j = rows[r]
+            try:
+                _parse_row([columns[i][j].strip() for i in self.wanted], ends[j])
+            except DataError as exc:
+                if self.strict:
+                    raise
+                self.issues.append(str(exc))
+                bad.append(r)
+        self.parts.append(tuple(np.delete(a, bad, axis=0) for a in (region, dates, values)))
+
+    def table(self) -> MobilityTable:
+        if self.finer_rows:
+            self.issues.append(
+                f"skipped {self.finer_rows} rows below the sub_region_1 level "
+                f"({'/'.join(FINER_LEVEL_COLUMNS)} set)"
+            )
+        region, dates, values = (np.concatenate(column) for column in zip(*self.parts))
+        if self.country is not None and not region.size:
+            available = sorted(self.countries - {""})
+            raise NotFoundError(f"unknown country {self.country!r}; available: {available}")
+        return MobilityTable.from_columns(list(self.pairs), region, dates, values, self.issues)
 
 
 def parse_cmr_csv(
     source,
     column_map: dict[str, str] | None = None,
     strict: bool = True,
+    country: str | None = None,
 ) -> MobilityTable:
     """Parse a community-mobility CSV into a :class:`MobilityTable`.
 
-    ``column_map`` maps logical names (keys of ``DEFAULT_COLUMNS``) to
-    actual header names. Empty cells become NaN; non-finite cells and
-    values below -100 are errors. In strict mode any bad row aborts the
+    ``source`` is bytes, str or an open file. It is read as a stream,
+    ``CHUNK_ROWS`` records at a time, and each chunk is converted a column
+    at a time. ``column_map`` maps logical names (keys of
+    ``DEFAULT_COLUMNS``) to actual header names. Empty cells become NaN;
+    non-finite cells and values below -100 are errors, reported with the
+    physical line the row ends on. In strict mode any bad row aborts the
     parse; in lenient mode bad rows are skipped and reported in
     ``table.issues``. A duplicate (region, date) pair is an error in both
     modes, since neither row can be chosen over the other. Rows below the
-    sub_region_1 level (see ``FINER_LEVEL_COLUMNS``) are always skipped
-    and counted in one ``issues`` line.
+    sub_region_1 level (see ``FINER_LEVEL_COLUMNS``) are always skipped and
+    counted in one ``issues`` line. With ``country``, the rows of every
+    other country are dropped before they are converted or checked.
     """
     columns = dict(DEFAULT_COLUMNS)
     if column_map:
@@ -239,42 +409,31 @@ def parse_cmr_csv(
             raise SchemaError(f"unknown column-map keys: {sorted(unknown)}")
         columns.update(column_map)
 
-    reader = csv.reader(io.StringIO(_as_text(source)))
-    lineno = 1
     try:
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError("empty input: no header row")
-        # a repeated header name refers to its last column
-        position = {name: i for i, name in enumerate(header)}
-        missing_cols = [v for v in columns.values() if v not in position]
-        if missing_cols:
-            raise SchemaError(f"missing columns: {missing_cols}")
-        wanted = [position[columns[k]] for k in ("country_code", "sub_region", "date", *CATEGORIES)]
-        finer = [position[c] for c in FINER_LEVEL_COLUMNS if c in position]
-        rows, issues, finer_rows = [], [], 0
-        for row in reader:
-            if not row:
-                continue
-            lineno += 1
-            cells = [row[i].strip() if i < len(row) else "" for i in wanted + finer]
-            if any(cells[len(wanted):]):
-                finer_rows += 1
-                continue
-            try:
-                rows.append(_parse_row(cells[: len(wanted)], lineno))
-            except DataError as exc:
-                if strict:
-                    raise
-                issues.append(str(exc))
+        with _text_lines(source) as lines:
+            reader = csv.reader(lines)
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError("empty input: no header row")
+            # a repeated header name refers to its last column
+            position = {name: i for i, name in enumerate(header)}
+            missing_cols = [v for v in columns.values() if v not in position]
+            if missing_cols:
+                raise SchemaError(f"missing columns: {missing_cols}")
+            kept = _Columns(
+                [position[columns[k]] for k in ("country_code", "sub_region", "date", *CATEGORIES)],
+                [position[c] for c in FINER_LEVEL_COLUMNS if c in position],
+                strict,
+                country,
+            )
+            for records, ends in _chunks(reader):
+                kept.add(records, ends)
+                del records  # freed before the next chunk is read
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"input is not UTF-8 text: {exc}") from None
     except csv.Error as exc:
-        raise SchemaError(f"line {lineno}: malformed CSV: {exc}") from None
-    if finer_rows:
-        issues.append(
-            f"skipped {finer_rows} rows below the sub_region_1 level "
-            f"({'/'.join(FINER_LEVEL_COLUMNS)} set)"
-        )
-    return MobilityTable.from_rows(rows, issues)
+        raise SchemaError(f"line {reader.line_num}: malformed CSV: {exc}") from None
+    return kept.table()
 
 
 def _parse_row(cells: list[str], lineno: int) -> tuple[str, str, int, list[float]]:

@@ -4,12 +4,15 @@ The oracles here deliberately avoid the package's own code paths: the
 Moran oracle is a plain double loop over the weights, the LOESS oracle
 solves each local weighted least-squares problem directly, the STL
 oracle runs the decomposition loop with one least-squares fit per
-point, and the permutation oracles enumerate relabelings by brute force.
+point, the permutation oracles enumerate relabelings by brute force, and
+the parse oracle decodes the whole input and checks it row by row.
 """
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
+import io
 import itertools
 import json
 import math
@@ -17,8 +20,9 @@ import math
 import numpy as np
 import pytest
 
-from mobility_esda.geometry import grid_geometries
-from mobility_esda.ingest import CATEGORIES, MobilityTable
+from mobility_esda.errors import DataError, SchemaError
+from mobility_esda.geometry import RegionGeometry, Ring
+from mobility_esda.ingest import CATEGORIES, DEFAULT_COLUMNS, FINER_LEVEL_COLUMNS, MobilityTable
 from mobility_esda.weights import SpatialWeights, queen_adjacency, rook_adjacency, row_standardize
 
 
@@ -172,6 +176,91 @@ def exhaustive_conditional_p(z, W: SpatialWeights, i: int) -> float:
     return (M + 1) / (len(sims) + 1)
 
 
+def _oracle_text(source) -> str:
+    data = source.read() if hasattr(source, "read") else source
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"input is not UTF-8 text: {exc}") from None
+    if not isinstance(data, str):
+        raise TypeError(f"unsupported source type: {type(source)!r}")
+    return data.removeprefix("\ufeff")
+
+
+def parse_oracle(source, column_map=None, strict=True) -> MobilityTable:
+    """Community-mobility CSV parsed row by row, the reference for
+    ``parse_cmr_csv``: the whole input is decoded at once and each row's
+    cells are checked one at a time."""
+    columns = dict(DEFAULT_COLUMNS)
+    if column_map:
+        unknown = set(column_map) - set(columns)
+        if unknown:
+            raise SchemaError(f"unknown column-map keys: {sorted(unknown)}")
+        columns.update(column_map)
+
+    reader = csv.reader(io.StringIO(_oracle_text(source)))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError("empty input: no header row")
+        # a repeated header name refers to its last column
+        position = {name: i for i, name in enumerate(header)}
+        missing_cols = [v for v in columns.values() if v not in position]
+        if missing_cols:
+            raise SchemaError(f"missing columns: {missing_cols}")
+        wanted = [position[columns[k]] for k in ("country_code", "sub_region", "date", *CATEGORIES)]
+        finer = [position[c] for c in FINER_LEVEL_COLUMNS if c in position]
+        rows, issues, finer_rows = [], [], 0
+        for row in reader:
+            if not row:
+                continue
+            lineno = reader.line_num
+            cells = [row[i].strip() if i < len(row) else "" for i in wanted + finer]
+            if any(cells[len(wanted):]):
+                finer_rows += 1
+                continue
+            try:
+                rows.append(_oracle_row(cells[: len(wanted)], lineno))
+            except DataError as exc:
+                if strict:
+                    raise
+                issues.append(str(exc))
+    except csv.Error as exc:
+        raise SchemaError(f"line {reader.line_num}: malformed CSV: {exc}") from None
+    if finer_rows:
+        issues.append(
+            f"skipped {finer_rows} rows below the sub_region_1 level "
+            f"({'/'.join(FINER_LEVEL_COLUMNS)} set)"
+        )
+    return table_from_rows(rows, issues)
+
+
+def _oracle_row(cells: list[str], lineno: int) -> tuple[str, str, int, list[float]]:
+    country, sub_region, raw_date, *raw = cells
+    try:
+        date = dt.date.fromisoformat(raw_date).toordinal()
+    except ValueError:
+        raise DataError(f"line {lineno}: unparseable date {raw_date!r}") from None
+    if not country:
+        raise DataError(f"line {lineno}: empty country code")
+    values = []
+    for cat, cell in zip(CATEGORIES, raw):
+        if cell == "":
+            values.append(math.nan)
+            continue
+        try:
+            v = float(cell)
+        except ValueError:
+            raise DataError(f"line {lineno}: non-numeric {cat} cell {cell!r}") from None
+        if not math.isfinite(v):
+            raise DataError(f"line {lineno}: non-finite {cat} cell {cell!r}")
+        if v < -100:
+            raise DataError(f"line {lineno}: {cat} value {v} below -100")
+        values.append(v)
+    return country, sub_region, date, values
+
+
 # ---------------------------------------------------------------- fixtures
 
 @pytest.fixture
@@ -206,9 +295,23 @@ def star_5():
     return row_standardize(W)
 
 
+def table_from_rows(rows, issues=()) -> MobilityTable:
+    """A table from rows of (country_code, sub_region, date ordinal, six values)."""
+    rows = list(rows)
+    pairs: dict[tuple[str, str], int] = {}
+    region = [pairs.setdefault((row[0], row[1]), len(pairs)) for row in rows]
+    return MobilityTable.from_columns(
+        list(pairs),
+        np.array(region, dtype=np.intp),
+        np.array([row[2] for row in rows], dtype=np.int64),
+        np.array([row[3] for row in rows], dtype=float).reshape(-1, len(CATEGORIES)),
+        issues,
+    )
+
+
 def make_table(rows) -> MobilityTable:
     """rows: (country, sub_region, iso_date, {category: value_or_None})."""
-    return MobilityTable.from_rows(
+    return table_from_rows(
         [
             (country, sub, dt.date.fromisoformat(date).toordinal(),
              [math.nan if values.get(cat) is None else values[cat] for cat in CATEGORIES])
@@ -219,6 +322,24 @@ def make_table(rows) -> MobilityTable:
 
 def flat_values(v: float) -> dict[str, float]:
     return {cat: v for cat in CATEGORIES}
+
+
+def square(x: float, y: float, size: float = 1.0) -> list[Ring]:
+    """Unit-square helper for fixtures: lower-left corner at (x, y)."""
+    return [[(x, y), (x + size, y), (x + size, y + size), (x, y + size), (x, y)]]
+
+
+def grid_geometries(
+    nrows: int, ncols: int, prefix: str = "cell", size: float = 1.0
+) -> list[RegionGeometry]:
+    """A nrows x ncols lattice of adjacent squares, row-major ids."""
+    geoms = []
+    for r in range(nrows):
+        for c in range(ncols):
+            geoms.append(
+                RegionGeometry(f"{prefix}{r}_{c}", square(c * size, -r * size, size))
+            )
+    return geoms
 
 
 def grid_geojson(nrows: int, ncols: int) -> dict:

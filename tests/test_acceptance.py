@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from mobility_esda.cli import main
-from mobility_esda.geometry import grid_geometries, square, RegionGeometry
+from mobility_esda.geometry import RegionGeometry
 from mobility_esda.indicator import (
     RadarConfig,
     baseline_area,
@@ -43,8 +43,10 @@ from conftest import (
     exhaustive_conditional_p,
     exhaustive_pseudo_p,
     flat_values,
+    grid_geometries,
     make_table,
     moran_oracle,
+    square,
 )
 
 

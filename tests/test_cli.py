@@ -347,6 +347,37 @@ class TestRenderCmd:
         assert (out / "choropleth.svg").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moran", "--input", "{dir}/sy.csv", "--geometry", "{dir}/sy.geojson", "--country", "SY",
+         "--from", "2020-03-01", "--to", "2020-03-21", "--permutations", "9"],
+        ["ingest", "--input", "{dir}/sy.csv", "--country", "SY"],
+        ["render", "--geometry", "{dir}/sy.geojson", "--values", "{dir}/vals.csv"],
+    ],
+    ids=["moran", "ingest", "render"],
+)
+def test_out_dir_does_not_depend_on_input_paths(argv, tmp_path):
+    trees = []
+    for where in (tmp_path / "a", tmp_path / "b" / "much" / "deeper"):
+        where.mkdir(parents=True)
+        (where / "sy.csv").write_text(synthetic_country_csv(4, 4, 21))
+        (where / "sy.geojson").write_text(json.dumps(grid_geojson(4, 4), indent=1))
+        (where / "vals.csv").write_text("region_id,value\ncell0_0,1\ncell1_1,2\n")
+        out = where / "out"
+        assert main([arg.format(dir=where) for arg in argv] + ["--out-dir", str(out)]) == 0
+        trees.append(hash_tree(out))
+    assert trees[0] == trees[1]
+    # each input is recorded by name and content
+    config = json.loads((out / "run-manifest.json").read_text())["config"]
+    for key in {"input", "geometry", "values"} & set(config):
+        path = Path(argv[argv.index(f"--{key}") + 1].format(dir=where))
+        data = path.read_bytes()
+        assert config[key] == {
+            "name": path.name, "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)
+        }
+
+
 class TestConfigAndSeed:
     def test_config_file_fills_defaults(self, sy, tmp_path):
         csv_path, geo_path = sy

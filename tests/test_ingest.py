@@ -1,10 +1,12 @@
 import datetime as dt
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mobility_esda import ingest
 from mobility_esda.errors import DataError, MobilityError, NotFoundError, SchemaError
 from mobility_esda.ingest import (
     CATEGORIES,
@@ -15,7 +17,7 @@ from mobility_esda.ingest import (
     write_csv,
 )
 
-from conftest import flat_values, make_table
+from conftest import flat_values, make_table, parse_oracle
 
 HEADER = (
     "country_region_code,sub_region_1,date,"
@@ -95,6 +97,23 @@ class TestParse:
         )
         assert len(table.dates) == 1
         assert any("line 3" in msg for msg in table.issues)
+
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize(
+        "rows, line",
+        [
+            (["BR,,2020-03-01,1,1,1,1,1,1", "", "", "BR,,2020-03-02,oops,1,1,1,1,1"], 5),
+            (['BR,"Sao\nPaulo",2020-03-01,1,1,1,1,1,1', "BR,,2020-03-02,oops,1,1,1,1,1"], 4),
+        ],
+        ids=["blank lines", "quoted line break"],
+    )
+    def test_bad_row_reports_its_physical_line(self, rows, line, strict):
+        message = f"line {line}: non-numeric retail_recreation cell 'oops'"
+        if strict:
+            with pytest.raises(DataError, match=message):
+                parse_cmr_csv(csv_bytes(*rows))
+        else:
+            assert parse_cmr_csv(csv_bytes(*rows), strict=False).issues == [message]
 
     def test_value_below_floor_rejected(self):
         with pytest.raises(DataError, match="-101"):
@@ -185,6 +204,23 @@ class TestParse:
         with pytest.raises(SchemaError, match="UTF-8"):
             parse_cmr_csv(b"\xff\xfe" + csv_bytes("BR,,2020-03-01,1,2,3,4,5,6"))
 
+    def test_source_kinds_parse_alike(self, tmp_path):
+        data = csv_bytes("BR,,2020-03-01,1,2,3,4,5,6", "AR,Salta,2020-03-01,-1,,3,4,5,6")
+        path = tmp_path / "in.csv"
+        path.write_bytes(data)
+        expected = write_csv(parse_cmr_csv(data))
+        with open(path, "rb") as binary, open(path, encoding="utf-8") as text:
+            sources = [data.decode(), io.BytesIO(data), binary, text]
+            assert [write_csv(parse_cmr_csv(src)) for src in sources] == [expected] * 4
+            assert not binary.closed and not text.closed
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    def test_line_ends(self, eol):
+        data = eol.join([HEADER, "BR,,2020-03-01,1,1,1,1,1,1", "BR,,2020-03-02,x,1,1,1,1,1", ""])
+        table = parse_cmr_csv(data.encode(), strict=False)
+        assert len(table.dates) == 1
+        assert table.issues == ["line 3: non-numeric retail_recreation cell 'x'"]
+
     def test_published_layout_skips_finer_levels(self):
         # the published report: national, sub_region_1, sub_region_2 and
         # metro rows in one file; the finer rows repeat sub_region_1
@@ -208,6 +244,42 @@ class TestParse:
         assert table.issues == [
             "skipped 6 rows below the sub_region_1 level (sub_region_2/metro_area set)"
         ]
+
+
+class TestCountry:
+    ROWS = (
+        "BR,,2020-03-01,1,1,1,1,1,1",
+        "AR,Salta,2020-03-01,2,2,2,2,2,2",
+        "BR,,2020-03-02,3,3,3,3,3,3",
+    )
+
+    def test_keeps_one_country(self):
+        table = parse_cmr_csv(csv_bytes(*self.ROWS), country="BR")
+        assert table.region_ids == ("BR/",)
+        assert table.column("parks").tolist() == [1, 3]
+
+    def test_other_countries_rows_are_not_checked(self):
+        rows = (*self.ROWS, "AR,Salta,2020-03-02,oops,-500,1,1,1,1", "AR,,not-a-date,1,1,1,1,1,1")
+        with pytest.raises(DataError, match="line 5"):
+            parse_cmr_csv(csv_bytes(*rows))
+        table = parse_cmr_csv(csv_bytes(*rows), country="BR")
+        assert table.region_ids == ("BR/",) and table.issues == []
+
+    def test_finer_rows_counted_for_the_country_only(self):
+        rows = [
+            HEADER + ",sub_region_2",
+            "BR,,2020-03-01,1,1,1,1,1,1,",
+            "BR,Sao Paulo,2020-03-01,1,1,1,1,1,1,Campinas",
+            "AR,Salta,2020-03-01,1,1,1,1,1,1,Oran",
+        ]
+        table = parse_cmr_csv(("\n".join(rows) + "\n").encode(), country="BR")
+        assert table.issues == [
+            "skipped 1 rows below the sub_region_1 level (sub_region_2/metro_area set)"
+        ]
+
+    def test_absent_country_lists_those_seen(self):
+        with pytest.raises(NotFoundError, match=r"unknown country 'XX'; available: \['AR', 'BR'\]"):
+            parse_cmr_csv(csv_bytes(*self.ROWS), country="XX")
 
 
 def parses_or_raises_package_error(data: bytes) -> None:
@@ -241,6 +313,62 @@ class TestFuzz:
     @settings(max_examples=200, deadline=None)
     def test_arbitrary_cells_under_header(self, rows):
         parses_or_raises_package_error(csv_bytes(*(",".join(row) for row in rows)))
+
+
+FINER_HEADER = HEADER + ",sub_region_2,metro_area"
+
+
+def csv_text(header: str, rows, eol: str) -> bytes:
+    return eol.join([header, *(",".join(row) for row in rows)]).encode() + eol.encode()
+
+
+def parse_outcome(parse, data: bytes, **kw):
+    """The table a parse builds as comparable values, issues last, or its
+    error's type name and message."""
+    try:
+        t = parse(data, **kw)
+    except MobilityError as exc:
+        return type(exc).__name__, str(exc)
+    values = [[None if np.isnan(v) else v for v in row] for row in t.values.tolist()]
+    return (t.region_ids, t.country_codes, t.sub_regions, t.region.tolist(), t.dates.tolist(),
+            values, t.offsets.tolist(), t.issues)
+
+
+ROWS = st.lists(st.lists(CELLS, min_size=0, max_size=11), max_size=8)
+LAYOUT = dict(header=st.sampled_from([HEADER, FINER_HEADER]), eol=st.sampled_from(["\n", "\r\n"]))
+
+
+class TestAgainstOracle:
+    """The chunked column parse against the row-by-row parse it replaced,
+    at the default chunk size and at two records a chunk."""
+
+    @pytest.mark.parametrize("chunk_rows", [ingest.CHUNK_ROWS, 2])
+    @given(rows=ROWS, **LAYOUT)
+    @settings(max_examples=200, deadline=None)
+    def test_same_table_or_error(self, chunk_rows, rows, header, eol):
+        data = csv_text(header, rows, eol)
+        with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows):
+            for strict in (True, False):
+                assert parse_outcome(parse_cmr_csv, data, strict=strict) == parse_outcome(
+                    parse_oracle, data, strict=strict
+                )
+
+    @pytest.mark.parametrize("chunk_rows", [ingest.CHUNK_ROWS, 2])
+    @given(rows=ROWS, country=st.sampled_from(["BR", "AR", "XX"]), **LAYOUT)
+    @settings(max_examples=200, deadline=None)
+    def test_country_matches_select(self, chunk_rows, rows, country, header, eol):
+        data = csv_text(header, rows, eol)
+        with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows):
+            for strict in (True, False):
+                try:
+                    whole = parse_oracle(data, strict=strict)
+                except MobilityError:
+                    continue
+                got = parse_outcome(parse_cmr_csv, data, strict=strict, country=country)
+                want = parse_outcome(lambda _: select(whole, country), data)
+                # all but the issues, which count other countries' rows too,
+                # or, for an absent country, the error's type
+                assert got[:-1] == want[:-1]
 
 
 class TestFilter:

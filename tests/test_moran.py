@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mobility_esda.errors import ParameterError, ZeroVarianceError
-from mobility_esda.geometry import grid_geometries
 from mobility_esda.moran import (
     _moran_sims,
     _ordered_draws,
@@ -22,7 +21,7 @@ from mobility_esda.moran import (
 )
 from mobility_esda.weights import queen_adjacency, rook_adjacency, row_standardize
 
-from conftest import exhaustive_conditional_p, exhaustive_pseudo_p, moran_oracle
+from conftest import exhaustive_conditional_p, exhaustive_pseudo_p, grid_geometries, moran_oracle
 
 CHECKERBOARD = np.array([1.0, -1.0, -1.0, 1.0])  # 2x2 row-major
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mobility_esda.errors import DataError, ParameterError
-from mobility_esda.geometry import RegionGeometry, grid_geometries, square
+from mobility_esda.geometry import RegionGeometry
 from mobility_esda.indicator import RadarConfig
 from mobility_esda.ingest import CATEGORIES
 from mobility_esda.moran import LisaResult, MoranScatter
@@ -23,7 +23,7 @@ from mobility_esda.render import (
     render_series,
 )
 
-from conftest import grid_geojson
+from conftest import grid_geojson, grid_geometries, square
 
 BW_SCALE = ColorScale("sequential", [(0.0, "#000000"), (1.0, "#ffffff")])
 

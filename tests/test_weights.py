@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mobility_esda.errors import DataError, GeometryError, ParameterError
-from mobility_esda.geometry import RegionGeometry, grid_geometries, load_geojson, square
+from mobility_esda.geometry import RegionGeometry, load_geojson
 from mobility_esda.weights import (
     SpatialWeights,
     connect_islands_knn,
@@ -17,7 +17,7 @@ from mobility_esda.weights import (
     to_text,
 )
 
-from conftest import grid_geojson
+from conftest import grid_geojson, grid_geometries, square
 
 
 def neighbor_ids(W, rid):
