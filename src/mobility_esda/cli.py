@@ -381,6 +381,7 @@ def cmd_moran(args) -> int:
     group = list(fields.values())
     results = mr.moran_permutation(group, W, permutations=args.permutations, seed=seed)
     p_locals = mr.lisa_permutation(group, W, permutations=args.permutations, seed=seed)
+    paths = rd.map_paths(geoms)  # one projection serves every map of every category
     for (category, field), result, p_local in zip(fields.items(), results, p_locals):
         x = field.x
         scatter = mr.moran_scatter(field, W)
@@ -411,13 +412,9 @@ def cmd_moran(args) -> int:
             cat_dir / "scatter.svg",
             rd.render_moran_scatter(scatter, rd.FigureSpec(title=f"Moran scatter: {category}")),
         )
-        local_ids = [g.region_id for g in geoms]
-        lisa_named = mr.LisaResult(
-            local_ids, lisa.local_i, lisa.lag, lisa.pseudo_p, lisa.labels, lisa.tiers, lisa.alpha
-        )
-        atomic_write(cat_dir / "lisa.csv", rd.lisa_to_csv(lisa_named))
+        atomic_write(cat_dir / "lisa.csv", rd.lisa_to_csv(lisa))
         cluster_svg, signif_svg = rd.render_lisa_maps(
-            geoms, lisa_named, rd.FigureSpec(title=f"LISA clusters: {category}")
+            paths, lisa, rd.FigureSpec(title=f"LISA clusters: {category}")
         )
         atomic_write(cat_dir / "lisa-clusters.svg", cluster_svg)
         atomic_write(cat_dir / "lisa-significance.svg", signif_svg)
@@ -427,8 +424,8 @@ def cmd_moran(args) -> int:
         atomic_write(
             cat_dir / "mean-variation.svg",
             rd.render_choropleth(
-                geoms,
-                {g.region_id: float(v) for g, v in zip(geoms, x)},
+                paths,
+                {rid: float(v) for rid, v in zip(W.ids, x)},
                 scale,
                 rd.FigureSpec(title=f"Mean variation: {category}"),
             ),
@@ -438,13 +435,13 @@ def cmd_moran(args) -> int:
             rd.join_geojson(
                 geojson_doc,
                 {
-                    local_ids[i]: {
+                    rid: {
                         "mean_variation": float(x[i]),
                         "local_i": float(lisa.local_i[i]),
                         "pseudo_p": float(lisa.pseudo_p[i]),
                         "quadrant": lisa.labels[i],
                     }
-                    for i in range(len(local_ids))
+                    for i, rid in enumerate(W.ids)
                 },
                 id_property=args.id_property,
             ),
@@ -494,7 +491,7 @@ def cmd_render(args) -> int:
     )
     atomic_write(
         out_dir / "choropleth.svg",
-        rd.render_choropleth(geoms, values, scale, rd.FigureSpec(title=args.title)),
+        rd.render_choropleth(rd.map_paths(geoms), values, scale, rd.FigureSpec(title=args.title)),
     )
     write_manifest(out_dir, args)
     return EXIT_OK

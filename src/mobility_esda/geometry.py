@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import DataError, GeometryError
@@ -17,6 +18,8 @@ class RegionGeometry:
     rings: list[Ring]  # all rings of all polygons, each closed
 
     def __post_init__(self):
+        if not self.rings:
+            raise GeometryError(f"{self.region_id}: geometry has no rings")
         for ring in self.rings:
             if len(ring) < 4:
                 raise GeometryError(
@@ -50,19 +53,27 @@ class RegionGeometry:
         return (cx / a_total, cy / a_total)
 
 
-def _rings_from_geometry(geom: dict) -> list[Ring]:
+def _point(position) -> Point:
+    """x and y of a GeoJSON position; a third number, the altitude, is dropped."""
+    if not isinstance(position, (list, tuple)) or len(position) < 2:
+        raise TypeError(position)
+    x, y = float(position[0]), float(position[1])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(position)
+    return x, y
+
+
+def _rings_from_geometry(rid: str, geom: dict) -> list[Ring]:
     gtype = geom.get("type")
-    if gtype == "Polygon":
-        polys = [geom["coordinates"]]
-    elif gtype == "MultiPolygon":
-        polys = geom["coordinates"]
-    else:
+    if gtype not in ("Polygon", "MultiPolygon"):
         raise GeometryError(f"unsupported geometry type {gtype!r}")
-    rings = []
-    for poly in polys:
-        for ring in poly:
-            rings.append([(float(x), float(y)) for x, y in ring])
-    return rings
+    if "coordinates" not in geom:
+        raise GeometryError(f"{rid}: {gtype} has no coordinates")
+    polys = [geom["coordinates"]] if gtype == "Polygon" else geom["coordinates"]
+    try:
+        return [[_point(p) for p in ring] for poly in polys for ring in poly]
+    except (TypeError, ValueError, OverflowError):
+        raise GeometryError(f"{rid}: malformed coordinates (each position needs finite numeric x, y)") from None
 
 
 def load_geojson(source, id_property: str = "region_id") -> list[RegionGeometry]:
@@ -92,6 +103,6 @@ def load_geojson(source, id_property: str = "region_id") -> list[RegionGeometry]
         geom = feature.get("geometry")
         if not isinstance(geom, dict):
             raise GeometryError(f"{rid}: feature has no geometry")
-        geoms.append(RegionGeometry(rid, _rings_from_geometry(geom)))
+        geoms.append(RegionGeometry(rid, _rings_from_geometry(rid, geom)))
     return geoms
 

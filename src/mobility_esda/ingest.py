@@ -53,7 +53,8 @@ FINER_LEVEL_COLUMNS = ("sub_region_2", "metro_area")
 def region_key(country_code: str, sub_region: str = "") -> str:
     """Stable region identifier: ``country_code + "/" + sub_region``.
 
-    National rows carry an empty sub-region, e.g. ``"BR/"``.
+    National rows carry an empty sub-region, e.g. ``"BR/"``. The parse
+    rejects a country code containing ``"/"``, so no two pairs share a key.
     """
     return f"{country_code}/{sub_region}"
 
@@ -213,7 +214,8 @@ class ImputationReport:
 # than 8,192, with half the peak memory)
 CHUNK_ROWS = 1024
 
-# region codes of a row of a country filtered out, and of a row with no country
+# region codes of a row of a country filtered out, and of a row whose country
+# code is empty or contains the "/" of region_key
 _DROPPED, _NO_COUNTRY = -2, -1
 
 
@@ -326,7 +328,7 @@ class _Columns:
             self.countries.add(country)
             if self.country is not None and country != self.country:
                 self.codes[key] = _DROPPED
-            elif not country:
+            elif not country or "/" in country:
                 self.codes[key] = _NO_COUNTRY
             else:
                 self.codes[key] = self.pairs.setdefault((country, sub), len(self.pairs))
@@ -376,7 +378,7 @@ class _Columns:
             )
         region, dates, values = (np.concatenate(column) for column in zip(*self.parts))
         if self.country is not None and not region.size:
-            available = sorted(self.countries - {""})
+            available = sorted(c for c in self.countries if c and "/" not in c)
             raise NotFoundError(f"unknown country {self.country!r}; available: {available}")
         return MobilityTable.from_columns(list(self.pairs), region, dates, values, self.issues)
 
@@ -444,6 +446,8 @@ def _parse_row(cells: list[str], lineno: int) -> tuple[str, str, int, list[float
         raise DataError(f"line {lineno}: unparseable date {raw_date!r}") from None
     if not country:
         raise DataError(f"line {lineno}: empty country code")
+    if "/" in country:  # it would make region_key ambiguous
+        raise DataError(f"line {lineno}: country code {country!r} contains '/'")
     values = []
     for cat, cell in zip(CATEGORIES, raw):
         if cell == "":

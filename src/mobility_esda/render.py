@@ -128,96 +128,77 @@ def _legend(spec: FigureSpec, entries: list[tuple[str, str]]) -> list[str]:
     return parts
 
 
-def _projector(geoms: list[RegionGeometry], spec: FigureSpec):
-    xs0 = min(g.bbox()[0] for g in geoms)
-    ys0 = min(g.bbox()[1] for g in geoms)
-    xs1 = max(g.bbox()[2] for g in geoms)
-    ys1 = max(g.bbox()[3] for g in geoms)
-    dw = max(xs1 - xs0, 1e-12)
-    dh = max(ys1 - ys0, 1e-12)
+def map_paths(geoms: list[RegionGeometry], spec: FigureSpec = FigureSpec()) -> dict[str, str]:
+    """SVG path data by region id, in id order, in one projection fitting all
+    regions into ``spec``'s frame; every map of that frame reuses it."""
+    if not geoms:
+        raise DataError("no geometry to draw")
+    x0s, y0s, x1s, y1s = zip(*(g.bbox() for g in geoms))
+    xs0, ys0 = min(x0s), min(y0s)
+    dw = max(max(x1s) - xs0, 1e-12)
+    dh = max(max(y1s) - ys0, 1e-12)
     m = spec.margin
     scale = min((spec.width - 2 * m) / dw, (spec.height - 2 * m) / dh)
-
-    def project(p):
-        x = m + (p[0] - xs0) * scale
-        y = spec.height - m - (p[1] - ys0) * scale
-        return x, y
-
-    return project
-
-
-def _polygon_paths(g: RegionGeometry, project, fill: str) -> str:
-    cmds = []
-    for ring in g.rings:
-        pts = [project(p) for p in ring]
-        d = "M" + " L".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts[:-1]) + " Z"
-        cmds.append(d)
-    return f'<path d="{" ".join(cmds)}" fill="{fill}" stroke="#333333" stroke-width="0.5"/>'
+    return {
+        g.region_id: " ".join(
+            "M" + " L".join(
+                f"{_fmt(m + (x - xs0) * scale)},{_fmt(spec.height - m - (y - ys0) * scale)}"
+                for x, y in ring[:-1]
+            ) + " Z"
+            for ring in g.rings
+        )
+        for g in sorted(geoms, key=lambda g: g.region_id)
+    }
 
 
-def render_choropleth(
-    geoms: list[RegionGeometry],
-    values: dict[str, float | None],
-    scale: ColorScale,
-    spec: FigureSpec = FigureSpec(),
-) -> str:
-    """One filled path per region, colored via the scale; missing regions
-    get the scale's missing color and are listed in a warnings comment."""
-    project = _projector(geoms, spec)
+def _map_svg(paths: dict[str, str], fills: dict[str, str], spec: FigureSpec, legend, note=()) -> str:
     parts = _svg_open(spec)
-    known = {g.region_id for g in geoms}
-    warnings = [rid for rid in values if rid not in known]
-    if warnings:
-        parts.append(f"<!-- warning: no geometry for {', '.join(sorted(warnings))} -->")
-    for g in sorted(geoms, key=lambda g: g.region_id):
-        parts.append(_polygon_paths(g, project, scale.color(values.get(g.region_id))))
-    present = [v for v in values.values() if v is not None]
-    legend = list(spec.legend)
-    if not legend and present:
-        lo, hi = min(present), max(present)
-        legend = [(f"min {_fmt(lo)}", scale.color(lo)), (f"max {_fmt(hi)}", scale.color(hi))]
+    parts.extend(note)
+    for rid, d in paths.items():
+        parts.append(f'<path d="{d}" fill="{fills[rid]}" stroke="#333333" stroke-width="0.5"/>')
     parts.extend(_legend(spec, legend))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
+def render_choropleth(
+    paths: dict[str, str],
+    values: dict[str, float | None],
+    scale: ColorScale,
+    spec: FigureSpec = FigureSpec(),
+) -> str:
+    """One filled path per region of ``paths`` (:func:`map_paths` in the frame
+    of ``spec``), colored via the scale; missing regions get the scale's
+    missing color and are listed in a warnings comment."""
+    warnings = [rid for rid in values if rid not in paths]
+    note = [f"<!-- warning: no geometry for {', '.join(sorted(warnings))} -->"] if warnings else []
+    present = [v for v in values.values() if v is not None]
+    legend = list(spec.legend)
+    if not legend and present:
+        lo, hi = min(present), max(present)
+        legend = [(f"min {_fmt(lo)}", scale.color(lo)), (f"max {_fmt(hi)}", scale.color(hi))]
+    return _map_svg(paths, {rid: scale.color(values.get(rid)) for rid in paths}, spec, legend, note)
+
+
 def render_lisa_maps(
-    geoms: list[RegionGeometry],
+    paths: dict[str, str],
     lisa: LisaResult,
     spec: FigureSpec = FigureSpec(),
 ) -> tuple[str, str]:
-    """Cluster map (HH/LL/LH/HL/ns) and significance-tier map."""
+    """Cluster map (HH/LL/LH/HL/ns) and significance-tier map of ``paths``
+    (:func:`map_paths` in the frame of ``spec``)."""
     by_id = dict(zip(lisa.ids, lisa.labels))
     tiers = dict(zip(lisa.ids, lisa.tiers))
-    missing = [g.region_id for g in geoms if g.region_id not in by_id]
+    missing = [rid for rid in paths if rid not in by_id]
     if missing:
         raise DataError(f"no classification for regions: {missing}")
-    project = _projector(geoms, spec)
-
-    cluster = _svg_open(spec)
-    for g in sorted(geoms, key=lambda g: g.region_id):
-        cluster.append(_polygon_paths(g, project, CLUSTER_COLORS[by_id[g.region_id]]))
-    cluster.extend(
-        _legend(spec, [(lbl, CLUSTER_COLORS[lbl]) for lbl in ("HH", "LL", "LH", "HL", "ns")])
+    cluster = {rid: CLUSTER_COLORS[by_id[rid]] for rid in paths}
+    signif = {rid: SIGNIFICANCE_COLORS[tiers[rid]] for rid in paths}
+    tier_legend = [(f"p <= {t:g}" if t else "ns", c) for t, c in SIGNIFICANCE_COLORS.items()]
+    return (
+        _map_svg(paths, cluster, spec, list(CLUSTER_COLORS.items())),
+        _map_svg(paths, signif, spec, tier_legend),
     )
-    cluster.append("</svg>")
-
-    signif = _svg_open(spec)
-    for g in sorted(geoms, key=lambda g: g.region_id):
-        signif.append(_polygon_paths(g, project, SIGNIFICANCE_COLORS[tiers[g.region_id]]))
-    signif.extend(
-        _legend(
-            spec,
-            [
-                ("p <= 0.05", SIGNIFICANCE_COLORS[0.05]),
-                ("p <= 0.01", SIGNIFICANCE_COLORS[0.01]),
-                ("p <= 0.001", SIGNIFICANCE_COLORS[0.001]),
-                ("ns", SIGNIFICANCE_COLORS[None]),
-            ],
-        )
-    )
-    signif.append("</svg>")
-    return "\n".join(cluster) + "\n", "\n".join(signif) + "\n"
 
 
 def render_moran_scatter(scatter: MoranScatter, spec: FigureSpec = FigureSpec()) -> str:

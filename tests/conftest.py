@@ -244,6 +244,8 @@ def _oracle_row(cells: list[str], lineno: int) -> tuple[str, str, int, list[floa
         raise DataError(f"line {lineno}: unparseable date {raw_date!r}") from None
     if not country:
         raise DataError(f"line {lineno}: empty country code")
+    if "/" in country:  # it would make region_key ambiguous
+        raise DataError(f"line {lineno}: country code {country!r} contains '/'")
     values = []
     for cat, cell in zip(CATEGORIES, raw):
         if cell == "":

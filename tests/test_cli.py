@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from mobility_esda import render
 from mobility_esda.cli import atomic_write, main
 
 from conftest import grid_geojson, synthetic_country_csv
@@ -321,6 +322,16 @@ class TestMoranCmd:
         assert main(self.moran_args(csv_path, geo_path, out2, extra=args)) == 0
         assert hash_tree(out1) == hash_tree(out2)
 
+    def test_geometry_projected_once_per_run(self, sy, tmp_path, monkeypatch):
+        csv_path, geo_path = sy
+        calls = []
+        map_paths = render.map_paths
+        monkeypatch.setattr(render, "map_paths", lambda *a, **k: calls.append(1) or map_paths(*a, **k))
+        extra = ["--categories", "parks", "workplaces", "residential"]
+        assert main(self.moran_args(csv_path, geo_path, tmp_path / "o", extra=extra)) == 0
+        assert len(calls) == 1
+        assert len(list((tmp_path / "o").glob("*/lisa-clusters.svg"))) == 3
+
 
 class TestWeightsCmd:
     def test_export_formats(self, sy, tmp_path):
@@ -476,6 +487,21 @@ def failing_run(kind, sy, tmp, monkeypatch):
             del doc["features"][1]["geometry"]
         (tmp / "holey.geojson").write_text(json.dumps(doc))
         return ["weights", "--geometry", str(tmp / "holey.geojson")]
+    if kind in ("empty map", "polygon without rings", "polygon without coordinates",
+                "non-numeric position"):
+        doc = grid_geojson(1, 1)
+        geom = doc["features"][0]["geometry"]
+        if kind == "empty map":
+            doc["features"] = []
+        elif kind == "polygon without rings":
+            geom["coordinates"] = []
+        elif kind == "polygon without coordinates":
+            del geom["coordinates"]
+        else:
+            geom["coordinates"][0][1] = [1, "y"]
+        (tmp / "map.geojson").write_text(json.dumps(doc))
+        (tmp / "vals.csv").write_text("region_id,value\ncell0_0,1\n")
+        return ["render", "--geometry", str(tmp / "map.geojson"), "--values", str(tmp / "vals.csv")]
     if kind == "data":
         (tmp / "gap.csv").write_text(f"{HEADER}\nBR,,2020-03-01,1,2,,4,5,6\n")
         return ["ingest", "--input", str(tmp / "gap.csv")]
@@ -551,6 +577,10 @@ def failing_run(kind, sy, tmp, monkeypatch):
         ("missing geometry", 3),
         ("feature without geometry", 3),
         ("null geometry", 3),
+        ("empty map", 3),
+        ("polygon without rings", 3),
+        ("polygon without coordinates", 3),
+        ("non-numeric position", 3),
         ("missing values", 3),
         ("missing config", 3),
         ("bad config", 3),
@@ -569,10 +599,14 @@ def test_failure_exit_codes(kind, code, sy, tmp_path, capsys, monkeypatch):
     assert FAILURE_MESSAGES.get(kind, "") in first
 
 
-# the error line names where a bad seed came from
+# the error line names where a bad seed came from, or what the map lacks
 FAILURE_MESSAGES = {
     "negative seed": "error: --seed (or config seed) must be a non-negative integer, got -1",
     "negative config seed": "error: --seed (or config seed) must be a non-negative integer, got -3",
     "bad seed env": "error: $ESDA_MOBILITY_SEED must be a non-negative integer, got 'abc'",
     "negative seed env": "error: $ESDA_MOBILITY_SEED must be a non-negative integer, got -2",
+    "empty map": "error: no geometry to draw",
+    "polygon without rings": "error: cell0_0: geometry has no rings",
+    "polygon without coordinates": "error: cell0_0: Polygon has no coordinates",
+    "non-numeric position": "error: cell0_0: malformed coordinates",
 }

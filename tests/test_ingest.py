@@ -281,6 +281,23 @@ class TestCountry:
         with pytest.raises(NotFoundError, match=r"unknown country 'XX'; available: \['AR', 'BR'\]"):
             parse_cmr_csv(csv_bytes(*self.ROWS), country="XX")
 
+    # ("A/B", "C") and ("A", "B/C") would share the region key "A/B/C"
+    COLLIDING = ("A/B,C,2020-03-01,1,1,1,1,1,1", "A,B/C,2020-03-01,2,2,2,2,2,2")
+
+    def test_slash_in_country_code_rejected(self):
+        with pytest.raises(DataError, match=r"^line 2: country code 'A/B' contains '/'$"):
+            parse_cmr_csv(csv_bytes(*self.COLLIDING))
+
+    def test_slash_in_country_code_lenient_skips_and_reports(self):
+        table = parse_cmr_csv(csv_bytes(*self.COLLIDING), strict=False)
+        assert (table.region_ids, table.country_codes) == (("A/B/C",), ("A",))
+        assert table.column("parks").tolist() == [2]
+        assert table.issues == ["line 2: country code 'A/B' contains '/'"]
+
+    def test_slash_codes_are_not_offered(self):
+        with pytest.raises(NotFoundError, match=r"available: \['A'\]$"):
+            parse_cmr_csv(csv_bytes(*self.COLLIDING), country="XX")
+
 
 def parses_or_raises_package_error(data: bytes) -> None:
     for strict in (True, False):
@@ -293,7 +310,7 @@ def parses_or_raises_package_error(data: bytes) -> None:
 
 
 CELLS = st.sampled_from(
-    ["", "BR", "AR", "Salta", "2020-03-01", "2020-03-02", "2020-02-30", "-101", "-100",
+    ["", "BR", "AR", "A/B", "Salta", "2020-03-01", "2020-03-02", "2020-02-30", "-101", "-100",
      "0", "12.5", "nan", "inf", "x", '"', '","', "\ufeff", " "]
 )
 

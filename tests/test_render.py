@@ -16,6 +16,7 @@ from mobility_esda.render import (
     FigureSpec,
     join_geojson,
     lisa_to_csv,
+    map_paths,
     render_choropleth,
     render_lisa_maps,
     render_moran_scatter,
@@ -56,32 +57,32 @@ class TestColorScale:
 class TestChoropleth:
     def test_endpoint_fills(self):
         geoms = [RegionGeometry("left", square(0, 0)), RegionGeometry("right", square(1, 0))]
-        svg = render_choropleth(geoms, {"left": 0.0, "right": 1.0}, BW_SCALE)
+        svg = render_choropleth(map_paths(geoms), {"left": 0.0, "right": 1.0}, BW_SCALE)
         fills = re.findall(r'<path [^>]*fill="(#\w{6})"', svg)
         assert fills.count("#000000") == 1
         assert fills.count("#ffffff") == 1
 
     def test_missing_region_gets_missing_color(self):
         geoms = [RegionGeometry("a", square(0, 0)), RegionGeometry("b", square(1, 0))]
-        svg = render_choropleth(geoms, {"a": 0.5}, BW_SCALE)
+        svg = render_choropleth(map_paths(geoms), {"a": 0.5}, BW_SCALE)
         assert f'fill="{BW_SCALE.missing_color}"' in svg
 
     def test_unknown_value_id_warned(self):
         geoms = [RegionGeometry("a", square(0, 0)), RegionGeometry("b", square(1, 0))]
-        svg = render_choropleth(geoms, {"a": 0.5, "ghost": 1.0}, BW_SCALE)
+        svg = render_choropleth(map_paths(geoms), {"a": 0.5, "ghost": 1.0}, BW_SCALE)
         assert "warning" in svg and "ghost" in svg
 
     def test_deterministic(self):
         geoms = grid_geometries(3, 3)
         values = {g.region_id: i / 8 for i, g in enumerate(geoms)}
-        h1 = hashlib.sha256(render_choropleth(geoms, values, BW_SCALE).encode()).hexdigest()
-        h2 = hashlib.sha256(render_choropleth(geoms, values, BW_SCALE).encode()).hexdigest()
+        h1 = hashlib.sha256(render_choropleth(map_paths(geoms), values, BW_SCALE).encode()).hexdigest()
+        h2 = hashlib.sha256(render_choropleth(map_paths(geoms), values, BW_SCALE).encode()).hexdigest()
         assert h1 == h2
 
     def test_every_region_drawn_once(self):
         geoms = grid_geometries(3, 3)
         values = {g.region_id: 0.5 for g in geoms}
-        svg = render_choropleth(geoms, values, BW_SCALE)
+        svg = render_choropleth(map_paths(geoms), values, BW_SCALE)
         assert svg.count("<path ") == 9
 
 
@@ -102,7 +103,7 @@ class TestLisaMaps:
     def test_all_ns_grey(self):
         geoms = grid_geometries(2, 2)
         ids = [g.region_id for g in geoms]
-        cluster, signif = render_lisa_maps(geoms, simple_lisa(ids, ["ns"] * 4, [None] * 4))
+        cluster, signif = render_lisa_maps(map_paths(geoms), simple_lisa(ids, ["ns"] * 4, [None] * 4))
         for svg in (cluster, signif):
             fills = re.findall(r'<path [^>]*fill="(#\w{6})"', svg)
             assert fills == ["#d9d9d9"] * 4
@@ -111,7 +112,7 @@ class TestLisaMaps:
         geoms = grid_geometries(2, 2)
         ids = [g.region_id for g in geoms]
         labels = ["HL", "LH", "LH", "HL"]
-        cluster, _ = render_lisa_maps(geoms, simple_lisa(ids, labels, [0.001] * 4))
+        cluster, _ = render_lisa_maps(map_paths(geoms), simple_lisa(ids, labels, [0.001] * 4))
         fills = re.findall(r'<path [^>]*fill="(#\w{6})"', cluster)
         assert fills.count("#fdae61") == 2  # HL light red
         assert fills.count("#abd9e9") == 2  # LH light blue
@@ -119,7 +120,7 @@ class TestLisaMaps:
     def test_tier_colors_distinct_and_legended(self):
         geoms = grid_geometries(1, 2)
         ids = [g.region_id for g in geoms]
-        _, signif = render_lisa_maps(geoms, simple_lisa(ids, ["HH", "HH"], [0.05, 0.001]))
+        _, signif = render_lisa_maps(map_paths(geoms), simple_lisa(ids, ["HH", "HH"], [0.05, 0.001]))
         assert 'fill="#a1d99b"' in signif
         assert 'fill="#00441b"' in signif
         assert "p &lt;= 0.05" in signif and "p &lt;= 0.001" in signif
@@ -128,7 +129,50 @@ class TestLisaMaps:
         geoms = grid_geometries(1, 3)
         ids = [g.region_id for g in geoms[:2]]
         with pytest.raises(DataError, match="cell0_2"):
-            render_lisa_maps(geoms, simple_lisa(ids, ["ns", "ns"], [None, None]))
+            render_lisa_maps(map_paths(geoms), simple_lisa(ids, ["ns", "ns"], [None, None]))
+
+
+class TestMapPaths:
+    # sha256 of the maps as drawn before the projection was shared, when each
+    # renderer took the geometries and projected them itself
+    CHOROPLETH_SHA = "f14dc9cbd119b967cdf585a63b13102513570b392a0a5c141ae9c866e58eaeea"
+    CLUSTER_SHA = "26d6558dcab8471d48dfbdac1ebfadba93d6b7561f2bd910366bc6914b2210cc"
+    SIGNIFICANCE_SHA = "38902709689b0f7cc5f45b953545383f23eacf1c824faa397fda49cbe138ec99"
+
+    @staticmethod
+    def sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def test_choropleth_bytes(self):
+        geoms = grid_geometries(2, 3)
+        scale = ColorScale("diverging", [(-10.0, "#2c7bb6"), (0.0, "#ffffbf"), (10.0, "#d7191c")])
+        values = {"cell0_0": -12.5, "cell0_1": 3.25, "cell0_2": None, "cell1_0": 0.0,
+                  "cell1_1": 7.125, "ghost": 1.0}
+        spec = FigureSpec(width=500, height=311, margin=25, title="Mean <variation> & more")
+        svg = render_choropleth(map_paths(geoms, spec), values, scale, spec)
+        assert self.sha(svg) == self.CHOROPLETH_SHA
+
+    def test_lisa_map_bytes(self):
+        geoms = grid_geometries(2, 3)
+        ids = ["cell1_2", "cell1_1", "cell1_0", "cell0_2", "cell0_1", "cell0_0"]
+        lisa = simple_lisa(ids, ["HH", "LL", "LH", "HL", "ns", "HH"],
+                           [0.05, 0.01, 0.001, None, None, 0.05], p=[0.5] * 6)
+        cluster, signif = render_lisa_maps(map_paths(geoms), lisa, FigureSpec(title="LISA clusters: parks"))
+        assert (self.sha(cluster), self.sha(signif)) == (self.CLUSTER_SHA, self.SIGNIFICANCE_SHA)
+
+    def test_sorted_ids_in_spec_frame(self):
+        geoms = [RegionGeometry("b", square(1, 0)), RegionGeometry("a", square(0, 0))]
+        paths = map_paths(geoms, FigureSpec(width=220, height=120, margin=10))
+        assert list(paths.items()) == [("a", "M10,110 L110,110 L110,10 L10,10 Z"),
+                                       ("b", "M110,110 L210,110 L210,10 L110,10 Z")]
+
+    def test_every_ring_in_one_path(self):
+        g = RegionGeometry("two", square(0, 0) + square(2, 0))
+        assert map_paths([g])["two"].count("M") == 2
+
+    def test_no_geometry_is_error(self):
+        with pytest.raises(DataError, match="no geometry to draw"):
+            map_paths([])
 
 
 class TestScatterFigure:

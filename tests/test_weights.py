@@ -267,6 +267,27 @@ class TestGeoJson:
         with pytest.raises(GeometryError, match="cell0_1: feature has no geometry"):
             load_geojson(doc)
 
+    def test_altitude_dropped(self):
+        doc = grid_geojson(1, 2)
+        flat = load_geojson(doc)
+        for f in doc["features"]:
+            geom = f["geometry"]
+            geom["coordinates"] = [[[x, y, 5.0] for x, y in ring] for ring in geom["coordinates"]]
+        assert load_geojson(doc) == flat
+
+    @pytest.mark.parametrize(
+        "coordinates",
+        [[[[0, 0], None, [1, 1], [0, 0]]], [[[0, 0], [1], [1, 1], [0, 0]]], [[0, 0, 1, 1]],
+         [[[0, 0], [1, 10**400], [1, 1], [0, 0]]], [[[0, 0], [1, float("nan")], [1, 1], [0, 0]]],
+         [[[0, 0], [float("inf"), 0], [1, 1], [0, 0]]]],
+        ids=["null position", "short position", "bare numbers", "huge integer", "nan", "inf"],
+    )
+    def test_malformed_position_names_region(self, coordinates):
+        doc = grid_geojson(1, 2)
+        doc["features"][1]["geometry"]["coordinates"] = coordinates
+        with pytest.raises(GeometryError, match="cell0_1: malformed coordinates"):
+            load_geojson(doc)
+
     def test_custom_id_property(self):
         doc = grid_geojson(1, 2)
         for f in doc["features"]:
