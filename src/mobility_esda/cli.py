@@ -373,6 +373,8 @@ def cmd_moran(args) -> int:
     W_binary = build(geoms, snap_tol=args.snap_tol)
     if args.island_knn > 0:
         W_binary = wt.connect_islands_knn(W_binary, geoms, args.island_knn)
+    if W_binary.s0 == 0:
+        raise DataError("no two regions touch; link them with --island-knn K (K nearest centroids)")
     W = wt.row_standardize(W_binary)
     atomic_write(out_dir / "weights.txt", wt.to_text(W_binary))
     atomic_write(out_dir / "weights.json", wt.to_json(W))
@@ -476,6 +478,8 @@ def cmd_render(args) -> int:
     for row in csv.DictReader(io.StringIO(text, newline="")):
         if "region_id" not in row or "value" not in row:
             raise SchemaError("values CSV needs region_id and value columns")
+        if row["region_id"] in values:
+            raise DataError(f"values CSV: region id {row['region_id']!r} appears more than once")
         try:
             values[row["region_id"]] = float(row["value"]) if row["value"] else None
         except ValueError:

@@ -19,11 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ZeroVarianceError
+from .errors import DataError, ParameterError, ZeroVarianceError
 from .weights import SpatialWeights
 
 QUADRANTS = ("HH", "LL", "LH", "HL")
 SIGNIFICANCE_TIERS = (0.05, 0.01, 0.001)
+SIDES = ("greater", "less", "one_sided_folded")
+LISA_BLOCK = 8192  # elements of one block's regions x draws x degree arrays
+EPS = 1e-12  # a simulation within EPS of the observation counts as at least as extreme
 
 
 @dataclass
@@ -54,6 +57,11 @@ def _require_variance(field: ValueField) -> None:
 def _check_aligned(field: ValueField, W: SpatialWeights) -> None:
     if len(field.x) != W.n:
         raise ParameterError(f"field has {len(field.x)} values but weights cover {W.n} regions")
+
+
+def _check_sided(sided: str) -> None:
+    if sided not in SIDES:
+        raise ParameterError(f"unknown sidedness {sided!r}")
 
 
 def spatial_lag(W: SpatialWeights, z) -> np.ndarray:
@@ -89,6 +97,8 @@ def _moran_sims(z: np.ndarray, perms: np.ndarray, W: SpatialWeights) -> np.ndarr
 def moran_global(field: ValueField, W: SpatialWeights) -> float:
     _require_variance(field)
     _check_aligned(field, W)
+    if W.s0 == 0:
+        raise DataError("the weights link no two regions; the global Moran index is undefined")
     z = field.x - field.mean
     return float(_moran_sims(z, np.arange(W.n)[None, :], W)[0])
 
@@ -106,27 +116,29 @@ class MoranGlobalResult:
     exhaustive: bool = False
 
 
+def _tail_sign(dev, sided: str):
+    """The tail each test counts, per deviation of the observation from
+    its reference: +1 the upper, -1 the lower, 0 (a folded test with zero
+    deviation) every simulation.
+
+    A simulation s is at least as extreme as the observation o when
+    ``sign * s >= sign * o - EPS``. For sign -1 that is exactly
+    ``s <= o + EPS``, as negation is exact, and for sign 0 it always holds.
+    """
+    if sided == "greater":
+        return 1.0
+    if sided == "less":
+        return -1.0
+    return np.sign(dev)
+
+
 def _pseudo_p(observed: float, sims: np.ndarray, reference: float, sided: str) -> float:
     """(M+1)/(R+1) with M counting simulations at least as extreme as the
     observed value on its side of the reference; a zero deviation counts
     every simulation."""
-    R = len(sims)
-    dev = observed - reference
-    eps = 1e-12  # count float-order ties as "at least as extreme"
-    if sided == "greater":
-        M = int(np.sum(sims >= observed - eps))
-    elif sided == "less":
-        M = int(np.sum(sims <= observed + eps))
-    elif sided == "one_sided_folded":
-        if dev > 0:
-            M = int(np.sum(sims >= observed - eps))
-        elif dev < 0:
-            M = int(np.sum(sims <= observed + eps))
-        else:
-            M = R
-    else:
-        raise ParameterError(f"unknown sidedness {sided!r}")
-    return (M + 1) / (R + 1)
+    sign = _tail_sign(observed - reference, sided)
+    M = int(np.count_nonzero(sign * sims >= sign * observed - EPS))
+    return (M + 1) / (len(sims) + 1)
 
 
 def _field_group(
@@ -162,6 +174,7 @@ def moran_permutation(
     so each field's result equals a call on that field alone.
     """
     group, single = _field_group(fields, W)
+    _check_sided(sided)
     n = W.n
     if exhaustive:
         if n > 9:
@@ -171,7 +184,8 @@ def moran_permutation(
         if permutations < 1:
             raise ParameterError(f"permutations must be >= 1, got {permutations}")
         rng = np.random.default_rng(seed)
-        perms = np.array([rng.permutation(n) for _ in range(permutations)])
+        # row by row the same relabelings as one rng.permutation(n) call each
+        perms = rng.permuted(np.tile(np.arange(n), (permutations, 1)), axis=1)
     results = []
     for field in group:
         observed = moran_global(field, W)
@@ -231,22 +245,64 @@ def moran_local(field: ValueField, W: SpatialWeights) -> np.ndarray:
     return _local_and_lag(field, W)[0]
 
 
+def _block_draws(rngs: list[np.random.Generator], m: int, k: int, size: int) -> np.ndarray:
+    """One block of ``size`` rows of k distinct indices from range(m) per
+    generator, G x size x k; each row is uniform over the m!/(m-k)!
+    ordered k-tuples.
+
+    Each generator is read on its own, in this order: k rounds of
+    ``integers(0, j + 1, size=size)`` for j = m-k .. m-1, then
+    ``random((size, k))`` sort keys. The rest runs on all blocks at once.
+    Floyd's subset algorithm: a round's draw that repeats an earlier pick
+    of its row becomes j instead, which leaves a uniform k-subset in k
+    rounds with no redraws. Sorting each row by its uniform keys then puts
+    the subset in uniform order.
+    """
+    G = len(rngs)
+    picks = np.empty((k, G, size), dtype=np.intp)  # round-major: each round is contiguous
+    keys = np.empty((G, size, k))
+    for g, rng in enumerate(rngs):
+        for t, j in enumerate(range(m - k, m)):
+            picks[t, g] = rng.integers(0, j + 1, size=size)
+        rng.random(out=keys[g])
+    for t, j in enumerate(range(m - k, m)):
+        np.copyto(picks[t], j, where=(picks[:t] == picks[t]).any(axis=0))
+    # row (g, r) in the order of its keys; picks[a, g, r] is flat element a*G*size + g*size + r
+    # (in place: at most three G x size x k arrays are live, as in a one-region block)
+    order = np.argsort(keys, axis=-1)
+    order *= G * size
+    order += np.arange(G * size).reshape(G, size, 1)
+    return np.take(picks, order)
+
+
 def _ordered_draws(rng: np.random.Generator, m: int, k: int, size: int) -> np.ndarray:
     """``size`` rows of k distinct indices from range(m), each row uniform
-    over the m!/(m-k)! ordered k-tuples.
+    over the m!/(m-k)! ordered k-tuples: one block of ``_block_draws``."""
+    return _block_draws([rng], m, k, size)[0]
 
-    Floyd's subset algorithm runs on all rows at once: round j draws from
-    range(j + 1) and takes j instead when the draw repeats an earlier pick,
-    which leaves a uniform k-subset in k rounds with no redraws. Sorting
-    each row by uniform keys then puts the subset in uniform order.
+
+def _local_tails(
+    Z: np.ndarray, regions: np.ndarray, nbrs: np.ndarray, wts: np.ndarray, sided: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each field (row of the F x n ``Z``) and each of G regions of one
+    degree k with G x k neighbours ``nbrs`` and weights ``wts``: sign * z_i
+    and sign * I_i - EPS, F x G each, with the sign of ``_tail_sign``.
+
+    A draw whose lag is ``lag`` is at least as extreme as the observation
+    when ``(sign * z_i) * lag >= sign * I_i - EPS``, which is
+    ``sign * (z_i * lag)`` exactly. I_i and its reference
+    -z_i**2 * sum(w) / (n - 1) are rounded as the one-region formulas: a
+    BLAS dot per region (one field at a time, as a stacked matmul sums in
+    another order) and libm ``pow`` for z_i**2 (numpy squares arrays by
+    multiplication, which can round differently).
     """
-    picks = np.empty((size, k), dtype=np.intp)
-    for t, j in enumerate(range(m - k, m)):
-        draw = rng.integers(0, j + 1, size=size)
-        repeat = (picks[:, :t] == draw[:, None]).any(axis=1)
-        picks[:, t] = np.where(repeat, j, draw)
-    order = np.argsort(rng.random((size, k)), axis=1)
-    return np.take_along_axis(picks, order, axis=1)
+    zi = Z[:, regions]
+    lags = [(wts[:, None, :] @ z[nbrs][:, :, None])[:, 0, 0] for z in Z]
+    observed = zi * np.reshape(lags, zi.shape)
+    zi_pow2 = np.reshape([v**2 for v in zi.ravel().tolist()], zi.shape)
+    reference = -zi_pow2 * wts.sum(axis=1) / (Z.shape[1] - 1)
+    sign = _tail_sign(observed - reference, sided)
+    return sign * zi, sign * observed - EPS
 
 
 def lisa_permutation(
@@ -262,48 +318,60 @@ def lisa_permutation(
     For each region i, z_i is held fixed and its |N(i)| neighbor values
     are drawn without replacement from the other n-1 values (Anselin
     1995, conditional randomization). Region i draws all of its
-    ``permutations`` arrangements as one block from the stream
-    ``default_rng((seed, i))``, so regions can be evaluated in parallel
-    with identical results. The block sampler (``_ordered_draws``) reads
-    the stream differently from the earlier one-arrangement-per-call
-    sampler, so seeded p-values differ from earlier releases while
-    following the same null distribution. ``seed=None`` draws fresh
-    entropy once and uses it in place of the integer seed. Exhaustive
-    mode enumerates every arrangement of neighbor values.
+    ``permutations`` arrangements from its own stream
+    ``default_rng((seed, i))``, read exactly as ``_ordered_draws`` reads
+    it, so its p-value does not depend on which regions are evaluated
+    with it. The reads go region by region; everything after them runs
+    on blocks of regions of equal degree, of about ``LISA_BLOCK`` draw
+    elements each, and gives the same p-values bit for bit as evaluating
+    one region at a time: seeded p-values are those of earlier releases
+    that use this sampler. ``seed=None`` draws fresh entropy once and
+    uses it in place of the integer seed. Exhaustive mode enumerates
+    every arrangement of neighbor values, once per degree.
 
     ``fields`` is one field, giving one p array, or a sequence of fields
-    on the same regions, giving one p array per field in order. Each
-    region's block is drawn once and every field is evaluated on it
-    before the next region is drawn, so each field's p-values equal a
-    call on that field alone.
+    on the same regions, giving one p array per field in order. The draws
+    are made once and every field is evaluated on them, one field at a
+    time, so each field's p-values equal a call on that field alone.
+    Islands get p = 1.
     """
     group, single = _field_group(fields, W)
+    _check_sided(sided)
     if not exhaustive and permutations < 1:
         raise ParameterError(f"permutations must be >= 1, got {permutations}")
     if seed is None:
         seed = np.random.SeedSequence().entropy
     n = W.n
+    degree = np.diff(W.indptr)
+    if exhaustive:
+        big = [i for i, k in enumerate(degree.tolist()) if k and math.perm(n - 1, k) > 500_000]
+        if big:
+            raise ParameterError(f"exhaustive conditional enumeration too large for region {big[0]}")
+    Z = np.array([field.z for field in group]).reshape(len(group), n)
     p = np.ones((len(group), n))
-    for i in range(n):
-        nbrs, wts = W.neighbors(i), W.weights(i)
-        k = len(nbrs)
-        if k == 0:
-            continue  # island: no lag, leave p = 1
-        wsum = float(wts.sum())
+    for k in sorted(set(degree.tolist()) - {0}):
+        regions = np.flatnonzero(degree == k)
+        stored = W.indptr[regions][:, None] + np.arange(k)
+        wts = W.data[stored]
+        signed_zi, threshold = _local_tails(Z, regions, W.indices[stored], wts, sided)
         if exhaustive:
-            if math.perm(n - 1, k) > 500_000:
-                raise ParameterError(
-                    f"exhaustive conditional enumeration too large for region {i}"
-                )
-            draws = np.array(list(itertools.permutations(range(n - 1), k)))
-        else:
-            draws = _ordered_draws(np.random.default_rng((seed, i)), n - 1, k, permutations)
-        for f, field in enumerate(group):
-            z = field.z
-            observed = float(z[i] * np.dot(wts, z[nbrs]))
-            reference = -(z[i] ** 2) * wsum / (n - 1)
-            sims = z[i] * (np.delete(z, i)[draws] @ wts)
-            p[f, i] = _pseudo_p(observed, sims, reference, sided)
+            enumeration = np.array(list(itertools.permutations(range(n - 1), k)))
+        R = len(enumeration) if exhaustive else permutations
+        counts = np.empty(signed_zi.shape, dtype=np.intp)
+        block = max(1, LISA_BLOCK // (R * k))
+        for start in range(0, len(regions), block):
+            b = slice(start, start + block)
+            # each draw indexes the n - 1 regions other than i: skip i itself
+            if exhaustive:
+                others = enumeration + (enumeration >= regions[b, None, None])
+            else:
+                rngs = [np.random.default_rng((seed, i)) for i in regions[b].tolist()]
+                others = _block_draws(rngs, n - 1, k, R)
+                others += others >= regions[b, None, None]
+            for f, z in enumerate(Z):
+                lag = (z[others] @ wts[b, :, None])[..., 0]
+                counts[f, b] = (signed_zi[f, b, None] * lag >= threshold[f, b, None]).sum(axis=1)
+        p[:, regions] = (counts + 1) / (R + 1)
     return p[0] if single else list(p)
 
 

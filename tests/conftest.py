@@ -4,8 +4,9 @@ The oracles here deliberately avoid the package's own code paths: the
 Moran oracle is a plain double loop over the weights, the LOESS oracle
 solves each local weighted least-squares problem directly, the STL
 oracle runs the decomposition loop with one least-squares fit per
-point, the permutation oracles enumerate relabelings by brute force, and
-the parse oracle decodes the whole input and checks it row by row.
+point, the permutation oracles enumerate relabelings by brute force, the
+LISA oracle evaluates one region at a time on its own stream, and the
+parse oracle decodes the whole input and checks it row by row.
 """
 
 from __future__ import annotations
@@ -174,6 +175,66 @@ def exhaustive_conditional_p(z, W: SpatialWeights, i: int) -> float:
     else:
         M = len(sims)
     return (M + 1) / (len(sims) + 1)
+
+
+def _oracle_ordered_draws(rng: np.random.Generator, m: int, k: int, size: int) -> np.ndarray:
+    """One region's block of ordered draws, read from its stream as the
+    package reads it: Floyd's subset algorithm on all rows at once, then a
+    uniform order from sorting each row by random keys."""
+    picks = np.empty((size, k), dtype=np.intp)
+    for t, j in enumerate(range(m - k, m)):
+        draw = rng.integers(0, j + 1, size=size)
+        repeat = (picks[:, :t] == draw[:, None]).any(axis=1)
+        picks[:, t] = np.where(repeat, j, draw)
+    order = np.argsort(rng.random((size, k)), axis=1)
+    return np.take_along_axis(picks, order, axis=1)
+
+
+def _oracle_pseudo_p(observed: float, sims: np.ndarray, reference: float, sided: str) -> float:
+    R = len(sims)
+    dev = observed - reference
+    eps = 1e-12
+    if sided == "greater":
+        M = int(np.sum(sims >= observed - eps))
+    elif sided == "less":
+        M = int(np.sum(sims <= observed + eps))
+    elif sided == "one_sided_folded":
+        if dev > 0:
+            M = int(np.sum(sims >= observed - eps))
+        elif dev < 0:
+            M = int(np.sum(sims <= observed + eps))
+        else:
+            M = R
+    else:
+        raise ValueError(f"unknown sidedness {sided!r}")
+    return (M + 1) / (R + 1)
+
+
+def lisa_oracle(
+    fields, W: SpatialWeights, permutations=999, seed=0, sided="one_sided_folded", exhaustive=False
+) -> list[np.ndarray]:
+    """Conditional-permutation p-values one region at a time: region i's
+    draws come from ``default_rng((seed, i))`` (or every arrangement when
+    exhaustive) and each field is evaluated on them with ``np.delete``."""
+    n = W.n
+    p = np.ones((len(fields), n))
+    for i in range(n):
+        nbrs, wts = W.neighbors(i), W.weights(i)
+        k = len(nbrs)
+        if k == 0:
+            continue  # island: no lag, leave p = 1
+        wsum = float(wts.sum())
+        if exhaustive:
+            draws = np.array(list(itertools.permutations(range(n - 1), k)))
+        else:
+            draws = _oracle_ordered_draws(np.random.default_rng((seed, i)), n - 1, k, permutations)
+        for f, field in enumerate(fields):
+            z = field.z
+            observed = float(z[i] * np.dot(wts, z[nbrs]))
+            reference = -(z[i] ** 2) * wsum / (n - 1)
+            sims = z[i] * (np.delete(z, i)[draws] @ wts)
+            p[f, i] = _oracle_pseudo_p(observed, sims, reference, sided)
+    return list(p)
 
 
 def _oracle_text(source) -> str:

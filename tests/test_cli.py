@@ -502,6 +502,20 @@ def failing_run(kind, sy, tmp, monkeypatch):
         (tmp / "map.geojson").write_text(json.dumps(doc))
         (tmp / "vals.csv").write_text("region_id,value\ncell0_0,1\n")
         return ["render", "--geometry", str(tmp / "map.geojson"), "--values", str(tmp / "vals.csv")]
+    if kind == "duplicate values id":
+        (tmp / "vals.csv").write_text("region_id,value\ncell0_0,1\ncell1_1,2\ncell0_0,5\n")
+        return ["render", "--geometry", geo_path, "--values", str(tmp / "vals.csv")]
+    if kind == "no two regions touch":
+        # the 4x4 grid with each cell moved to (2c, -2r): a gap between any two
+        doc = grid_geojson(4, 4)
+        for feature in doc["features"]:
+            r, c = map(int, feature["properties"]["region_id"][4:].split("_"))
+            feature["geometry"]["coordinates"] = [
+                [[x + c, y - r] for x, y in ring] for ring in feature["geometry"]["coordinates"]
+            ]
+        (tmp / "apart.geojson").write_text(json.dumps(doc))
+        return ["moran", "--input", csv_path, "--geometry", str(tmp / "apart.geojson"),
+                "--country", "SY", "--from", "2020-03-01", "--to", "2020-03-21"]
     if kind == "data":
         (tmp / "gap.csv").write_text(f"{HEADER}\nBR,,2020-03-01,1,2,,4,5,6\n")
         return ["ingest", "--input", str(tmp / "gap.csv")]
@@ -582,6 +596,8 @@ def failing_run(kind, sy, tmp, monkeypatch):
         ("polygon without coordinates", 3),
         ("non-numeric position", 3),
         ("missing values", 3),
+        ("duplicate values id", 3),
+        ("no two regions touch", 3),
         ("missing config", 3),
         ("bad config", 3),
         ("required option", 3),
@@ -599,6 +615,13 @@ def test_failure_exit_codes(kind, code, sy, tmp_path, capsys, monkeypatch):
     assert FAILURE_MESSAGES.get(kind, "") in first
 
 
+def test_no_links_writes_nothing(sy, tmp_path, monkeypatch):
+    argv = failing_run("no two regions touch", sy, tmp_path, monkeypatch) + ["--permutations", "9"]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 3
+    assert not (tmp_path / "out").exists()
+    assert main(argv + ["--island-knn", "1", "--out-dir", str(tmp_path / "knn")]) == 0
+
+
 # the error line names where a bad seed came from, or what the map lacks
 FAILURE_MESSAGES = {
     "negative seed": "error: --seed (or config seed) must be a non-negative integer, got -1",
@@ -609,4 +632,6 @@ FAILURE_MESSAGES = {
     "polygon without rings": "error: cell0_0: geometry has no rings",
     "polygon without coordinates": "error: cell0_0: Polygon has no coordinates",
     "non-numeric position": "error: cell0_0: malformed coordinates",
+    "duplicate values id": "error: values CSV: region id 'cell0_0' appears more than once",
+    "no two regions touch": "error: no two regions touch; link them with --island-knn",
 }

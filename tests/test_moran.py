@@ -3,9 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from mobility_esda.errors import ParameterError, ZeroVarianceError
+from mobility_esda.errors import DataError, ParameterError, ZeroVarianceError
 from mobility_esda.moran import (
     _moran_sims,
     _ordered_draws,
@@ -19,9 +19,16 @@ from mobility_esda.moran import (
     spatial_lag,
     standardize_values,
 )
-from mobility_esda.weights import queen_adjacency, rook_adjacency, row_standardize
+from mobility_esda import moran
+from mobility_esda.weights import SpatialWeights, queen_adjacency, rook_adjacency, row_standardize
 
-from conftest import exhaustive_conditional_p, exhaustive_pseudo_p, grid_geometries, moran_oracle
+from conftest import (
+    exhaustive_conditional_p,
+    exhaustive_pseudo_p,
+    grid_geometries,
+    lisa_oracle,
+    moran_oracle,
+)
 
 CHECKERBOARD = np.array([1.0, -1.0, -1.0, 1.0])  # 2x2 row-major
 
@@ -227,6 +234,23 @@ class TestGlobalPermutation:
         expected = [moran_oracle(x[perm], W) for perm in perms]
         assert np.allclose(sims, expected, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("n, R, seed", [(2, 1, 0), (9, 7, 3), (27, 999, 42), (400, 99, 1)])
+    def test_relabelings_equal_one_permutation_call_each(self, n, R, seed, monkeypatch):
+        seen = []
+
+        def record(z, perms, W):
+            seen.append(perms)
+            return _moran_sims(z, perms, W)
+
+        monkeypatch.setattr(moran, "_moran_sims", record)
+        W = SpatialWeights.from_rows(
+            [f"r{i}" for i in range(n)], [[j for j in (i - 1, i + 1) if 0 <= j < n] for i in range(n)]
+        )
+        f = standardize_values(np.random.default_rng(seed).normal(0, 1, n))
+        moran_permutation(f, W, permutations=R, seed=seed)
+        rng = np.random.default_rng(seed)
+        assert np.array_equal(seen[-1], np.array([rng.permutation(n) for _ in range(R)]))
+
 
 def chi2_upper_quantile(df: int, z: float = 3.09) -> float:
     """Wilson-Hilferty approximation of the chi-square quantile at normal
@@ -383,6 +407,118 @@ class TestSharedDraws:
             moran_permutation(group, queen_6x6_rs, permutations=9)
         with pytest.raises(ZeroVarianceError):
             lisa_permutation(group, queen_6x6_rs, permutations=9)
+
+
+@st.composite
+def lisa_cases(draw):
+    """A random symmetric graph (islands and mixed degrees; binary,
+    row-standardized or unequal positive weights), 1-3 fields on it and the
+    keyword arguments of one ``lisa_permutation`` call; exhaustive only for
+    n <= 7."""
+    n = draw(st.integers(2, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    links = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    neighbors = [[] for _ in range(n)]
+    for (i, j), linked in zip(pairs, links):
+        if linked:
+            neighbors[i].append(j)
+            neighbors[j].append(i)
+    ids = [f"r{i}" for i in range(n)]
+    kind = draw(st.sampled_from(["binary", "row-standardized", "unequal"]))
+    if kind == "unequal":  # the order of a region's draws then matters to its lag
+        weight = st.floats(0.1, 10)
+        W = SpatialWeights.from_rows(ids, neighbors, [[draw(weight) for _ in nbrs] for nbrs in neighbors])
+    else:
+        W = SpatialWeights.from_rows(ids, neighbors)
+    if kind == "row-standardized":
+        W = row_standardize(W)
+    # small integers give ties between draws and the observation
+    values = st.one_of(st.integers(-2, 2).map(float), st.floats(-1e3, 1e3, allow_nan=False))
+    fields = [
+        standardize_values(draw(st.lists(values, min_size=n, max_size=n)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    assume(not any(field.zero_variance for field in fields))
+    if n <= 7 and draw(st.booleans()):
+        kwargs = {"exhaustive": True}
+    else:
+        kwargs = {"permutations": draw(st.sampled_from([1, 2, 7, 99])), "seed": draw(st.integers(0, 2**32))}
+    kwargs["sided"] = draw(st.sampled_from(["greater", "less", "one_sided_folded"]))
+    return fields, W, kwargs
+
+
+class TestLisaOracle:
+    """Blocked evaluation gives the p-values of the one-region-at-a-time
+    loop bit for bit."""
+
+    @given(lisa_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_per_region_loop(self, case):
+        fields, W, kwargs = case
+        got = lisa_permutation(fields, W, **kwargs)
+        for p, expected in zip(got, lisa_oracle(fields, W, **kwargs), strict=True):
+            assert np.array_equal(p, expected)
+
+    # graphs and integer values where a region's observation equals its
+    # reference but for rounding, so the sign of a deviation of about 1e-16
+    # decides the folded tail: I_i needs one BLAS dot per region and field,
+    # the reference libm pow for z_i ** 2
+    TIED = [
+        ([1, 1, 0, 0, 1, 1, 0],
+         [[2, 4, 5], [2, 6], [0, 1, 3, 4, 5, 6], [2, 4, 5], [0, 2, 3, 6], [0, 2, 3], [1, 2, 4]]),
+        ([3, 1, 0, 3, 3, 0],
+         [[1, 2, 3, 4, 5], [0, 2, 3, 4, 5], [0, 1], [0, 1, 4, 5], [0, 1, 3], [0, 1, 3]]),
+        ([4, 0, 3, 2, 4, 0, 2],
+         [[4], [2, 3, 4, 6], [1, 5, 6], [1], [0, 1, 6], [2, 6], [1, 2, 4, 5]]),
+        ([0, 0, 0, 1, 1, 1, 0],
+         [[1, 2, 3, 6], [0, 4], [0], [0, 4, 5], [1, 3, 5, 6], [3, 4], [0, 4]]),
+        ([1, 0, 0, 1, 3, 0],
+         [[1, 2, 3, 4, 5], [0, 2, 3, 5], [0, 1, 3, 4, 5], [0, 1, 2, 4], [0, 2, 3, 5], [0, 1, 2, 4]]),
+    ]
+
+    @pytest.mark.parametrize("x, neighbors", TIED)
+    @pytest.mark.parametrize("kwargs", [{"permutations": 99, "seed": 0}, {"exhaustive": True}])
+    def test_observation_at_its_reference(self, x, neighbors, kwargs):
+        W = row_standardize(SpatialWeights.from_rows([f"r{i}" for i in range(len(x))], neighbors))
+        fields = [standardize_values(x), standardize_values(x[::-1])]
+        got = lisa_permutation(fields, W, **kwargs)
+        for p, expected in zip(got, lisa_oracle(fields, W, **kwargs), strict=True):
+            assert np.array_equal(p, expected)
+
+    @pytest.mark.parametrize("permutations", [99, 999])
+    def test_many_blocks_per_degree(self, permutations):
+        # 12x12 queen: 100 regions of degree 8 go in blocks of 10 at R=99, of 1 at R=999
+        W = row_standardize(queen_adjacency(grid_geometries(12, 12)))
+        rng = np.random.default_rng(40)
+        fields = [standardize_values(rng.normal(0, 1, W.n)) for _ in range(2)]
+        got = lisa_permutation(fields, W, permutations=permutations, seed=11)
+        for p, expected in zip(got, lisa_oracle(fields, W, permutations=permutations, seed=11), strict=True):
+            assert np.array_equal(p, expected)
+
+
+class TestDegenerateInputs:
+    @staticmethod
+    def all_islands():
+        return SpatialWeights.from_neighbors(list("abc"), {})
+
+    def test_global_without_links_refused(self):
+        f = standardize_values([1.0, 2.0, 4.0])
+        with pytest.raises(DataError, match="link no two regions"):
+            moran_global(f, self.all_islands())
+        with pytest.raises(DataError, match="link no two regions"):
+            moran_permutation(f, self.all_islands(), permutations=9)
+
+    def test_local_without_links_gives_p_one(self):
+        f = standardize_values([1.0, 2.0, 4.0])
+        assert lisa_permutation(f, self.all_islands(), permutations=9).tolist() == [1.0] * 3
+
+    @pytest.mark.parametrize("test", [moran_permutation, lisa_permutation])
+    @pytest.mark.parametrize("islands", [False, True])
+    def test_unknown_sidedness_refused(self, test, islands, queen_6x6_rs):
+        W = self.all_islands() if islands else queen_6x6_rs
+        f = standardize_values(np.random.default_rng(41).normal(0, 1, W.n))
+        with pytest.raises(ParameterError, match="unknown sidedness 'bogus'"):
+            test(f, W, permutations=9, sided="bogus")
 
 
 class TestClassify:
