@@ -28,8 +28,8 @@ from .moran import (  # noqa: F401
     spatial_lag,
     moran_global,
     moran_permutation,
-    moran_scatter,
     moran_local,
     lisa_permutation,
     lisa_classify,
+    LisaResult,
 )

@@ -153,7 +153,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, tuple]]]:
-    """The argument parser, and per subcommand each option's (default, type).
+    """The argument parser, and per subcommand each option's (default,
+    ``Action``, whether it takes a list).
 
     Every option parses to None when absent; :func:`resolve_options` fills
     it from the config file, else from its default, so explicit flags win.
@@ -172,7 +173,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, tuple]]
 
         def option(*flags, default=None, required=False, **kw):
             action = p.add_argument(*flags, default=None, **kw)
-            own[action.dest] = (REQUIRED if required else default, kw.get("type"))
+            many = kw.get("action") == "append" or action.nargs not in (None, 0)
+            own[action.dest] = (REQUIRED if required else default, action, many)
 
         option("--out-dir", default="out", help="output directory")
         return option
@@ -233,24 +235,43 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, tuple]]
     return parser, defaults
 
 
+def _config_value(key: str, value, action: argparse.Action, many: bool):
+    """A config value checked as the option's flag would be: a flag takes
+    true or false, a list option a list (of ``nargs`` items if that is a
+    number), and every other value, or list item, is a string, number or
+    date read as the flag's text through the option's type and choices."""
+    if action.nargs == 0:
+        if isinstance(value, bool):
+            return value
+    elif many:
+        if isinstance(value, list) and action.nargs in ("*", None, len(value)):
+            return [_config_value(key, item, action, many=False) for item in value]
+    elif isinstance(value, (str, int, float, dt.date)) and not isinstance(value, bool):
+        try:
+            parsed = (action.type or str)(str(value))
+        except ValueError:
+            pass
+        else:
+            if action.choices is None or parsed in action.choices:
+                return parsed
+    raise ParameterError(f"config {key}: {value!r} is not a valid {action.option_strings[0]} value")
+
+
 def resolve_options(args, defaults: dict[str, tuple], config: dict) -> None:
     """Fill each option the command line left unset from ``config``, else its default."""
     config = {k.replace("-", "_"): v for k, v in config.items()}
     unknown = sorted(set(config) - set(defaults))
     if unknown:
         raise ParameterError(f"config keys not defined for {args.command}: {unknown}")
-    for dest, (default, convert) in defaults.items():
+    for dest, (default, action, many) in defaults.items():
         if getattr(args, dest) is not None:
             continue
-        value = config.get(dest, default)
-        if value is REQUIRED:
+        if dest in config:
+            setattr(args, dest, _config_value(dest, config[dest], action, many))
+        elif default is REQUIRED:
             raise ParameterError(f"--{dest.replace('_', '-')} is required")
-        if convert is not None and isinstance(value, str):
-            try:
-                value = convert(value)
-            except ValueError:
-                raise ParameterError(f"config {dest}: invalid value {value!r}") from None
-        setattr(args, dest, value)
+        else:
+            setattr(args, dest, default)
 
 
 def cmd_ingest(args) -> int:
@@ -278,7 +299,7 @@ def _select_regions(table, args) -> list[str]:
             regions.append(ing.region_key(args.country))
     if not regions:
         raise ParameterError("select regions with --region or --country")
-    return regions
+    return list(dict.fromkeys(regions))  # each region once, in first-seen order
 
 
 def cmd_indicator(args) -> int:
@@ -341,6 +362,29 @@ def _reconcile_ids(geom_ids: list[str], data_ids: list[str]) -> None:
         raise IdMismatchError("\n".join(lines))
 
 
+def _contiguity_weights(
+    args, geoms, out_dir: Path, row_standardize: bool, links_required: bool = False
+) -> wt.SpatialWeights:
+    """``--contiguity`` weights, islands linked per ``--island-knn``, written to
+    weights.txt/json; with ``links_required``, none are written unless some link."""
+    build = wt.queen_adjacency if args.contiguity == "queen" else wt.rook_adjacency
+    W = build(geoms, snap_tol=args.snap_tol)
+    if args.island_knn > 0:
+        W = wt.connect_islands_knn(W, geoms, args.island_knn)
+    if links_required and W.s0 == 0:
+        raise DataError("no two regions touch; link them with --island-knn K (K nearest centroids)")
+    if row_standardize:
+        W = wt.row_standardize(W)
+    atomic_write(out_dir / "weights.txt", wt.to_text(W))
+    atomic_write(out_dir / "weights.json", wt.to_json(W))
+    return W
+
+
+def _blue_ramp(lo: float, hi: float) -> rd.ColorScale:
+    """Dark blue at ``lo`` to light blue at ``hi``; all light for a constant field."""
+    return rd.ColorScale([(lo, "#08306b"), (hi, "#deebf7")] if lo < hi else [(lo, "#deebf7")])
+
+
 def cmd_moran(args) -> int:
     out_dir = Path(args.out_dir)
     seed = _resolve_seed(args)
@@ -363,21 +407,14 @@ def cmd_moran(args) -> int:
     for category in args.categories:
         # regional variable: mean daily percent change over the window
         column = table.column(category)
-        fields[category] = mr.standardize_values(np.array([column[r].mean() for r in rows]))
-        if fields[category].zero_variance:
+        try:
+            fields[category] = mr.standardize_values(np.array([column[r].mean() for r in rows]))
+        except ZeroVarianceError:
             raise ZeroVarianceError(
                 f"{category}: identical mean variation in every region; Moran undefined"
-            )
+            ) from None
 
-    build = wt.queen_adjacency if args.contiguity == "queen" else wt.rook_adjacency
-    W_binary = build(geoms, snap_tol=args.snap_tol)
-    if args.island_knn > 0:
-        W_binary = wt.connect_islands_knn(W_binary, geoms, args.island_knn)
-    if W_binary.s0 == 0:
-        raise DataError("no two regions touch; link them with --island-knn K (K nearest centroids)")
-    W = wt.row_standardize(W_binary)
-    atomic_write(out_dir / "weights.txt", wt.to_text(W_binary))
-    atomic_write(out_dir / "weights.json", wt.to_json(W))
+    W = _contiguity_weights(args, geoms, out_dir, row_standardize=True, links_required=True)
 
     # one set of draws for all categories: each equals a run on it alone
     group = list(fields.values())
@@ -386,8 +423,8 @@ def cmd_moran(args) -> int:
     paths = rd.map_paths(geoms)  # one projection serves every map of every category
     for (category, field), result, p_local in zip(fields.items(), results, p_locals):
         x = field.x
-        scatter = mr.moran_scatter(field, W)
         lisa = mr.lisa_classify(field, W, p_local, alpha=args.alpha)
+        local_i = lisa.local_i
 
         cat_dir = out_dir / category
         atomic_write(
@@ -412,7 +449,7 @@ def cmd_moran(args) -> int:
         )
         atomic_write(
             cat_dir / "scatter.svg",
-            rd.render_moran_scatter(scatter, rd.FigureSpec(title=f"Moran scatter: {category}")),
+            rd.render_moran_scatter(lisa, rd.FigureSpec(title=f"Moran scatter: {category}")),
         )
         atomic_write(cat_dir / "lisa.csv", rd.lisa_to_csv(lisa))
         cluster_svg, signif_svg = rd.render_lisa_maps(
@@ -420,15 +457,12 @@ def cmd_moran(args) -> int:
         )
         atomic_write(cat_dir / "lisa-clusters.svg", cluster_svg)
         atomic_write(cat_dir / "lisa-significance.svg", signif_svg)
-        scale = rd.ColorScale(
-            "sequential", [(float(x.min()), "#08306b"), (float(x.max()), "#deebf7")]
-        ) if x.min() < x.max() else rd.ColorScale("sequential", [(0.0, "#deebf7")])
         atomic_write(
             cat_dir / "mean-variation.svg",
             rd.render_choropleth(
                 paths,
                 {rid: float(v) for rid, v in zip(W.ids, x)},
-                scale,
+                _blue_ramp(float(x.min()), float(x.max())),
                 rd.FigureSpec(title=f"Mean variation: {category}"),
             ),
         )
@@ -439,7 +473,7 @@ def cmd_moran(args) -> int:
                 {
                     rid: {
                         "mean_variation": float(x[i]),
-                        "local_i": float(lisa.local_i[i]),
+                        "local_i": float(local_i[i]),
                         "pseudo_p": float(lisa.pseudo_p[i]),
                         "quadrant": lisa.labels[i],
                     }
@@ -455,14 +489,7 @@ def cmd_moran(args) -> int:
 def cmd_weights(args) -> int:
     out_dir = Path(args.out_dir)
     geoms = load_geojson(_read_json(args.geometry), id_property=args.id_property)
-    build = wt.queen_adjacency if args.contiguity == "queen" else wt.rook_adjacency
-    W = build(geoms, snap_tol=args.snap_tol)
-    if args.island_knn > 0:
-        W = wt.connect_islands_knn(W, geoms, args.island_knn)
-    if args.row_standardize:
-        W = wt.row_standardize(W)
-    atomic_write(out_dir / "weights.txt", wt.to_text(W))
-    atomic_write(out_dir / "weights.json", wt.to_json(W))
+    _contiguity_weights(args, geoms, out_dir, row_standardize=args.row_standardize)
     write_manifest(out_dir, args)
     return EXIT_OK
 
@@ -481,18 +508,18 @@ def cmd_render(args) -> int:
         if row["region_id"] in values:
             raise DataError(f"values CSV: region id {row['region_id']!r} appears more than once")
         try:
-            values[row["region_id"]] = float(row["value"]) if row["value"] else None
+            value = float(row["value"]) if row["value"] else None
         except ValueError:
             raise DataError(f"values CSV: non-numeric value {row['value']!r}") from None
+        if value is not None and not np.isfinite(value):
+            raise DataError(
+                f"values CSV: non-finite value {row['value']!r} for region {row['region_id']!r}"
+            )
+        values[row["region_id"]] = value
     present = [v for v in values.values() if v is not None]
     if not present:
         raise DataError("values CSV contains no numeric values")
-    lo, hi = min(present), max(present)
-    scale = (
-        rd.ColorScale("sequential", [(lo, "#08306b"), (hi, "#deebf7")])
-        if lo < hi
-        else rd.ColorScale("sequential", [(lo, "#deebf7")])
-    )
+    scale = _blue_ramp(min(present), max(present))
     atomic_write(
         out_dir / "choropleth.svg",
         rd.render_choropleth(rd.map_paths(geoms), values, scale, rd.FigureSpec(title=args.title)),

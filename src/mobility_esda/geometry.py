@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -76,17 +75,11 @@ def _rings_from_geometry(rid: str, geom: dict) -> list[Ring]:
         raise GeometryError(f"{rid}: malformed coordinates (each position needs finite numeric x, y)") from None
 
 
-def load_geojson(source, id_property: str = "region_id") -> list[RegionGeometry]:
-    """Load polygon features from a GeoJSON FeatureCollection.
+def load_geojson(doc: dict, id_property: str = "region_id") -> list[RegionGeometry]:
+    """Polygon features of a parsed GeoJSON FeatureCollection.
 
     ``id_property`` names the feature property carrying the region id.
     """
-    if isinstance(source, dict):
-        doc = source
-    elif isinstance(source, (str, bytes)):
-        doc = json.loads(source)
-    else:
-        doc = json.load(source)
     if doc.get("type") != "FeatureCollection":
         raise DataError(f"expected FeatureCollection, got {doc.get('type')!r}")
     geoms = []

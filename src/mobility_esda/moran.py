@@ -22,36 +22,29 @@ import numpy as np
 from .errors import DataError, ParameterError, ZeroVarianceError
 from .weights import SpatialWeights
 
-QUADRANTS = ("HH", "LL", "LH", "HL")
 SIGNIFICANCE_TIERS = (0.05, 0.01, 0.001)
 SIDES = ("greater", "less", "one_sided_folded")
 LISA_BLOCK = 8192  # elements of one block's regions x draws x degree arrays
 EPS = 1e-12  # a simulation within EPS of the observation counts as at least as extreme
 
 
-@dataclass
 class ValueField:
-    x: np.ndarray
-    mean: float
-    sigma: float  # population standard deviation
-    z: np.ndarray
-    zero_variance: bool
+    """Values ``x`` with their ``mean``, population ``sigma`` and z-scores
+    ``z``; building one from a constant field raises ``ZeroVarianceError``."""
+
+    def __init__(self, x):
+        self.x = np.asarray(x, dtype=float)
+        if len(self.x) < 2:
+            raise ParameterError(f"need at least 2 values, got {len(self.x)}")
+        self.mean = float(self.x.mean())
+        self.sigma = float(self.x.std())  # population sigma, so (1/n) sum z^2 = 1
+        if self.sigma == 0:
+            raise ZeroVarianceError("value field is constant; Moran statistic undefined")
+        self.z = (self.x - self.mean) / self.sigma
 
 
 def standardize_values(x) -> ValueField:
-    x = np.asarray(x, dtype=float)
-    if len(x) < 2:
-        raise ParameterError(f"need at least 2 values, got {len(x)}")
-    mu = float(x.mean())
-    sigma = float(x.std())  # population sigma, so (1/n) sum z^2 = 1
-    if sigma == 0:
-        return ValueField(x, mu, 0.0, np.zeros_like(x), zero_variance=True)
-    return ValueField(x, mu, sigma, (x - mu) / sigma, zero_variance=False)
-
-
-def _require_variance(field: ValueField) -> None:
-    if field.zero_variance:
-        raise ZeroVarianceError("value field is constant; Moran statistic undefined")
+    return ValueField(x)
 
 
 def _check_aligned(field: ValueField, W: SpatialWeights) -> None:
@@ -95,7 +88,6 @@ def _moran_sims(z: np.ndarray, perms: np.ndarray, W: SpatialWeights) -> np.ndarr
 
 
 def moran_global(field: ValueField, W: SpatialWeights) -> float:
-    _require_variance(field)
     _check_aligned(field, W)
     if W.s0 == 0:
         raise DataError("the weights link no two regions; the global Moran index is undefined")
@@ -149,7 +141,6 @@ def _field_group(
     single = isinstance(fields, ValueField)
     group = [fields] if single else list(fields)
     for field in group:
-        _require_variance(field)
         _check_aligned(field, W)
     return group, single
 
@@ -212,37 +203,9 @@ def _quadrant(zi: float, lagi: float) -> str:
     return "LH" if lagi > 0 else "LL"
 
 
-@dataclass
-class MoranScatter:
-    z: np.ndarray
-    lag: np.ndarray
-    quadrants: list[str]
-    slope: float
-
-
-def moran_scatter(field: ValueField, W: SpatialWeights) -> MoranScatter:
-    """(z_i, lag_i) points with the origin-regression slope.
-
-    For row-standardized weights the slope equals the global index.
-    """
-    _require_variance(field)
-    _check_aligned(field, W)
-    lag = spatial_lag(W, field.z)
-    slope = float((field.z @ lag) / (field.z @ field.z))
-    quads = [_quadrant(zi, li) for zi, li in zip(field.z, lag)]
-    return MoranScatter(field.z.copy(), lag, quads, slope)
-
-
-def _local_and_lag(field: ValueField, W: SpatialWeights) -> tuple[np.ndarray, np.ndarray]:
-    _require_variance(field)
-    _check_aligned(field, W)
-    lag = spatial_lag(W, field.z)
-    return field.z * lag, lag
-
-
 def moran_local(field: ValueField, W: SpatialWeights) -> np.ndarray:
     """Local index I_i = z_i * lag_i; islands get 0."""
-    return _local_and_lag(field, W)[0]
+    return field.z * spatial_lag(W, field.z)
 
 
 def _block_draws(rngs: list[np.random.Generator], m: int, k: int, size: int) -> np.ndarray:
@@ -251,8 +214,10 @@ def _block_draws(rngs: list[np.random.Generator], m: int, k: int, size: int) -> 
     ordered k-tuples.
 
     Each generator is read on its own, in this order: k rounds of
-    ``integers(0, j + 1, size=size)`` for j = m-k .. m-1, then
-    ``random((size, k))`` sort keys. The rest runs on all blocks at once.
+    ``size`` integers in [0, j] for j = m-k .. m-1, in one ``integers``
+    call (it gives the values, and leaves the state, of k calls
+    ``integers(0, j + 1, size=size)``), then ``random((size, k))`` sort
+    keys. The rest runs on all blocks at once.
     Floyd's subset algorithm: a round's draw that repeats an earlier pick
     of its row becomes j instead, which leaves a uniform k-subset in k
     rounds with no redraws. Sorting each row by its uniform keys then puts
@@ -261,9 +226,9 @@ def _block_draws(rngs: list[np.random.Generator], m: int, k: int, size: int) -> 
     G = len(rngs)
     picks = np.empty((k, G, size), dtype=np.intp)  # round-major: each round is contiguous
     keys = np.empty((G, size, k))
+    bounds = np.arange(m - k, m)[:, None] + 1
     for g, rng in enumerate(rngs):
-        for t, j in enumerate(range(m - k, m)):
-            picks[t, g] = rng.integers(0, j + 1, size=size)
+        picks[:, g] = rng.integers(0, bounds, size=(k, size))
         rng.random(out=keys[g])
     for t, j in enumerate(range(m - k, m)):
         np.copyto(picks[t], j, where=(picks[:t] == picks[t]).any(axis=0))
@@ -377,13 +342,25 @@ def lisa_permutation(
 
 @dataclass
 class LisaResult:
+    """Local Moran per region: the Moran scatter points (z_i, lag_i), whose
+    quadrants label the significant regions, and the permutation p-values."""
+
     ids: list[str]
-    local_i: np.ndarray
+    z: np.ndarray
     lag: np.ndarray
     pseudo_p: np.ndarray
     labels: list[str]  # HH/LL/LH/HL or ns
     tiers: list[float | None]  # finest tier met, None if ns
-    alpha: float
+
+    @property
+    def local_i(self) -> np.ndarray:
+        """I_i = z_i * lag_i; islands get 0."""
+        return self.z * self.lag
+
+    @property
+    def slope(self) -> float:
+        """Origin-regression slope of lag on z: the global index for row-standardized weights."""
+        return float((self.z @ self.lag) / (self.z @ self.z))
 
 
 def lisa_classify(
@@ -395,7 +372,7 @@ def lisa_classify(
     """Cluster/outlier labels and significance tiers per region."""
     if not 0 < alpha < 1:
         raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
-    local_i, lag = _local_and_lag(field, W)
+    lag = spatial_lag(W, field.z)
     labels = []
     tiers: list[float | None] = []
     for i in range(W.n):
@@ -406,4 +383,4 @@ def lisa_classify(
         labels.append(_quadrant(field.z[i], lag[i]))
         # finest tier: smallest threshold still satisfied, None above 0.05
         tiers.append(min((t for t in SIGNIFICANCE_TIERS if p[i] <= t), default=None))
-    return LisaResult(list(W.ids), local_i, lag, np.asarray(p, dtype=float), labels, tiers, alpha)
+    return LisaResult(list(W.ids), field.z, lag, np.asarray(p, dtype=float), labels, tiers)

@@ -11,14 +11,14 @@ import io
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, ParameterError
 from .geometry import RegionGeometry
 from .indicator import RadarConfig
-from .moran import LisaResult, MoranScatter
+from .moran import LisaResult
 
 # conventional LISA palettes
 CLUSTER_COLORS = {
@@ -33,13 +33,10 @@ SIGNIFICANCE_COLORS = {0.05: "#a1d99b", 0.01: "#41ab5d", 0.001: "#00441b", None:
 
 @dataclass
 class ColorScale:
-    kind: str  # sequential | diverging | categorical
     stops: list[tuple[float, str]]
     missing_color: str = "#cccccc"
 
     def __post_init__(self):
-        if self.kind not in ("sequential", "diverging", "categorical"):
-            raise ParameterError(f"unknown scale kind {self.kind!r}")
         values = [v for v, _ in self.stops]
         if values != sorted(values) or len(set(values)) != len(values):
             raise ParameterError("stops must be strictly increasing in value")
@@ -84,7 +81,6 @@ class FigureSpec:
     height: int = 480
     title: str = ""
     margin: int = 40
-    legend: list[tuple[str, str]] = field(default_factory=list)  # (label, color)
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
@@ -173,8 +169,8 @@ def render_choropleth(
     warnings = [rid for rid in values if rid not in paths]
     note = [f"<!-- warning: no geometry for {', '.join(sorted(warnings))} -->"] if warnings else []
     present = [v for v in values.values() if v is not None]
-    legend = list(spec.legend)
-    if not legend and present:
+    legend = []
+    if present:
         lo, hi = min(present), max(present)
         legend = [(f"min {_fmt(lo)}", scale.color(lo)), (f"max {_fmt(hi)}", scale.color(hi))]
     return _map_svg(paths, {rid: scale.color(values.get(rid)) for rid in paths}, spec, legend, note)
@@ -201,8 +197,8 @@ def render_lisa_maps(
     )
 
 
-def render_moran_scatter(scatter: MoranScatter, spec: FigureSpec = FigureSpec()) -> str:
-    """Scatter of (z, lag) with axes through the origin and the
+def render_moran_scatter(scatter: LisaResult, spec: FigureSpec = FigureSpec()) -> str:
+    """Moran scatter of (z, lag) with axes through the origin and the
     origin-regression line whose slope is the global index."""
     if len(scatter.z) < 2:
         raise ParameterError("need at least 2 points")
@@ -331,12 +327,13 @@ def lisa_to_csv(lisa: LisaResult) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["region_id", "local_i", "lag", "pseudo_p", "quadrant", "tier"])
+    local_i = lisa.local_i
     for i, rid in enumerate(lisa.ids):
         tier = "" if lisa.tiers[i] is None else f"{lisa.tiers[i]:g}"
         writer.writerow(
             [
                 rid,
-                f"{lisa.local_i[i]:.15g}",
+                f"{local_i[i]:.15g}",
                 f"{lisa.lag[i]:.15g}",
                 f"{lisa.pseudo_p[i]:.15g}",
                 lisa.labels[i],

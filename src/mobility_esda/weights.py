@@ -116,7 +116,11 @@ def _check_geoms(geoms: list[RegionGeometry]) -> None:
 
 
 def _snapped_vertices(g: RegionGeometry, tol: float) -> set[tuple[int, int]]:
-    return {_snap(p, tol) for ring in g.rings for p in ring}
+    """Snapped ring points; a region is degenerate (edgeless) if each ring snaps to one point."""
+    rings = [{_snap(p, tol) for p in ring} for ring in g.rings]
+    if all(len(ring) == 1 for ring in rings):
+        raise GeometryError(f"{g.region_id}: ring degenerate at tolerance {tol}")
+    return set().union(*rings)
 
 
 def _snapped_edges(g: RegionGeometry, tol: float) -> set[frozenset]:
@@ -178,9 +182,6 @@ def _sharing(keysets: list[set]) -> list[set[int]]:
 def queen_adjacency(geoms: list[RegionGeometry], snap_tol: float = 1e-7) -> SpatialWeights:
     """Binary weights: adjacent iff sharing any snapped boundary point."""
     _check_geoms(geoms)
-    # degenerate-ring check shared with rook
-    for g in geoms:
-        _snapped_edges(g, snap_tol)
     adjacency = _sharing([_snapped_vertices(g, snap_tol) for g in geoms])
     # a vertex of one region lying mid-segment on another still counts;
     # candidates are the later regions whose tol-widened boxes overlap

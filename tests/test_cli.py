@@ -1,4 +1,5 @@
 import csv
+import datetime as dt
 import hashlib
 import json
 import os
@@ -8,6 +9,9 @@ import pytest
 
 from mobility_esda import render
 from mobility_esda.cli import atomic_write, main
+from mobility_esda.indicator import RadarConfig, circulation_indicator
+from mobility_esda.ingest import impute_missing, parse_cmr_csv
+from mobility_esda.timeseries import DailySeries, stl_decompose
 
 from conftest import grid_geojson, synthetic_country_csv
 
@@ -47,6 +51,21 @@ class TestIngestCmd:
         assert (out / "mobility-normalized.csv").exists()
         assert (out / "imputation-report.json").exists()
         assert (out / "run-manifest.json").exists()
+
+    def test_column_map_reads_renamed_headers(self, sy, tmp_path):
+        csv_path, _ = sy
+        renamed = tmp_path / "renamed.csv"
+        header, rest = csv_path.read_text().split("\n", 1)
+        header = header.replace("sub_region_1", "state").replace("parks_percent_change_from_baseline", "parks")
+        renamed.write_text(f"{header}\n{rest}")
+        plain, mapped = tmp_path / "plain", tmp_path / "mapped"
+        assert main(["ingest", "--input", str(csv_path), "--out-dir", str(plain)]) == 0
+        argv = ["ingest", "--input", str(renamed), "--column-map", "sub_region=state", "parks=parks"]
+        assert main(argv + ["--out-dir", str(mapped)]) == 0
+        for name in ("mobility-normalized.csv", "imputation-report.json"):
+            assert (mapped / name).read_bytes() == (plain / name).read_bytes()
+        config = json.loads((mapped / "run-manifest.json").read_text())["config"]
+        assert config["column_map"] == {"sub_region": "state", "parks": "parks"}
 
     def test_missing_column_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -148,6 +167,40 @@ class TestIndicatorCmd:
         assert code == 0
         assert (out / "indicator-overlay.svg").exists()
         assert len(list(out.glob("radar-*.svg"))) == 16
+
+    def indicator_args(self, csv_path, out, extra=()):
+        return ["indicator", "--input", str(csv_path), "--from", "2020-03-01", "--to", "2020-03-21",
+                "--out-dir", str(out), *extra]
+
+    def test_region_named_twice_kept_once(self, sy, tmp_path):
+        csv_path, _ = sy
+        out = tmp_path / "out"
+        extra = ["--region", "SY/cell0_0", "--country", "SY", "--subnational"]
+        assert main(self.indicator_args(csv_path, out, extra)) == 0
+        with open(out / "circulation.csv", newline="") as fh:
+            recs = list(csv.DictReader(fh))
+        assert sum(r["region_id"] == "SY/cell0_0" for r in recs) == 21
+        assert recs[0]["region_id"] == "SY/cell0_0"  # first-seen order
+        assert len(recs) == 16 * 21
+        regions = json.loads((out / "run-manifest.json").read_text())["config"]["regions"]
+        assert regions == sorted(set(regions)) and len(regions) == 16
+
+    @pytest.mark.parametrize("robust", [False, True])
+    def test_trend_only_writes_the_trend(self, robust, sy, tmp_path):
+        csv_path, _ = sy
+        out = tmp_path / "out"
+        extra = ["--region", "SY/cell1_2", "--deseasonalize", "--trend-only"] + ["--robust"] * robust
+        assert main(self.indicator_args(csv_path, out, extra)) == 0
+        with open(out / "circulation.csv", newline="") as fh:
+            recs = list(csv.DictReader(fh))
+        with open(csv_path, "rb") as fh:
+            table, _ = impute_missing(parse_cmr_csv(fh))
+        window = (dt.date(2020, 3, 1), dt.date(2020, 3, 21))
+        series = circulation_indicator(table, "SY/cell1_2", RadarConfig(), window)
+        dec = stl_decompose(DailySeries(series.dates, series.indicators), period=7,
+                            seasonal_window=7, outer_iters=1 if robust else 0)
+        got = [float(r["indicator_deseasonalized"]) for r in recs]
+        assert got == [float(f"{v:.15g}") for v in dec.trend]
 
     def test_window_not_covered_exit_3(self, sy, tmp_path):
         csv_path, _ = sy
@@ -343,6 +396,25 @@ class TestWeightsCmd:
         payload = json.loads((out / "weights.json").read_text())
         assert len(payload["regions"]) == 16
 
+    def test_row_standardized_with_island_links(self, tmp_path):
+        # cell0_0 moved 10 to the left of the 3x3 grid is an island; the other
+        # two cells of its column have the nearest centroids
+        doc = grid_geojson(3, 3)
+        geometry = doc["features"][0]["geometry"]
+        geometry["coordinates"] = [[[x - 10, y] for x, y in ring] for ring in geometry["coordinates"]]
+        geo_path = tmp_path / "apart.geojson"
+        geo_path.write_text(json.dumps(doc))
+        out = tmp_path / "w"
+        argv = ["weights", "--geometry", str(geo_path), "--row-standardize", "--island-knn", "2"]
+        assert main(argv + ["--out-dir", str(out)]) == 0
+        payload = json.loads((out / "weights.json").read_text())
+        assert payload["mode"] == "row_standardized"
+        regions = {r["id"]: r for r in payload["regions"]}
+        assert regions["cell0_0"]["neighbors"] == ["cell1_0", "cell2_0"]
+        assert all(sum(r["weights"]) == pytest.approx(1.0) for r in regions.values())
+        text = (out / "weights.txt").read_text()
+        assert text.startswith("cell0_0: cell1_0 cell2_0\n")
+
 
 class TestRenderCmd:
     def test_choropleth_from_values(self, sy, tmp_path):
@@ -414,6 +486,33 @@ class TestConfigAndSeed:
         assert manifest["config"]["permutations"] == 49
         assert manifest["config"]["seed"] == 3
 
+    def test_toml_config_equals_flags(self, sy, tmp_path):
+        csv_path, geo_path = sy
+        flags = ["moran", "--input", str(csv_path), "--geometry", str(geo_path), "--country", "SY",
+                 "--from", "2020-03-01", "--to", "2020-03-21", "--contiguity", "rook",
+                 "--permutations", "19", "--alpha", "0.1", "--island-knn", "0",
+                 "--categories", "parks", "residential", "--seed", "5"]
+        assert main(flags + ["--out-dir", str(tmp_path / "flags")]) == 0
+        cfg = tmp_path / "run.toml"
+        cfg.write_text(
+            f"input = '{csv_path}'\ngeometry = '{geo_path}'\ncountry = 'SY'\n"
+            "date_from = 2020-03-01\ndate-to = '2020-03-21'\ncontiguity = 'rook'\n"
+            "permutations = 19\nalpha = 0.1\nisland_knn = '0'\n"
+            "categories = ['parks', 'residential']\nseed = '5'\n"
+        )
+        assert main(["--config", str(cfg), "moran", "--out-dir", str(tmp_path / "toml")]) == 0
+        assert hash_tree(tmp_path / "toml") == hash_tree(tmp_path / "flags")
+
+    def test_config_flags_and_lists(self, sy, tmp_path):
+        csv_path, _ = sy
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"lenient": True, "country": "SY", "column_map": [f"parks={PARKS}"]}))
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "ingest", "--input", str(csv_path), "--out-dir", str(out)]) == 0
+        config = json.loads((out / "run-manifest.json").read_text())["config"]
+        assert config["lenient"] is True
+        assert config["column_map"] == {"parks": PARKS}
+
     def test_seed_env_fallback(self, sy, tmp_path, monkeypatch):
         csv_path, geo_path = sy
         monkeypatch.setenv("ESDA_MOBILITY_SEED", "77")
@@ -454,6 +553,7 @@ class TestConfigAndSeed:
         assert not (tmp_path / "o").exists()
 
 
+PARKS = "parks_percent_change_from_baseline"
 HEADER = (
     "country_region_code,sub_region_1,date,"
     "retail_and_recreation_percent_change_from_baseline,"
@@ -465,11 +565,46 @@ HEADER = (
 )
 
 
+# values CSVs that render refuses
+BAD_VALUES = {
+    "nan value": "region_id,value\ncell0_0,1\ncell1_1,nan\n",
+    "-inf value": "region_id,value\ncell0_0,1\ncell1_1,-inf\n",
+    "inf value": "region_id,value\ncell0_0,1\ncell1_1,inf\n",
+    "overflowing value": "region_id,value\ncell0_0,1\ncell1_1,1e400\n",
+    "non-numeric value": "region_id,value\ncell0_0,1\ncell1_1,high\n",
+    "no numeric values": "region_id,value\ncell0_0,\ncell1_1,\n",
+    "values without value column": "region_id,score\ncell0_0,1\n",
+}
+
+# config values that the option's flag would refuse, and the command given them
+BAD_CONFIG = {
+    "config permutations 5.5": ({"permutations": 5.5}, "moran"),
+    "config permutations true": ({"permutations": True}, "moran"),
+    "config alpha list": ({"alpha": [0.1]}, "moran"),
+    "config contiguity bishop": ({"contiguity": "bishop"}, "moran"),
+    "config island_knn 1.5": ({"island_knn": 1.5}, "moran"),
+    "config categories string": ({"categories": "parks"}, "moran"),
+    "config axis_order short": ({"axis_order": ["parks"]}, "indicator"),
+    "config flag string": ({"row_standardize": "no"}, "weights"),
+}
+
+
 def failing_run(kind, sy, tmp, monkeypatch):
     """argv of a run that fails in the given way."""
     csv_path, geo_path = map(str, sy)
     moran = ["moran", "--input", csv_path, "--geometry", geo_path, "--country", "SY",
              "--from", "2020-03-01", "--to", "2020-03-21", "--permutations", "9"]
+    if kind in BAD_VALUES:
+        (tmp / "vals.csv").write_text(BAD_VALUES[kind])
+        return ["render", "--geometry", geo_path, "--values", str(tmp / "vals.csv")]
+    if kind in BAD_CONFIG:
+        config, command = BAD_CONFIG[kind]  # a flag would win over the config: give none
+        (tmp / "run.json").write_text(json.dumps(config))
+        argv = {"moran": moran[1:-2], "weights": ["--geometry", geo_path],
+                "indicator": ["--input", csv_path, "--country", "SY"]}[command]
+        return ["--config", str(tmp / "run.json"), command] + argv
+    if kind == "bad column map":
+        return ["ingest", "--input", csv_path, "--column-map", "sub_region"]
     if kind == "schema":
         (tmp / "bad.csv").write_text("country_region_code,date\nBR,2020-03-01\n")
         return ["ingest", "--input", str(tmp / "bad.csv")]
@@ -575,6 +710,7 @@ def failing_run(kind, sy, tmp, monkeypatch):
         ("undecodable", 2),
         ("geometry not json", 2),
         ("undecodable values", 2),
+        ("values without value column", 2),
         ("weights seed", 2),
         ("data", 3),
         ("non-finite", 3),
@@ -597,6 +733,21 @@ def failing_run(kind, sy, tmp, monkeypatch):
         ("non-numeric position", 3),
         ("missing values", 3),
         ("duplicate values id", 3),
+        ("nan value", 3),
+        ("-inf value", 3),
+        ("inf value", 3),
+        ("overflowing value", 3),
+        ("non-numeric value", 3),
+        ("no numeric values", 3),
+        ("bad column map", 3),
+        ("config permutations 5.5", 3),
+        ("config permutations true", 3),
+        ("config alpha list", 3),
+        ("config contiguity bishop", 3),
+        ("config island_knn 1.5", 3),
+        ("config categories string", 3),
+        ("config axis_order short", 3),
+        ("config flag string", 3),
         ("no two regions touch", 3),
         ("missing config", 3),
         ("bad config", 3),
@@ -634,4 +785,20 @@ FAILURE_MESSAGES = {
     "non-numeric position": "error: cell0_0: malformed coordinates",
     "duplicate values id": "error: values CSV: region id 'cell0_0' appears more than once",
     "no two regions touch": "error: no two regions touch; link them with --island-knn",
+    "nan value": "error: values CSV: non-finite value 'nan' for region 'cell1_1'",
+    "-inf value": "error: values CSV: non-finite value '-inf' for region 'cell1_1'",
+    "inf value": "error: values CSV: non-finite value 'inf' for region 'cell1_1'",
+    "overflowing value": "error: values CSV: non-finite value '1e400' for region 'cell1_1'",
+    "non-numeric value": "error: values CSV: non-numeric value 'high'",
+    "no numeric values": "error: values CSV contains no numeric values",
+    "values without value column": "schema error: values CSV needs region_id and value columns",
+    "bad column map": "error: bad --column-map entry 'sub_region' (want key=value)",
+    "config permutations 5.5": "error: config permutations: 5.5 is not a valid --permutations value",
+    "config permutations true": "error: config permutations: True is not a valid --permutations value",
+    "config alpha list": "error: config alpha: [0.1] is not a valid --alpha value",
+    "config contiguity bishop": "error: config contiguity: 'bishop' is not a valid --contiguity value",
+    "config island_knn 1.5": "error: config island_knn: 1.5 is not a valid --island-knn value",
+    "config categories string": "error: config categories: 'parks' is not a valid --categories value",
+    "config axis_order short": "error: config axis_order: ['parks'] is not a valid --axis-order value",
+    "config flag string": "error: config row_standardize: 'no' is not a valid --row-standardize value",
 }

@@ -15,7 +15,6 @@ from mobility_esda.moran import (
     moran_global,
     moran_local,
     moran_permutation,
-    moran_scatter,
     spatial_lag,
     standardize_values,
 )
@@ -39,8 +38,8 @@ class TestStandardize:
         assert f.z.tolist() == [1.0, -1.0]
 
     def test_constant_flags_zero_variance(self):
-        f = standardize_values([4.0, 4.0, 4.0])
-        assert f.zero_variance
+        with pytest.raises(ZeroVarianceError):
+            standardize_values([4.0, 4.0, 4.0])
 
     def test_hand_computed(self):
         f = standardize_values([2.0, 4.0, 6.0, 8.0])
@@ -113,25 +112,32 @@ class TestGlobal:
             assert -1 - 1e-9 <= I <= 1 + 1e-9
 
 
+def all_significant(field, W):
+    """The local-Moran result of ``field`` with every p at 0, so each label
+    is the region's Moran-scatter quadrant."""
+    return lisa_classify(field, W, np.zeros(W.n))
+
+
 class TestScatter:
     def test_pair_points_and_slope(self, pair_weights):
-        s = moran_scatter(standardize_values([1.0, -1.0]), pair_weights)
+        s = all_significant(standardize_values([1.0, -1.0]), pair_weights)
         assert s.z.tolist() == [1.0, -1.0]
         assert s.lag.tolist() == [-1.0, 1.0]
         assert s.slope == pytest.approx(-1.0)
-        assert s.quadrants == ["HL", "LH"]
+        assert s.labels == ["HL", "LH"]
 
     def test_checkerboard_all_dissimilar_quadrants(self, rook_2x2_rs):
-        s = moran_scatter(standardize_values(CHECKERBOARD), rook_2x2_rs)
-        assert set(s.quadrants) == {"HL", "LH"}
+        s = all_significant(standardize_values(CHECKERBOARD), rook_2x2_rs)
+        assert set(s.labels) == {"HL", "LH"}
         assert s.slope == pytest.approx(-1.0)
 
     def test_slope_equals_global_index(self, queen_6x6_rs):
         rng = np.random.default_rng(3)
         for _ in range(10):
             f = standardize_values(rng.normal(0, 1, 36))
-            s = moran_scatter(f, queen_6x6_rs)
+            s = all_significant(f, queen_6x6_rs)
             assert abs(s.slope - moran_global(f, queen_6x6_rs)) < 1e-12
+            assert np.array_equal(s.local_i, moran_local(f, queen_6x6_rs))
 
     def test_path_graph_spike(self):
         from mobility_esda.weights import SpatialWeights, row_standardize
@@ -143,7 +149,7 @@ class TestScatter:
             )
         )
         x = np.array([1.0, 0.0, 0.0, 0.0])
-        s = moran_scatter(standardize_values(x), W)
+        s = all_significant(standardize_values(x), W)
         assert s.slope == pytest.approx(moran_oracle(x, W), rel=1e-12)
 
 
@@ -401,12 +407,10 @@ class TestSharedDraws:
         assert res == moran_permutation(field, queen_6x6_rs, permutations=49, seed=2)
         assert np.array_equal(p, lisa_permutation(field, queen_6x6_rs, permutations=49, seed=2))
 
-    def test_constant_member_refused(self, queen_6x6_rs):
-        group = self.fields(36, 2, seed=31) + [standardize_values(np.ones(36))]
-        with pytest.raises(ZeroVarianceError):
-            moran_permutation(group, queen_6x6_rs, permutations=9)
-        with pytest.raises(ZeroVarianceError):
-            lisa_permutation(group, queen_6x6_rs, permutations=9)
+    def test_constant_member_refused(self):
+        # a constant field is refused when it is built, so no group holds one
+        with pytest.raises(ZeroVarianceError, match="constant"):
+            moran.ValueField(np.ones(36))
 
 
 @st.composite
@@ -434,11 +438,12 @@ def lisa_cases(draw):
         W = row_standardize(W)
     # small integers give ties between draws and the observation
     values = st.one_of(st.integers(-2, 2).map(float), st.floats(-1e3, 1e3, allow_nan=False))
-    fields = [
-        standardize_values(draw(st.lists(values, min_size=n, max_size=n)))
-        for _ in range(draw(st.integers(1, 3)))
-    ]
-    assume(not any(field.zero_variance for field in fields))
+    fields = []
+    for _ in range(draw(st.integers(1, 3))):
+        try:
+            fields.append(standardize_values(draw(st.lists(values, min_size=n, max_size=n))))
+        except ZeroVarianceError:
+            assume(False)
     if n <= 7 and draw(st.booleans()):
         kwargs = {"exhaustive": True}
     else:

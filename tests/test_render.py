@@ -10,7 +10,7 @@ from mobility_esda.errors import DataError, ParameterError
 from mobility_esda.geometry import RegionGeometry
 from mobility_esda.indicator import RadarConfig
 from mobility_esda.ingest import CATEGORIES
-from mobility_esda.moran import LisaResult, MoranScatter
+from mobility_esda.moran import LisaResult
 from mobility_esda.render import (
     ColorScale,
     FigureSpec,
@@ -26,7 +26,7 @@ from mobility_esda.render import (
 
 from conftest import grid_geojson, grid_geometries, square
 
-BW_SCALE = ColorScale("sequential", [(0.0, "#000000"), (1.0, "#ffffff")])
+BW_SCALE = ColorScale([(0.0, "#000000"), (1.0, "#ffffff")])
 
 
 class TestColorScale:
@@ -35,7 +35,7 @@ class TestColorScale:
         assert BW_SCALE.color(1.0) == "#ffffff"
 
     def test_midpoint_componentwise(self):
-        scale = ColorScale("sequential", [(0.0, "#200040"), (1.0, "#40ff80")])
+        scale = ColorScale([(0.0, "#200040"), (1.0, "#40ff80")])
         assert scale.color(0.5) == "#308060"
 
     def test_clamping(self):
@@ -47,11 +47,11 @@ class TestColorScale:
 
     def test_non_increasing_stops_rejected(self):
         with pytest.raises(ParameterError, match="increasing"):
-            ColorScale("sequential", [(1.0, "#000000"), (0.0, "#ffffff")])
+            ColorScale([(1.0, "#000000"), (0.0, "#ffffff")])
 
     def test_bad_color_rejected(self):
         with pytest.raises(ParameterError, match="invalid color"):
-            ColorScale("sequential", [(0.0, "red")])
+            ColorScale([(0.0, "red")])
 
 
 class TestChoropleth:
@@ -86,16 +86,15 @@ class TestChoropleth:
         assert svg.count("<path ") == 9
 
 
-def simple_lisa(ids, labels, tiers, p=None):
+def simple_lisa(ids, labels, tiers, p=None, z=None, lag=None):
     n = len(ids)
     return LisaResult(
         ids=list(ids),
-        local_i=np.zeros(n),
-        lag=np.zeros(n),
+        z=np.zeros(n) if z is None else np.asarray(z, float),
+        lag=np.zeros(n) if lag is None else np.asarray(lag, float),
         pseudo_p=np.ones(n) if p is None else np.asarray(p, float),
         labels=list(labels),
         tiers=list(tiers),
-        alpha=0.05,
     )
 
 
@@ -145,7 +144,7 @@ class TestMapPaths:
 
     def test_choropleth_bytes(self):
         geoms = grid_geometries(2, 3)
-        scale = ColorScale("diverging", [(-10.0, "#2c7bb6"), (0.0, "#ffffbf"), (10.0, "#d7191c")])
+        scale = ColorScale([(-10.0, "#2c7bb6"), (0.0, "#ffffbf"), (10.0, "#d7191c")])
         values = {"cell0_0": -12.5, "cell0_1": 3.25, "cell0_2": None, "cell1_0": 0.0,
                   "cell1_1": 7.125, "ghost": 1.0}
         spec = FigureSpec(width=500, height=311, margin=25, title="Mean <variation> & more")
@@ -177,13 +176,15 @@ class TestMapPaths:
 
 class TestScatterFigure:
     def test_pair_line_and_points(self):
-        s = MoranScatter(np.array([1.0, -1.0]), np.array([-1.0, 1.0]), ["HL", "LH"], -1.0)
+        s = simple_lisa(["a", "b"], ["HL", "LH"], [None, None], z=[1.0, -1.0], lag=[-1.0, 1.0])
+        assert s.slope == -1.0
         svg = render_moran_scatter(s)
         assert svg.count("<circle ") == 2
         assert "Q1" in svg and "Q4" in svg
 
     def test_zero_slope_horizontal_line(self):
-        s = MoranScatter(np.array([1.0, -1.0]), np.array([0.0, 0.0]), ["HL", "LH"], 0.0)
+        s = simple_lisa(["a", "b"], ["HL", "LH"], [None, None], z=[1.0, -1.0], lag=[0.0, 0.0])
+        assert s.slope == 0.0
         svg = render_moran_scatter(s)
         lines = re.findall(r'<line [^>]*stroke="#d7191c"[^>]*/>', svg)
         assert len(lines) == 1
@@ -195,7 +196,7 @@ class TestScatterFigure:
         rng = np.random.default_rng(1)
         z = rng.normal(0, 1, 20)
         lag = rng.normal(0, 1, 20)
-        s = MoranScatter(z, lag, ["HH"] * 20, 0.3)
+        s = simple_lisa([f"r{i}" for i in range(20)], ["HH"] * 20, [None] * 20, z=z, lag=lag)
         assert render_moran_scatter(s) == render_moran_scatter(s)
 
 
@@ -274,7 +275,9 @@ class TestExports:
             join_geojson(doc, {"ghost": {"value": 1.0}})
 
     def test_export_idempotence(self):
-        res = simple_lisa(["r1", "r2"], ["HH", "LL"], [0.01, 0.05], p=[0.004, 0.041])
+        res = simple_lisa(
+            ["r1", "r2"], ["HH", "LL"], [0.01, 0.05], p=[0.004, 0.041], z=[1.5, -0.25], lag=[0.5, -2.0]
+        )
         text = lisa_to_csv(res)
         # parse back and re-export
         import csv
@@ -286,7 +289,8 @@ class TestExports:
             [r["quadrant"] for r in rows],
             [float(r["tier"]) if r["tier"] else None for r in rows],
             p=[float(r["pseudo_p"]) for r in rows],
+            lag=[float(r["lag"]) for r in rows],
         )
-        res2.local_i = np.array([float(r["local_i"]) for r in rows])
-        res2.lag = np.array([float(r["lag"]) for r in rows])
+        # z back from local_i = z * lag; exact for these values
+        res2.z = np.array([float(r["local_i"]) for r in rows]) / res2.lag
         assert lisa_to_csv(res2) == text

@@ -78,6 +78,16 @@ class TestQueen:
         with pytest.raises(GeometryError, match="degenerate"):
             queen_adjacency([g, RegionGeometry("b", square(5, 5))])
 
+    @pytest.mark.parametrize("build", [queen_adjacency, rook_adjacency])
+    def test_degenerate_only_when_every_ring_collapses(self, build):
+        def speck(x):  # a ring that snaps to one point
+            return [(x, 0), (x + 1e-9, 0), (x, 1e-9), (x, 0)]
+
+        other = RegionGeometry("b", square(5, 5))
+        build([RegionGeometry("a", square(0, 0) + [speck(3)]), other])
+        with pytest.raises(GeometryError, match="a: ring degenerate"):
+            build([RegionGeometry("a", [speck(0), speck(3)]), other])
+
 
 class TestRook:
     def test_3x3_degrees(self):
