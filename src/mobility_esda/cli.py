@@ -305,41 +305,44 @@ def _select_regions(table, args) -> list[str]:
 def cmd_indicator(args) -> int:
     out_dir = Path(args.out_dir)
     window = (_parse_date(args.date_from), _parse_date(args.date_to))
+    # imputation is per country: parsing only the one selected country changes no value
+    countries = {key.partition("/")[0] for key in [*args.region, args.country] if key}
+    only = countries.pop() if len(countries) == 1 else None
     with open(args.input, "rb") as fh:
-        table = ing.parse_cmr_csv(fh)
+        table = ing.parse_cmr_csv(fh, country=only)
     table, _ = ing.impute_missing(table)
     config = RadarConfig(center=args.center, axis_order=tuple(args.axis_order))
     regions = _select_regions(table, args)
-
-    rows = ["region_id,date,area,indicator" + (",indicator_deseasonalized" if args.deseasonalize else "")]
-    overlay: dict[str, tuple[list, np.ndarray]] = {}
-    for rid in regions:
-        series = circulation_indicator(table, rid, config, window)
-        deseason = None
-        if args.deseasonalize:
-            dec = stl_decompose(
-                DailySeries(series.dates, series.indicators),
+    panel = circulation_indicator(table, regions, config, window)
+    header = "region_id,date,area,indicator"
+    columns = [panel.areas, panel.indicators]
+    if args.deseasonalize:
+        fits = [
+            stl_decompose(
+                DailySeries(panel.dates, y),
                 period=args.period,
                 seasonal_window=args.seasonal_window,
                 outer_iters=1 if args.robust else 0,
             )
-            deseason = dec.trend if args.trend_only else series.indicators - dec.seasonal
-        for k, date in enumerate(series.dates):
-            row = f"{rid},{date.isoformat()},{series.areas[k]:.15g},{series.indicators[k]:.15g}"
-            if deseason is not None:
-                row += f",{deseason[k]:.15g}"
-            rows.append(row)
-        overlay[rid] = (series.dates, deseason if deseason is not None else series.indicators)
-        # radar of the window-mean category values
-        in_window = table.rows(rid, window)
-        mean_values = {cat: float(table.column(cat)[in_window].mean()) for cat in CATEGORIES}
+            for y in panel.indicators
+        ]
+        if args.trend_only:
+            columns.append(np.array([fit.trend for fit in fits]))
+        else:
+            columns.append(panel.indicators - np.array([fit.seasonal for fit in fits]))
+        header += ",indicator_deseasonalized"
+    dates = [date.isoformat() for date in panel.dates]
+    rows = [header]
+    row = "%s,%s" + ",%.15g" * len(columns)  # %.15g writes what format(v, ".15g") does
+    for rid, cells, means in zip(regions, np.stack(columns, axis=-1), panel.window_means):
+        # tolist() makes the Python floats a region at a time
+        rows += [row % (rid, date, *day) for date, day in zip(dates, cells.tolist())]
         safe = rid.replace("/", "_").strip("_") or "national"
-        atomic_write(out_dir / f"radar-{safe}.svg", rd.render_radar(mean_values, config))
+        atomic_write(out_dir / f"radar-{safe}.svg", rd.render_radar(means, config))
     atomic_write(out_dir / "circulation.csv", "\n".join(rows) + "\n")
-    atomic_write(
-        out_dir / "indicator-overlay.svg",
-        rd.render_series(overlay, rd.FigureSpec(title="Circulation indicator")),
-    )
+    # the overlay draws the last column: the deseasonalized indicator if there is one
+    overlay = rd.render_series(regions, columns[-1], rd.FigureSpec(title="Circulation indicator"))
+    atomic_write(out_dir / "indicator-overlay.svg", overlay)
     write_manifest(
         out_dir,
         args,
@@ -363,21 +366,22 @@ def _reconcile_ids(geom_ids: list[str], data_ids: list[str]) -> None:
 
 
 def _contiguity_weights(
-    args, geoms, out_dir: Path, row_standardize: bool, links_required: bool = False
+    args, geoms, row_standardize: bool, links_required: bool = False
 ) -> wt.SpatialWeights:
-    """``--contiguity`` weights, islands linked per ``--island-knn``, written to
-    weights.txt/json; with ``links_required``, none are written unless some link."""
+    """``--contiguity`` weights, islands linked per ``--island-knn``; with
+    ``links_required``, an error unless some two regions link."""
     build = wt.queen_adjacency if args.contiguity == "queen" else wt.rook_adjacency
     W = build(geoms, snap_tol=args.snap_tol)
     if args.island_knn > 0:
         W = wt.connect_islands_knn(W, geoms, args.island_knn)
     if links_required and W.s0 == 0:
         raise DataError("no two regions touch; link them with --island-knn K (K nearest centroids)")
-    if row_standardize:
-        W = wt.row_standardize(W)
+    return wt.row_standardize(W) if row_standardize else W
+
+
+def _write_weights(out_dir: Path, W: wt.SpatialWeights) -> None:
     atomic_write(out_dir / "weights.txt", wt.to_text(W))
     atomic_write(out_dir / "weights.json", wt.to_json(W))
-    return W
 
 
 def _blue_ramp(lo: float, hi: float) -> rd.ColorScale:
@@ -414,7 +418,7 @@ def cmd_moran(args) -> int:
                 f"{category}: identical mean variation in every region; Moran undefined"
             ) from None
 
-    W = _contiguity_weights(args, geoms, out_dir, row_standardize=True, links_required=True)
+    W = _contiguity_weights(args, geoms, row_standardize=True, links_required=True)
 
     # one set of draws for all categories: each equals a run on it alone
     group = list(fields.values())
@@ -482,6 +486,7 @@ def cmd_moran(args) -> int:
                 id_property=args.id_property,
             ),
         )
+    _write_weights(out_dir, W)  # last: a bad --alpha, refused by lisa_classify, leaves nothing
     write_manifest(out_dir, args, seed=seed, window=[window[0].isoformat(), window[1].isoformat()])
     return EXIT_OK
 
@@ -489,7 +494,7 @@ def cmd_moran(args) -> int:
 def cmd_weights(args) -> int:
     out_dir = Path(args.out_dir)
     geoms = load_geojson(_read_json(args.geometry), id_property=args.id_property)
-    _contiguity_weights(args, geoms, out_dir, row_standardize=args.row_standardize)
+    _write_weights(out_dir, _contiguity_weights(args, geoms, row_standardize=args.row_standardize))
     write_manifest(out_dir, args)
     return EXIT_OK
 

@@ -80,11 +80,15 @@ def load_geojson(doc: dict, id_property: str = "region_id") -> list[RegionGeomet
 
     ``id_property`` names the feature property carrying the region id.
     """
-    if doc.get("type") != "FeatureCollection":
-        raise DataError(f"expected FeatureCollection, got {doc.get('type')!r}")
+    kind = doc.get("type") if isinstance(doc, dict) else type(doc).__name__
+    if kind != "FeatureCollection":
+        raise DataError(f"expected FeatureCollection, got {kind!r}")
+    features = doc.get("features", [])
+    if not isinstance(features, list) or not all(isinstance(f, dict) for f in features):
+        raise DataError("features must be a list of feature objects")
     geoms = []
     seen = set()
-    for feature in doc.get("features", []):
+    for feature in features:
         props = feature.get("properties") or {}
         rid = props.get(id_property)
         if rid is None:

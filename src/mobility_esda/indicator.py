@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,19 +38,20 @@ class RadarConfig:
 
 @dataclass
 class CirculationSeries:
+    """Radar areas and indicators, (regions, days) over shared ``dates``, and
+    the (regions, 6) window-mean category values; one region drops that axis."""
+
+    region_ids: list[str]
     dates: list[dt.date]
     areas: np.ndarray
+    indicators: np.ndarray  # areas over the baseline area
+    window_means: np.ndarray
     baseline_area: float
-    indicators: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.areas = np.asarray(self.areas, dtype=float)
-        self.indicators = self.areas / self.baseline_area
 
     @property
-    def period_indicator(self) -> float:
-        """Windowed ratio: sum of daily areas over T x baseline area."""
-        return float(self.areas.sum() / (len(self.areas) * self.baseline_area))
+    def period_indicator(self) -> float | np.ndarray:
+        """Windowed ratio: mean daily area over the baseline area."""
+        return self.areas.mean(axis=-1) / self.baseline_area
 
 
 def radar_radii(values, config: RadarConfig = RadarConfig()) -> np.ndarray:
@@ -90,32 +92,43 @@ def baseline_area(config: RadarConfig = RadarConfig()) -> float:
 
 def circulation_indicator(
     table: MobilityTable,
-    region_id: str,
+    region_ids: str | Sequence[str],
     config: RadarConfig = RadarConfig(),
     window: tuple[dt.date, dt.date] | None = None,
 ) -> CirculationSeries:
-    """Daily radar areas and indicator values for one region.
-
-    The region's series must be complete (imputed) over the window;
-    missing cells are a hard error here, not silently skipped.
-    """
-    rows = table.rows(region_id, window)
-    days = rows.stop - rows.start
-    if days <= 0:
-        raise DataError(f"no data for region {region_id!r} in requested window")
-    if window is not None:
-        expected = (window[1] - window[0]).days + 1
-        if days != expected:
-            raise DataError(
-                f"region {region_id!r} covers {days} of {expected} days "
-                f"in {window[0]}..{window[1]}"
-            )
-    block = table.values[rows]
-    dates = table.date_list(rows)
+    """Daily radar areas and indicators, and window means, of one region (a
+    str) or of a panel of regions. Every region must cover the window (without
+    one, the same dates) and be complete (imputed) there; all are checked first."""
+    ids = [region_ids] if isinstance(region_ids, str) else list(region_ids)
+    rows = [table.rows(rid, window) for rid in ids]
+    for rid, r in zip(ids, rows):
+        days = r.stop - r.start
+        if days <= 0:
+            raise DataError(f"no data for region {rid!r} in requested window")
+        if window is not None:
+            expected = (window[1] - window[0]).days + 1
+            if days != expected:
+                raise DataError(
+                    f"region {rid!r} covers {days} of {expected} days "
+                    f"in {window[0]}..{window[1]}"
+                )
+    days = rows[0].stop - rows[0].start
+    index = np.array([r.start for r in rows])[:, None] + np.arange(days)
+    same_length = all(r.stop - r.start == days for r in rows)
+    if not same_length or (table.dates[index] != table.dates[rows[0]]).any():
+        raise DataError("regions cover different dates; give a window")
+    block = table.values[index]  # (regions, days, 6)
+    dates = table.date_list(rows[0])
     absent = np.isnan(block)
-    incomplete = np.flatnonzero(absent.any(axis=1))
+    incomplete = np.argwhere(absent.any(axis=2))
     if incomplete.size:
-        i = incomplete[0]
-        missing = [cat for cat, gone in zip(CATEGORIES, absent[i]) if gone]
-        raise DataError(f"{region_id} {dates[i]}: missing {missing}; impute first")
-    return CirculationSeries(dates, radar_area(radar_radii(block, config)), baseline_area(config))
+        k, d = incomplete[0]
+        missing = [cat for cat, gone in zip(CATEGORIES, absent[k, d]) if gone]
+        raise DataError(f"{ids[k]} {dates[d]}: missing {missing}; impute first")
+    areas = radar_area(radar_radii(block, config))
+    # a mean along a contiguous last axis sums as one region's column did
+    means = np.ascontiguousarray(block.transpose(0, 2, 1)).mean(axis=2)
+    base = baseline_area(config)
+    if isinstance(region_ids, str):  # one region: its 1-D series
+        areas, means = areas[0], means[0]
+    return CirculationSeries(ids, dates, areas, areas / base, means, base)

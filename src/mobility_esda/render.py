@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DataError, ParameterError
 from .geometry import RegionGeometry
-from .indicator import RadarConfig
+from .indicator import RadarConfig, radar_radii
 from .moran import LisaResult
 
 # conventional LISA palettes
@@ -29,6 +29,8 @@ CLUSTER_COLORS = {
     "ns": "#d9d9d9",
 }
 SIGNIFICANCE_COLORS = {0.05: "#a1d99b", 0.01: "#41ab5d", 0.001: "#00441b", None: "#d9d9d9"}
+SERIES_PALETTE = ["#2c7bb6", "#d7191c", "#1a9641", "#fdae61", "#7b3294", "#d01c8b", "#636363"]
+BAND_COLOR = "#abd9e9"
 
 
 @dataclass
@@ -241,14 +243,13 @@ def render_moran_scatter(scatter: LisaResult, spec: FigureSpec = FigureSpec()) -
 
 
 def render_radar(
-    values: dict[str, float],
+    values: dict[str, float] | np.ndarray,
     config: RadarConfig = RadarConfig(),
     spec: FigureSpec = FigureSpec(width=480, height=480),
 ) -> str:
-    """Hexagonal radar chart: axis spokes, the value polygon, and a
-    reference hexagon at the baseline (0 percent) radius."""
-    from .indicator import radar_radii
-
+    """Hexagonal radar chart of ``values`` (as :func:`radar_radii` takes them):
+    axis spokes, the value polygon, and a reference hexagon at the baseline
+    (0 percent) radius."""
     radii = radar_radii(values, config)
     baseline_r = -config.center
     max_r = max(baseline_r, float(max(radii)))
@@ -285,39 +286,41 @@ def render_radar(
     return "\n".join(parts) + "\n"
 
 
-def render_series(
-    series: dict[str, tuple[list, np.ndarray]],
-    spec: FigureSpec = FigureSpec(),
-) -> str:
-    """Line plot of one or more (dates, values) series, e.g. the daily
-    circulation indicator for several regions."""
-    if not series:
+def render_series(names: list[str], values, spec: FigureSpec = FigureSpec()) -> str:
+    """Line plot of a (series, points) panel, one row of ``values`` per name,
+    e.g. the daily circulation indicator of several regions. More series than
+    ``SERIES_PALETTE`` has colors are drawn as their pointwise median inside
+    the band between their 10 % and 90 % quantiles."""
+    if not len(names):
         raise ParameterError("no series to plot")
-    palette = ["#2c7bb6", "#d7191c", "#1a9641", "#fdae61", "#7b3294", "#d01c8b", "#636363"]
-    all_vals = np.concatenate([np.asarray(v, dtype=float) for _, v in series.values()])
-    lo, hi = float(all_vals.min()), float(all_vals.max())
+    values = np.asarray(values, dtype=float)
+    lo, hi = float(values.min()), float(values.max())
     if hi == lo:
         hi = lo + 1.0
-    maxlen = max(len(v) for _, v in series.values())
     m = spec.margin
+    span = max(values.shape[1] - 1, 1)
     iw, ih = spec.width - 2 * m, spec.height - 2 * m
 
-    def project(i, v):
-        x = m + (i / max(maxlen - 1, 1)) * iw
-        y = spec.height - m - (v - lo) / (hi - lo) * ih
-        return x, y
+    def points(indexed) -> str:
+        return " ".join(
+            f"{_fmt(m + (i / span) * iw)},{_fmt(spec.height - m - (v - lo) / (hi - lo) * ih)}"
+            for i, v in indexed
+        )
 
     parts = _svg_open(spec)
+    band_legend = []
+    if len(names) > len(SERIES_PALETTE):  # too many lines to tell apart
+        low, median, high = np.quantile(values, [0.1, 0.5, 0.9], axis=0)
+        band = [*enumerate(high), *reversed(list(enumerate(low)))]
+        parts.append(f'<polygon points="{points(band)}" fill="{BAND_COLOR}" stroke="none"/>')
+        band_legend = [("10-90 % band", BAND_COLOR)]
+        names, values = [f"median of {len(names)}"], [median]
     legend = []
-    for k, name in enumerate(sorted(series)):
-        _, vals = series[name]
-        color = palette[k % len(palette)]
-        pts = " ".join(
-            f"{_fmt(x)},{_fmt(y)}" for x, y in (project(i, v) for i, v in enumerate(vals))
-        )
+    for k, color in zip(sorted(range(len(names)), key=names.__getitem__), SERIES_PALETTE):
+        pts = points(enumerate(values[k]))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        legend.append((name, color))
-    parts.extend(_legend(spec, legend))
+        legend.append((names[k], color))
+    parts.extend(_legend(spec, legend + band_legend))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

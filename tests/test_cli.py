@@ -217,6 +217,39 @@ class TestIndicatorCmd:
         )
         assert code == 3
 
+    def test_percent_in_region_name_written_as_is(self, tmp_path):
+        header = synthetic_country_csv(1, 1, 1).splitlines()[0]
+        rows = [header] + [
+            f"SY,{sub},2020-03-{d:02d},{-5 * k},{d},{-d},0,{k},{2 * d}"
+            for k, sub in enumerate(["50% zone", "a%%d", "%s %d"])
+            for d in range(1, 15)
+        ]
+        (tmp_path / "pct.csv").write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        extra = ["--country", "SY", "--subnational", "--to", "2020-03-14"]
+        assert main(self.indicator_args(tmp_path / "pct.csv", out, extra)) == 0
+        with open(tmp_path / "pct.csv", "rb") as fh:
+            table, _ = impute_missing(parse_cmr_csv(fh))
+        window = (dt.date(2020, 3, 1), dt.date(2020, 3, 14))
+        expected = ["region_id,date,area,indicator"]
+        for rid in ["SY/%s %d", "SY/50% zone", "SY/a%%d"]:
+            s = circulation_indicator(table, rid, RadarConfig(), window)
+            expected += [
+                f"{rid},{date.isoformat()},{area:.15g},{ind:.15g}"
+                for date, area, ind in zip(s.dates, s.areas, s.indicators)
+            ]
+        assert (out / "circulation.csv").read_text().splitlines() == expected
+
+    def test_other_country_not_parsed(self, sy, tmp_path):
+        # a row of another country that strict parsing refuses does not stop a one-country run
+        csv_path, _ = sy
+        text = csv_path.read_text() + "ZZ,,2020-03-01,-101,0,0,0,0,0\n"
+        (tmp_path / "two.csv").write_text(text)
+        out = tmp_path / "out"
+        extra = ["--region", "SY/cell0_0", "--region", "SY/cell1_1"]
+        assert main(self.indicator_args(tmp_path / "two.csv", out, extra)) == 0
+        assert (out / "circulation.csv").read_bytes().count(b"\n") == 1 + 2 * 21
+
 
 class TestMoranCmd:
     def moran_args(self, csv_path, geo_path, out, extra=()):
@@ -576,6 +609,13 @@ BAD_VALUES = {
     "values without value column": "region_id,score\ncell0_0,1\n",
 }
 
+# parsed JSON that is no FeatureCollection of feature objects
+BAD_GEOMETRY_DOCS = {
+    "geometry array": [1],
+    "features not a list": {"type": "FeatureCollection", "features": 5},
+    "feature not an object": {"type": "FeatureCollection", "features": [5]},
+}
+
 # config values that the option's flag would refuse, and the command given them
 BAD_CONFIG = {
     "config permutations 5.5": ({"permutations": 5.5}, "moran"),
@@ -613,6 +653,9 @@ def failing_run(kind, sy, tmp, monkeypatch):
         return ["ingest", "--input", str(tmp / "bad.csv")]
     if kind == "geometry not json":
         (tmp / "bad.geojson").write_text("{")
+        return ["weights", "--geometry", str(tmp / "bad.geojson")]
+    if kind in BAD_GEOMETRY_DOCS:
+        (tmp / "bad.geojson").write_text(json.dumps(BAD_GEOMETRY_DOCS[kind]))
         return ["weights", "--geometry", str(tmp / "bad.geojson")]
     if kind in ("feature without geometry", "null geometry"):
         doc = grid_geojson(1, 2)
@@ -659,8 +702,17 @@ def failing_run(kind, sy, tmp, monkeypatch):
         return ["ingest", "--input", str(tmp / "nan.csv")]
     if kind == "unknown country":
         return ["ingest", "--input", csv_path, "--country", "XX"]
+    if kind == "region of absent country":
+        return ["indicator", "--input", csv_path, "--region", "XX/a"]
     if kind == "bad date":
         return ["indicator", "--input", csv_path, "--country", "SY", "--from", "03/01/2020"]
+    if kind == "window gap":
+        # one day of the last region missing inside the window
+        lines = [line for line in Path(csv_path).read_text().splitlines()
+                 if not line.startswith("SY,cell3_3,2020-03-05,")]
+        (tmp / "gap.csv").write_text("\n".join(lines) + "\n")
+        return ["indicator", "--input", str(tmp / "gap.csv"), "--country", "SY", "--subnational",
+                "--from", "2020-03-01", "--to", "2020-03-21"]
     if kind == "seasonal window 1":
         return ["indicator", "--input", csv_path, "--country", "SY", "--subnational",
                 "--from", "2020-03-01", "--to", "2020-03-21",
@@ -678,6 +730,8 @@ def failing_run(kind, sy, tmp, monkeypatch):
     if kind == "weights config seed":
         (tmp / "run.json").write_text(json.dumps({"seed": 1}))
         return ["--config", str(tmp / "run.json"), "weights", "--geometry", geo_path]
+    if kind == "alpha 1.5":
+        return moran + ["--alpha", "1.5"]
     if kind == "unknown category":
         return moran + ["--categories", "cinemas"]
     if kind == "missing input":
@@ -715,8 +769,14 @@ def failing_run(kind, sy, tmp, monkeypatch):
         ("data", 3),
         ("non-finite", 3),
         ("unknown country", 3),
+        ("region of absent country", 3),
         ("bad date", 3),
         ("seasonal window 1", 3),
+        ("window gap", 3),
+        ("alpha 1.5", 3),
+        ("geometry array", 3),
+        ("features not a list", 3),
+        ("feature not an object", 3),
         ("unknown category", 3),
         ("negative seed", 3),
         ("negative config seed", 3),
@@ -773,8 +833,21 @@ def test_no_links_writes_nothing(sy, tmp_path, monkeypatch):
     assert main(argv + ["--island-knn", "1", "--out-dir", str(tmp_path / "knn")]) == 0
 
 
+@pytest.mark.parametrize("kind", ["window gap", "alpha 1.5", *BAD_GEOMETRY_DOCS])
+def test_failure_writes_nothing(kind, sy, tmp_path, monkeypatch):
+    argv = failing_run(kind, sy, tmp_path, monkeypatch)
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 3
+    assert not (tmp_path / "out").exists()
+
+
 # the error line names where a bad seed came from, or what the map lacks
 FAILURE_MESSAGES = {
+    "window gap": "error: region 'SY/cell3_3' covers 20 of 21 days in 2020-03-01..2020-03-21",
+    "alpha 1.5": "error: alpha must be in (0, 1), got 1.5",
+    "region of absent country": "error: unknown country 'XX'; available: ['SY']",
+    "geometry array": "error: expected FeatureCollection, got 'list'",
+    "features not a list": "error: features must be a list of feature objects",
+    "feature not an object": "error: features must be a list of feature objects",
     "negative seed": "error: --seed (or config seed) must be a non-negative integer, got -1",
     "negative config seed": "error: --seed (or config seed) must be a non-negative integer, got -3",
     "bad seed env": "error: $ESDA_MOBILITY_SEED must be a non-negative integer, got 'abc'",

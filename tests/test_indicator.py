@@ -1,3 +1,4 @@
+import datetime as dt
 import math
 
 import numpy as np
@@ -149,3 +150,57 @@ class TestCirculation:
 
     def test_baseline_area_value(self):
         assert baseline_area() == pytest.approx(HEX_AREA_100, rel=1e-12)
+
+
+def three_region_table(days=6, skip=()):
+    """Regions SY/a, SY/b, SY/c from 2020-03-01 with varying values, but for
+    the (sub-region, day) rows in ``skip``."""
+    rng = np.random.default_rng(5)
+    rows = [
+        ("SY", sub, f"2020-03-{d + 1:02d}", dict(zip(CATEGORIES, rng.uniform(-90, 40, 6))))
+        for sub in "abc"
+        for d in range(days)
+        if (sub, d) not in skip
+    ]
+    return make_table(rows)
+
+
+class TestPanel:
+    def test_panel_rows_equal_single_region_series(self):
+        table = three_region_table()
+        window = (dt.date(2020, 3, 2), dt.date(2020, 3, 5))
+        panel = circulation_indicator(table, ["SY/c", "SY/a", "SY/b"], window=window)
+        assert panel.region_ids == ["SY/c", "SY/a", "SY/b"]
+        assert panel.areas.shape == panel.indicators.shape == (3, 4)
+        assert panel.dates == [dt.date(2020, 3, d) for d in range(2, 6)]
+        for k, rid in enumerate(panel.region_ids):
+            one = circulation_indicator(table, rid, window=window)
+            assert one.areas.shape == (4,) and one.window_means.shape == (6,)
+            assert panel.areas[k].tolist() == one.areas.tolist()
+            assert panel.indicators[k].tolist() == one.indicators.tolist()
+            rows = table.rows(rid, window)
+            means = [float(table.column(cat)[rows].mean()) for cat in CATEGORIES]
+            assert panel.window_means[k].tolist() == means == one.window_means.tolist()
+        assert panel.period_indicator == pytest.approx(panel.areas.mean(axis=1) / baseline_area())
+
+    def test_every_region_checked_before_any_area(self):
+        table = three_region_table(skip=[("c", 2)])
+        with pytest.raises(DataError, match="region 'SY/c' covers 5 of 6 days"):
+            circulation_indicator(table, ["SY/a", "SY/b", "SY/c"],
+                                  window=(dt.date(2020, 3, 1), dt.date(2020, 3, 6)))
+        with pytest.raises(DataError, match="no data for region 'SY/d'"):
+            circulation_indicator(table, ["SY/a", "SY/d"])
+
+    def test_without_window_regions_share_dates(self):
+        table = three_region_table(skip=[("b", 0), ("c", 5)])
+        assert circulation_indicator(table, ["SY/a", "SY/a"]).areas.shape == (2, 6)
+        for ids in (["SY/a", "SY/b"], ["SY/b", "SY/a"], ["SY/b", "SY/c"]):  # the last: same length
+            with pytest.raises(DataError, match="different dates"):
+                circulation_indicator(table, ids)
+
+    def test_first_missing_cell_reported(self):
+        rows = [("SY", sub, "2020-03-01", flat_values(0)) for sub in "ab"]
+        rows.append(("SY", "b", "2020-03-02", {**flat_values(0), "parks": None}))
+        rows.append(("SY", "a", "2020-03-02", flat_values(0)))
+        with pytest.raises(DataError, match=r"SY/b 2020-03-02: missing \['parks'\]"):
+            circulation_indicator(make_table(rows), ["SY/a", "SY/b"])

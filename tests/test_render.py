@@ -235,16 +235,35 @@ class TestRadarFigure:
 
 class TestSeriesFigure:
     def test_multiple_series_drawn(self):
-        series = {
-            "a": ([None] * 5, np.linspace(0, 1, 5)),
-            "b": ([None] * 5, np.linspace(1, 0, 5)),
-        }
-        svg = render_series(series)
+        svg = render_series(["a", "b"], [np.linspace(0, 1, 5), np.linspace(1, 0, 5)])
         assert svg.count("<polyline ") == 2
+
+    def test_few_series_keep_one_line_each(self):
+        # the bytes of the one-line-per-series plot, legend sorted by name
+        svg = render_series(["b", "a"], [np.linspace(1, 0, 5), np.linspace(0, 1, 5) ** 2],
+                            FigureSpec(title="two"))
+        digest = hashlib.sha256(svg.encode()).hexdigest()
+        assert digest == "61e005517c94ec35cc057c4b2bb65f5c64974060c56402fdfcde2899a72b0775"
+
+    def test_many_series_drawn_as_median_and_band(self):
+        rng = np.random.default_rng(0)
+        values = rng.normal(size=(27, 92)).cumsum(axis=1)
+        spec = FigureSpec()
+        svg = render_series([f"r{k}" for k in range(27)], values, spec)
+        assert svg.count("<polyline ") == 1
+        assert svg.count("<polygon ") == 1
+        legend_ys = [float(y) for y in re.findall(r'<rect x="[^"]+" y="([^"]+)"', svg)]
+        assert len(legend_ys) == 2
+        assert all(0 <= y and y + 12 <= spec.height for y in legend_ys)
+        assert "median of 27" in svg
+        # the median line's first point sits at the first column's median
+        fraction = (np.median(values[:, 0]) - values.min()) / (values.max() - values.min())
+        first_y = float(re.search(r'<polyline points="40,([^ ]+) ', svg).group(1))
+        assert first_y == pytest.approx(440 - fraction * 400, abs=1e-3)
 
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
-            render_series({})
+            render_series([], np.empty((0, 5)))
 
 
 class TestExports:
