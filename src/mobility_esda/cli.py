@@ -1,8 +1,8 @@
 """Command-line pipeline: ingest, indicator, moran, weights, render.
 
-Runs are config-driven and reproducible: every subcommand writes a
-run-manifest.json echoing the resolved parameters, all randomness flows
-from a single seed, and outputs are written atomically (temp + rename).
+Runs are config-driven and reproducible, all randomness flowing from one
+seed. Every subcommand returns its files, run-manifest.json last; :func:`main`
+writes them atomically (temp + rename) once every stage has succeeded.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ REQUIRED = object()  # default of an option that the command line or config must
 
 
 def atomic_write(path: Path, data: str | bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     mode = "wb" if isinstance(data, bytes) else "w"
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
     umask = os.umask(0)  # reading the umask means setting it; restore at once
@@ -74,8 +73,8 @@ def _file_record(path: str) -> dict:
     return {"name": Path(path).name, "sha256": digest, "bytes": size}
 
 
-def write_manifest(out_dir: Path, args, omit=(), **resolved) -> None:
-    """Echo the command's resolved options, with ``resolved`` replacing raw ones.
+def manifest(args, omit=(), issues=None, **resolved) -> str:
+    """Echo the command's resolved options, ``resolved`` replacing raw ones, and any ``issues``.
 
     out_dir is intentionally excluded, and input files are recorded by
     name and content, so identical runs from and into different
@@ -86,8 +85,10 @@ def write_manifest(out_dir: Path, args, omit=(), **resolved) -> None:
     for key in ("input", "geometry", "values"):
         if key in config:
             config[key] = _file_record(config[key])
-    manifest = {"command": args.command, "version": __version__, "config": config}
-    atomic_write(out_dir / "run-manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    doc = {"command": args.command, "version": __version__, "config": config}
+    if issues is not None:
+        doc["issues"] = issues
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _parse_date(s: str) -> dt.date:
@@ -274,20 +275,28 @@ def resolve_options(args, defaults: dict[str, tuple], config: dict) -> None:
             setattr(args, dest, default)
 
 
-def cmd_ingest(args) -> int:
-    out_dir = Path(args.out_dir)
+def cmd_ingest(args) -> dict[str, str]:
+    column_map = _parse_column_map(args.column_map)
     with open(args.input, "rb") as fh:
         table = ing.parse_cmr_csv(
             fh,
-            column_map=_parse_column_map(args.column_map) or None,
+            column_map=column_map or None,
             strict=not args.lenient,
             country=args.country or None,
         )
     table, report = ing.impute_missing(table)
-    atomic_write(out_dir / "mobility-normalized.csv", ing.write_csv(table))
-    atomic_write(out_dir / "imputation-report.json", report.to_json())
-    write_manifest(out_dir, args, column_map=_parse_column_map(args.column_map))
-    return EXIT_OK
+    return {
+        "mobility-normalized.csv": ing.write_csv(table),
+        "imputation-report.json": report.to_json(),
+        "run-manifest.json": manifest(args, issues=table.issues, column_map=column_map),
+    }
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as csv.writer's default dialect writes it: quoted if it holds , " CR or LF."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _select_regions(table, args) -> list[str]:
@@ -302,8 +311,7 @@ def _select_regions(table, args) -> list[str]:
     return list(dict.fromkeys(regions))  # each region once, in first-seen order
 
 
-def cmd_indicator(args) -> int:
-    out_dir = Path(args.out_dir)
+def cmd_indicator(args) -> dict[str, str]:
     window = (_parse_date(args.date_from), _parse_date(args.date_to))
     # imputation is per country: parsing only the one selected country changes no value
     countries = {key.partition("/")[0] for key in [*args.region, args.country] if key}
@@ -334,23 +342,24 @@ def cmd_indicator(args) -> int:
     dates = [date.isoformat() for date in panel.dates]
     rows = [header]
     row = "%s,%s" + ",%.15g" * len(columns)  # %.15g writes what format(v, ".15g") does
+    files = {}
     for rid, cells, means in zip(regions, np.stack(columns, axis=-1), panel.window_means):
+        field = _csv_field(rid)
         # tolist() makes the Python floats a region at a time
-        rows += [row % (rid, date, *day) for date, day in zip(dates, cells.tolist())]
+        rows += [row % (field, date, *day) for date, day in zip(dates, cells.tolist())]
         safe = rid.replace("/", "_").strip("_") or "national"
-        atomic_write(out_dir / f"radar-{safe}.svg", rd.render_radar(means, config))
-    atomic_write(out_dir / "circulation.csv", "\n".join(rows) + "\n")
+        files[f"radar-{safe}.svg"] = rd.render_radar(means, config)
+    files["circulation.csv"] = "\n".join(rows) + "\n"
     # the overlay draws the last column: the deseasonalized indicator if there is one
     overlay = rd.render_series(regions, columns[-1], rd.FigureSpec(title="Circulation indicator"))
-    atomic_write(out_dir / "indicator-overlay.svg", overlay)
-    write_manifest(
-        out_dir,
+    files["indicator-overlay.svg"] = overlay
+    files["run-manifest.json"] = manifest(
         args,
         omit=("country", "region", "subnational"),
         regions=sorted(regions),
         window=[window[0].isoformat(), window[1].isoformat()],
     )
-    return EXIT_OK
+    return files
 
 
 def _reconcile_ids(geom_ids: list[str], data_ids: list[str]) -> None:
@@ -379,9 +388,8 @@ def _contiguity_weights(
     return wt.row_standardize(W) if row_standardize else W
 
 
-def _write_weights(out_dir: Path, W: wt.SpatialWeights) -> None:
-    atomic_write(out_dir / "weights.txt", wt.to_text(W))
-    atomic_write(out_dir / "weights.json", wt.to_json(W))
+def _weights_files(W: wt.SpatialWeights) -> dict[str, str]:
+    return {"weights.txt": wt.to_text(W), "weights.json": wt.to_json(W)}
 
 
 def _blue_ramp(lo: float, hi: float) -> rd.ColorScale:
@@ -389,8 +397,7 @@ def _blue_ramp(lo: float, hi: float) -> rd.ColorScale:
     return rd.ColorScale([(lo, "#08306b"), (hi, "#deebf7")] if lo < hi else [(lo, "#deebf7")])
 
 
-def cmd_moran(args) -> int:
-    out_dir = Path(args.out_dir)
+def cmd_moran(args) -> dict[str, str]:
     seed = _resolve_seed(args)
     window = (_parse_date(args.date_from), _parse_date(args.date_to))
     with open(args.input, "rb") as fh:
@@ -425,82 +432,68 @@ def cmd_moran(args) -> int:
     results = mr.moran_permutation(group, W, permutations=args.permutations, seed=seed)
     p_locals = mr.lisa_permutation(group, W, permutations=args.permutations, seed=seed)
     paths = rd.map_paths(geoms)  # one projection serves every map of every category
+    files = {}
     for (category, field), result, p_local in zip(fields.items(), results, p_locals):
         x = field.x
         lisa = mr.lisa_classify(field, W, p_local, alpha=args.alpha)
         local_i = lisa.local_i
-
-        cat_dir = out_dir / category
-        atomic_write(
-            cat_dir / "global.json",
-            json.dumps(
-                {
-                    "category": category,
-                    "I": result.I,
-                    "expected_I": result.expected,
-                    "permutations": result.permutations,
-                    "seed": seed,
-                    "sided": result.sided,
-                    "sim_mean": result.sim_mean,
-                    "sim_sd": result.sim_sd,
-                    "pseudo_p": result.pseudo_p,
-                    "significant": result.pseudo_p <= args.alpha,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
+        cat_dir = f"{category}/"
+        files[cat_dir + "global.json"] = json.dumps(
+            {
+                "category": category,
+                "I": result.I,
+                "expected_I": result.expected,
+                "permutations": result.permutations,
+                "seed": seed,
+                "sided": result.sided,
+                "sim_mean": result.sim_mean,
+                "sim_sd": result.sim_sd,
+                "pseudo_p": result.pseudo_p,
+                "significant": result.pseudo_p <= args.alpha,
+            },
+            indent=2,
+            sort_keys=True,
+        ) + "\n"
+        files[cat_dir + "scatter.svg"] = rd.render_moran_scatter(
+            lisa, rd.FigureSpec(title=f"Moran scatter: {category}")
         )
-        atomic_write(
-            cat_dir / "scatter.svg",
-            rd.render_moran_scatter(lisa, rd.FigureSpec(title=f"Moran scatter: {category}")),
+        files[cat_dir + "lisa.csv"] = rd.lisa_to_csv(lisa)
+        files[cat_dir + "lisa-clusters.svg"], files[cat_dir + "lisa-significance.svg"] = (
+            rd.render_lisa_maps(paths, lisa, rd.FigureSpec(title=f"LISA clusters: {category}"))
         )
-        atomic_write(cat_dir / "lisa.csv", rd.lisa_to_csv(lisa))
-        cluster_svg, signif_svg = rd.render_lisa_maps(
-            paths, lisa, rd.FigureSpec(title=f"LISA clusters: {category}")
+        files[cat_dir + "mean-variation.svg"] = rd.render_choropleth(
+            paths,
+            {rid: float(v) for rid, v in zip(W.ids, x)},
+            _blue_ramp(float(x.min()), float(x.max())),
+            rd.FigureSpec(title=f"Mean variation: {category}"),
         )
-        atomic_write(cat_dir / "lisa-clusters.svg", cluster_svg)
-        atomic_write(cat_dir / "lisa-significance.svg", signif_svg)
-        atomic_write(
-            cat_dir / "mean-variation.svg",
-            rd.render_choropleth(
-                paths,
-                {rid: float(v) for rid, v in zip(W.ids, x)},
-                _blue_ramp(float(x.min()), float(x.max())),
-                rd.FigureSpec(title=f"Mean variation: {category}"),
-            ),
+        files[cat_dir + "mean-variation.geojson"] = rd.join_geojson(
+            geojson_doc,
+            {
+                rid: {
+                    "mean_variation": float(x[i]),
+                    "local_i": float(local_i[i]),
+                    "pseudo_p": float(lisa.pseudo_p[i]),
+                    "quadrant": lisa.labels[i],
+                }
+                for i, rid in enumerate(W.ids)
+            },
+            id_property=args.id_property,
         )
-        atomic_write(
-            cat_dir / "mean-variation.geojson",
-            rd.join_geojson(
-                geojson_doc,
-                {
-                    rid: {
-                        "mean_variation": float(x[i]),
-                        "local_i": float(local_i[i]),
-                        "pseudo_p": float(lisa.pseudo_p[i]),
-                        "quadrant": lisa.labels[i],
-                    }
-                    for i, rid in enumerate(W.ids)
-                },
-                id_property=args.id_property,
-            ),
-        )
-    _write_weights(out_dir, W)  # last: a bad --alpha, refused by lisa_classify, leaves nothing
-    write_manifest(out_dir, args, seed=seed, window=[window[0].isoformat(), window[1].isoformat()])
-    return EXIT_OK
+    files |= _weights_files(W)
+    files["run-manifest.json"] = manifest(
+        args, seed=seed, window=[window[0].isoformat(), window[1].isoformat()]
+    )
+    return files
 
 
-def cmd_weights(args) -> int:
-    out_dir = Path(args.out_dir)
+def cmd_weights(args) -> dict[str, str]:
     geoms = load_geojson(_read_json(args.geometry), id_property=args.id_property)
-    _write_weights(out_dir, _contiguity_weights(args, geoms, row_standardize=args.row_standardize))
-    write_manifest(out_dir, args)
-    return EXIT_OK
+    W = _contiguity_weights(args, geoms, row_standardize=args.row_standardize)
+    return _weights_files(W) | {"run-manifest.json": manifest(args)}
 
 
-def cmd_render(args) -> int:
-    out_dir = Path(args.out_dir)
+def cmd_render(args) -> dict[str, str]:
     geoms = load_geojson(_read_json(args.geometry), id_property=args.id_property)
     try:
         text = Path(args.values).read_bytes().decode("utf-8-sig")
@@ -525,12 +518,12 @@ def cmd_render(args) -> int:
     if not present:
         raise DataError("values CSV contains no numeric values")
     scale = _blue_ramp(min(present), max(present))
-    atomic_write(
-        out_dir / "choropleth.svg",
-        rd.render_choropleth(rd.map_paths(geoms), values, scale, rd.FigureSpec(title=args.title)),
-    )
-    write_manifest(out_dir, args)
-    return EXIT_OK
+    return {
+        "choropleth.svg": rd.render_choropleth(
+            rd.map_paths(geoms), values, scale, rd.FigureSpec(title=args.title)
+        ),
+        "run-manifest.json": manifest(args),
+    }
 
 
 COMMANDS = {
@@ -548,7 +541,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(sys.argv[1:] if argv is None else list(argv))
         config = _load_config_file(args.config) if args.config else {}
         resolve_options(args, defaults[args.command], config)
-        return COMMANDS[args.command](args)
+        files = COMMANDS[args.command](args)
+        # nothing is written until every stage has succeeded; the manifest comes last
+        out_dir = Path(args.out_dir)
+        for folder in dict.fromkeys((out_dir / name).parent for name in files):
+            folder.mkdir(parents=True, exist_ok=True)
+        for name, data in files.items():
+            atomic_write(out_dir / name, data)
+        return EXIT_OK
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -242,6 +242,10 @@ def render_moran_scatter(scatter: LisaResult, spec: FigureSpec = FigureSpec()) -
     return "\n".join(parts) + "\n"
 
 
+# (cos, sin) of each radar spoke, clockwise from the top
+_SPOKES = [(math.cos(t), math.sin(t)) for t in (math.radians(90 - 60 * k) for k in range(6))]
+
+
 def render_radar(
     values: dict[str, float] | np.ndarray,
     config: RadarConfig = RadarConfig(),
@@ -258,8 +262,8 @@ def render_radar(
     plot_r = min(spec.width, spec.height) / 2 - m
 
     def vertex(k: int, r: float):
-        theta = math.radians(90 - 60 * k)
-        return cx + r / max_r * plot_r * math.cos(theta), cy - r / max_r * plot_r * math.sin(theta)
+        cos, sin = _SPOKES[k]
+        return cx + r / max_r * plot_r * cos, cy - r / max_r * plot_r * sin
 
     parts = _svg_open(spec)
     for k, cat in enumerate(config.axis_order):

@@ -254,25 +254,19 @@ def row_standardize(W: SpatialWeights) -> SpatialWeights:
 
 
 def to_text(W: SpatialWeights) -> str:
-    """Plain-text neighbor list: one ``id: n1 n2 ...`` line per region."""
+    """Plain-text neighbor list: one ``id<TAB>n1<TAB>n2...`` line per region."""
+    bad = [rid for rid in W.ids if any(c in rid for c in "\t\r\n")]
+    if bad:
+        raise DataError(f"weights.txt cannot hold region ids with a tab or line break: {bad!r}")
     lines = []
     for i, rid in enumerate(W.ids):
-        nbrs = " ".join(W.ids[j] for j in W.neighbors(i).tolist())
-        lines.append(f"{rid}: {nbrs}".rstrip())
+        lines.append("\t".join([rid, *(W.ids[j] for j in W.neighbors(i).tolist())]))
     return "\n".join(lines) + "\n"
 
 
 def from_text(text: str) -> SpatialWeights:
-    neighbors: dict[str, list[str]] = {}
-    ids: list[str] = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        rid, _, rest = line.partition(":")
-        rid = rid.strip()
-        ids.append(rid)
-        neighbors[rid] = rest.split()
-    return SpatialWeights.from_neighbors(ids, neighbors)
+    rows = [line.split("\t") for line in text.split("\n") if line]
+    return SpatialWeights.from_neighbors([r[0] for r in rows], {r[0]: r[1:] for r in rows})
 
 
 def to_json(W: SpatialWeights) -> str:

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from mobility_esda import render
+from mobility_esda import cli, render
 from mobility_esda.cli import atomic_write, main
+from mobility_esda.errors import DataError
 from mobility_esda.indicator import RadarConfig, circulation_indicator
 from mobility_esda.ingest import impute_missing, parse_cmr_csv
 from mobility_esda.timeseries import DailySeries, stl_decompose
@@ -66,6 +67,18 @@ class TestIngestCmd:
             assert (mapped / name).read_bytes() == (plain / name).read_bytes()
         config = json.loads((mapped / "run-manifest.json").read_text())["config"]
         assert config["column_map"] == {"sub_region": "state", "parks": "parks"}
+
+    def test_lenient_skips_are_in_the_manifest(self, sy, tmp_path):
+        csv_path, _ = sy
+        text = csv_path.read_text() + "SY,cell0_0,2020-04-01,-150,0,0,0,0,0\n"
+        (tmp_path / "bad.csv").write_text(text)
+        out, clean = tmp_path / "out", tmp_path / "clean"
+        argv = ["ingest", "--lenient", "--input"]
+        assert main(argv + [str(tmp_path / "bad.csv"), "--out-dir", str(out)]) == 0
+        issues = json.loads((out / "run-manifest.json").read_text())["issues"]
+        assert len(issues) == 1 and "-150" in issues[0]
+        assert main(argv + [str(csv_path), "--out-dir", str(clean)]) == 0
+        assert json.loads((clean / "run-manifest.json").read_text())["issues"] == []
 
     def test_missing_column_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -239,6 +252,28 @@ class TestIndicatorCmd:
                 for date, area, ind in zip(s.dates, s.areas, s.indicators)
             ]
         assert (out / "circulation.csv").read_text().splitlines() == expected
+
+    def test_comma_in_region_name_quoted(self, tmp_path):
+        # each sub-region as the input CSV quotes it, and as circulation.csv must write its id
+        quoted = {"Foo, Bar": '"Foo, Bar"', 'say "hi"': '"say ""hi"""', "plain": "plain"}
+        header = synthetic_country_csv(1, 1, 1).splitlines()[0]
+        rows = [header] + [
+            f"SY,{cell},2020-03-{d:02d},{-5 * k},{d},{-d},0,{k},{2 * d}"
+            for k, cell in enumerate(quoted.values())
+            for d in range(1, 15)
+        ]
+        (tmp_path / "comma.csv").write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        extra = ["--country", "SY", "--subnational", "--to", "2020-03-14"]
+        assert main(self.indicator_args(tmp_path / "comma.csv", out, extra)) == 0
+        with open(out / "circulation.csv", newline="") as fh:
+            recs = list(csv.DictReader(fh))
+        assert len(recs) == 3 * 14 and all(None not in r for r in recs)
+        assert [r["region_id"] for r in recs[::14]] == ["SY/Foo, Bar", "SY/plain", 'SY/say "hi"']
+        lines = (out / "circulation.csv").read_text().splitlines()
+        assert [line.partition(",2020-03-01,")[0] for line in lines[1::14]] == [
+            '"SY/Foo, Bar"', "SY/plain", '"SY/say ""hi"""'
+        ]
 
     def test_other_country_not_parsed(self, sy, tmp_path):
         # a row of another country that strict parsing refuses does not stop a one-country run
@@ -425,7 +460,7 @@ class TestWeightsCmd:
         out = tmp_path / "w"
         assert main(["weights", "--geometry", str(geo_path), "--out-dir", str(out)]) == 0
         text = (out / "weights.txt").read_text()
-        assert text.startswith("cell0_0:")
+        assert text.startswith("cell0_0\t")
         payload = json.loads((out / "weights.json").read_text())
         assert len(payload["regions"]) == 16
 
@@ -446,7 +481,7 @@ class TestWeightsCmd:
         assert regions["cell0_0"]["neighbors"] == ["cell1_0", "cell2_0"]
         assert all(sum(r["weights"]) == pytest.approx(1.0) for r in regions.values())
         text = (out / "weights.txt").read_text()
-        assert text.startswith("cell0_0: cell1_0 cell2_0\n")
+        assert text.startswith("cell0_0\tcell1_0\tcell2_0\n")
 
 
 class TestRenderCmd:
@@ -831,6 +866,28 @@ def test_no_links_writes_nothing(sy, tmp_path, monkeypatch):
     assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 3
     assert not (tmp_path / "out").exists()
     assert main(argv + ["--island-knn", "1", "--out-dir", str(tmp_path / "knn")]) == 0
+
+
+def test_late_failure_writes_nothing(sy, tmp_path, monkeypatch):
+    # the second category's GeoJSON fails after the first category's outputs are made
+    csv_path, geo_path = sy
+    join = cli.rd.join_geojson
+    calls = []
+
+    def failing_join(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise DataError("join failed")
+        return join(*args, **kwargs)
+
+    monkeypatch.setattr(cli.rd, "join_geojson", failing_join)
+    out = tmp_path / "out"
+    argv = ["moran", "--input", str(csv_path), "--geometry", str(geo_path), "--country", "SY",
+            "--from", "2020-03-01", "--to", "2020-03-21", "--permutations", "9",
+            "--categories", "parks", "residential", "--out-dir", str(out)]
+    assert main(argv) == 3
+    assert len(calls) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind", ["window gap", "alpha 1.5", *BAD_GEOMETRY_DOCS])

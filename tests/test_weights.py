@@ -200,6 +200,28 @@ class TestSerialization:
         assert np.array_equal(W2.indptr, W.indptr)
         assert np.array_equal(W2.indices, W.indices)
 
+    def test_text_round_trip_with_spaced_ids(self):
+        # Parana lies apart: an island's line is its id alone
+        places = {"Sao Paulo": 0, "Minas Gerais": 1, "Rio de Janeiro": 2, "Parana": 5}
+        W = queen_adjacency([RegionGeometry(name, square(x, 0)) for name, x in places.items()])
+        text = to_text(W)
+        assert text.splitlines() == [
+            "Sao Paulo\tMinas Gerais",
+            "Minas Gerais\tSao Paulo\tRio de Janeiro",
+            "Rio de Janeiro\tMinas Gerais",
+            "Parana",
+        ]
+        W2 = from_text(text)
+        assert W2.ids == W.ids
+        assert np.array_equal(W2.indptr, W.indptr)
+        assert np.array_equal(W2.indices, W.indices)
+
+    @pytest.mark.parametrize("name", ["a\tb", "a\nb"])
+    def test_text_refuses_tab_or_newline_in_id(self, name):
+        W = queen_adjacency([RegionGeometry(name, square(0, 0)), RegionGeometry("c", square(1, 0))])
+        with pytest.raises(DataError, match="tab or line break"):
+            to_text(W)
+
     def test_json_round_trip_preserves_weights(self):
         W = row_standardize(queen_adjacency(grid_geometries(3, 3)))
         W2 = from_json(to_json(W))
