@@ -180,6 +180,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, tuple]]
         option("--out-dir", default="out", help="output directory")
         return option
 
+    def contiguity(option):
+        """The flags :func:`_contiguity_weights` reads, shared by ``moran`` and ``weights``."""
+        option("--contiguity", choices=["queen", "rook"], default="queen")
+        option("--snap-tol", type=float, default=1e-7)
+        option("--island-knn", type=int, default=0,
+               help="attach islands to their k nearest centroids (0 = leave islands)")
+
     option = command("ingest", "parse, validate and impute a mobility CSV")
     option("--input", required=True, help="mobility CSV path")
     option("--country", help="restrict to one country code")
@@ -210,22 +217,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, tuple]]
     option("--id-property", default="region_id", help="feature property holding the sub-region name")
     option("--from", dest="date_from", default=DEFAULT_ANALYSIS_WINDOW[0].isoformat())
     option("--to", dest="date_to", default=DEFAULT_ANALYSIS_WINDOW[1].isoformat())
-    option("--contiguity", choices=["queen", "rook"], default="queen")
+    contiguity(option)
     option("--permutations", type=int, default=999)
     option("--alpha", type=float, default=0.05)
-    option("--snap-tol", type=float, default=1e-7)
-    option("--island-knn", type=int, default=0,
-           help="attach islands to their k nearest centroids (0 = leave islands)")
-    option("--categories", nargs="*", default=list(CATEGORIES))
+    option("--categories", nargs="+", default=list(CATEGORIES))
     option("--seed", type=int, help=f"RNG seed (fallback: ${SEED_ENV_VAR}, then 0)")
 
     option = command("weights", "build and export contiguity weights")
     option("--geometry", required=True)
     option("--id-property", default="region_id")
-    option("--contiguity", choices=["queen", "rook"], default="queen")
-    option("--snap-tol", type=float, default=1e-7)
-    option("--island-knn", type=int, default=0,
-           help="attach islands to their k nearest centroids (0 = leave islands)")
+    contiguity(option)
     option("--row-standardize", action="store_true", default=False)
 
     option = command("render", "choropleth of a per-region values CSV")
@@ -239,13 +240,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, tuple]]
 def _config_value(key: str, value, action: argparse.Action, many: bool):
     """A config value checked as the option's flag would be: a flag takes
     true or false, a list option a list (of ``nargs`` items if that is a
-    number), and every other value, or list item, is a string, number or
-    date read as the flag's text through the option's type and choices."""
+    number, of at least one if it is ``+``), and every other value, or
+    list item, is a string, number or date read as the flag's text through
+    the option's type and choices."""
     if action.nargs == 0:
         if isinstance(value, bool):
             return value
     elif many:
-        if isinstance(value, list) and action.nargs in ("*", None, len(value)):
+        counts = ("*", "+", None) if value else ("*", None)
+        if isinstance(value, list) and action.nargs in (*counts, len(value)):
             return [_config_value(key, item, action, many=False) for item in value]
     elif isinstance(value, (str, int, float, dt.date)) and not isinstance(value, bool):
         try:
@@ -292,13 +295,6 @@ def cmd_ingest(args) -> dict[str, str]:
     }
 
 
-def _csv_field(text: str) -> str:
-    """``text`` as csv.writer's default dialect writes it: quoted if it holds , " CR or LF."""
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def _select_regions(table, args) -> list[str]:
     regions = list(args.region)
     if args.country:
@@ -322,6 +318,11 @@ def cmd_indicator(args) -> dict[str, str]:
     config = RadarConfig(center=args.center, axis_order=tuple(args.axis_order))
     regions = _select_regions(table, args)
     panel = circulation_indicator(table, regions, config, window)
+    radars: dict[str, str] = {}  # radar file name -> region id, in region order
+    for rid in regions:
+        name = f"radar-{rid.replace('/', '_').strip('_') or 'national'}.svg"
+        if radars.setdefault(name, rid) != rid:
+            raise DataError(f"regions {radars[name]!r} and {rid!r} would both be drawn to {name}")
     header = "region_id,date,area,indicator"
     columns = [panel.areas, panel.indicators]
     if args.deseasonalize:
@@ -343,12 +344,11 @@ def cmd_indicator(args) -> dict[str, str]:
     rows = [header]
     row = "%s,%s" + ",%.15g" * len(columns)  # %.15g writes what format(v, ".15g") does
     files = {}
-    for rid, cells, means in zip(regions, np.stack(columns, axis=-1), panel.window_means):
-        field = _csv_field(rid)
+    for (name, rid), cells, means in zip(radars.items(), np.stack(columns, axis=-1), panel.window_means):
+        field = ing.csv_field(rid)
         # tolist() makes the Python floats a region at a time
         rows += [row % (field, date, *day) for date, day in zip(dates, cells.tolist())]
-        safe = rid.replace("/", "_").strip("_") or "national"
-        files[f"radar-{safe}.svg"] = rd.render_radar(means, config)
+        files[name] = rd.render_radar(means, config)
     files["circulation.csv"] = "\n".join(rows) + "\n"
     # the overlay draws the last column: the deseasonalized indicator if there is one
     overlay = rd.render_series(regions, columns[-1], rd.FigureSpec(title="Circulation indicator"))

@@ -515,14 +515,20 @@ def impute_missing(table: MobilityTable) -> tuple[MobilityTable, ImputationRepor
     return replace(table, values=filled, issues=list(table.issues)), ImputationReport(entries)
 
 
+def csv_field(text: str) -> str:
+    """``text`` as a field of any table the program writes: in double quotes,
+    each ``"`` doubled, if it holds , " CR or LF (numbers go as ``%.15g``)."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_csv(table: MobilityTable) -> str:
     """Serialize to normalized CSV (default headers, canonical row order)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = [DEFAULT_COLUMNS[k] for k in ("country_code", "sub_region", "date", *CATEGORIES)]
-    writer.writerow(header)
+    header = ",".join(DEFAULT_COLUMNS[k] for k in ("country_code", "sub_region", "date", *CATEGORIES))
+    prefix = [f"{csv_field(c)},{csv_field(s)}" for c, s in zip(table.country_codes, table.sub_regions)]
+    lines = [header]
     for r, date, values in zip(table.region.tolist(), table.date_list(), table.values.tolist()):
-        row = [table.country_codes[r], table.sub_regions[r], date.isoformat()]
-        row += ["" if math.isnan(v) else f"{v:.15g}" for v in values]
-        writer.writerow(row)
-    return buf.getvalue()
+        cells = ["" if math.isnan(v) else "%.15g" % v for v in values]
+        lines.append(",".join([prefix[r], date.isoformat(), *cells]))
+    return "\n".join(lines) + "\n"

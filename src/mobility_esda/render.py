@@ -7,8 +7,6 @@ regression tests simple.
 
 from __future__ import annotations
 
-import io
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -18,6 +16,7 @@ import numpy as np
 from .errors import DataError, ParameterError
 from .geometry import RegionGeometry
 from .indicator import RadarConfig, radar_radii
+from .ingest import csv_field
 from .moran import LisaResult
 
 # conventional LISA palettes
@@ -331,23 +330,13 @@ def render_series(names: list[str], values, spec: FigureSpec = FigureSpec()) -> 
 
 def lisa_to_csv(lisa: LisaResult) -> str:
     """Stable-column CSV: region_id, local_i, lag, pseudo_p, quadrant, tier."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["region_id", "local_i", "lag", "pseudo_p", "quadrant", "tier"])
-    local_i = lisa.local_i
-    for i, rid in enumerate(lisa.ids):
-        tier = "" if lisa.tiers[i] is None else f"{lisa.tiers[i]:g}"
-        writer.writerow(
-            [
-                rid,
-                f"{local_i[i]:.15g}",
-                f"{lisa.lag[i]:.15g}",
-                f"{lisa.pseudo_p[i]:.15g}",
-                lisa.labels[i],
-                tier,
-            ]
-        )
-    return buf.getvalue()
+    lines = ["region_id,local_i,lag,pseudo_p,quadrant,tier"]
+    columns = (lisa.local_i.tolist(), lisa.lag.tolist(), lisa.pseudo_p.tolist(), lisa.labels, lisa.tiers)
+    for rid, local_i, lag, p, label, tier in zip(lisa.ids, *columns):
+        tier = "" if tier is None else f"{tier:g}"
+        cells = (csv_field(rid), local_i, lag, p, csv_field(label), tier)
+        lines.append("%s,%.15g,%.15g,%.15g,%s,%s" % cells)
+    return "\n".join(lines) + "\n"
 
 
 def join_geojson(doc: dict, properties: dict[str, dict], id_property: str = "region_id") -> str:

@@ -659,6 +659,7 @@ BAD_CONFIG = {
     "config contiguity bishop": ({"contiguity": "bishop"}, "moran"),
     "config island_knn 1.5": ({"island_knn": 1.5}, "moran"),
     "config categories string": ({"categories": "parks"}, "moran"),
+    "config categories empty": ({"categories": []}, "moran"),
     "config axis_order short": ({"axis_order": ["parks"]}, "indicator"),
     "config flag string": ({"row_standardize": "no"}, "weights"),
 }
@@ -769,6 +770,15 @@ def failing_run(kind, sy, tmp, monkeypatch):
         return moran + ["--alpha", "1.5"]
     if kind == "unknown category":
         return moran + ["--categories", "cinemas"]
+    if kind == "no categories":
+        return moran + ["--categories"]
+    if kind == "radar name collision":
+        # both sub-regions would be drawn to radar-SY_a_b.svg
+        header = Path(csv_path).read_text().partition("\n")[0]
+        rows = [f"SY,{cell},2020-03-{d:02d},1,2,3,4,5,6" for cell in ("a/b", "a_b") for d in range(1, 22)]
+        (tmp / "slash.csv").write_text("\n".join([header, *rows]) + "\n")
+        return ["indicator", "--input", str(tmp / "slash.csv"), "--country", "SY", "--subnational",
+                "--from", "2020-03-01", "--to", "2020-03-21"]
     if kind == "missing input":
         return ["ingest", "--input", str(tmp / "absent.csv")]
     if kind == "missing geometry":
@@ -801,6 +811,7 @@ def failing_run(kind, sy, tmp, monkeypatch):
         ("undecodable values", 2),
         ("values without value column", 2),
         ("weights seed", 2),
+        ("no categories", 2),
         ("data", 3),
         ("non-finite", 3),
         ("unknown country", 3),
@@ -808,6 +819,7 @@ def failing_run(kind, sy, tmp, monkeypatch):
         ("bad date", 3),
         ("seasonal window 1", 3),
         ("window gap", 3),
+        ("radar name collision", 3),
         ("alpha 1.5", 3),
         ("geometry array", 3),
         ("features not a list", 3),
@@ -841,6 +853,7 @@ def failing_run(kind, sy, tmp, monkeypatch):
         ("config contiguity bishop", 3),
         ("config island_knn 1.5", 3),
         ("config categories string", 3),
+        ("config categories empty", 3),
         ("config axis_order short", 3),
         ("config flag string", 3),
         ("no two regions touch", 3),
@@ -890,16 +903,22 @@ def test_late_failure_writes_nothing(sy, tmp_path, monkeypatch):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("kind", ["window gap", "alpha 1.5", *BAD_GEOMETRY_DOCS])
+@pytest.mark.parametrize(
+    "kind",
+    ["window gap", "radar name collision", "alpha 1.5", "no categories", "config categories empty",
+     *BAD_GEOMETRY_DOCS],
+)
 def test_failure_writes_nothing(kind, sy, tmp_path, monkeypatch):
     argv = failing_run(kind, sy, tmp_path, monkeypatch)
-    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 3
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == (2 if kind == "no categories" else 3)
     assert not (tmp_path / "out").exists()
 
 
 # the error line names where a bad seed came from, or what the map lacks
 FAILURE_MESSAGES = {
     "window gap": "error: region 'SY/cell3_3' covers 20 of 21 days in 2020-03-01..2020-03-21",
+    "radar name collision": "error: regions 'SY/a/b' and 'SY/a_b' would both be drawn to radar-SY_a_b.svg",
+    "no categories": "schema error: mobility-esda moran: argument --categories: expected at least one",
     "alpha 1.5": "error: alpha must be in (0, 1), got 1.5",
     "region of absent country": "error: unknown country 'XX'; available: ['SY']",
     "geometry array": "error: expected FeatureCollection, got 'list'",
@@ -929,6 +948,7 @@ FAILURE_MESSAGES = {
     "config contiguity bishop": "error: config contiguity: 'bishop' is not a valid --contiguity value",
     "config island_knn 1.5": "error: config island_knn: 1.5 is not a valid --island-knn value",
     "config categories string": "error: config categories: 'parks' is not a valid --categories value",
+    "config categories empty": "error: config categories: [] is not a valid --categories value",
     "config axis_order short": "error: config axis_order: ['parks'] is not a valid --axis-order value",
     "config flag string": "error: config row_standardize: 'no' is not a valid --row-standardize value",
 }

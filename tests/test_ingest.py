@@ -1,3 +1,4 @@
+import csv
 import datetime as dt
 import io
 from unittest import mock
@@ -173,13 +174,21 @@ class TestParse:
         assert entry.missing_rate == pytest.approx(0.0149, abs=5e-4)
 
     def test_round_trip(self):
+        # quoted sub-regions holding a comma, a doubled quote, a lone CR and an LF
         table = parse_cmr_csv(
             csv_bytes(
                 "AR,Salta,2020-03-01,-10.5,-5,-20,,-15,5",
+                'AR,"x\ry",2020-03-01,1,2,3,4,5,6',
+                'AR,"Foo, ""Bar""\nBaz",2020-03-01,1,2,3,4,5,6',
                 "BR,,2020-03-01,-1,-2,-3,-4,-5,6",
             )
         )
-        again = parse_cmr_csv(write_csv(table).encode())
+        assert table.sub_regions == ("Foo, \"Bar\"\nBaz", "Salta", "x\ry", "")
+        text = write_csv(table)
+        header, *rows = csv.reader(io.StringIO(text, newline=""))
+        assert [len(row) for row in rows] == [len(header)] * 4
+        assert [row[1] for row in rows] == list(table.sub_regions)
+        again = parse_cmr_csv(text.encode())
         assert write_csv(again) == write_csv(table)
         assert again.region_ids == table.region_ids
         assert np.array_equal(again.region, table.region)

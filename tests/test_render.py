@@ -294,15 +294,25 @@ class TestExports:
             join_geojson(doc, {"ghost": {"value": 1.0}})
 
     def test_export_idempotence(self):
+        # ids holding a comma, a quote, a lone CR and an LF
+        ids = ["r1", "Foo, Bar", 'say "hi"', "x\ry", "a\nb"]
         res = simple_lisa(
-            ["r1", "r2"], ["HH", "LL"], [0.01, 0.05], p=[0.004, 0.041], z=[1.5, -0.25], lag=[0.5, -2.0]
+            ids,
+            ["HH", "LL", "HL", "LH", "ns"],
+            [0.01, 0.05, 0.001, 0.05, None],
+            p=[0.004, 0.041, 0.001, 0.02, 0.5],
+            z=[1.5, -0.25, 2.0, -1.0, 0.75],
+            lag=[0.5, -2.0, -0.5, 0.25, 4.0],
         )
         text = lisa_to_csv(res)
         # parse back and re-export
         import csv
         import io
 
-        rows = list(csv.DictReader(io.StringIO(text)))
+        header, *cells = csv.reader(io.StringIO(text, newline=""))
+        assert [len(row) for row in cells] == [len(header)] * len(ids)
+        assert [row[0] for row in cells] == ids
+        rows = [dict(zip(header, row)) for row in cells]
         res2 = simple_lisa(
             [r["region_id"] for r in rows],
             [r["quadrant"] for r in rows],
