@@ -15,7 +15,6 @@ import io
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -50,18 +49,16 @@ REQUIRED = object()  # default of an option that the command line or config must
 
 
 def atomic_write(path: Path, data: str | bytes) -> None:
-    mode = "wb" if isinstance(data, bytes) else "w"
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
-    umask = os.umask(0)  # reading the umask means setting it; restore at once
-    os.umask(umask)
+    # the pid sets the name apart from other live writers, the random part from a
+    # file that a killed run left behind; the kernel applies the umask to 0o666
+    tmp = path.parent / f".tmp-{os.getpid()}-{os.urandom(4).hex()}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, mode) as fh:
+        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
             fh.write(data)
-        os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates 0600 whatever the umask
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 

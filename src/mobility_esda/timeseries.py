@@ -215,7 +215,9 @@ def stl_decompose(
     seasonal = S @ y
     for _outer in range(outer_iters):
         resid = y - trend - seasonal
-        s = np.median(np.abs(resid))
+        # np.median's own arithmetic, without its check that imports numpy.ma
+        r = np.sort(np.abs(resid))
+        s = r[(n - 1) // 2 : n // 2 + 1].mean()
         h = 6 * s if s > 0 else 1.0
         rho = np.clip(1 - (np.abs(resid) / h) ** 2, 0, None) ** 2
         trend, seasonal = _stl_pass(

@@ -40,9 +40,14 @@ class SpatialWeights:
             raise DataError("ids/indptr/indices/data lengths differ")
         if nnz and not 0 <= self.indices.min() <= self.indices.max() < self.n:
             raise DataError("neighbor index out of range")
-        # every (row, col) pair needs its (col, row) pair; report the first without
+        # every (row, col) pair needs its (col, row) pair; report the first without.
+        # Binary search, not np.isin: its sort path calls np.unique, whose first
+        # call imports numpy.ma. The keys of weights built by from_rows are in
+        # order already, which the stable sort (timsort) passes in linear time
         rows = self.rows
-        lonely = ~np.isin(rows * self.n + self.indices, self.indices * self.n + rows)
+        keys = np.sort(rows * self.n + self.indices, kind="stable")
+        mirrored = self.indices * self.n + rows
+        lonely = keys.take(np.searchsorted(keys, mirrored), mode="clip") != mirrored
         if lonely.any():
             k = int(np.argmax(lonely))
             raise DataError(
@@ -281,7 +286,7 @@ def to_json(W: SpatialWeights) -> str:
             for i, rid in enumerate(W.ids)
         ],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
 def from_json(text: str) -> SpatialWeights:

@@ -3,6 +3,8 @@ import datetime as dt
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,6 +44,51 @@ def test_atomic_write_follows_umask(umask, mode, tmp_path):
     finally:
         os.umask(old)
     assert (tmp_path / "out.txt").stat().st_mode & 0o777 == mode
+
+
+@pytest.mark.parametrize(
+    "name, data, error", [("out", "x", IsADirectoryError), ("out.txt", "\udcff", UnicodeError)]
+)
+def test_atomic_write_leaves_no_temp_file_on_error(name, data, error, tmp_path):
+    # renaming onto a directory fails late; a lone surrogate fails while writing
+    (tmp_path / "out").mkdir()
+    with pytest.raises(error):
+        atomic_write(tmp_path / name, data)
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+RUNS_WITHOUT_NUMPY_MA = {
+    # 9 series, more than the overlay has colours: the median-and-band path runs;
+    # --robust takes the median absolute residual of each series
+    "indicator": (3, ["indicator", "--input", "sy.csv", "--country", "SY", "--subnational",
+                      "--deseasonalize", "--robust", "--from", "2020-03-01", "--to", "2020-03-21"]),
+    # 400 regions: np.isin would take its sort path, which calls np.unique
+    "moran": (20, ["moran", "--input", "sy.csv", "--geometry", "sy.geojson", "--country", "SY",
+                   "--from", "2020-03-01", "--to", "2020-03-21", "--permutations", "9",
+                   "--categories", "residential"]),
+    "weights": (20, ["weights", "--geometry", "sy.geojson", "--row-standardize"]),
+    "render": (20, ["render", "--geometry", "sy.geojson", "--values", "vals.csv"]),
+    "ingest": (20, ["ingest", "--input", "sy.csv", "--country", "SY"]),
+}
+
+
+@pytest.mark.parametrize("command", RUNS_WITHOUT_NUMPY_MA)
+def test_run_does_not_import_numpy_ma(command, tmp_path):
+    """No stage needs numpy.ma, whose import is a large share of a short run.
+    Each run gets its own interpreter, as pytest or hypothesis may have
+    imported numpy.ma into this one."""
+    size, argv = RUNS_WITHOUT_NUMPY_MA[command]
+    (tmp_path / "sy.csv").write_text(synthetic_country_csv(size, size, 21))
+    (tmp_path / "sy.geojson").write_text(json.dumps(grid_geojson(size, size)))
+    (tmp_path / "vals.csv").write_text("region_id,value\ncell0_0,1.5\ncell1_1,-3\n")
+    code = (
+        "import sys; from mobility_esda.cli import main; assert main(sys.argv[1:]) == 0; "
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code, *argv, "--out-dir", "out"],
+                         cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 class TestIngestCmd:

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mobility_esda.errors import DataError, ParameterError
 from mobility_esda.geometry import RegionGeometry
@@ -17,6 +18,7 @@ from mobility_esda.render import (
     join_geojson,
     lisa_to_csv,
     map_paths,
+    quantile_band,
     render_choropleth,
     render_lisa_maps,
     render_moran_scatter,
@@ -265,6 +267,22 @@ class TestSeriesFigure:
         with pytest.raises(ParameterError):
             render_series([], np.empty((0, 5)))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(8, 60).flatmap(
+            lambda n: st.lists(
+                st.lists(st.floats(-1e6, 1e6).map(lambda v: v + 0.0), min_size=n, max_size=n),
+                min_size=1,
+                max_size=5,
+            )
+        )
+    )
+    def test_band_equals_numpy_quantile(self, days):
+        # v + 0.0 turns -0.0 into 0.0: the one case where the two may differ
+        values = np.array(days).T
+        expected = np.quantile(values, [0.1, 0.5, 0.9], axis=0)
+        assert quantile_band(values).tobytes() == expected.tobytes()
+
 
 class TestExports:
     def test_lisa_csv_columns(self):
@@ -281,6 +299,24 @@ class TestExports:
         parsed = json.loads(out)
         props = {f["properties"]["region_id"]: f["properties"] for f in parsed["features"]}
         assert props["cell0_0"]["value"] == 1.5
+
+    def test_geojson_join_is_one_compact_line(self):
+        text = join_geojson(grid_geojson(1, 1), {"cell0_0": {"value": 1.5}})
+        # the document that the earlier indented mean-variation.geojson held
+        assert json.loads(text) == {
+            "features": [
+                {
+                    "geometry": {
+                        "coordinates": [[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]],
+                        "type": "Polygon",
+                    },
+                    "properties": {"region_id": "cell0_0", "value": 1.5},
+                    "type": "Feature",
+                }
+            ],
+            "type": "FeatureCollection",
+        }
+        assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
 
     def test_geojson_join_leaves_doc_unchanged(self):
         doc = grid_geojson(1, 2)

@@ -229,12 +229,30 @@ class TestSerialization:
         assert np.array_equal(W2.indptr, W.indptr)
         assert np.array_equal(W2.indices, W.indices)
         assert W2.mode == "row_standardized"
-        for i in range(W.n):
-            assert W2.weights(i) == pytest.approx(W.weights(i))
+        assert np.array_equal(W2.data, W.data)
+
+    def test_json_is_one_compact_line(self):
+        W = row_standardize(queen_adjacency([RegionGeometry(n, square(x, 0)) for x, n in enumerate("abc")]))
+        text = to_json(W)
+        assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n"
+        # the document that the earlier indented weights.json held
+        assert json.loads(text) == {
+            "mode": "row_standardized",
+            "regions": [
+                {"id": "a", "neighbors": ["b"], "weights": [1.0]},
+                {"id": "b", "neighbors": ["a", "c"], "weights": [0.5, 0.5]},
+                {"id": "c", "neighbors": ["b"], "weights": [1.0]},
+            ],
+        }
 
     def test_asymmetric_graph_rejected(self):
         with pytest.raises(DataError, match="asymmetric"):
             SpatialWeights(["a", "b"], [0, 1, 1], [1], [1.0])
+
+    def test_asymmetric_graph_names_first_lonely_pair(self):
+        # unsorted rows and a stored pair twice; c -> d and d -> b lack their mirror
+        with pytest.raises(DataError, match="asymmetric neighbor graph: c -> d$"):
+            SpatialWeights(["a", "b", "c", "d"], [0, 3, 4, 6, 7], [2, 1, 1, 0, 3, 0, 1], [1.0] * 7)
 
     def test_neighbor_index_out_of_range_rejected(self):
         with pytest.raises(DataError, match="out of range"):
