@@ -75,7 +75,7 @@ def manifest(args, omit=(), issues=None, **resolved) -> str:
 
     out_dir is intentionally excluded, and input files are recorded by
     name and content, so identical runs from and into different
-    directories produce byte-identical trees.
+    directories produce byte-identical trees. Dates are written in ISO form.
     """
     skip = {"command", "config", "out_dir", "seed", "date_from", "date_to", *omit}
     config = {k: v for k, v in vars(args).items() if k not in skip} | resolved
@@ -85,7 +85,7 @@ def manifest(args, omit=(), issues=None, **resolved) -> str:
     doc = {"command": args.command, "version": __version__, "config": config}
     if issues is not None:
         doc["issues"] = issues
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, default=dt.date.isoformat) + "\n"
 
 
 def _parse_date(s: str) -> dt.date:
@@ -93,6 +93,14 @@ def _parse_date(s: str) -> dt.date:
         return dt.date.fromisoformat(s)
     except ValueError:
         raise ParameterError(f"invalid date {s!r} (want YYYY-MM-DD)") from None
+
+
+def _window(args) -> tuple[dt.date, dt.date]:
+    """The inclusive ``--from`` .. ``--to`` window, which must not run backwards."""
+    window = (_parse_date(args.date_from), _parse_date(args.date_to))
+    if window[0] > window[1]:
+        raise ParameterError(f"--from {window[0]} is later than --to {window[1]}")
+    return window
 
 
 def _parse_column_map(pairs: list[str]) -> dict[str, str]:
@@ -305,7 +313,7 @@ def _select_regions(table, args) -> list[str]:
 
 
 def cmd_indicator(args) -> dict[str, str]:
-    window = (_parse_date(args.date_from), _parse_date(args.date_to))
+    window = _window(args)
     # imputation is per country: parsing only the one selected country changes no value
     countries = {key.partition("/")[0] for key in [*args.region, args.country] if key}
     only = countries.pop() if len(countries) == 1 else None
@@ -354,7 +362,7 @@ def cmd_indicator(args) -> dict[str, str]:
         args,
         omit=("country", "region", "subnational"),
         regions=sorted(regions),
-        window=[window[0].isoformat(), window[1].isoformat()],
+        window=window,
     )
     return files
 
@@ -378,7 +386,7 @@ def _contiguity_weights(
     ``links_required``, an error unless some two regions link."""
     build = wt.queen_adjacency if args.contiguity == "queen" else wt.rook_adjacency
     W = build(geoms, snap_tol=args.snap_tol)
-    if args.island_knn > 0:
+    if args.island_knn != 0:
         W = wt.connect_islands_knn(W, geoms, args.island_knn)
     if links_required and W.s0 == 0:
         raise DataError("no two regions touch; link them with --island-knn K (K nearest centroids)")
@@ -396,7 +404,7 @@ def _blue_ramp(lo: float, hi: float) -> rd.ColorScale:
 
 def cmd_moran(args) -> dict[str, str]:
     seed = _resolve_seed(args)
-    window = (_parse_date(args.date_from), _parse_date(args.date_to))
+    window = _window(args)
     with open(args.input, "rb") as fh:
         table = ing.parse_cmr_csv(fh, country=args.country)
     table, _ = ing.impute_missing(table)
@@ -407,16 +415,11 @@ def cmd_moran(args) -> dict[str, str]:
     # geometry ids carry the sub-region name; align against mobility keys
     geom_region_ids = [ing.region_key(args.country, g.region_id) for g in geoms]
     _reconcile_ids(geom_region_ids, table.region_ids)
-    rows = [table.rows(rid, window) for rid in geom_region_ids]
-    empty = [rid for rid, r in zip(geom_region_ids, rows) if r.start == r.stop]
-    if empty:
-        raise DataError(f"no data in window for: {sorted(empty)}")
+    means = table.panel(geom_region_ids, window)[2]  # the means only: the block is freed here
     fields = {}
     for category in args.categories:
-        # regional variable: mean daily percent change over the window
-        column = table.column(category)
         try:
-            fields[category] = mr.standardize_values(np.array([column[r].mean() for r in rows]))
+            fields[category] = mr.standardize_values(means[:, ing.category_index(category)])
         except ZeroVarianceError:
             raise ZeroVarianceError(
                 f"{category}: identical mean variation in every region; Moran undefined"
@@ -478,9 +481,7 @@ def cmd_moran(args) -> dict[str, str]:
             id_property=args.id_property,
         )
     files |= _weights_files(W)
-    files["run-manifest.json"] = manifest(
-        args, seed=seed, window=[window[0].isoformat(), window[1].isoformat()]
-    )
+    files["run-manifest.json"] = manifest(args, seed=seed, window=window)
     return files
 
 

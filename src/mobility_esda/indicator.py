@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ParameterError
+from .errors import ParameterError
 from .ingest import CATEGORIES, MobilityTable
 
 SIN_60 = math.sqrt(3) / 2
@@ -97,37 +97,11 @@ def circulation_indicator(
     window: tuple[dt.date, dt.date] | None = None,
 ) -> CirculationSeries:
     """Daily radar areas and indicators, and window means, of one region (a
-    str) or of a panel of regions. Every region must cover the window (without
-    one, the same dates) and be complete (imputed) there; all are checked first."""
+    str) or of a panel of regions, over the values :meth:`MobilityTable.panel`
+    gathers and checks."""
     ids = [region_ids] if isinstance(region_ids, str) else list(region_ids)
-    rows = [table.rows(rid, window) for rid in ids]
-    for rid, r in zip(ids, rows):
-        days = r.stop - r.start
-        if days <= 0:
-            raise DataError(f"no data for region {rid!r} in requested window")
-        if window is not None:
-            expected = (window[1] - window[0]).days + 1
-            if days != expected:
-                raise DataError(
-                    f"region {rid!r} covers {days} of {expected} days "
-                    f"in {window[0]}..{window[1]}"
-                )
-    days = rows[0].stop - rows[0].start
-    index = np.array([r.start for r in rows])[:, None] + np.arange(days)
-    same_length = all(r.stop - r.start == days for r in rows)
-    if not same_length or (table.dates[index] != table.dates[rows[0]]).any():
-        raise DataError("regions cover different dates; give a window")
-    block = table.values[index]  # (regions, days, 6)
-    dates = table.date_list(rows[0])
-    absent = np.isnan(block)
-    incomplete = np.argwhere(absent.any(axis=2))
-    if incomplete.size:
-        k, d = incomplete[0]
-        missing = [cat for cat, gone in zip(CATEGORIES, absent[k, d]) if gone]
-        raise DataError(f"{ids[k]} {dates[d]}: missing {missing}; impute first")
+    dates, block, means = table.panel(ids, window)
     areas = radar_area(radar_radii(block, config))
-    # a mean along a contiguous last axis sums as one region's column did
-    means = np.ascontiguousarray(block.transpose(0, 2, 1)).mean(axis=2)
     base = baseline_area(config)
     if isinstance(region_ids, str):  # one region: its 1-D series
         areas, means = areas[0], means[0]

@@ -141,11 +141,36 @@ class MobilityTable:
             start, stop = start + int(lo), start + int(hi)
         return slice(start, stop)
 
+    def panel(self, region_ids: list[str], window: tuple[dt.date, dt.date] | None = None):
+        """The shared dates, (regions, days, 6) values and (regions, 6) window means
+        of the regions in the given order; each must cover the inclusive ``window``
+        (without one, all share their dates) and be complete there, checked first."""
+        rows = [self.rows(rid, window) for rid in region_ids]
+        expected = None if window is None else (window[1] - window[0]).days + 1
+        for rid, r in zip(region_ids, rows):
+            if r.stop <= r.start:
+                raise DataError(f"no data for region {rid!r} in requested window")
+            if window is not None and r.stop - r.start != expected:
+                raise DataError(f"region {rid!r} covers {r.stop - r.start} of {expected} days "
+                                f"in {window[0]}..{window[1]}")
+        days = rows[0].stop - rows[0].start
+        index = np.array([r.start for r in rows])[:, None] + np.arange(days)
+        if any(r.stop - r.start != days for r in rows) or (self.dates[index] != self.dates[rows[0]]).any():
+            raise DataError("regions cover different dates; give a window")
+        # gathered once, category-major: each mean sums along a contiguous
+        # last axis, as one region's column mean does, bit for bit
+        block = self.values.T.take(index, axis=1)  # (6, regions, days)
+        dates = self.date_list(rows[0])
+        absent = np.isnan(block)
+        if absent.any():
+            k, d = np.argwhere(absent.any(axis=0))[0]
+            missing = [cat for cat, gone in zip(CATEGORIES, absent[:, k, d]) if gone]
+            raise DataError(f"{region_ids[k]} {dates[d]}: missing {missing}; impute first")
+        return dates, block.transpose(1, 2, 0), block.mean(axis=2).T
+
     def column(self, category: str) -> np.ndarray:
         """One category's values for every row (a view into ``values``)."""
-        if category not in CATEGORIES:
-            raise NotFoundError(f"unknown category {category!r}; available: {list(CATEGORIES)}")
-        return self.values[:, CATEGORIES.index(category)]
+        return self.values[:, category_index(category)]
 
     def date_list(self, rows: slice = slice(None)) -> list[dt.date]:
         return [dt.date.fromordinal(d) for d in self.dates[rows].tolist()]
@@ -164,6 +189,12 @@ class MobilityTable:
             np.concatenate(([0], np.cumsum(counts))),
             list(self.issues),
         )
+
+
+def category_index(category: str) -> int:
+    if category not in CATEGORIES:
+        raise NotFoundError(f"unknown category {category!r}; available: {list(CATEGORIES)}")
+    return CATEGORIES.index(category)
 
 
 def _date(ordinal) -> dt.date:

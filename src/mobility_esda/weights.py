@@ -9,6 +9,7 @@ contiguity needs a single shared boundary point; rook needs a shared edge
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +41,11 @@ class SpatialWeights:
             raise DataError("ids/indptr/indices/data lengths differ")
         if nnz and not 0 <= self.indices.min() <= self.indices.max() < self.n:
             raise DataError("neighbor index out of range")
-        # every (row, col) pair needs its (col, row) pair; report the first without.
-        # Binary search, not np.isin: its sort path calls np.unique, whose first
-        # call imports numpy.ma. The keys of weights built by from_rows are in
-        # order already, which the stable sort (timsort) passes in linear time
+        # every (row, col) pair needs its (col, row) pair, and is stored once;
+        # report the first that fails. Sorted keys and binary search, not
+        # np.unique or np.isin: the first np.unique call imports numpy.ma. The
+        # keys of weights built by from_rows are in order already, which the
+        # stable sort (timsort) passes in linear time
         rows = self.rows
         keys = np.sort(rows * self.n + self.indices, kind="stable")
         mirrored = self.indices * self.n + rows
@@ -53,6 +55,10 @@ class SpatialWeights:
             raise DataError(
                 f"asymmetric neighbor graph: {self.ids[rows[k]]} -> {self.ids[self.indices[k]]}"
             )
+        twice = np.flatnonzero(keys[1:] == keys[:-1])
+        if twice.size:
+            i, j = divmod(int(keys[twice[0]]), self.n)
+            raise DataError(f"neighbor pair stored twice: {self.ids[i]} -> {self.ids[j]}")
 
     @property
     def n(self) -> int:
@@ -110,7 +116,9 @@ def _snap(p: tuple[float, float], tol: float) -> tuple[int, int]:
     return (round(p[0] / tol), round(p[1] / tol))
 
 
-def _check_geoms(geoms: list[RegionGeometry]) -> None:
+def _check_geoms(geoms: list[RegionGeometry], snap_tol: float) -> None:
+    if not (math.isfinite(snap_tol) and snap_tol > 0):
+        raise ParameterError(f"snap_tol must be finite and > 0, got {snap_tol}")
     if len(geoms) < 2:
         raise ParameterError("need at least 2 geometries")
     seen = set()
@@ -186,7 +194,7 @@ def _sharing(keysets: list[set]) -> list[set[int]]:
 
 def queen_adjacency(geoms: list[RegionGeometry], snap_tol: float = 1e-7) -> SpatialWeights:
     """Binary weights: adjacent iff sharing any snapped boundary point."""
-    _check_geoms(geoms)
+    _check_geoms(geoms, snap_tol)
     adjacency = _sharing([_snapped_vertices(g, snap_tol) for g in geoms])
     # a vertex of one region lying mid-segment on another still counts;
     # candidates are the later regions whose tol-widened boxes overlap
@@ -210,7 +218,7 @@ def queen_adjacency(geoms: list[RegionGeometry], snap_tol: float = 1e-7) -> Spat
 
 def rook_adjacency(geoms: list[RegionGeometry], snap_tol: float = 1e-7) -> SpatialWeights:
     """Binary weights: adjacent iff sharing a positive-length boundary edge."""
-    _check_geoms(geoms)
+    _check_geoms(geoms, snap_tol)
     adjacency = _sharing([_snapped_edges(g, snap_tol) for g in geoms])
     return SpatialWeights.from_rows([g.region_id for g in geoms], adjacency)
 

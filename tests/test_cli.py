@@ -1,13 +1,17 @@
+import contextlib
 import csv
 import datetime as dt
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mobility_esda import cli, render
 from mobility_esda.cli import atomic_write, main
@@ -698,6 +702,14 @@ BAD_GEOMETRY_DOCS = {
     "feature not an object": {"type": "FeatureCollection", "features": [5]},
 }
 
+# contiguity options that weights refuses
+BAD_WEIGHTS_OPTIONS = {
+    "snap tol 0": ["--snap-tol", "0"],
+    "snap tol nan": ["--snap-tol", "nan"],
+    "negative snap tol": ["--snap-tol=-1e-7"],  # argparse reads "-1e-7" alone as an option
+    "negative island knn": ["--island-knn", "-1"],
+}
+
 # config values that the option's flag would refuse, and the command given them
 BAD_CONFIG = {
     "config permutations 5.5": ({"permutations": 5.5}, "moran"),
@@ -717,6 +729,8 @@ def failing_run(kind, sy, tmp, monkeypatch):
     csv_path, geo_path = map(str, sy)
     moran = ["moran", "--input", csv_path, "--geometry", geo_path, "--country", "SY",
              "--from", "2020-03-01", "--to", "2020-03-21", "--permutations", "9"]
+    if kind in BAD_WEIGHTS_OPTIONS:
+        return ["weights", "--geometry", geo_path, *BAD_WEIGHTS_OPTIONS[kind]]
     if kind in BAD_VALUES:
         (tmp / "vals.csv").write_text(BAD_VALUES[kind])
         return ["render", "--geometry", geo_path, "--values", str(tmp / "vals.csv")]
@@ -789,13 +803,20 @@ def failing_run(kind, sy, tmp, monkeypatch):
         return ["indicator", "--input", csv_path, "--region", "XX/a"]
     if kind == "bad date":
         return ["indicator", "--input", csv_path, "--country", "SY", "--from", "03/01/2020"]
-    if kind == "window gap":
+    if kind in ("window gap", "moran window gap"):
         # one day of the last region missing inside the window
         lines = [line for line in Path(csv_path).read_text().splitlines()
                  if not line.startswith("SY,cell3_3,2020-03-05,")]
         (tmp / "gap.csv").write_text("\n".join(lines) + "\n")
+        if kind == "moran window gap":
+            return moran[:2] + [str(tmp / "gap.csv")] + moran[3:]
         return ["indicator", "--input", str(tmp / "gap.csv"), "--country", "SY", "--subnational",
                 "--from", "2020-03-01", "--to", "2020-03-21"]
+    if kind == "reversed window":
+        return ["indicator", "--input", csv_path, "--country", "SY", "--subnational",
+                "--from", "2020-03-21", "--to", "2020-03-01"]
+    if kind == "moran reversed window":
+        return moran + ["--from", "2020-03-21", "--to", "2020-03-01"]
     if kind == "seasonal window 1":
         return ["indicator", "--input", csv_path, "--country", "SY", "--subnational",
                 "--from", "2020-03-01", "--to", "2020-03-21",
@@ -866,6 +887,9 @@ def failing_run(kind, sy, tmp, monkeypatch):
         ("bad date", 3),
         ("seasonal window 1", 3),
         ("window gap", 3),
+        ("moran window gap", 3),
+        ("reversed window", 3),
+        ("moran reversed window", 3),
         ("radar name collision", 3),
         ("alpha 1.5", 3),
         ("geometry array", 3),
@@ -903,6 +927,7 @@ def failing_run(kind, sy, tmp, monkeypatch):
         ("config categories empty", 3),
         ("config axis_order short", 3),
         ("config flag string", 3),
+        *((kind, 3) for kind in BAD_WEIGHTS_OPTIONS),
         ("no two regions touch", 3),
         ("missing config", 3),
         ("bad config", 3),
@@ -952,8 +977,9 @@ def test_late_failure_writes_nothing(sy, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "kind",
-    ["window gap", "radar name collision", "alpha 1.5", "no categories", "config categories empty",
-     *BAD_GEOMETRY_DOCS],
+    ["window gap", "moran window gap", "reversed window", "moran reversed window",
+     "radar name collision", "alpha 1.5", "no categories", "config categories empty",
+     *BAD_GEOMETRY_DOCS, *BAD_WEIGHTS_OPTIONS],
 )
 def test_failure_writes_nothing(kind, sy, tmp_path, monkeypatch):
     argv = failing_run(kind, sy, tmp_path, monkeypatch)
@@ -964,6 +990,13 @@ def test_failure_writes_nothing(kind, sy, tmp_path, monkeypatch):
 # the error line names where a bad seed came from, or what the map lacks
 FAILURE_MESSAGES = {
     "window gap": "error: region 'SY/cell3_3' covers 20 of 21 days in 2020-03-01..2020-03-21",
+    "moran window gap": "error: region 'SY/cell3_3' covers 20 of 21 days in 2020-03-01..2020-03-21",
+    "reversed window": "error: --from 2020-03-21 is later than --to 2020-03-01",
+    "moran reversed window": "error: --from 2020-03-21 is later than --to 2020-03-01",
+    "snap tol 0": "error: snap_tol must be finite and > 0, got 0.0",
+    "snap tol nan": "error: snap_tol must be finite and > 0, got nan",
+    "negative snap tol": "error: snap_tol must be finite and > 0, got -1e-07",
+    "negative island knn": "error: k must be >= 1, got -1",
     "radar name collision": "error: regions 'SY/a/b' and 'SY/a_b' would both be drawn to radar-SY_a_b.svg",
     "no categories": "schema error: mobility-esda moran: argument --categories: expected at least one",
     "alpha 1.5": "error: alpha must be in (0, 1), got 1.5",
@@ -999,3 +1032,39 @@ FAILURE_MESSAGES = {
     "config axis_order short": "error: config axis_order: ['parks'] is not a valid --axis-order value",
     "config flag string": "error: config row_standardize: 'no' is not a valid --row-standardize value",
 }
+
+
+SY_CSV_LINES = synthetic_country_csv(4, 4, 21).splitlines()  # the sy fixture's rows
+
+
+@given(
+    start=st.dates(dt.date(2020, 2, 25), dt.date(2020, 3, 26)),
+    stop=st.dates(dt.date(2020, 2, 25), dt.date(2020, 3, 26)),
+    drop=st.none() | st.integers(1, len(SY_CSV_LINES) - 1),
+)
+@example(start=dt.date(2020, 3, 1), stop=dt.date(2020, 3, 21), drop=None)  # both run
+@example(start=dt.date(2020, 3, 1), stop=dt.date(2020, 3, 21), drop=5)  # a day gone in the window
+@settings(max_examples=40, deadline=None)
+def test_moran_and_indicator_share_the_window_rule(start, stop, drop):
+    """Over any window, with or without one row gone, moran and indicator
+    accept or refuse the same input; a refusal is one line and writes nothing."""
+    window = ["--from", start.isoformat(), "--to", stop.isoformat()]
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path, geo_path = Path(tmp, "sy.csv"), Path(tmp, "sy.geojson")
+        csv_path.write_text("\n".join(line for i, line in enumerate(SY_CSV_LINES) if i != drop) + "\n")
+        geo_path.write_text(json.dumps(grid_geojson(4, 4)))
+        runs = {
+            "moran": ["moran", "--input", str(csv_path), "--geometry", str(geo_path),
+                      "--country", "SY", "--permutations", "9"],
+            "indicator": ["indicator", "--input", str(csv_path), "--country", "SY", "--subnational"],
+        }
+        codes = []
+        for name, argv in runs.items():
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                codes.append(main(argv + window + ["--out-dir", str(Path(tmp, name))]))
+            assert "Traceback" not in err.getvalue()
+            assert codes[-1] in (0, 3)
+            assert (codes[-1] == 0) == Path(tmp, name).exists()
+            assert len(err.getvalue().splitlines()) == (codes[-1] != 0)
+    assert codes[0] == codes[1]

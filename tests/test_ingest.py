@@ -397,6 +397,42 @@ class TestAgainstOracle:
                 assert got[:-1] == want[:-1]
 
 
+class TestPanel:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        regions=st.integers(1, 5),
+        days=st.integers(1, 300),
+        integral=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_window_means_equal_column_means(self, seed, regions, days, integral, data):
+        """Each region's window mean is its column mean over the window's rows,
+        bit for bit, whatever the order the regions are asked in."""
+        rng = np.random.default_rng(seed)
+        shape = (regions * days, len(CATEGORIES))
+        values = rng.integers(-100, 300, shape).astype(float) if integral else rng.normal(0, 40, shape)
+        start = dt.date(2020, 3, 1)
+        table = MobilityTable.from_columns(
+            [("SY", f"r{k}") for k in range(regions)],
+            np.repeat(np.arange(regions), days),
+            np.tile(np.arange(days) + start.toordinal(), regions),
+            values,
+        )
+        first = data.draw(st.integers(0, days - 1))
+        last = data.draw(st.integers(first, days - 1))
+        window = (start + dt.timedelta(first), start + dt.timedelta(last))
+        ids = [table.region_ids[k] for k in rng.permutation(regions)]
+        dates, block, means = table.panel(ids, window)
+        assert dates == [start + dt.timedelta(d) for d in range(first, last + 1)]
+        assert block.shape == (regions, last - first + 1, len(CATEGORIES))
+        assert means.shape == (regions, len(CATEGORIES))
+        for k, rid in enumerate(ids):
+            rows = table.rows(rid, window)
+            assert block[k].tolist() == table.values[rows].tolist()
+            assert means[k].tolist() == [table.column(c)[rows].mean() for c in CATEGORIES]
+
+
 class TestFilter:
     @pytest.fixture
     def two_country(self):

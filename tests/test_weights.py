@@ -89,6 +89,13 @@ class TestQueen:
             build([RegionGeometry("a", [speck(0), speck(3)]), other])
 
 
+@pytest.mark.parametrize("build", [queen_adjacency, rook_adjacency])
+@pytest.mark.parametrize("tol", [0.0, -1e-7, float("nan"), float("inf")])
+def test_snap_tol_must_be_finite_and_positive(build, tol):
+    with pytest.raises(ParameterError, match="snap_tol must be finite and > 0"):
+        build(grid_geometries(2, 2), snap_tol=tol)
+
+
 class TestRook:
     def test_3x3_degrees(self):
         W = rook_adjacency(grid_geometries(3, 3))
@@ -253,6 +260,15 @@ class TestSerialization:
         # unsorted rows and a stored pair twice; c -> d and d -> b lack their mirror
         with pytest.raises(DataError, match="asymmetric neighbor graph: c -> d$"):
             SpatialWeights(["a", "b", "c", "d"], [0, 3, 4, 6, 7], [2, 1, 1, 0, 3, 0, 1], [1.0] * 7)
+
+    def test_pair_stored_twice_rejected(self):
+        # the mirror is stored once: one link that would count twice
+        with pytest.raises(DataError, match="neighbor pair stored twice: a -> b$"):
+            from_text("a\tb\tb\nb\ta\n")
+        payload = {"regions": [{"id": "a", "neighbors": ["b"], "weights": [1.0]},
+                               {"id": "b", "neighbors": ["a", "a"], "weights": [1.0, 1.0]}]}
+        with pytest.raises(DataError, match="neighbor pair stored twice: b -> a$"):
+            from_json(json.dumps(payload))
 
     def test_neighbor_index_out_of_range_rejected(self):
         with pytest.raises(DataError, match="out of range"):
