@@ -35,7 +35,7 @@ from .errors import (
 from .geometry import load_geojson
 from .indicator import RadarConfig, circulation_indicator
 from .ingest import CATEGORIES
-from .timeseries import DailySeries, stl_decompose
+from .timeseries import stl_decompose
 
 DEFAULT_ANALYSIS_WINDOW = (dt.date(2020, 2, 15), dt.date(2020, 5, 16))
 SEED_ENV_VAR = "ESDA_MOBILITY_SEED"
@@ -331,19 +331,9 @@ def cmd_indicator(args) -> dict[str, str]:
     header = "region_id,date,area,indicator"
     columns = [panel.areas, panel.indicators]
     if args.deseasonalize:
-        fits = [
-            stl_decompose(
-                DailySeries(panel.dates, y),
-                period=args.period,
-                seasonal_window=args.seasonal_window,
-                outer_iters=1 if args.robust else 0,
-            )
-            for y in panel.indicators
-        ]
-        if args.trend_only:
-            columns.append(np.array([fit.trend for fit in fits]))
-        else:
-            columns.append(panel.indicators - np.array([fit.seasonal for fit in fits]))
+        fit = stl_decompose(panel.indicators, args.period, args.seasonal_window,
+                            outer_iters=1 if args.robust else 0)
+        columns.append(fit.trend if args.trend_only else panel.indicators - fit.seasonal)
         header += ",indicator_deseasonalized"
     dates = [date.isoformat() for date in panel.dates]
     rows = [header]

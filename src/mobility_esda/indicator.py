@@ -32,8 +32,8 @@ class RadarConfig:
             raise ParameterError(
                 f"axis_order must be a permutation of {CATEGORIES}, got {self.axis_order}"
             )
-        if self.center > -100.0:
-            raise ParameterError(f"center must be <= -100, got {self.center}")
+        if not (math.isfinite(self.center) and self.center <= -100.0):
+            raise ParameterError(f"center must be finite and <= -100, got {self.center}")
 
 
 @dataclass
@@ -46,12 +46,6 @@ class CirculationSeries:
     areas: np.ndarray
     indicators: np.ndarray  # areas over the baseline area
     window_means: np.ndarray
-    baseline_area: float
-
-    @property
-    def period_indicator(self) -> float | np.ndarray:
-        """Windowed ratio: mean daily area over the baseline area."""
-        return self.areas.mean(axis=-1) / self.baseline_area
 
 
 def radar_radii(values, config: RadarConfig = RadarConfig()) -> np.ndarray:
@@ -102,7 +96,6 @@ def circulation_indicator(
     ids = [region_ids] if isinstance(region_ids, str) else list(region_ids)
     dates, block, means = table.panel(ids, window)
     areas = radar_area(radar_radii(block, config))
-    base = baseline_area(config)
     if isinstance(region_ids, str):  # one region: its 1-D series
         areas, means = areas[0], means[0]
-    return CirculationSeries(ids, dates, areas, areas / base, means, base)
+    return CirculationSeries(ids, dates, areas, areas / baseline_area(config), means)

@@ -11,13 +11,12 @@ Every LOESS fit is a hat matrix H with ``fit = H @ ys`` (the smoother
 matrix of Hastie & Tibshirani, *Generalized Additive Models*, 1990).
 Without robustness weights every step of the loop is linear in the
 series, so the whole decomposition is a pair of n x n operators built
-once per (length, period, windows, iterations) and then applied to each
+once per (length, period, seasonal window) and then applied to each
 series by matrix-vector products (Cleveland et al. 1990).
 """
 
 from __future__ import annotations
 
-import datetime as dt
 import functools
 from dataclasses import dataclass
 
@@ -26,22 +25,7 @@ import numpy as np
 from .errors import DataError, ParameterError
 
 
-@dataclass
-class DailySeries:
-    dates: list[dt.date]
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if len(self.dates) != len(self.values):
-            raise DataError("dates and values lengths differ")
-        for a, b in zip(self.dates, self.dates[1:]):
-            if (b - a).days != 1:
-                raise DataError(f"non-contiguous dates: {a} .. {b}")
-        if np.any(np.isnan(self.values)):
-            raise DataError("series contains missing values; impute first")
-        if not np.all(np.isfinite(self.values)):
-            raise DataError("series contains infinite values")
+INNER_ITERS = 2  # passes of the inner loop per fit
 
 
 @dataclass
@@ -49,7 +33,6 @@ class Decomposition:
     trend: np.ndarray
     seasonal: np.ndarray
     residual: np.ndarray
-    period: int
 
 
 def _check_window(window: int, degree: int, n: int) -> None:
@@ -120,13 +103,7 @@ def _moving_average(values: np.ndarray, length: int) -> np.ndarray:
     return sum(values[j : j + m] for j in range(length)) / length
 
 
-def _default_trend_window(period: int, seasonal_window: int) -> int:
-    # smallest odd integer >= 1.5 * period / (1 - 1.5 / seasonal_window)
-    w = int(np.ceil(1.5 * period / (1 - 1.5 / seasonal_window)))
-    return w + 1 if w % 2 == 0 else w
-
-
-def _stl_pass(y, trend, period, seasonal_window, trend_window, inner_iters, rho=None):
+def _stl_pass(y, trend, period, seasonal_window, rho=None):
     """Inner STL loop on the columns of ``y`` (shape (n, ...)), from ``trend``.
 
     Returns (trend, seasonal) of the same shape as ``y``. ``rho`` are the
@@ -146,11 +123,14 @@ def _stl_pass(y, trend, period, seasonal_window, trend_window, inner_iters, rho=
         subseries.append((sub_idx, H))
     lowpass_window = period if period % 2 == 1 else period + 1
     lowpass = _loess_hat(grid, _odd_at_most(lowpass_window, n), 1, grid)
-    trend_hat = _loess_hat(grid, trend_window, 1, grid, rho)
+    # the smallest odd integer >= 1.5 * period / (1 - 1.5 / seasonal_window),
+    # at most n; period >= 2, seasonal_window >= 3 and n >= 2 * period keep it >= 3
+    trend_window = int(np.ceil(1.5 * period / (1 - 1.5 / seasonal_window)))
+    trend_hat = _loess_hat(grid, _odd_at_most(trend_window | 1, n), 1, grid, rho)
 
     seasonal = np.zeros_like(y)
     C = np.empty((n + 2 * period,) + y.shape[1:])
-    for _inner in range(inner_iters):
+    for _inner in range(INNER_ITERS):
         detrended = y - trend
         for k, (sub_idx, H) in enumerate(subseries):
             C[k::period] = H @ detrended[sub_idx]
@@ -163,39 +143,35 @@ def _stl_pass(y, trend, period, seasonal_window, trend_window, inner_iters, rho=
 
 
 @functools.lru_cache(maxsize=8)
-def _stl_operators(n, period, seasonal_window, trend_window, inner_iters):
+def _stl_operators(n, period, seasonal_window):
     """Read-only n x n operators (T, S): trend = T @ y, seasonal = S @ y."""
-    T, S = _stl_pass(
-        np.eye(n), np.zeros((n, n)), period, seasonal_window, trend_window, inner_iters
-    )
+    T, S = _stl_pass(np.eye(n), np.zeros((n, n)), period, seasonal_window)
     T.flags.writeable = False
     S.flags.writeable = False
     return T, S
 
 
-def stl_decompose(
-    series: DailySeries,
-    period: int = 7,
-    seasonal_window: int = 7,
-    inner_iters: int = 2,
-    outer_iters: int = 0,
-    trend_window: int | None = None,
-) -> Decomposition:
-    """Additive season-trend decomposition of a daily series.
+def stl_decompose(values, period: int = 7, seasonal_window: int = 7, outer_iters: int = 0) -> Decomposition:
+    """Additive season-trend decomposition of each daily series in ``values``.
 
-    Without robustness iterations the decomposition is linear in the
-    series: a pair of n x n operators (trend, seasonal) is built once per
-    (n, period, seasonal_window, trend_window, inner_iters), cached, and
-    applied by matrix-vector products. The operator is assembled in a
-    different order of arithmetic than a point-by-point fit, so results
-    can differ from earlier versions around the 15th significant digit.
+    ``values`` is one series of n days or an array (..., n) of them, such
+    as a (regions, days) panel; the components have its shape. Without
+    robustness iterations the decomposition is linear in the series: a
+    pair of n x n operators (trend, seasonal) is built once per (n, period,
+    seasonal_window), cached, and applied to each series by matrix-vector
+    products. The operator is assembled in a different order of arithmetic
+    than a point-by-point fit, so results can differ from earlier versions
+    around the 15th significant digit.
 
     ``outer_iters`` adds robustness iterations that down-weight points
-    with large residuals (bisquare weights); each one refits this series
-    with weighted smoothers, starting from the previous trend.
+    with large residuals (bisquare weights); each one refits a series
+    with weighted smoothers, starting from its previous trend.
     """
-    y = series.values
-    n = len(y)
+    y = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(y)):
+        what = "missing values; impute first" if np.any(np.isnan(y)) else "infinite values"
+        raise DataError(f"series contains {what}")
+    n = y.shape[-1] if y.ndim else 0
     if period < 2:
         raise ParameterError(f"period must be >= 2, got {period}")
     if n < 2 * period:
@@ -204,30 +180,21 @@ def stl_decompose(
         raise ParameterError(f"seasonal_window must be odd, got {seasonal_window}")
     if seasonal_window < 3:
         raise ParameterError(f"seasonal_window must be >= 3, got {seasonal_window}")
-    if trend_window is None:
-        trend_window = _default_trend_window(period, seasonal_window)
-    trend_window = _odd_at_most(trend_window, n)
-    if trend_window < 3:
-        raise ParameterError(f"trend_window must be >= 3, got {trend_window}")
 
-    T, S = _stl_operators(n, period, seasonal_window, trend_window, inner_iters)
-    trend = T @ y
-    seasonal = S @ y
-    for _outer in range(outer_iters):
-        resid = y - trend - seasonal
-        # np.median's own arithmetic, without its check that imports numpy.ma
-        r = np.sort(np.abs(resid))
-        s = r[(n - 1) // 2 : n // 2 + 1].mean()
-        h = 6 * s if s > 0 else 1.0
-        rho = np.clip(1 - (np.abs(resid) / h) ** 2, 0, None) ** 2
-        trend, seasonal = _stl_pass(
-            y, trend, period, seasonal_window, trend_window, inner_iters, rho
-        )
-    residual = y - trend - seasonal
-    return Decomposition(trend=trend, seasonal=seasonal, residual=residual, period=period)
-
-
-def deseasonalize(series: DailySeries, period: int = 7, **kwargs) -> DailySeries:
-    """Remove the seasonal component; trend + residual are retained."""
-    dec = stl_decompose(series, period=period, **kwargs)
-    return DailySeries(list(series.dates), series.values - dec.seasonal)
+    T, S = _stl_operators(n, period, seasonal_window)
+    rows = y.reshape(-1, n)
+    trend = np.empty(rows.shape)
+    seasonal = np.empty(rows.shape)
+    for row, t, s in zip(rows, trend, seasonal):
+        t[:], s[:] = T @ row, S @ row
+        for _outer in range(outer_iters):
+            resid = row - t - s
+            # np.median's own arithmetic, without its check that imports numpy.ma
+            r = np.sort(np.abs(resid))
+            mad = r[(n - 1) // 2 : n // 2 + 1].mean()
+            h = 6 * mad if mad > 0 else 1.0
+            rho = np.clip(1 - (np.abs(resid) / h) ** 2, 0, None) ** 2
+            t[:], s[:] = _stl_pass(row, t, period, seasonal_window, rho)
+    trend = trend.reshape(y.shape)
+    seasonal = seasonal.reshape(y.shape)
+    return Decomposition(trend=trend, seasonal=seasonal, residual=y - trend - seasonal)

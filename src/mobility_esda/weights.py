@@ -108,8 +108,16 @@ class SpatialWeights:
     @classmethod
     def from_neighbors(cls, ids: list[str], neighbors: dict[str, list[str]]) -> "SpatialWeights":
         """Binary weights from an id -> neighbor-ids mapping."""
-        index = {rid: i for i, rid in enumerate(ids)}
-        return cls.from_rows(ids, [[index[m] for m in neighbors.get(rid, [])] for rid in ids])
+        return cls.from_rows(ids, _positions(ids, [neighbors.get(rid, []) for rid in ids]))
+
+
+def _positions(ids: list[str], neighbor_ids: list[list[str]]) -> list[list[int]]:
+    """Each region's neighbor ids as positions in ``ids``; an id not there is a DataError."""
+    index = {rid: i for i, rid in enumerate(ids)}
+    try:
+        return [[index[m] for m in nbrs] for nbrs in neighbor_ids]
+    except KeyError as err:
+        raise DataError(f"neighbor {err.args[0]!r} is not a region id") from None
 
 
 def _snap(p: tuple[float, float], tol: float) -> tuple[int, int]:
@@ -300,10 +308,10 @@ def to_json(W: SpatialWeights) -> str:
 def from_json(text: str) -> SpatialWeights:
     payload = json.loads(text)
     regions = payload["regions"]
-    index = {r["id"]: i for i, r in enumerate(regions)}
+    ids = [r["id"] for r in regions]
     return SpatialWeights.from_rows(
-        [r["id"] for r in regions],
-        [[index[m] for m in r["neighbors"]] for r in regions],
+        ids,
+        _positions(ids, [r["neighbors"] for r in regions]),
         [r["weights"] for r in regions],
         mode=payload.get("mode", "binary"),
     )

@@ -18,7 +18,7 @@ from mobility_esda.cli import atomic_write, main
 from mobility_esda.errors import DataError
 from mobility_esda.indicator import RadarConfig, circulation_indicator
 from mobility_esda.ingest import impute_missing, parse_cmr_csv
-from mobility_esda.timeseries import DailySeries, stl_decompose
+from mobility_esda.timeseries import stl_decompose
 
 from conftest import grid_geojson, synthetic_country_csv
 
@@ -261,8 +261,7 @@ class TestIndicatorCmd:
             table, _ = impute_missing(parse_cmr_csv(fh))
         window = (dt.date(2020, 3, 1), dt.date(2020, 3, 21))
         series = circulation_indicator(table, "SY/cell1_2", RadarConfig(), window)
-        dec = stl_decompose(DailySeries(series.dates, series.indicators), period=7,
-                            seasonal_window=7, outer_iters=1 if robust else 0)
+        dec = stl_decompose(series.indicators, period=7, seasonal_window=7, outer_iters=1 if robust else 0)
         got = [float(r["indicator_deseasonalized"]) for r in recs]
         assert got == [float(f"{v:.15g}") for v in dec.trend]
 
@@ -817,6 +816,9 @@ def failing_run(kind, sy, tmp, monkeypatch):
                 "--from", "2020-03-21", "--to", "2020-03-01"]
     if kind == "moran reversed window":
         return moran + ["--from", "2020-03-21", "--to", "2020-03-01"]
+    if kind in ("center nan", "center -inf"):
+        return ["indicator", "--input", csv_path, "--country", "SY", "--subnational",
+                "--from", "2020-03-01", "--to", "2020-03-21", f"--center={kind.split()[1]}"]
     if kind == "seasonal window 1":
         return ["indicator", "--input", csv_path, "--country", "SY", "--subnational",
                 "--from", "2020-03-01", "--to", "2020-03-21",
@@ -886,6 +888,8 @@ def failing_run(kind, sy, tmp, monkeypatch):
         ("region of absent country", 3),
         ("bad date", 3),
         ("seasonal window 1", 3),
+        ("center nan", 3),
+        ("center -inf", 3),
         ("window gap", 3),
         ("moran window gap", 3),
         ("reversed window", 3),
@@ -978,7 +982,8 @@ def test_late_failure_writes_nothing(sy, tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "kind",
     ["window gap", "moran window gap", "reversed window", "moran reversed window",
-     "radar name collision", "alpha 1.5", "no categories", "config categories empty",
+     "radar name collision", "center nan", "center -inf", "alpha 1.5", "no categories",
+     "config categories empty",
      *BAD_GEOMETRY_DOCS, *BAD_WEIGHTS_OPTIONS],
 )
 def test_failure_writes_nothing(kind, sy, tmp_path, monkeypatch):
@@ -999,6 +1004,8 @@ FAILURE_MESSAGES = {
     "negative island knn": "error: k must be >= 1, got -1",
     "radar name collision": "error: regions 'SY/a/b' and 'SY/a_b' would both be drawn to radar-SY_a_b.svg",
     "no categories": "schema error: mobility-esda moran: argument --categories: expected at least one",
+    "center nan": "error: center must be finite and <= -100, got nan",
+    "center -inf": "error: center must be finite and <= -100, got -inf",
     "alpha 1.5": "error: alpha must be in (0, 1), got 1.5",
     "region of absent country": "error: unknown country 'XX'; available: ['SY']",
     "geometry array": "error: expected FeatureCollection, got 'list'",

@@ -1,23 +1,10 @@
-import datetime as dt
-
 import numpy as np
 import pytest
 
 from mobility_esda.errors import DataError, ParameterError
-from mobility_esda.timeseries import (
-    DailySeries,
-    _stl_operators,
-    deseasonalize,
-    loess_smooth,
-    stl_decompose,
-)
+from mobility_esda.timeseries import _stl_operators, loess_smooth, stl_decompose
 
 from conftest import loess_oracle_point, stl_oracle
-
-
-def daily(values, start="2020-03-01"):
-    d0 = dt.date.fromisoformat(start)
-    return DailySeries([d0 + dt.timedelta(days=i) for i in range(len(values))], np.asarray(values, float))
 
 
 WEEK_PATTERN = np.array([3.0, -1.0, 2.0, -2.0, 1.0, -3.0, 0.0])
@@ -74,55 +61,45 @@ class TestLoess:
 
 class TestStl:
     def test_constant_series(self):
-        dec = stl_decompose(daily(np.full(28, 5.0)))
+        dec = stl_decompose(np.full(28, 5.0))
         assert np.allclose(dec.trend, 5.0, atol=1e-9)
         assert np.max(np.abs(dec.seasonal)) < 1e-9
         assert np.max(np.abs(dec.residual)) < 1e-9
 
     def test_weekly_pattern_plus_offset_recovered(self):
         y = np.tile(WEEK_PATTERN, 6) + 40.0
-        dec = stl_decompose(daily(y))
+        dec = stl_decompose(y)
         assert np.max(np.abs(dec.seasonal - np.tile(WEEK_PATTERN, 6))) < 1e-6
         assert np.max(np.abs(dec.trend - 40.0)) < 1e-6
 
     def test_additive_identity(self):
         rng = np.random.default_rng(3)
         y = 50 + np.cumsum(rng.normal(0, 1, 70)) + np.tile(WEEK_PATTERN, 10)
-        dec = stl_decompose(daily(y))
+        dec = stl_decompose(y)
         scale = np.max(np.abs(y))
         assert np.max(np.abs(dec.trend + dec.seasonal + dec.residual - y)) < 1e-9 * scale
 
     def test_linear_ramp(self):
         y = np.linspace(0, 100, 56)
-        dec = stl_decompose(daily(y))
+        dec = stl_decompose(y)
         assert np.max(np.abs(dec.seasonal)) < 1.0  # < 1% of ramp range
         interior = slice(7, -7)
         assert np.max(np.abs(dec.trend[interior] - y[interior])) < 1.0
 
     def test_seasonal_balances_over_cycles(self):
         y = np.tile(WEEK_PATTERN, 8) + 10.0
-        dec = stl_decompose(daily(y))
+        dec = stl_decompose(y)
         for start in range(0, len(y) - 7, 7):
             assert abs(dec.seasonal[start : start + 7].mean()) < 1e-6 * np.ptp(y)
 
     def test_too_short_rejected(self):
         with pytest.raises(ParameterError, match="length"):
-            stl_decompose(daily(np.arange(13.0)))
-
-    def test_non_contiguous_dates_rejected(self):
-        dates = [dt.date(2020, 3, 1), dt.date(2020, 3, 2), dt.date(2020, 3, 4)]
-        with pytest.raises(DataError, match="non-contiguous"):
-            DailySeries(dates, np.zeros(3))
+            stl_decompose(np.arange(13.0))
 
     @pytest.mark.parametrize("seasonal_window", [1, -3])
     def test_seasonal_window_below_three_rejected(self, seasonal_window):
         with pytest.raises(ParameterError, match="seasonal_window"):
-            stl_decompose(daily(np.arange(28.0)), seasonal_window=seasonal_window)
-
-    @pytest.mark.parametrize("trend_window", [1, 2, -21])
-    def test_trend_window_below_three_rejected(self, trend_window):
-        with pytest.raises(ParameterError, match="trend_window"):
-            stl_decompose(daily(np.arange(28.0)), trend_window=trend_window)
+            stl_decompose(np.arange(28.0), seasonal_window=seasonal_window)
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -132,13 +109,23 @@ class TestStl:
         y = np.arange(14.0)
         y[5] = bad
         with pytest.raises(DataError, match=message):
-            daily(y)
+            stl_decompose(y)
 
     def test_robust_mode_runs(self):
         y = np.tile(WEEK_PATTERN, 6) + 40.0
         y[20] += 50  # outlier
-        dec = stl_decompose(daily(y), outer_iters=2)
+        dec = stl_decompose(y, outer_iters=2)
         assert np.max(np.abs(dec.trend + dec.seasonal + dec.residual - y)) < 1e-9 * np.max(np.abs(y))
+
+    @pytest.mark.parametrize("outer_iters", [0, 1, 2])
+    def test_panel_rows_equal_each_series_alone(self, outer_iters):
+        panel = np.array([_oracle_case(92, 7, seed) for seed in range(5)])
+        dec = stl_decompose(panel, outer_iters=outer_iters)
+        for k, y in enumerate(panel):
+            one = stl_decompose(y, outer_iters=outer_iters)
+            for name in ("trend", "seasonal", "residual"):
+                assert getattr(one, name).shape == (92,)
+                assert np.array_equal(getattr(dec, name)[k], getattr(one, name)), (k, name)
 
 
 def _oracle_case(n, period, seed, outlier=False):
@@ -160,7 +147,7 @@ class TestStlOracle:
                 for outer_iters in (0, 1, 2):
                     y = _oracle_case(n, period, seed=n * 100 + period)
                     dec = stl_decompose(
-                        daily(y), period=period, seasonal_window=seasonal_window,
+                        y, period=period, seasonal_window=seasonal_window,
                         outer_iters=outer_iters,
                     )
                     trend, seasonal = stl_oracle(y, period, seasonal_window, 2, outer_iters)
@@ -174,52 +161,56 @@ class TestStlOracle:
         y = _oracle_case(92, 7, seed=5, outlier=True)
         # the outlier lies beyond 6 x the median absolute residual of the
         # first pass, so its bisquare robustness weight is exactly 0
-        resid = np.abs(stl_decompose(daily(y)).residual)
+        resid = np.abs(stl_decompose(y).residual)
         assert resid[30] > 6 * np.median(resid)
-        dec = stl_decompose(daily(y), outer_iters=outer_iters)
+        dec = stl_decompose(y, outer_iters=outer_iters)
         trend, seasonal = stl_oracle(y, 7, 7, 2, outer_iters)
         scale = np.max(np.abs(y))
         assert np.max(np.abs(dec.trend - trend)) < 1e-9 * scale
         assert np.max(np.abs(dec.seasonal - seasonal)) < 1e-9 * scale
 
     def test_cached_operators_reused_and_read_only(self):
-        a = daily(_oracle_case(35, 7, seed=1))
-        b = daily(_oracle_case(35, 7, seed=2))
+        a = _oracle_case(35, 7, seed=1)
+        b = _oracle_case(35, 7, seed=2)
         first = stl_decompose(a)
         stl_decompose(b)
         again = stl_decompose(a)
         for name in ("trend", "seasonal", "residual"):
             assert np.array_equal(getattr(first, name), getattr(again, name))
-        trend_op, seasonal_op = _stl_operators(35, 7, 7, 15, 2)
+        trend_op, seasonal_op = _stl_operators(35, 7, 7)
         assert not trend_op.flags.writeable
         assert not seasonal_op.flags.writeable
         with pytest.raises(ValueError):
             seasonal_op[0, 0] = 1.0
 
 
+def deseasonalize(y):
+    return y - stl_decompose(y).seasonal
+
+
 class TestDeseasonalize:
     def test_constant_unchanged(self):
-        out = deseasonalize(daily(np.full(28, 7.0)))
-        assert np.allclose(out.values, 7.0, atol=1e-9)
+        out = deseasonalize(np.full(28, 7.0))
+        assert np.allclose(out, 7.0, atol=1e-9)
 
     def test_pattern_plus_offset_becomes_flat(self):
         y = np.tile(WEEK_PATTERN, 6) + 40.0
-        out = deseasonalize(daily(y))
-        assert np.max(np.abs(out.values - 40.0)) < 1e-6
+        out = deseasonalize(y)
+        assert np.max(np.abs(out - 40.0)) < 1e-6
 
     def test_idempotent_within_tolerance(self):
         y = 30 + np.linspace(0, 10, 70) + np.tile(WEEK_PATTERN, 10)
-        once = deseasonalize(daily(y))
+        once = deseasonalize(y)
         twice = deseasonalize(once)
-        assert np.max(np.abs(twice.values - once.values)) < 1e-6 * np.ptp(y)
+        assert np.max(np.abs(twice - once)) < 1e-6 * np.ptp(y)
 
     def test_second_pass_much_smaller_than_first(self):
         # with noise the removal is not an exact projection, but the second
         # pass must remove far less than the first
         rng = np.random.default_rng(11)
         y = 30 + np.linspace(0, 10, 70) + np.tile(WEEK_PATTERN, 10) + rng.normal(0, 0.5, 70)
-        once = deseasonalize(daily(y))
+        once = deseasonalize(y)
         twice = deseasonalize(once)
-        first_change = np.max(np.abs(once.values - y))
-        second_change = np.max(np.abs(twice.values - once.values))
+        first_change = np.max(np.abs(once - y))
+        second_change = np.max(np.abs(twice - once))
         assert second_change < 0.05 * first_change

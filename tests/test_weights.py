@@ -270,6 +270,19 @@ class TestSerialization:
         with pytest.raises(DataError, match="neighbor pair stored twice: b -> a$"):
             from_json(json.dumps(payload))
 
+    def test_unknown_neighbor_id_rejected_by_from_neighbors(self):
+        with pytest.raises(DataError, match="neighbor 'c' is not a region id"):
+            SpatialWeights.from_neighbors(["a"], {"a": ["c"]})
+
+    def test_unknown_neighbor_id_rejected_by_from_text(self):
+        with pytest.raises(DataError, match="neighbor 'c' is not a region id"):
+            from_text("a\tc\n")
+
+    def test_unknown_neighbor_id_rejected_by_from_json(self):
+        payload = {"regions": [{"id": "a", "neighbors": ["c"], "weights": [1.0]}]}
+        with pytest.raises(DataError, match="neighbor 'c' is not a region id"):
+            from_json(json.dumps(payload))
+
     def test_neighbor_index_out_of_range_rejected(self):
         with pytest.raises(DataError, match="out of range"):
             SpatialWeights(["a", "b"], [0, 1, 2], [-1, 0], [1.0, 1.0])
