@@ -19,6 +19,7 @@ import io
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -128,10 +129,15 @@ class MobilityTable:
     def coverage(self) -> tuple[dt.date, dt.date] | None:
         return (_date(self.dates.min()), _date(self.dates.max())) if len(self.dates) else None
 
+    def _region(self, region_id: str) -> int:
+        """Index of a region in ``region_ids``, -1 if absent."""
+        k = bisect.bisect_left(self.region_ids, region_id)
+        return k if k < len(self.region_ids) and self.region_ids[k] == region_id else -1
+
     def rows(self, region_id: str, window: tuple[dt.date, dt.date] | None = None) -> slice:
         """Row slice of one region (empty if absent), clipped to an inclusive window."""
-        k = bisect.bisect_left(self.region_ids, region_id)
-        if k == len(self.region_ids) or self.region_ids[k] != region_id:
+        k = self._region(region_id)
+        if k < 0:
             return slice(0, 0)
         start, stop = int(self.offsets[k]), int(self.offsets[k + 1])
         if window is not None:
@@ -145,22 +151,34 @@ class MobilityTable:
         """The shared dates, (regions, days, 6) values and (regions, 6) window means
         of the regions in the given order; each must cover the inclusive ``window``
         (without one, all share their dates) and be complete there, checked first."""
-        rows = [self.rows(rid, window) for rid in region_ids]
-        expected = None if window is None else (window[1] - window[0]).days + 1
-        for rid, r in zip(region_ids, rows):
-            if r.stop <= r.start:
+        k = np.array([self._region(rid) for rid in region_ids], dtype=np.intp)
+        if window is None:
+            start, stop = self.offsets[k], self.offsets[k + 1]
+        else:
+            # one search over (region, day) keys, ascending down the rows: days
+            # before the window count as -1, days after it as its length
+            expected = max((window[1] - window[0]).days + 1, 0)
+            day = np.clip(self.dates - window[0].toordinal(), -1, expected)
+            keys = self.region * (expected + 2) + day
+            start = np.searchsorted(keys, k * (expected + 2), side="left")
+            stop = np.searchsorted(keys, k * (expected + 2) + expected - 1, side="right")
+        count = np.where(k < 0, 0, stop - start)
+        short = (count <= 0) if window is None else (count <= 0) | (count != expected)
+        if short.any():
+            j = int(np.argmax(short))
+            rid = region_ids[j]
+            if count[j] <= 0:
                 raise DataError(f"no data for region {rid!r} in requested window")
-            if window is not None and r.stop - r.start != expected:
-                raise DataError(f"region {rid!r} covers {r.stop - r.start} of {expected} days "
-                                f"in {window[0]}..{window[1]}")
-        days = rows[0].stop - rows[0].start
-        index = np.array([r.start for r in rows])[:, None] + np.arange(days)
-        if any(r.stop - r.start != days for r in rows) or (self.dates[index] != self.dates[rows[0]]).any():
+            raise DataError(f"region {rid!r} covers {count[j]} of {expected} days "
+                            f"in {window[0]}..{window[1]}")
+        days = int(count[0])
+        index = start[:, None] + np.arange(days)
+        if (count != days).any() or (self.dates[index] != self.dates[index[0]]).any():
             raise DataError("regions cover different dates; give a window")
         # gathered once, category-major: each mean sums along a contiguous
         # last axis, as one region's column mean does, bit for bit
         block = self.values.T.take(index, axis=1)  # (6, regions, days)
-        dates = self.date_list(rows[0])
+        dates = self.date_list(slice(start[0], start[0] + days))
         absent = np.isnan(block)
         if absent.any():
             k, d = np.argwhere(absent.any(axis=0))[0]
@@ -239,11 +257,15 @@ class ImputationReport:
         return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
 
-# records read and converted at a time: enough to amortize the per-chunk
+# lines read and converted at a time: enough to amortize the per-chunk
 # numpy calls, few enough that a chunk's cell strings stay small (on 400
 # regions x 92 days, 1,024 parsed about as fast as 2,048 and 15% faster
 # than 8,192, with half the peak memory)
 CHUNK_ROWS = 1024
+
+# columns of the country, sub-region, date and CATEGORIES that _Columns.add
+# takes first
+_WANTED = 3 + len(CATEGORIES)
 
 # region codes of a row of a country filtered out, and of a row whose country
 # code is empty or contains the "/" of region_key
@@ -275,29 +297,81 @@ def _text_lines(source):
             wrapper.detach()  # closing the wrapper would close the caller's file
 
 
-def _chunks(reader):
-    """The records ``reader`` has left, up to ``CHUNK_ROWS`` at a time, with
-    the physical line each ends on."""
-    start = reader.line_num
-    while records := list(itertools.islice(reader, CHUNK_ROWS)):
-        stop = reader.line_num
-        if stop - start == len(records):
-            ends = range(start + 1, stop + 1)
+def _chunks(lines, start: int, width: int, keep: list[int]):
+    """The records left in ``lines``, whose first is physical line
+    ``start + 1``, ``CHUNK_ROWS`` lines at a time: per chunk, the cells of
+    the ``keep`` columns (blank lines dropped, short records padded with
+    ``""``) and the physical line each record ends on.
+
+    A chunk of whole lines that holds no ``"`` or lone CR and has
+    ``width - 1`` commas on every line is split on ``,``, which is what
+    ``csv.reader`` reads on such lines; any other chunk is read by
+    ``csv.reader``, on past its last line while a quoted cell is open.
+    """
+    while chunk := list(itertools.islice(lines, CHUNK_ROWS)):
+        cells, error = _plain_cells(chunk, width), None
+        if cells is not None:
+            columns = [cells[i::width] for i in keep]
+            ends = range(start + 1, start + len(chunk) + 1)
+            start += len(chunk)
         else:
-            # a quoted cell spans lines: a record ends one line, plus the line
-            # breaks its cells hold, after the one before it; the last ends
-            # where the reader is (a quote left open at the end of the input
-            # also holds the last line's break)
-            spans = (1 + sum(map(_line_breaks, row)) for row in records)
-            ends = list(itertools.accumulate(spans, initial=start))[1:]
-            ends[-1] = stop
-        start = stop
-        yield records, ends
-        del records  # freed before the next chunk is read
+            reader = csv.reader(itertools.chain(chunk, lines))
+            records, ends = [], []
+            try:
+                for row in reader:
+                    if row:
+                        records.append(row)
+                        ends.append(start + reader.line_num)
+                    if reader.line_num >= len(chunk):
+                        break
+            except csv.Error as exc:
+                # the records before the malformed one are converted first, so
+                # that a bad row above it is reported as it is row by row
+                error = SchemaError(f"line {start + reader.line_num}: malformed CSV: {exc}")
+            start += reader.line_num
+            need = max(keep) + 1
+            if records and min(map(len, records)) < need:
+                records = [row + [""] * (need - len(row)) for row in records]
+            columns = list(zip(*records))
+            columns = [columns[i] for i in keep] if records else []
+            del records, reader
+        del chunk, cells  # freed before the next chunk is read
+        if ends:
+            yield columns, ends
+        del columns
+        if error is not None:
+            raise error
 
 
-def _line_breaks(cell: str) -> int:
-    return cell.count("\n") + cell.count("\r") - cell.count("\r\n")
+def _plain_cells(chunk: list[str], width: int) -> list[str] | None:
+    """The chunk's cells, row after row, split on ``,`` if that reads the
+    lines as ``csv.reader`` would; else None.
+
+    That holds for lines with ``width - 1`` commas each and no ``"``, lone
+    CR or LF but a line end (LF or CRLF; a stream's last line may have
+    none), as long as no cell can reach the CSV field size limit.
+    """
+    text = "".join(chunk)
+    if '"' in text or width < 2 or len(text) >= csv.field_size_limit():
+        return None
+    if text.count("\n") != sum(map(str.endswith, chunk, itertools.repeat("\n"))):
+        return None  # an LF inside a line, which a text file split at CR can hold
+    if set(map(str.count, chunk, itertools.repeat(","))) != {width - 1}:
+        return None
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):
+            return None
+        text = text.replace("\r\n", "\n")
+    cells = text.replace("\n", ",").split(",")
+    if text.endswith("\n"):
+        cells.pop()  # the empty cell after the last line end
+    return cells
+
+
+def _changes(cells):
+    """Positions of the cells that differ from the cell before them."""
+    differs = map(operator.ne, itertools.islice(cells, 1, None), cells)
+    return itertools.compress(itertools.count(1), differs)
 
 
 def _ordinal(text: str) -> int:
@@ -327,10 +401,7 @@ class _Columns:
     """The rows kept so far, as arrays per chunk, and the lookups that
     converting the chunks has built."""
 
-    def __init__(self, wanted: list[int], finer: list[int], strict: bool, country: str | None):
-        self.wanted = wanted  # columns of the country, sub-region, date and CATEGORIES
-        self.finer = finer  # columns of FINER_LEVEL_COLUMNS in the header
-        self.width = max(wanted + finer) + 1
+    def __init__(self, strict: bool, country: str | None):
         self.strict, self.country = strict, country
         self.pairs: dict[tuple[str, str], int] = {}  # (country, sub-region) -> region index
         self.codes: dict[tuple[str, str], int] = {}  # raw cells -> region index or code
@@ -341,20 +412,17 @@ class _Columns:
         # per chunk: region index, date ordinal and values of the rows kept
         self.parts = [(np.empty(0, np.intp), np.empty(0, np.int64), np.empty((0, len(CATEGORIES))))]
 
-    def add(self, records: list[list[str]], ends) -> None:
-        """Convert one chunk of records; ``ends`` are their line numbers."""
-        if not all(records):  # blank lines
-            ends = [end for row, end in zip(records, ends) if row]
-            records = [row for row in records if row]
-            if not records:
-                return
-        if min(map(len, records)) < self.width:
-            records = [row + [""] * (self.width - len(row)) for row in records]
-        columns = list(zip(*records))
-        n = len(records)
-        raw = columns[self.wanted[0]], columns[self.wanted[1]]
+    def add(self, columns, ends) -> None:
+        """Convert one chunk: the cells of the country, sub-region, date and
+        CATEGORIES columns, then of the FINER_LEVEL_COLUMNS in the header,
+        and the line each record ends on."""
+        wanted, finer = columns[:_WANTED], columns[_WANTED:]
+        n = len(ends)
+        # a region's rows come in runs: its cells are looked up once a run
+        starts = sorted({0, *_changes(wanted[0]), *_changes(wanted[1])})
+        pairs = [(wanted[0][i], wanted[1][i]) for i in starts]
         # new cell pairs in first-seen order, so that no table depends on string hashing
-        for key in [key for key in dict.fromkeys(zip(*raw)) if key not in self.codes]:
+        for key in [key for key in dict.fromkeys(pairs) if key not in self.codes]:
             country, sub = key[0].strip(), key[1].strip()
             self.countries.add(country)
             if self.country is not None and country != self.country:
@@ -363,18 +431,19 @@ class _Columns:
                 self.codes[key] = _NO_COUNTRY
             else:
                 self.codes[key] = self.pairs.setdefault((country, sub), len(self.pairs))
-        region = np.fromiter(map(self.codes.__getitem__, zip(*raw)), np.intp, n)
+        codes = np.array([self.codes[key] for key in pairs], np.intp)
+        region = np.repeat(codes, np.diff([*starts, n]))
         keep = region != _DROPPED
         deeper = np.zeros(n, dtype=bool)
-        for i in self.finer:
-            if any(columns[i]):
-                deeper |= np.fromiter(map(bool, map(str.strip, columns[i])), bool, n)
+        for column in finer:
+            if any(column):
+                deeper |= np.fromiter(map(bool, map(str.strip, column)), bool, n)
         self.finer_rows += int((deeper & keep).sum())
         keep &= ~deeper
         rows = np.flatnonzero(keep).tolist()
         if not rows:
             return
-        cells = [columns[i] for i in self.wanted[2:]]
+        cells = wanted[2:]
         if len(rows) < n:
             cells = [[col[j] for j in rows] for col in cells]
             region = region[rows]
@@ -393,13 +462,14 @@ class _Columns:
         for r in np.flatnonzero(suspect).tolist():
             j = rows[r]
             try:
-                _parse_row([columns[i][j].strip() for i in self.wanted], ends[j])
+                _parse_row([col[j].strip() for col in wanted], ends[j])
             except DataError as exc:
                 if self.strict:
                     raise
                 self.issues.append(str(exc))
                 bad.append(r)
-        self.parts.append(tuple(np.delete(a, bad, axis=0) for a in (region, dates, values)))
+        part = (region, dates, values)
+        self.parts.append(tuple(np.delete(a, bad, axis=0) for a in part) if bad else part)
 
     def table(self) -> MobilityTable:
         if self.finer_rows:
@@ -423,9 +493,10 @@ def parse_cmr_csv(
     """Parse a community-mobility CSV into a :class:`MobilityTable`.
 
     ``source`` is bytes, str or an open file. It is read as a stream,
-    ``CHUNK_ROWS`` records at a time, and each chunk is converted a column
-    at a time. ``column_map`` maps logical names (keys of
-    ``DEFAULT_COLUMNS``) to actual header names. Empty cells become NaN;
+    ``CHUNK_ROWS`` lines at a time (``_chunks`` splits a chunk into cells
+    one of two ways), and each chunk is converted a column at a time.
+    ``column_map`` maps logical names (keys of ``DEFAULT_COLUMNS``) to
+    actual header names. Empty cells become NaN;
     non-finite cells and values below -100 are errors, reported with the
     physical line the row ends on. In strict mode any bad row aborts the
     parse; in lenient mode bad rows are skipped and reported in
@@ -453,18 +524,15 @@ def parse_cmr_csv(
             missing_cols = [v for v in columns.values() if v not in position]
             if missing_cols:
                 raise SchemaError(f"missing columns: {missing_cols}")
-            kept = _Columns(
-                [position[columns[k]] for k in ("country_code", "sub_region", "date", *CATEGORIES)],
-                [position[c] for c in FINER_LEVEL_COLUMNS if c in position],
-                strict,
-                country,
-            )
-            for records, ends in _chunks(reader):
-                kept.add(records, ends)
-                del records  # freed before the next chunk is read
+            keep = [position[columns[k]] for k in ("country_code", "sub_region", "date", *CATEGORIES)]
+            keep += [position[c] for c in FINER_LEVEL_COLUMNS if c in position]
+            kept = _Columns(strict, country)
+            for cells, ends in _chunks(lines, reader.line_num, len(header), keep):
+                kept.add(cells, ends)
+                del cells  # freed before the next chunk is read
     except UnicodeDecodeError as exc:
         raise SchemaError(f"input is not UTF-8 text: {exc}") from None
-    except csv.Error as exc:
+    except csv.Error as exc:  # in the header
         raise SchemaError(f"line {reader.line_num}: malformed CSV: {exc}") from None
     return kept.table()
 

@@ -307,7 +307,17 @@ def to_json(W: SpatialWeights) -> str:
 
 def from_json(text: str) -> SpatialWeights:
     payload = json.loads(text)
-    regions = payload["regions"]
+    regions = payload.get("regions") if isinstance(payload, dict) else None
+    if not isinstance(regions, list) or not all(isinstance(r, dict) for r in regions):
+        raise DataError("weights JSON must be an object whose regions are a list of objects")
+    for i, r in enumerate(regions):
+        missing = [key for key in ("id", "neighbors", "weights") if key not in r]
+        if missing:
+            raise DataError(f"weights JSON region {i} has no {missing}")
+        if not (isinstance(r["neighbors"], list) and isinstance(r["weights"], list)):
+            raise DataError(f"weights JSON region {i}: neighbors and weights must be lists")
+        if not all(isinstance(rid, str) for rid in [r["id"], *r["neighbors"]]):
+            raise DataError(f"weights JSON region {i}: id and neighbors must be strings")
     ids = [r["id"] for r in regions]
     return SpatialWeights.from_rows(
         ids,

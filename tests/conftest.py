@@ -252,7 +252,8 @@ def _oracle_text(source) -> str:
 def parse_oracle(source, column_map=None, strict=True) -> MobilityTable:
     """Community-mobility CSV parsed row by row, the reference for
     ``parse_cmr_csv``: the whole input is decoded at once and each row's
-    cells are checked one at a time."""
+    cells are checked one at a time. Lines end at LF, CRLF or a lone CR, as
+    the ``csv`` module reads a file opened with ``newline=""``."""
     columns = dict(DEFAULT_COLUMNS)
     if column_map:
         unknown = set(column_map) - set(columns)
@@ -260,7 +261,7 @@ def parse_oracle(source, column_map=None, strict=True) -> MobilityTable:
             raise SchemaError(f"unknown column-map keys: {sorted(unknown)}")
         columns.update(column_map)
 
-    reader = csv.reader(io.StringIO(_oracle_text(source)))
+    reader = csv.reader(io.StringIO(_oracle_text(source), newline=""))
     try:
         header = next(reader, None)
         if header is None:

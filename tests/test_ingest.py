@@ -397,6 +397,137 @@ class TestAgainstOracle:
                 assert got[:-1] == want[:-1]
 
 
+# a line of a mixed file: mostly clean, else one fault that the comma split
+# must leave to csv.reader (or, for "bad", a cell the row checks refuse)
+FAULTS = st.sampled_from(
+    ["clean"] * 8
+    + ["quoted", "multiline", "open_quote", "lone_cr", "cr_in_cell", "nul", "short", "long",
+       "blank", "bad", "huge"]
+)
+EOL = st.sampled_from(["\n", "\r\n"])
+FIELD_LIMIT = 60  # above every header name; a "huge" cell is longer
+
+
+@st.composite
+def mixed_csv(draw):
+    """Bytes of a file of clean lines and faulty ones, its columns in any
+    order, and whether every line is clean."""
+    names = draw(st.sampled_from([HEADER, FINER_HEADER])).split(",")
+    order = draw(st.permutations(range(len(names))))
+    width = len(names)
+    parts = [draw(st.sampled_from(["", "\ufeff"])), ",".join(names[j] for j in order), draw(EOL)]
+    faults = draw(st.lists(FAULTS, max_size=12))
+    for i, fault in enumerate(faults):
+        cells = ["BR", draw(st.sampled_from(["", "Acre", "Bahia"])),
+                 (dt.date(2020, 3, 1) + dt.timedelta(i)).isoformat(),
+                 *draw(st.lists(st.sampled_from(["", "1", "-5.5", "12"]), min_size=6, max_size=6)),
+                 *[""] * (width - 9)]
+        eol = draw(EOL)
+        if fault == "quoted":
+            cells[1] = '"' + draw(st.sampled_from(["Acre", "a,b", 'a""b', ""])) + '"'
+        elif fault == "multiline":
+            cells[1] = '"' + draw(st.sampled_from(["a\nb", "a\r\nb", "a\rb", "a\n\nb\n"])) + '"'
+        elif fault == "open_quote":
+            cells[1] = '"open'
+        elif fault == "lone_cr":
+            eol = "\r"
+        elif fault == "cr_in_cell":
+            cells[1] = "a\rb"
+        elif fault == "nul":
+            cells[1] = "a\0b"
+        elif fault == "bad":
+            cells[3 + draw(st.integers(0, 5))] = draw(st.sampled_from(["x", "-101", "inf", "nan"]))
+        elif fault == "huge":
+            cells[1] = "h" * (FIELD_LIMIT + 10)
+        cells = [cells[j] for j in order]
+        if fault == "short":
+            cells = cells[: draw(st.integers(1, width - 1))]
+        elif fault == "long":
+            cells += ["9"] * draw(st.integers(1, 3))
+        elif fault == "blank":
+            cells = []
+        parts += [",".join(cells), eol]
+    if faults and draw(st.booleans()):
+        parts.pop()  # no line end after the last line
+    return "".join(parts).encode(), set(faults) <= {"clean"}
+
+
+READER = csv.reader
+
+
+class LineCount:
+    """Stands in for ``csv.reader`` and counts the lines read through it."""
+
+    def __init__(self):
+        self.lines = 0
+
+    def __call__(self, lines, *args, **kwargs):
+        return READER(self._counted(lines), *args, **kwargs)
+
+    def _counted(self, lines):
+        for line in lines:
+            self.lines += 1
+            yield line
+
+
+class TestChunkPaths:
+    """Files mixing chunks the comma split reads with chunks csv.reader must
+    read, against the row-by-row parse: same table, issues and errors."""
+
+    @pytest.mark.parametrize("chunk_rows", [2, 3, ingest.CHUNK_ROWS])
+    @given(case=mixed_csv(), limit=st.sampled_from([None, FIELD_LIMIT]))
+    @settings(max_examples=200, deadline=None)
+    def test_same_table_or_error(self, chunk_rows, case, limit):
+        data, clean = case
+        old_limit = csv.field_size_limit(limit) if limit else None
+        try:
+            with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows):
+                for strict in (True, False):
+                    want = parse_outcome(parse_oracle, data, strict=strict)
+                    with mock.patch.object(csv, "reader", LineCount()) as reader:
+                        assert parse_outcome(parse_cmr_csv, data, strict=strict) == want
+                    if clean and limit is None:
+                        assert reader.lines == 1  # the header: every chunk was split
+        finally:
+            if old_limit is not None:
+                csv.field_size_limit(old_limit)
+
+    @pytest.mark.parametrize("newline", [None, "", "\n", "\r", "\r\n"])
+    @given(case=mixed_csv(), chunk_rows=st.sampled_from([2, 3, ingest.CHUNK_ROWS]))
+    @settings(max_examples=100, deadline=None)
+    def test_split_reads_what_csv_reads_on_any_text_stream(self, newline, chunk_rows, case):
+        """A text file splits its lines by its own newline rule; the comma
+        split must give what csv.reader gives on those lines."""
+        def parse(data, strict):
+            stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=newline)
+            return parse_cmr_csv(stream, strict=strict)
+
+        with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows):
+            for strict in (True, False):
+                with mock.patch.object(ingest, "_plain_cells", return_value=None):
+                    want = parse_outcome(parse, case[0], strict=strict)  # csv.reader only
+                assert parse_outcome(parse, case[0], strict=strict) == want
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_one_column_header_skips_blank_lines(self, strict):
+        # every logical column is the one header column, so a blank line
+        # splits into a cell but csv.reader reads no record from it
+        data = b"x\n\nBR\n\n"
+        column_map = dict.fromkeys(ingest.DEFAULT_COLUMNS, "x")
+        with mock.patch.object(ingest, "CHUNK_ROWS", 2):
+            got = parse_outcome(parse_cmr_csv, data, column_map=column_map, strict=strict)
+        assert got == parse_outcome(parse_oracle, data, column_map=column_map, strict=strict)
+        assert "line 3: unparseable date 'BR'" in str(got)
+
+    def test_clean_chunks_are_split_not_read(self):
+        rows = [f"BR,Acre,2020-03-{d:02d},1,2,3,4,5,6" for d in range(1, 11)]
+        with mock.patch.object(ingest, "CHUNK_ROWS", 3), \
+                mock.patch.object(csv, "reader", LineCount()) as reader:
+            table = parse_cmr_csv(csv_bytes(*rows))
+        assert reader.lines == 1
+        assert len(table.dates) == 10
+
+
 class TestPanel:
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -431,6 +562,41 @@ class TestPanel:
             rows = table.rows(rid, window)
             assert block[k].tolist() == table.values[rows].tolist()
             assert means[k].tolist() == [table.column(c)[rows].mean() for c in CATEGORIES]
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_first_region_short_of_the_window_is_named(self, data):
+        """The regions are checked in the order asked, each on its own rows()."""
+        start = dt.date(2020, 3, 1)
+        days = [sorted(data.draw(st.sets(st.integers(0, 9), min_size=1))) for _ in range(3)]
+        table = MobilityTable.from_columns(
+            [("SY", f"r{k}") for k in range(3)],
+            np.repeat(np.arange(3), [len(d) for d in days]),
+            np.concatenate(days) + start.toordinal(),
+            np.zeros((sum(map(len, days)), len(CATEGORIES))),
+        )
+        ids = data.draw(st.lists(st.sampled_from(["SY/r0", "SY/r1", "SY/r2", "SY/x"]), min_size=1))
+        bounds = data.draw(st.none() | st.tuples(st.integers(-2, 11), st.integers(-2, 11)))
+        window = bounds and tuple(start + dt.timedelta(b) for b in bounds)
+        want = None
+        for rid in ids:
+            r = table.rows(rid, window)
+            if r.stop <= r.start:
+                want = f"no data for region {rid!r} in requested window"
+            elif window and r.stop - r.start != (expected := (window[1] - window[0]).days + 1):
+                want = (f"region {rid!r} covers {r.stop - r.start} of {expected} days "
+                        f"in {window[0]}..{window[1]}")
+            if want:
+                break
+        try:
+            table.panel(ids, window)
+            got = None
+        except DataError as exc:
+            got = str(exc)
+        if want or window:
+            assert got == want
+        else:
+            assert got in (None, "regions cover different dates; give a window")
 
 
 class TestFilter:

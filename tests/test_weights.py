@@ -283,6 +283,21 @@ class TestSerialization:
         with pytest.raises(DataError, match="neighbor 'c' is not a region id"):
             from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"regions": [{"id": "a", "neighbors": []}]}, r"region 0 has no \['weights'\]"),
+            ([{"id": "a", "neighbors": [], "weights": []}], "must be an object whose regions"),
+            ({"regions": [{"id": "a", "neighbors": [["b"]], "weights": [1.0]},
+                          {"id": "b", "neighbors": ["a"], "weights": [1.0]}]},
+             "region 0: id and neighbors must be strings"),
+        ],
+        ids=["no weights", "top-level list", "neighbor is a list"],
+    )
+    def test_malformed_json_document_is_a_data_error(self, payload, message):
+        with pytest.raises(DataError, match=message):
+            from_json(json.dumps(payload))
+
     def test_neighbor_index_out_of_range_rejected(self):
         with pytest.raises(DataError, match="out of range"):
             SpatialWeights(["a", "b"], [0, 1, 2], [-1, 0], [1.0, 1.0])
