@@ -9,7 +9,7 @@ from .ingest import (  # noqa: F401
     MobilityTable,
     ImputationReport,
     parse_cmr_csv,
-    select,
+    subregion_ids,
     impute_missing,
 )
 from .timeseries import Decomposition, loess_smooth, stl_decompose  # noqa: F401
@@ -24,11 +24,9 @@ from .weights import (  # noqa: F401
 )
 from .moran import (  # noqa: F401
     ValueField,
-    standardize_values,
     spatial_lag,
     moran_global,
     moran_permutation,
-    moran_local,
     lisa_permutation,
     lisa_classify,
     LisaResult,

@@ -304,7 +304,7 @@ def _select_regions(table, args) -> list[str]:
     regions = list(args.region)
     if args.country:
         if args.subnational:
-            regions += ing.select(table, args.country, subnational=True).region_ids
+            regions += ing.subregion_ids(table, args.country)
         else:
             regions.append(ing.region_key(args.country))
     if not regions:
@@ -398,22 +398,24 @@ def cmd_moran(args) -> dict[str, str]:
     with open(args.input, "rb") as fh:
         table = ing.parse_cmr_csv(fh, country=args.country)
     table, _ = ing.impute_missing(table)
-    table = ing.select(table, args.country, subnational=True)
     geojson_doc = _read_json(args.geometry)
     geoms = load_geojson(geojson_doc, id_property=args.id_property)
 
     # geometry ids carry the sub-region name; align against mobility keys
     geom_region_ids = [ing.region_key(args.country, g.region_id) for g in geoms]
-    _reconcile_ids(geom_region_ids, table.region_ids)
+    _reconcile_ids(geom_region_ids, ing.subregion_ids(table, args.country))
     means = table.panel(geom_region_ids, window)[2]  # the means only: the block is freed here
+    del table  # released before contiguity and the draws, so their peak memory does not hold it
     fields = {}
     for category in args.categories:
         try:
-            fields[category] = mr.standardize_values(means[:, ing.category_index(category)])
+            fields[category] = mr.ValueField(means[:, ing.category_index(category)])
         except ZeroVarianceError:
             raise ZeroVarianceError(
                 f"{category}: identical mean variation in every region; Moran undefined"
             ) from None
+        except DataError as exc:
+            raise DataError(f"{category}: {exc}") from None
 
     W = _contiguity_weights(args, geoms, row_standardize=True, links_required=True)
 

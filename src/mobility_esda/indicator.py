@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import DataError, ParameterError
 from .ingest import CATEGORIES, MobilityTable
 
 SIN_60 = math.sqrt(3) / 2
@@ -92,10 +92,16 @@ def circulation_indicator(
 ) -> CirculationSeries:
     """Daily radar areas and indicators, and window means, of one region (a
     str) or of a panel of regions, over the values :meth:`MobilityTable.panel`
-    gathers and checks."""
+    gathers and checks; an area that overflows is a ``DataError``."""
     ids = [region_ids] if isinstance(region_ids, str) else list(region_ids)
     dates, block, means = table.panel(ids, window)
-    areas = radar_area(radar_radii(block, config))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned of
+        areas = radar_area(radar_radii(block, config))
+        # inf only where every area is inf too: there each radius rounds to at least -C
+        baseline = baseline_area(config)
+    if not np.isfinite(areas).all():
+        k, d = np.argwhere(~np.isfinite(areas))[0]
+        raise DataError(f"{ids[k]} {dates[d]}: radar area overflows at center {config.center}")
     if isinstance(region_ids, str):  # one region: its 1-D series
         areas, means = areas[0], means[0]
-    return CirculationSeries(ids, dates, areas, areas / baseline_area(config), means)
+    return CirculationSeries(ids, dates, areas, areas / baseline, means)

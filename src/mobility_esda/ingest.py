@@ -151,6 +151,8 @@ class MobilityTable:
         """The shared dates, (regions, days, 6) values and (regions, 6) window means
         of the regions in the given order; each must cover the inclusive ``window``
         (without one, all share their dates) and be complete there, checked first."""
+        if not region_ids:
+            raise DataError("no regions to gather")
         k = np.array([self._region(rid) for rid in region_ids], dtype=np.intp)
         if window is None:
             start, stop = self.offsets[k], self.offsets[k + 1]
@@ -192,21 +194,6 @@ class MobilityTable:
 
     def date_list(self, rows: slice = slice(None)) -> list[dt.date]:
         return [dt.date.fromordinal(d) for d in self.dates[rows].tolist()]
-
-    def _subset(self, regions: list[int]) -> MobilityTable:
-        """The rows of the given regions, which are in ascending order."""
-        keep = np.isin(self.region, regions)
-        counts = np.diff(self.offsets)[regions]
-        return MobilityTable(
-            tuple(self.region_ids[k] for k in regions),
-            tuple(self.country_codes[k] for k in regions),
-            tuple(self.sub_regions[k] for k in regions),
-            np.repeat(np.arange(len(regions)), counts),
-            self.dates[keep],
-            self.values[keep],
-            np.concatenate(([0], np.cumsum(counts))),
-            list(self.issues),
-        )
 
 
 def category_index(category: str) -> int:
@@ -564,25 +551,13 @@ def _parse_row(cells: list[str], lineno: int) -> tuple[str, str, int, list[float
     return country, sub_region, date, values
 
 
-def select(
-    table: MobilityTable, country_code: str, sub_region: str | None = None, subnational: bool = False
-) -> MobilityTable:
-    """Rows of one country.
-
-    By default every row of the country is kept. ``sub_region`` keeps one
-    sub-region (``""`` is the national series); ``subnational=True`` keeps
-    every sub-region and drops the national rows.
-    """
+def subregion_ids(table: MobilityTable, country_code: str) -> list[str]:
+    """The ids of one country's sub-regions, in table order; its national rows are left out."""
     countries = sorted(set(table.country_codes))
     if country_code not in countries:
         raise NotFoundError(f"unknown country {country_code!r}; available: {countries}")
-    subs = [(k, sub) for k, (c, sub) in enumerate(zip(table.country_codes, table.sub_regions))
-            if c == country_code]
-    keep = [k for k, sub in subs if (sub != "" if subnational else sub_region in (None, sub))]
-    if sub_region and not keep:
-        avail = sorted(sub for _, sub in subs if sub)
-        raise NotFoundError(f"unknown sub-region {sub_region!r} in {country_code}; available: {avail}")
-    return table._subset(keep)
+    pairs = zip(table.region_ids, table.country_codes, table.sub_regions)
+    return [rid for rid, country, sub in pairs if country == country_code and sub]
 
 
 def impute_missing(table: MobilityTable) -> tuple[MobilityTable, ImputationReport]:

@@ -30,21 +30,21 @@ EPS = 1e-12  # a simulation within EPS of the observation counts as at least as 
 
 class ValueField:
     """Values ``x`` with their ``mean``, population ``sigma`` and z-scores
-    ``z``; building one from a constant field raises ``ZeroVarianceError``."""
+    ``z``; building one from a constant field raises ``ZeroVarianceError``,
+    and from one whose ``sigma`` overflows a ``DataError``."""
 
     def __init__(self, x):
         self.x = np.asarray(x, dtype=float)
         if len(self.x) < 2:
             raise ParameterError(f"need at least 2 values, got {len(self.x)}")
-        self.mean = float(self.x.mean())
-        self.sigma = float(self.x.std())  # population sigma, so (1/n) sum z^2 = 1
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned of
+            self.mean = float(self.x.mean())
+            self.sigma = float(self.x.std())  # population sigma, so (1/n) sum z^2 = 1
+        if not math.isfinite(self.sigma):
+            raise DataError("values too large: their spread overflows; Moran statistic undefined")
         if self.sigma == 0:
             raise ZeroVarianceError("value field is constant; Moran statistic undefined")
         self.z = (self.x - self.mean) / self.sigma
-
-
-def standardize_values(x) -> ValueField:
-    return ValueField(x)
 
 
 def _check_aligned(field: ValueField, W: SpatialWeights) -> None:
@@ -203,11 +203,6 @@ def _quadrant(zi: float, lagi: float) -> str:
     return "LH" if lagi > 0 else "LL"
 
 
-def moran_local(field: ValueField, W: SpatialWeights) -> np.ndarray:
-    """Local index I_i = z_i * lag_i; islands get 0."""
-    return field.z * spatial_lag(W, field.z)
-
-
 def _block_draws(rngs: list[np.random.Generator], m: int, k: int, size: int) -> np.ndarray:
     """One block of ``size`` rows of k distinct indices from range(m) per
     generator, G x size x k; each row is uniform over the m!/(m-k)!
@@ -238,12 +233,6 @@ def _block_draws(rngs: list[np.random.Generator], m: int, k: int, size: int) -> 
     order *= G * size
     order += np.arange(G * size).reshape(G, size, 1)
     return np.take(picks, order)
-
-
-def _ordered_draws(rng: np.random.Generator, m: int, k: int, size: int) -> np.ndarray:
-    """``size`` rows of k distinct indices from range(m), each row uniform
-    over the m!/(m-k)! ordered k-tuples: one block of ``_block_draws``."""
-    return _block_draws([rng], m, k, size)[0]
 
 
 def _local_tails(
@@ -284,7 +273,7 @@ def lisa_permutation(
     are drawn without replacement from the other n-1 values (Anselin
     1995, conditional randomization). Region i draws all of its
     ``permutations`` arrangements from its own stream
-    ``default_rng((seed, i))``, read exactly as ``_ordered_draws`` reads
+    ``default_rng((seed, i))``, read exactly as ``_block_draws`` reads
     it, so its p-value does not depend on which regions are evaluated
     with it. The reads go region by region; everything after them runs
     on blocks of regions of equal degree, of about ``LISA_BLOCK`` draw

@@ -41,8 +41,7 @@ class ColorScale:
         values = [v for v, _ in self.stops]
         if values != sorted(values) or len(set(values)) != len(values):
             raise ParameterError("stops must be strictly increasing in value")
-        for _, c in self.stops:
-            _parse_hex(c)
+        self._rgb = [_parse_hex(c) for _, c in self.stops]  # parsed once, not per value
         _parse_hex(self.missing_color)
 
     def color(self, value: float | None) -> str:
@@ -53,10 +52,10 @@ class ColorScale:
             return stops[0][1]
         if value >= stops[-1][0]:
             return stops[-1][1]
-        for (v0, c0), (v1, c1) in zip(stops, stops[1:]):
+        for (v0, _), (v1, _), a, b in zip(stops, stops[1:], self._rgb, self._rgb[1:]):
             if v0 <= value <= v1:
                 t = (value - v0) / (v1 - v0)
-                return _lerp_hex(c0, c1, t)
+                return "#%02x%02x%02x" % tuple(round(x + (y - x) * t) for x, y in zip(a, b))
         raise AssertionError("unreachable")
 
 
@@ -67,13 +66,6 @@ def _parse_hex(c: str) -> tuple[int, int, int]:
         return int(c[1:3], 16), int(c[3:5], 16), int(c[5:7], 16)
     except ValueError:
         raise ParameterError(f"invalid color {c!r}") from None
-
-
-def _lerp_hex(c0: str, c1: str, t: float) -> str:
-    a = _parse_hex(c0)
-    b = _parse_hex(c1)
-    rgb = tuple(round(x + (y - x) * t) for x, y in zip(a, b))
-    return "#%02x%02x%02x" % rgb
 
 
 @dataclass

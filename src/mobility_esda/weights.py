@@ -134,6 +134,9 @@ def _check_geoms(geoms: list[RegionGeometry], snap_tol: float) -> None:
         if g.region_id in seen:
             raise DataError(f"duplicate region id {g.region_id!r}")
         seen.add(g.region_id)
+    reach = max(abs(v) for g in geoms for v in g.bbox())
+    if not math.isfinite(reach / snap_tol):
+        raise ParameterError(f"snap_tol {snap_tol} is too small for coordinates as large as {reach}")
 
 
 def _snapped_vertices(g: RegionGeometry, tol: float) -> set[tuple[int, int]]:
@@ -285,11 +288,6 @@ def to_text(W: SpatialWeights) -> str:
     return "\n".join(lines) + "\n"
 
 
-def from_text(text: str) -> SpatialWeights:
-    rows = [line.split("\t") for line in text.split("\n") if line]
-    return SpatialWeights.from_neighbors([r[0] for r in rows], {r[0]: r[1:] for r in rows})
-
-
 def to_json(W: SpatialWeights) -> str:
     payload = {
         "mode": W.mode,
@@ -303,25 +301,3 @@ def to_json(W: SpatialWeights) -> str:
         ],
     }
     return json.dumps(payload, separators=(",", ":")) + "\n"
-
-
-def from_json(text: str) -> SpatialWeights:
-    payload = json.loads(text)
-    regions = payload.get("regions") if isinstance(payload, dict) else None
-    if not isinstance(regions, list) or not all(isinstance(r, dict) for r in regions):
-        raise DataError("weights JSON must be an object whose regions are a list of objects")
-    for i, r in enumerate(regions):
-        missing = [key for key in ("id", "neighbors", "weights") if key not in r]
-        if missing:
-            raise DataError(f"weights JSON region {i} has no {missing}")
-        if not (isinstance(r["neighbors"], list) and isinstance(r["weights"], list)):
-            raise DataError(f"weights JSON region {i}: neighbors and weights must be lists")
-        if not all(isinstance(rid, str) for rid in [r["id"], *r["neighbors"]]):
-            raise DataError(f"weights JSON region {i}: id and neighbors must be strings")
-    ids = [r["id"] for r in regions]
-    return SpatialWeights.from_rows(
-        ids,
-        _positions(ids, [r["neighbors"] for r in regions]),
-        [r["weights"] for r in regions],
-        mode=payload.get("mode", "binary"),
-    )

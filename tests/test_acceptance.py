@@ -24,12 +24,12 @@ from mobility_esda.indicator import (
 )
 from mobility_esda.ingest import CATEGORIES, impute_missing, region_key
 from mobility_esda.moran import (
+    ValueField,
     lisa_classify,
     lisa_permutation,
     moran_global,
-    moran_local,
     moran_permutation,
-    standardize_values,
+    spatial_lag,
 )
 from mobility_esda.timeseries import stl_decompose
 from mobility_esda.weights import (
@@ -76,22 +76,22 @@ def test_01_moran_exactness():
     pair = row_standardize(
         SpatialWeights.from_neighbors(["a", "b"], {"a": ["b"], "b": ["a"]})
     )
-    assert moran_global(standardize_values([3.0, -3.0]), pair) == pytest.approx(-1.0, abs=1e-12)
+    assert moran_global(ValueField([3.0, -3.0]), pair) == pytest.approx(-1.0, abs=1e-12)
 
     rook22 = row_standardize(rook_adjacency(grid_geometries(2, 2)))
     checker = [10.0, -10.0, -10.0, 10.0]  # row-major 2x2 checkerboard
-    assert moran_global(standardize_values(checker), rook22) == pytest.approx(-1.0, abs=1e-12)
+    assert moran_global(ValueField(checker), rook22) == pytest.approx(-1.0, abs=1e-12)
 
     columns = [10.0, -10.0, 10.0, -10.0]  # two like columns
-    assert moran_global(standardize_values(columns), rook22) == pytest.approx(0.0, abs=1e-12)
+    assert moran_global(ValueField(columns), rook22) == pytest.approx(0.0, abs=1e-12)
 
 
 @criterion(2, "mean of local indices equals the global index (50 random fields)")
 def test_02_local_global_consistency(queen_6x6_rs):
     rng = np.random.default_rng(42)
     for _ in range(50):
-        field = standardize_values(rng.normal(0, 3, 36))
-        local = moran_local(field, queen_6x6_rs)
+        field = ValueField(rng.normal(0, 3, 36))
+        local = field.z * spatial_lag(queen_6x6_rs, field.z)
         assert local.mean() == pytest.approx(moran_global(field, queen_6x6_rs), abs=1e-9)
 
 
@@ -101,12 +101,12 @@ def test_03_permutation_oracle(star_5):
     W = row_standardize(rook_adjacency(grid_geometries(2, 3)))
     for _ in range(3):
         x = rng.normal(0, 1, 6)
-        result = moran_permutation(standardize_values(x), W, exhaustive=True)
+        result = moran_permutation(ValueField(x), W, exhaustive=True)
         assert result.pseudo_p == exhaustive_pseudo_p(x, W)
         assert result.permutations == 720
 
     x = rng.normal(0, 1, 5)
-    field = standardize_values(x)
+    field = ValueField(x)
     p = lisa_permutation(field, star_5, exhaustive=True)
     for i in range(5):
         assert p[i] == exhaustive_conditional_p(field.z, star_5, i)
@@ -119,7 +119,7 @@ def test_04_calibration():
     rejections = 0
     trials = 200
     for t in range(trials):
-        field = standardize_values(rng.normal(0, 1, 25))
+        field = ValueField(rng.normal(0, 1, 25))
         result = moran_permutation(field, W, permutations=199, seed=t)
         if result.pseudo_p <= 0.05:
             rejections += 1
@@ -266,20 +266,20 @@ def test_10_affine_invariance(queen_6x6_rs):
     rng = np.random.default_rng(10)
     x = rng.normal(-40, 12, 36)
 
-    base = standardize_values(x)
+    base = ValueField(x)
     p_base = lisa_permutation(base, W, permutations=199, seed=9)
     res_base = lisa_classify(base, W, p_base)
     i_base = moran_global(base, W)
 
     for a, b in ((2.5, 0.0), (1.0, 17.0), (0.3, -8.0)):
-        aff = standardize_values(a * x + b)
+        aff = ValueField(a * x + b)
         assert moran_global(aff, W) == pytest.approx(i_base, abs=1e-12)
         p_aff = lisa_permutation(aff, W, permutations=199, seed=9)
         assert p_aff == pytest.approx(p_base, abs=1e-12)
         res_aff = lisa_classify(aff, W, p_aff)
         assert res_aff.labels == res_base.labels
 
-    neg = standardize_values(-x)
+    neg = ValueField(-x)
     assert moran_global(neg, W) == pytest.approx(i_base, abs=1e-12)
     p_neg = lisa_permutation(neg, W, permutations=199, seed=9)
     assert p_neg == pytest.approx(p_base, abs=1e-12)

@@ -707,6 +707,7 @@ BAD_WEIGHTS_OPTIONS = {
     "snap tol nan": ["--snap-tol", "nan"],
     "negative snap tol": ["--snap-tol=-1e-7"],  # argparse reads "-1e-7" alone as an option
     "negative island knn": ["--island-knn", "-1"],
+    "snap tol 1e-320": ["--snap-tol", "1e-320"],  # coordinates / snap_tol overflows
 }
 
 # config values that the option's flag would refuse, and the command given them
@@ -753,6 +754,15 @@ def failing_run(kind, sy, tmp, monkeypatch):
     if kind in BAD_GEOMETRY_DOCS:
         (tmp / "bad.geojson").write_text(json.dumps(BAD_GEOMETRY_DOCS[kind]))
         return ["weights", "--geometry", str(tmp / "bad.geojson")]
+    if kind == "huge coordinates":
+        # the 4x4 grid scaled by 1e302: coordinates / snap_tol overflows at the default
+        doc = grid_geojson(4, 4)
+        for feature in doc["features"]:
+            feature["geometry"]["coordinates"] = [
+                [[x * 1e302, y * 1e302] for x, y in ring] for ring in feature["geometry"]["coordinates"]
+            ]
+        (tmp / "huge.geojson").write_text(json.dumps(doc))
+        return ["weights", "--geometry", str(tmp / "huge.geojson")]
     if kind in ("feature without geometry", "null geometry"):
         doc = grid_geojson(1, 2)
         if kind == "null geometry":
@@ -816,7 +826,26 @@ def failing_run(kind, sy, tmp, monkeypatch):
                 "--from", "2020-03-21", "--to", "2020-03-01"]
     if kind == "moran reversed window":
         return moran + ["--from", "2020-03-21", "--to", "2020-03-01"]
-    if kind in ("center nan", "center -inf"):
+    if kind in ("overflowing categories", "moran overflowing categories"):
+        # two adjacent radar axes of one row at 1e200: their product overflows
+        text = Path(csv_path).read_text()
+        row = next(line for line in text.splitlines() if line.startswith("SY,cell0_0,2020-03-05,"))
+        cells = row.split(",")
+        cells[3:5] = ["1e200", "1e200"]
+        (tmp / "huge.csv").write_text(text.replace(row, ",".join(cells)))
+        if kind == "moran overflowing categories":
+            return moran[:2] + [str(tmp / "huge.csv")] + moran[3:] + ["--categories", "retail_recreation"]
+        return ["indicator", "--input", str(tmp / "huge.csv"), "--country", "SY", "--subnational",
+                "--from", "2020-03-01", "--to", "2020-03-21"]
+    if kind == "moran national rows only":
+        # no sub-region in the data and no feature on the map: nothing to gather
+        header = Path(csv_path).read_text().partition("\n")[0]
+        rows = [f"SY,,2020-03-{d:02d},1,2,3,4,5,6" for d in range(1, 22)]
+        (tmp / "national.csv").write_text("\n".join([header, *rows]) + "\n")
+        (tmp / "none.geojson").write_text(json.dumps({"type": "FeatureCollection", "features": []}))
+        return ["moran", "--input", str(tmp / "national.csv"), "--geometry", str(tmp / "none.geojson"),
+                "--country", "SY", "--from", "2020-03-01", "--to", "2020-03-21"]
+    if kind in ("center nan", "center -inf", "center -1e160"):
         return ["indicator", "--input", csv_path, "--country", "SY", "--subnational",
                 "--from", "2020-03-01", "--to", "2020-03-21", f"--center={kind.split()[1]}"]
     if kind == "seasonal window 1":
@@ -890,6 +919,10 @@ def failing_run(kind, sy, tmp, monkeypatch):
         ("seasonal window 1", 3),
         ("center nan", 3),
         ("center -inf", 3),
+        ("center -1e160", 3),
+        ("overflowing categories", 3),
+        ("moran overflowing categories", 3),
+        ("moran national rows only", 3),
         ("window gap", 3),
         ("moran window gap", 3),
         ("reversed window", 3),
@@ -932,6 +965,7 @@ def failing_run(kind, sy, tmp, monkeypatch):
         ("config axis_order short", 3),
         ("config flag string", 3),
         *((kind, 3) for kind in BAD_WEIGHTS_OPTIONS),
+        ("huge coordinates", 3),
         ("no two regions touch", 3),
         ("missing config", 3),
         ("bad config", 3),
@@ -939,6 +973,7 @@ def failing_run(kind, sy, tmp, monkeypatch):
         ("id mismatch", 4),
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning would be a second stderr line
 def test_failure_exit_codes(kind, code, sy, tmp_path, capsys, monkeypatch):
     argv = failing_run(kind, sy, tmp_path, monkeypatch)
     assert main(argv + ["--out-dir", str(tmp_path / "out")]) == code
@@ -983,7 +1018,8 @@ def test_late_failure_writes_nothing(sy, tmp_path, monkeypatch):
     "kind",
     ["window gap", "moran window gap", "reversed window", "moran reversed window",
      "radar name collision", "center nan", "center -inf", "alpha 1.5", "no categories",
-     "config categories empty",
+     "config categories empty", "center -1e160", "overflowing categories",
+     "moran overflowing categories", "huge coordinates",
      *BAD_GEOMETRY_DOCS, *BAD_WEIGHTS_OPTIONS],
 )
 def test_failure_writes_nothing(kind, sy, tmp_path, monkeypatch):
@@ -1002,10 +1038,16 @@ FAILURE_MESSAGES = {
     "snap tol nan": "error: snap_tol must be finite and > 0, got nan",
     "negative snap tol": "error: snap_tol must be finite and > 0, got -1e-07",
     "negative island knn": "error: k must be >= 1, got -1",
+    "snap tol 1e-320": "error: snap_tol 1e-320 is too small for coordinates as large as 4.0",
+    "huge coordinates": "error: snap_tol 1e-07 is too small for coordinates as large as 4e+302",
     "radar name collision": "error: regions 'SY/a/b' and 'SY/a_b' would both be drawn to radar-SY_a_b.svg",
     "no categories": "schema error: mobility-esda moran: argument --categories: expected at least one",
     "center nan": "error: center must be finite and <= -100, got nan",
     "center -inf": "error: center must be finite and <= -100, got -inf",
+    "center -1e160": "error: SY/cell0_0 2020-03-01: radar area overflows at center -1e+160",
+    "overflowing categories": "error: SY/cell0_0 2020-03-05: radar area overflows at center -100.0",
+    "moran overflowing categories": "error: retail_recreation: values too large: their spread overflows",
+    "moran national rows only": "error: no regions to gather",
     "alpha 1.5": "error: alpha must be in (0, 1), got 1.5",
     "region of absent country": "error: unknown country 'XX'; available: ['SY']",
     "geometry array": "error: expected FeatureCollection, got 'list'",

@@ -14,11 +14,11 @@ from mobility_esda.ingest import (
     MobilityTable,
     impute_missing,
     parse_cmr_csv,
-    select,
+    subregion_ids,
     write_csv,
 )
 
-from conftest import flat_values, make_table, parse_oracle
+from conftest import flat_values, make_table, parse_oracle, table_from_rows
 
 HEADER = (
     "country_region_code,sub_region_1,date,"
@@ -391,7 +391,11 @@ class TestAgainstOracle:
                 except MobilityError:
                     continue
                 got = parse_outcome(parse_cmr_csv, data, strict=strict, country=country)
-                want = parse_outcome(lambda _: select(whole, country), data)
+                # the oracle's rows of that country, as a table of their own
+                rows = [(whole.country_codes[r], whole.sub_regions[r], d, v) for r, d, v in
+                        zip(whole.region.tolist(), whole.dates.tolist(), whole.values.tolist())
+                        if whole.country_codes[r] == country]
+                want = parse_outcome(lambda _: table_from_rows(rows), data) if rows else ("NotFoundError", "")
                 # all but the issues, which count other countries' rows too,
                 # or, for an absent country, the error's type
                 assert got[:-1] == want[:-1]
@@ -612,29 +616,13 @@ class TestFilter:
             ]
         )
 
-    def test_country_level_only(self, two_country):
-        out = select(two_country, "BR", "")
-        assert [out.region_ids[r] for r in out.region] == ["BR/"]
-
-    def test_sub_region_series(self, two_country):
-        out = select(two_country, "AR", "Salta")
-        assert [d.isoformat() for d in out.date_list()] == ["2020-03-01", "2020-03-02"]
-
     def test_unknown_keys_listed(self, two_country):
-        with pytest.raises(NotFoundError, match="Jujuy"):
-            select(two_country, "AR", "Cordoba")
         with pytest.raises(NotFoundError, match="AR"):
-            select(two_country, "CO")
+            subregion_ids(two_country, "CO")
 
     def test_subnational_groups(self, two_country):
-        out = select(two_country, "AR", subnational=True)
-        assert sorted(out.region_ids) == ["AR/Jujuy", "AR/Salta"]
-
-    def test_whole_country_keeps_every_level(self, two_country):
-        out = select(two_country, "AR")
-        assert out.region_ids == ("AR/", "AR/Jujuy", "AR/Salta")
-        assert out.rows("AR/Salta") == slice(2, 4)
-        assert out.column("parks").tolist() == [-20, -40, -30, -31]
+        assert subregion_ids(two_country, "AR") == ["AR/Jujuy", "AR/Salta"]
+        assert subregion_ids(two_country, "BR") == []
 
 
 class TestImpute:

@@ -7,16 +7,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 from mobility_esda.errors import DataError, ParameterError, ZeroVarianceError
 from mobility_esda.moran import (
+    ValueField,
+    _block_draws,
     _moran_sims,
-    _ordered_draws,
     expected_i,
     lisa_classify,
     lisa_permutation,
     moran_global,
-    moran_local,
     moran_permutation,
     spatial_lag,
-    standardize_values,
 )
 from mobility_esda import moran
 from mobility_esda.weights import SpatialWeights, queen_adjacency, rook_adjacency, row_standardize
@@ -34,28 +33,34 @@ CHECKERBOARD = np.array([1.0, -1.0, -1.0, 1.0])  # 2x2 row-major
 
 class TestStandardize:
     def test_antithetic_pair(self):
-        f = standardize_values([1.0, -1.0])
+        f = ValueField([1.0, -1.0])
         assert f.z.tolist() == [1.0, -1.0]
 
     def test_constant_flags_zero_variance(self):
         with pytest.raises(ZeroVarianceError):
-            standardize_values([4.0, 4.0, 4.0])
+            ValueField([4.0, 4.0, 4.0])
 
     def test_hand_computed(self):
-        f = standardize_values([2.0, 4.0, 6.0, 8.0])
+        f = ValueField([2.0, 4.0, 6.0, 8.0])
         assert f.mean == 5.0
         assert f.sigma == pytest.approx(np.sqrt(5))
         assert np.allclose(f.z, np.array([-3, -1, 1, 3]) / np.sqrt(5))
 
     def test_z_moments(self):
         rng = np.random.default_rng(0)
-        f = standardize_values(rng.normal(10, 3, 50))
+        f = ValueField(rng.normal(10, 3, 50))
         assert abs(f.z.sum()) < 1e-9
         assert abs((f.z**2).mean() - 1) < 1e-9
 
     def test_too_few_values(self):
         with pytest.raises(ParameterError):
-            standardize_values([1.0])
+            ValueField([1.0])
+
+    @pytest.mark.filterwarnings("error")  # refused without a RuntimeWarning
+    @pytest.mark.parametrize("x", [[1e200, -1e200], [1.7e308, 1.7e308]], ids=["sigma", "mean"])
+    def test_overflowing_spread_is_a_data_error(self, x):
+        with pytest.raises(DataError, match="spread overflows"):
+            ValueField(x)
 
 
 class TestLag:
@@ -80,34 +85,34 @@ class TestLag:
 
 class TestGlobal:
     def test_two_region_antithetic(self, pair_weights):
-        f = standardize_values([1.0, -1.0])
+        f = ValueField([1.0, -1.0])
         assert moran_global(f, pair_weights) == pytest.approx(-1.0, abs=1e-12)
 
     def test_checkerboard(self, rook_2x2_rs):
-        f = standardize_values(CHECKERBOARD)
+        f = ValueField(CHECKERBOARD)
         assert moran_global(f, rook_2x2_rs) == pytest.approx(-1.0, abs=1e-12)
 
     def test_two_like_columns(self, rook_2x2_rs):
-        f = standardize_values([1.0, 1.0, -1.0, -1.0])
+        f = ValueField([1.0, 1.0, -1.0, -1.0])
         assert moran_global(f, rook_2x2_rs) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_oracle_on_random_fields(self, queen_6x6_rs):
         rng = np.random.default_rng(1)
         for _ in range(20):
             x = rng.normal(0, 1, 36)
-            f = standardize_values(x)
+            f = ValueField(x)
             assert moran_global(f, queen_6x6_rs) == pytest.approx(
                 moran_oracle(x, queen_6x6_rs), rel=1e-12
             )
 
     def test_zero_variance_refused(self, rook_2x2_rs):
         with pytest.raises(ZeroVarianceError):
-            moran_global(standardize_values([3.0] * 4), rook_2x2_rs)
+            moran_global(ValueField([3.0] * 4), rook_2x2_rs)
 
     def test_bounds_on_random_fields(self, queen_6x6_rs):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            f = standardize_values(rng.normal(0, 1, 36))
+            f = ValueField(rng.normal(0, 1, 36))
             I = moran_global(f, queen_6x6_rs)
             assert -1 - 1e-9 <= I <= 1 + 1e-9
 
@@ -120,24 +125,24 @@ def all_significant(field, W):
 
 class TestScatter:
     def test_pair_points_and_slope(self, pair_weights):
-        s = all_significant(standardize_values([1.0, -1.0]), pair_weights)
+        s = all_significant(ValueField([1.0, -1.0]), pair_weights)
         assert s.z.tolist() == [1.0, -1.0]
         assert s.lag.tolist() == [-1.0, 1.0]
         assert s.slope == pytest.approx(-1.0)
         assert s.labels == ["HL", "LH"]
 
     def test_checkerboard_all_dissimilar_quadrants(self, rook_2x2_rs):
-        s = all_significant(standardize_values(CHECKERBOARD), rook_2x2_rs)
+        s = all_significant(ValueField(CHECKERBOARD), rook_2x2_rs)
         assert set(s.labels) == {"HL", "LH"}
         assert s.slope == pytest.approx(-1.0)
 
     def test_slope_equals_global_index(self, queen_6x6_rs):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            f = standardize_values(rng.normal(0, 1, 36))
+            f = ValueField(rng.normal(0, 1, 36))
             s = all_significant(f, queen_6x6_rs)
             assert abs(s.slope - moran_global(f, queen_6x6_rs)) < 1e-12
-            assert np.array_equal(s.local_i, moran_local(f, queen_6x6_rs))
+            assert np.array_equal(s.local_i, f.z * spatial_lag(queen_6x6_rs, f.z))
 
     def test_path_graph_spike(self):
         from mobility_esda.weights import SpatialWeights, row_standardize
@@ -149,14 +154,14 @@ class TestScatter:
             )
         )
         x = np.array([1.0, 0.0, 0.0, 0.0])
-        s = all_significant(standardize_values(x), W)
+        s = all_significant(ValueField(x), W)
         assert s.slope == pytest.approx(moran_oracle(x, W), rel=1e-12)
 
 
 class TestLocal:
     def test_checkerboard_all_minus_one(self, rook_2x2_rs):
-        f = standardize_values(CHECKERBOARD)
-        li = moran_local(f, rook_2x2_rs)
+        f = ValueField(CHECKERBOARD)
+        li = f.z * spatial_lag(rook_2x2_rs, f.z)
         assert np.allclose(li, -1.0)
         assert li.mean() == pytest.approx(moran_global(f, rook_2x2_rs), abs=1e-12)
 
@@ -168,19 +173,20 @@ class TestLocal:
                 ["a", "b", "c"], {"a": ["b", "c"], "b": ["a", "c"], "c": ["a", "b"]}
             )
         )
-        f = standardize_values([1.0, 2.0, 3.0])
-        li = moran_local(f, W)
+        f = ValueField([1.0, 2.0, 3.0])
+        li = f.z * spatial_lag(W, f.z)
         assert li[1] == 0.0  # middle value sits at the mean
 
     def test_two_region_case(self, pair_weights):
-        li = moran_local(standardize_values([1.0, -1.0]), pair_weights)
+        f = ValueField([1.0, -1.0])
+        li = f.z * spatial_lag(pair_weights, f.z)
         assert li.tolist() == [-1.0, -1.0]
 
     def test_mean_equals_global(self, queen_6x6_rs):
         rng = np.random.default_rng(4)
         for _ in range(50):
-            f = standardize_values(rng.normal(0, 1, 36))
-            assert moran_local(f, queen_6x6_rs).mean() == pytest.approx(
+            f = ValueField(rng.normal(0, 1, 36))
+            assert (f.z * spatial_lag(queen_6x6_rs, f.z)).mean() == pytest.approx(
                 moran_global(f, queen_6x6_rs), abs=1e-9
             )
 
@@ -193,8 +199,8 @@ class TestLocal:
                 {"a": ["b", "c"], "b": ["a", "c"], "c": ["a", "b"], "isle": []},
             )
         )
-        f = standardize_values([3.0, -1.0, 2.0, -4.0])
-        li = moran_local(f, W)
+        f = ValueField([3.0, -1.0, 2.0, -4.0])
+        li = f.z * spatial_lag(W, f.z)
         assert li[3] == 0.0
 
 
@@ -202,7 +208,7 @@ class TestGlobalPermutation:
     def test_extreme_observation_floor(self, queen_6x6_rs):
         # strong row-band gradient: more extreme than every shuffle
         x = np.arange(36.0) // 6
-        f = standardize_values(x)
+        f = ValueField(x)
         res = moran_permutation(f, queen_6x6_rs, permutations=999, seed=0)
         assert res.pseudo_p == pytest.approx(1 / 1000)
 
@@ -212,18 +218,18 @@ class TestGlobalPermutation:
         rng = np.random.default_rng(8)
         for _ in range(3):
             x = rng.normal(0, 1, 6)
-            f = standardize_values(x)
+            f = ValueField(x)
             res = moran_permutation(f, W, exhaustive=True)
             assert res.pseudo_p == pytest.approx(exhaustive_pseudo_p(x, W), abs=1e-12)
 
     def test_same_seed_identical(self, queen_6x6_rs):
-        f = standardize_values(np.random.default_rng(9).normal(0, 1, 36))
+        f = ValueField(np.random.default_rng(9).normal(0, 1, 36))
         a = moran_permutation(f, queen_6x6_rs, permutations=199, seed=42)
         b = moran_permutation(f, queen_6x6_rs, permutations=199, seed=42)
         assert (a.pseudo_p, a.sim_mean, a.sim_sd) == (b.pseudo_p, b.sim_mean, b.sim_sd)
 
     def test_sidedness_options(self, queen_6x6_rs):
-        f = standardize_values(np.random.default_rng(10).normal(0, 1, 36))
+        f = ValueField(np.random.default_rng(10).normal(0, 1, 36))
         for sided in ("greater", "less", "one_sided_folded"):
             res = moran_permutation(f, queen_6x6_rs, permutations=99, seed=1, sided=sided)
             assert 0 < res.pseudo_p <= 1
@@ -252,7 +258,7 @@ class TestGlobalPermutation:
         W = SpatialWeights.from_rows(
             [f"r{i}" for i in range(n)], [[j for j in (i - 1, i + 1) if 0 <= j < n] for i in range(n)]
         )
-        f = standardize_values(np.random.default_rng(seed).normal(0, 1, n))
+        f = ValueField(np.random.default_rng(seed).normal(0, 1, n))
         moran_permutation(f, W, permutations=R, seed=seed)
         rng = np.random.default_rng(seed)
         assert np.array_equal(seen[-1], np.array([rng.permutation(n) for _ in range(R)]))
@@ -270,7 +276,7 @@ class TestOrderedDraws:
     def test_uniform_over_ordered_tuples(self, m, k):
         tuples = list(itertools.permutations(range(m), k))
         size = 200 * len(tuples)
-        rows = _ordered_draws(np.random.default_rng(0), m, k, size)
+        rows = _block_draws([np.random.default_rng(0)], m, k, size)[0]
         assert rows.shape == (size, k)
         assert all(len(set(row)) == k for row in rows.tolist())
         index = {t: c for c, t in enumerate(tuples)}
@@ -289,7 +295,7 @@ class TestLisaPermutation:
                 ["a", "b", "c"], {"a": ["b", "c"], "b": ["a", "c"], "c": ["a", "b"]}
             )
         )
-        f = standardize_values([1.0, 2.0, 3.0])
+        f = ValueField([1.0, 2.0, 3.0])
         p = lisa_permutation(f, W, permutations=99, seed=0)
         assert p[1] == 1.0
 
@@ -297,13 +303,13 @@ class TestLisaPermutation:
         rng = np.random.default_rng(12)
         z_inputs = [rng.normal(0, 1, 5) for _ in range(3)]
         for x in z_inputs:
-            f = standardize_values(x)
+            f = ValueField(x)
             p = lisa_permutation(f, star_5, exhaustive=True)
             expected = [exhaustive_conditional_p(f.z, star_5, i) for i in range(5)]
             assert np.allclose(p, expected, atol=1e-12)
 
     def test_same_seed_identical_vector(self, queen_6x6_rs):
-        f = standardize_values(np.random.default_rng(13).normal(0, 1, 36))
+        f = ValueField(np.random.default_rng(13).normal(0, 1, 36))
         a = lisa_permutation(f, queen_6x6_rs, permutations=99, seed=5)
         b = lisa_permutation(f, queen_6x6_rs, permutations=99, seed=5)
         assert np.array_equal(a, b)
@@ -311,12 +317,12 @@ class TestLisaPermutation:
     def test_seeded_p_values_pinned(self):
         # the integer-seed stream default_rng((seed, i)) fixes every p-value
         W = row_standardize(queen_adjacency(grid_geometries(3, 3)))
-        f = standardize_values(np.random.default_rng(8).normal(0, 1, 9))
+        f = ValueField(np.random.default_rng(8).normal(0, 1, 9))
         p = lisa_permutation(f, W, permutations=99, seed=7)
         assert np.array_equal(p, np.array([11, 8, 15, 16, 100, 39, 44, 12, 20]) / 100)
 
     def test_seed_none_draws_fresh_stream(self, queen_6x6_rs):
-        f = standardize_values(np.random.default_rng(14).normal(0, 1, 36))
+        f = ValueField(np.random.default_rng(14).normal(0, 1, 36))
         p = lisa_permutation(f, queen_6x6_rs, permutations=49, seed=None)
         assert p.shape == (36,)
         assert np.all((p >= 1 / 50) & (p <= 1))
@@ -329,7 +335,7 @@ class TestLisaPermutation:
                 ["a", "b", "isle"], {"a": ["b"], "b": ["a"], "isle": []}
             )
         )
-        f = standardize_values([1.0, -1.0, 0.0])
+        f = ValueField([1.0, -1.0, 0.0])
         p = lisa_permutation(f, W, permutations=99, seed=0)
         assert p[2] == 1.0
 
@@ -341,14 +347,14 @@ class TestLisaPermutation:
         rng = np.random.default_rng(2020)
         rejected = [
             lisa_permutation(
-                standardize_values(rng.normal(0, 1, 25)), W, permutations=199, seed=t, sided=sided
+                ValueField(rng.normal(0, 1, 25)), W, permutations=199, seed=t, sided=sided
             ) <= 0.05
             for t in range(40)
         ]
         assert 0.01 <= np.mean(rejected) <= 0.10
 
     def test_no_permutations_refused(self, queen_6x6_rs):
-        f = standardize_values(np.random.default_rng(14).normal(0, 1, 36))
+        f = ValueField(np.random.default_rng(14).normal(0, 1, 36))
         with pytest.raises(ParameterError):
             lisa_permutation(f, queen_6x6_rs, permutations=0)
 
@@ -373,7 +379,7 @@ class TestSharedDraws:
     @staticmethod
     def fields(n, count, seed):
         rng = np.random.default_rng(seed)
-        return [standardize_values(rng.normal(0, 1 + f, n)) for f in range(count)]
+        return [ValueField(rng.normal(0, 1 + f, n)) for f in range(count)]
 
     @pytest.mark.parametrize(
         "weights, kwargs",
@@ -441,7 +447,7 @@ def lisa_cases(draw):
     fields = []
     for _ in range(draw(st.integers(1, 3))):
         try:
-            fields.append(standardize_values(draw(st.lists(values, min_size=n, max_size=n))))
+            fields.append(ValueField(draw(st.lists(values, min_size=n, max_size=n))))
         except ZeroVarianceError:
             assume(False)
     if n <= 7 and draw(st.booleans()):
@@ -485,7 +491,7 @@ class TestLisaOracle:
     @pytest.mark.parametrize("kwargs", [{"permutations": 99, "seed": 0}, {"exhaustive": True}])
     def test_observation_at_its_reference(self, x, neighbors, kwargs):
         W = row_standardize(SpatialWeights.from_rows([f"r{i}" for i in range(len(x))], neighbors))
-        fields = [standardize_values(x), standardize_values(x[::-1])]
+        fields = [ValueField(x), ValueField(x[::-1])]
         got = lisa_permutation(fields, W, **kwargs)
         for p, expected in zip(got, lisa_oracle(fields, W, **kwargs), strict=True):
             assert np.array_equal(p, expected)
@@ -495,7 +501,7 @@ class TestLisaOracle:
         # 12x12 queen: 100 regions of degree 8 go in blocks of 10 at R=99, of 1 at R=999
         W = row_standardize(queen_adjacency(grid_geometries(12, 12)))
         rng = np.random.default_rng(40)
-        fields = [standardize_values(rng.normal(0, 1, W.n)) for _ in range(2)]
+        fields = [ValueField(rng.normal(0, 1, W.n)) for _ in range(2)]
         got = lisa_permutation(fields, W, permutations=permutations, seed=11)
         for p, expected in zip(got, lisa_oracle(fields, W, permutations=permutations, seed=11), strict=True):
             assert np.array_equal(p, expected)
@@ -507,47 +513,47 @@ class TestDegenerateInputs:
         return SpatialWeights.from_neighbors(list("abc"), {})
 
     def test_global_without_links_refused(self):
-        f = standardize_values([1.0, 2.0, 4.0])
+        f = ValueField([1.0, 2.0, 4.0])
         with pytest.raises(DataError, match="link no two regions"):
             moran_global(f, self.all_islands())
         with pytest.raises(DataError, match="link no two regions"):
             moran_permutation(f, self.all_islands(), permutations=9)
 
     def test_local_without_links_gives_p_one(self):
-        f = standardize_values([1.0, 2.0, 4.0])
+        f = ValueField([1.0, 2.0, 4.0])
         assert lisa_permutation(f, self.all_islands(), permutations=9).tolist() == [1.0] * 3
 
     @pytest.mark.parametrize("test", [moran_permutation, lisa_permutation])
     @pytest.mark.parametrize("islands", [False, True])
     def test_unknown_sidedness_refused(self, test, islands, queen_6x6_rs):
         W = self.all_islands() if islands else queen_6x6_rs
-        f = standardize_values(np.random.default_rng(41).normal(0, 1, W.n))
+        f = ValueField(np.random.default_rng(41).normal(0, 1, W.n))
         with pytest.raises(ParameterError, match="unknown sidedness 'bogus'"):
             test(f, W, permutations=9, sided="bogus")
 
 
 class TestClassify:
     def test_all_insignificant(self, rook_2x2_rs):
-        f = standardize_values(CHECKERBOARD)
+        f = ValueField(CHECKERBOARD)
         res = lisa_classify(f, rook_2x2_rs, np.ones(4))
         assert res.labels == ["ns"] * 4
         assert res.tiers == [None] * 4
 
     def test_checkerboard_outlier_labels(self, rook_2x2_rs):
-        f = standardize_values(CHECKERBOARD)
+        f = ValueField(CHECKERBOARD)
         res = lisa_classify(f, rook_2x2_rs, np.full(4, 0.001))
         assert res.labels == ["HL", "LH", "LH", "HL"]
         assert res.tiers == [0.001] * 4
 
     def test_tier_assignment(self, pair_weights):
-        f = standardize_values([1.0, -1.0])
+        f = ValueField([1.0, -1.0])
         res = lisa_classify(f, pair_weights, np.array([0.004, 0.2]))
         assert res.labels == ["HL", "ns"]
         assert res.tiers == [0.01, None]
 
     def test_alpha_above_finest_tier(self, pair_weights):
         # p in (0.05, alpha] is significant but meets no tier
-        f = standardize_values([1.0, -1.0])
+        f = ValueField([1.0, -1.0])
         res = lisa_classify(f, pair_weights, np.array([0.08, 0.2]), alpha=0.1)
         assert res.labels == ["HL", "ns"]
         assert res.tiers == [None, None]
@@ -561,13 +567,13 @@ class TestClassify:
                 {"a": ["b"], "b": ["a"], "c": ["d"], "d": ["c"]},
             )
         )
-        f = standardize_values([5.0, 4.0, -5.0, -4.0])
+        f = ValueField([5.0, 4.0, -5.0, -4.0])
         res = lisa_classify(f, W, np.full(4, 0.004))
         assert res.labels == ["HH", "HH", "LL", "LL"]
         assert res.tiers == [0.01] * 4
 
     def test_bad_alpha(self, pair_weights):
-        f = standardize_values([1.0, -1.0])
+        f = ValueField([1.0, -1.0])
         with pytest.raises(ParameterError):
             lisa_classify(f, pair_weights, np.ones(2), alpha=1.5)
 
@@ -581,10 +587,10 @@ class TestAffineInvariance:
     def test_positive_scaling_and_shift(self, a, b):
         W = row_standardize(queen_adjacency(grid_geometries(4, 4)))
         x = np.random.default_rng(20).normal(0, 10, 16)
-        f1 = standardize_values(x)
-        f2 = standardize_values(a * x + b)
+        f1 = ValueField(x)
+        f2 = ValueField(a * x + b)
         assert moran_global(f2, W) == pytest.approx(moran_global(f1, W), abs=1e-9)
-        assert np.allclose(moran_local(f2, W), moran_local(f1, W), atol=1e-9)
+        assert np.allclose(f2.z * spatial_lag(W, f2.z), f1.z * spatial_lag(W, f1.z), atol=1e-9)
         p1 = lisa_permutation(f1, W, permutations=49, seed=3)
         p2 = lisa_permutation(f2, W, permutations=49, seed=3)
         assert np.allclose(p1, p2, atol=1e-12)
@@ -592,8 +598,8 @@ class TestAffineInvariance:
     def test_negation_swaps_cluster_labels(self):
         W = row_standardize(queen_adjacency(grid_geometries(4, 4)))
         x = np.random.default_rng(21).normal(0, 10, 16)
-        f1 = standardize_values(x)
-        f2 = standardize_values(-x)
+        f1 = ValueField(x)
+        f2 = ValueField(-x)
         assert moran_global(f2, W) == pytest.approx(moran_global(f1, W), abs=1e-12)
         p1 = lisa_permutation(f1, W, permutations=99, seed=4)
         p2 = lisa_permutation(f2, W, permutations=99, seed=4)
