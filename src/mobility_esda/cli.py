@@ -387,11 +387,6 @@ def _weights_files(W: wt.SpatialWeights) -> dict[str, str]:
     return {"weights.txt": wt.to_text(W), "weights.json": wt.to_json(W)}
 
 
-def _blue_ramp(lo: float, hi: float) -> rd.ColorScale:
-    """Dark blue at ``lo`` to light blue at ``hi``; all light for a constant field."""
-    return rd.ColorScale([(lo, "#08306b"), (hi, "#deebf7")] if lo < hi else [(lo, "#deebf7")])
-
-
 def cmd_moran(args) -> dict[str, str]:
     seed = _resolve_seed(args)
     window = _window(args)
@@ -437,7 +432,7 @@ def cmd_moran(args) -> dict[str, str]:
                 "expected_I": result.expected,
                 "permutations": result.permutations,
                 "seed": seed,
-                "sided": result.sided,
+                "sided": "one_sided_folded",
                 "sim_mean": result.sim_mean,
                 "sim_sd": result.sim_sd,
                 "pseudo_p": result.pseudo_p,
@@ -456,7 +451,6 @@ def cmd_moran(args) -> dict[str, str]:
         files[cat_dir + "mean-variation.svg"] = rd.render_choropleth(
             paths,
             {rid: float(v) for rid, v in zip(W.ids, x)},
-            _blue_ramp(float(x.min()), float(x.max())),
             rd.FigureSpec(title=f"Mean variation: {category}"),
         )
         files[cat_dir + "mean-variation.geojson"] = rd.join_geojson(
@@ -490,9 +484,10 @@ def cmd_render(args) -> dict[str, str]:
     except UnicodeDecodeError as exc:
         raise SchemaError(f"values CSV is not UTF-8 text: {exc}") from None
     values: dict[str, float | None] = {}
-    for row in csv.DictReader(io.StringIO(text, newline="")):
-        if "region_id" not in row or "value" not in row:
-            raise SchemaError("values CSV needs region_id and value columns")
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    if not {"region_id", "value"} <= set(reader.fieldnames or ()):
+        raise SchemaError("values CSV needs region_id and value columns")
+    for row in reader:
         if row["region_id"] in values:
             raise DataError(f"values CSV: region id {row['region_id']!r} appears more than once")
         try:
@@ -507,11 +502,8 @@ def cmd_render(args) -> dict[str, str]:
     present = [v for v in values.values() if v is not None]
     if not present:
         raise DataError("values CSV contains no numeric values")
-    scale = _blue_ramp(min(present), max(present))
     return {
-        "choropleth.svg": rd.render_choropleth(
-            rd.map_paths(geoms), values, scale, rd.FigureSpec(title=args.title)
-        ),
+        "choropleth.svg": rd.render_choropleth(rd.map_paths(geoms), values, rd.FigureSpec(title=args.title)),
         "run-manifest.json": manifest(args),
     }
 

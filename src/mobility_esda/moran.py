@@ -5,8 +5,10 @@ The global index for values x over weights W is
     I = (n / S0) * sum_ij w_ij (x_i - mu)(x_j - mu) / sum_i (x_i - mu)^2
 
 and the local index for standardized values z is I_i = z_i * sum_j w_ij z_j.
-Significance uses pseudo p-values (M+1)/(R+1) from seeded permutations;
-an exhaustive mode enumerates every relabeling for small n so Monte Carlo
+Significance uses pseudo p-values (M+1)/(R+1) from seeded permutations,
+where M counts the simulations at least as extreme as the observation on
+the side of its reference that it falls on (folded one-sided); an
+exhaustive mode enumerates every relabeling for small n so Monte Carlo
 results can be checked exactly.
 """
 
@@ -23,7 +25,6 @@ from .errors import DataError, ParameterError, ZeroVarianceError
 from .weights import SpatialWeights
 
 SIGNIFICANCE_TIERS = (0.05, 0.01, 0.001)
-SIDES = ("greater", "less", "one_sided_folded")
 LISA_BLOCK = 8192  # elements of one block's regions x draws x degree arrays
 EPS = 1e-12  # a simulation within EPS of the observation counts as at least as extreme
 
@@ -50,11 +51,6 @@ class ValueField:
 def _check_aligned(field: ValueField, W: SpatialWeights) -> None:
     if len(field.x) != W.n:
         raise ParameterError(f"field has {len(field.x)} values but weights cover {W.n} regions")
-
-
-def _check_sided(sided: str) -> None:
-    if sided not in SIDES:
-        raise ParameterError(f"unknown sidedness {sided!r}")
 
 
 def spatial_lag(W: SpatialWeights, z) -> np.ndarray:
@@ -101,34 +97,23 @@ class MoranGlobalResult:
     expected: float
     permutations: int
     seed: int | None
-    sided: str
     sim_mean: float
     sim_sd: float
     pseudo_p: float
     exhaustive: bool = False
 
 
-def _tail_sign(dev, sided: str):
-    """The tail each test counts, per deviation of the observation from
-    its reference: +1 the upper, -1 the lower, 0 (a folded test with zero
-    deviation) every simulation.
-
-    A simulation s is at least as extreme as the observation o when
-    ``sign * s >= sign * o - EPS``. For sign -1 that is exactly
-    ``s <= o + EPS``, as negation is exact, and for sign 0 it always holds.
-    """
-    if sided == "greater":
-        return 1.0
-    if sided == "less":
-        return -1.0
-    return np.sign(dev)
-
-
-def _pseudo_p(observed: float, sims: np.ndarray, reference: float, sided: str) -> float:
+def _pseudo_p(observed: float, sims: np.ndarray, reference: float) -> float:
     """(M+1)/(R+1) with M counting simulations at least as extreme as the
-    observed value on its side of the reference; a zero deviation counts
-    every simulation."""
-    sign = _tail_sign(observed - reference, sided)
+    observed value on its side of the reference (the folded tail); a zero
+    deviation counts every simulation.
+
+    With sign = sign(observed - reference), a simulation s is at least as
+    extreme as the observation o when ``sign * s >= sign * o - EPS``. For
+    sign -1 that is exactly ``s <= o + EPS``, as negation is exact, and for
+    sign 0 it always holds.
+    """
+    sign = np.sign(observed - reference)
     M = int(np.count_nonzero(sign * sims >= sign * observed - EPS))
     return (M + 1) / (len(sims) + 1)
 
@@ -150,7 +135,6 @@ def moran_permutation(
     W: SpatialWeights,
     permutations: int = 999,
     seed: int | None = 0,
-    sided: str = "one_sided_folded",
     exhaustive: bool = False,
 ) -> MoranGlobalResult | list[MoranGlobalResult]:
     """Permutation test of spatial independence for the global index.
@@ -165,7 +149,6 @@ def moran_permutation(
     so each field's result equals a call on that field alone.
     """
     group, single = _field_group(fields, W)
-    _check_sided(sided)
     n = W.n
     if exhaustive:
         if n > 9:
@@ -187,10 +170,9 @@ def moran_permutation(
                 expected=expected_i(n),
                 permutations=len(sims),
                 seed=None if exhaustive else seed,
-                sided=sided,
                 sim_mean=float(sims.mean()),
                 sim_sd=float(sims.std()),
-                pseudo_p=_pseudo_p(observed, sims, expected_i(n), sided),
+                pseudo_p=_pseudo_p(observed, sims, expected_i(n)),
                 exhaustive=exhaustive,
             )
         )
@@ -236,11 +218,12 @@ def _block_draws(rngs: list[np.random.Generator], m: int, k: int, size: int) -> 
 
 
 def _local_tails(
-    Z: np.ndarray, regions: np.ndarray, nbrs: np.ndarray, wts: np.ndarray, sided: str
+    Z: np.ndarray, regions: np.ndarray, nbrs: np.ndarray, wts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """For each field (row of the F x n ``Z``) and each of G regions of one
     degree k with G x k neighbours ``nbrs`` and weights ``wts``: sign * z_i
-    and sign * I_i - EPS, F x G each, with the sign of ``_tail_sign``.
+    and sign * I_i - EPS, F x G each, where sign is that of I_i less its
+    reference, as in ``_pseudo_p``.
 
     A draw whose lag is ``lag`` is at least as extreme as the observation
     when ``(sign * z_i) * lag >= sign * I_i - EPS``, which is
@@ -255,7 +238,7 @@ def _local_tails(
     observed = zi * np.reshape(lags, zi.shape)
     zi_pow2 = np.reshape([v**2 for v in zi.ravel().tolist()], zi.shape)
     reference = -zi_pow2 * wts.sum(axis=1) / (Z.shape[1] - 1)
-    sign = _tail_sign(observed - reference, sided)
+    sign = np.sign(observed - reference)
     return sign * zi, sign * observed - EPS
 
 
@@ -264,7 +247,6 @@ def lisa_permutation(
     W: SpatialWeights,
     permutations: int = 999,
     seed: int | None = 0,
-    sided: str = "one_sided_folded",
     exhaustive: bool = False,
 ) -> np.ndarray | list[np.ndarray]:
     """Conditional permutation pseudo p-value per region.
@@ -290,7 +272,6 @@ def lisa_permutation(
     Islands get p = 1.
     """
     group, single = _field_group(fields, W)
-    _check_sided(sided)
     if not exhaustive and permutations < 1:
         raise ParameterError(f"permutations must be >= 1, got {permutations}")
     if seed is None:
@@ -307,7 +288,7 @@ def lisa_permutation(
         regions = np.flatnonzero(degree == k)
         stored = W.indptr[regions][:, None] + np.arange(k)
         wts = W.data[stored]
-        signed_zi, threshold = _local_tails(Z, regions, W.indices[stored], wts, sided)
+        signed_zi, threshold = _local_tails(Z, regions, W.indices[stored], wts)
         if exhaustive:
             enumeration = np.array(list(itertools.permutations(range(n - 1), k)))
         R = len(enumeration) if exhaustive else permutations

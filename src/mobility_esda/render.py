@@ -30,42 +30,9 @@ CLUSTER_COLORS = {
 SIGNIFICANCE_COLORS = {0.05: "#a1d99b", 0.01: "#41ab5d", 0.001: "#00441b", None: "#d9d9d9"}
 SERIES_PALETTE = ["#2c7bb6", "#d7191c", "#1a9641", "#fdae61", "#7b3294", "#d01c8b", "#636363"]
 BAND_COLOR = "#abd9e9"
-
-
-@dataclass
-class ColorScale:
-    stops: list[tuple[float, str]]
-    missing_color: str = "#cccccc"
-
-    def __post_init__(self):
-        values = [v for v, _ in self.stops]
-        if values != sorted(values) or len(set(values)) != len(values):
-            raise ParameterError("stops must be strictly increasing in value")
-        self._rgb = [_parse_hex(c) for _, c in self.stops]  # parsed once, not per value
-        _parse_hex(self.missing_color)
-
-    def color(self, value: float | None) -> str:
-        if value is None:
-            return self.missing_color
-        stops = self.stops
-        if value <= stops[0][0]:
-            return stops[0][1]
-        if value >= stops[-1][0]:
-            return stops[-1][1]
-        for (v0, _), (v1, _), a, b in zip(stops, stops[1:], self._rgb, self._rgb[1:]):
-            if v0 <= value <= v1:
-                t = (value - v0) / (v1 - v0)
-                return "#%02x%02x%02x" % tuple(round(x + (y - x) * t) for x, y in zip(a, b))
-        raise AssertionError("unreachable")
-
-
-def _parse_hex(c: str) -> tuple[int, int, int]:
-    if not (len(c) == 7 and c[0] == "#"):
-        raise ParameterError(f"invalid color {c!r}")
-    try:
-        return int(c[1:3], 16), int(c[3:5], 16), int(c[5:7], 16)
-    except ValueError:
-        raise ParameterError(f"invalid color {c!r}") from None
+# the choropleth's blue ramp: dark at the lowest value, light at the highest
+RAMP_LOW, RAMP_HIGH = (0x08, 0x30, 0x6B), (0xDE, 0xEB, 0xF7)  # #08306b, #deebf7
+MISSING_COLOR = "#cccccc"
 
 
 @dataclass
@@ -153,20 +120,29 @@ def _map_svg(paths: dict[str, str], fills: dict[str, str], spec: FigureSpec, leg
 def render_choropleth(
     paths: dict[str, str],
     values: dict[str, float | None],
-    scale: ColorScale,
     spec: FigureSpec = FigureSpec(),
 ) -> str:
     """One filled path per region of ``paths`` (:func:`map_paths` in the frame
-    of ``spec``), colored via the scale; missing regions get the scale's
-    missing color and are listed in a warnings comment."""
+    of ``spec``), on a blue ramp from ``#08306b`` at the lowest value to
+    ``#deebf7`` at the highest (all light for a constant field); regions
+    without a value get ``MISSING_COLOR`` and value ids without geometry are
+    listed in a warnings comment. Values whose spread overflows are a
+    ``DataError``."""
     warnings = [rid for rid in values if rid not in paths]
     note = [f"<!-- warning: no geometry for {', '.join(sorted(warnings))} -->"] if warnings else []
     present = [v for v in values.values() if v is not None]
-    legend = []
-    if present:
-        lo, hi = min(present), max(present)
-        legend = [(f"min {_fmt(lo)}", scale.color(lo)), (f"max {_fmt(hi)}", scale.color(hi))]
-    return _map_svg(paths, {rid: scale.color(values.get(rid)) for rid in paths}, spec, legend, note)
+    lo, hi = min(present, default=0.0), max(present, default=0.0)
+    if not math.isfinite(hi - lo):
+        raise DataError("values too large: their spread overflows; no colour ramp spans them")
+
+    def color(v: float | None) -> str:
+        if v is None:
+            return MISSING_COLOR
+        t = (v - lo) / (hi - lo) if lo < hi else 1.0
+        return "#%02x%02x%02x" % tuple(round(x + (y - x) * t) for x, y in zip(RAMP_LOW, RAMP_HIGH))
+
+    legend = [(f"min {_fmt(lo)}", color(lo)), (f"max {_fmt(hi)}", color(hi))] if present else []
+    return _map_svg(paths, {rid: color(values.get(rid)) for rid in paths}, spec, legend, note)
 
 
 def render_lisa_maps(

@@ -87,9 +87,7 @@ class SpatialWeights:
         return self.data[self.indptr[i] : self.indptr[i + 1]]
 
     @classmethod
-    def from_rows(
-        cls, ids: list[str], neighbors: list, weights: list | None = None, mode: str = "binary"
-    ) -> "SpatialWeights":
+    def from_rows(cls, ids: list[str], neighbors: list, weights: list | None = None) -> "SpatialWeights":
         """Weights from each region's neighbor indices, in any order, and the
         weights aligned with them (every weight 1.0 without ``weights``)."""
         neighbors = [list(nbrs) for nbrs in neighbors]
@@ -103,7 +101,7 @@ class SpatialWeights:
         indices = np.array([j for nbrs in neighbors for j in nbrs], dtype=np.intp)
         order = np.lexsort((indices, np.repeat(np.arange(len(counts)), counts)))
         indptr = np.concatenate(([0], np.cumsum(counts)))
-        return cls(list(ids), indptr, indices[order], data[order], mode)
+        return cls(list(ids), indptr, indices[order], data[order])
 
     @classmethod
     def from_neighbors(cls, ids: list[str], neighbors: dict[str, list[str]]) -> "SpatialWeights":

@@ -692,6 +692,9 @@ BAD_VALUES = {
     "non-numeric value": "region_id,value\ncell0_0,1\ncell1_1,high\n",
     "no numeric values": "region_id,value\ncell0_0,\ncell1_1,\n",
     "values without value column": "region_id,score\ncell0_0,1\n",
+    "values header without needed columns": "a,b\n",
+    "empty values file": "",
+    "overflowing spread": "region_id,value\ncell0_0,1.7e308\ncell1_1,-1.7e308\ncell2_2,0\n",
 }
 
 # parsed JSON that is no FeatureCollection of feature objects
@@ -909,6 +912,8 @@ def failing_run(kind, sy, tmp, monkeypatch):
         ("geometry not json", 2),
         ("undecodable values", 2),
         ("values without value column", 2),
+        ("values header without needed columns", 2),
+        ("empty values file", 2),
         ("weights seed", 2),
         ("no categories", 2),
         ("data", 3),
@@ -954,6 +959,7 @@ def failing_run(kind, sy, tmp, monkeypatch):
         ("overflowing value", 3),
         ("non-numeric value", 3),
         ("no numeric values", 3),
+        ("overflowing spread", 3),
         ("bad column map", 3),
         ("config permutations 5.5", 3),
         ("config permutations true", 3),
@@ -1019,7 +1025,7 @@ def test_late_failure_writes_nothing(sy, tmp_path, monkeypatch):
     ["window gap", "moran window gap", "reversed window", "moran reversed window",
      "radar name collision", "center nan", "center -inf", "alpha 1.5", "no categories",
      "config categories empty", "center -1e160", "overflowing categories",
-     "moran overflowing categories", "huge coordinates",
+     "moran overflowing categories", "huge coordinates", "overflowing spread",
      *BAD_GEOMETRY_DOCS, *BAD_WEIGHTS_OPTIONS],
 )
 def test_failure_writes_nothing(kind, sy, tmp_path, monkeypatch):
@@ -1070,6 +1076,9 @@ FAILURE_MESSAGES = {
     "non-numeric value": "error: values CSV: non-numeric value 'high'",
     "no numeric values": "error: values CSV contains no numeric values",
     "values without value column": "schema error: values CSV needs region_id and value columns",
+    "values header without needed columns": "schema error: values CSV needs region_id and value columns",
+    "empty values file": "schema error: values CSV needs region_id and value columns",
+    "overflowing spread": "error: values too large: their spread overflows",
     "bad column map": "error: bad --column-map entry 'sub_region' (want key=value)",
     "config permutations 5.5": "error: config permutations: 5.5 is not a valid --permutations value",
     "config permutations true": "error: config permutations: True is not a valid --permutations value",

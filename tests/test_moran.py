@@ -228,12 +228,6 @@ class TestGlobalPermutation:
         b = moran_permutation(f, queen_6x6_rs, permutations=199, seed=42)
         assert (a.pseudo_p, a.sim_mean, a.sim_sd) == (b.pseudo_p, b.sim_mean, b.sim_sd)
 
-    def test_sidedness_options(self, queen_6x6_rs):
-        f = ValueField(np.random.default_rng(10).normal(0, 1, 36))
-        for sided in ("greater", "less", "one_sided_folded"):
-            res = moran_permutation(f, queen_6x6_rs, permutations=99, seed=1, sided=sided)
-            assert 0 < res.pseudo_p <= 1
-
     def test_expected_value(self):
         assert expected_i(4) == pytest.approx(-1 / 3)
 
@@ -341,17 +335,18 @@ class TestLisaPermutation:
 
     @pytest.mark.parametrize("sided", ["greater", "less"])
     def test_calibration_under_null(self, sided):
-        # one tail has nominal level 0.05; the folded p tests the tail the
-        # observation falls on, so its rate at 0.05 is about 0.10
+        # the folded p tests the tail the observation falls on: I_i above
+        # its reference -z_i**2 / (n - 1) ("greater") or below it ("less").
+        # A level of 0.025 on it rejects at about 0.025 on each side
         W = row_standardize(rook_adjacency(grid_geometries(5, 5)))
         rng = np.random.default_rng(2020)
-        rejected = [
-            lisa_permutation(
-                ValueField(rng.normal(0, 1, 25)), W, permutations=199, seed=t, sided=sided
-            ) <= 0.05
-            for t in range(40)
-        ]
-        assert 0.01 <= np.mean(rejected) <= 0.10
+        rejected = []
+        for t in range(40):
+            f = ValueField(rng.normal(0, 1, 25))
+            p = lisa_permutation(f, W, permutations=199, seed=t)
+            upper = f.z * spatial_lag(W, f.z) > -f.z**2 / (W.n - 1)
+            rejected.append((p <= 0.025) & (upper if sided == "greater" else ~upper))
+        assert 0.005 <= np.mean(rejected) <= 0.05
 
     def test_no_permutations_refused(self, queen_6x6_rs):
         f = ValueField(np.random.default_rng(14).normal(0, 1, 36))
@@ -454,7 +449,6 @@ def lisa_cases(draw):
         kwargs = {"exhaustive": True}
     else:
         kwargs = {"permutations": draw(st.sampled_from([1, 2, 7, 99])), "seed": draw(st.integers(0, 2**32))}
-    kwargs["sided"] = draw(st.sampled_from(["greater", "less", "one_sided_folded"]))
     return fields, W, kwargs
 
 
@@ -522,14 +516,6 @@ class TestDegenerateInputs:
     def test_local_without_links_gives_p_one(self):
         f = ValueField([1.0, 2.0, 4.0])
         assert lisa_permutation(f, self.all_islands(), permutations=9).tolist() == [1.0] * 3
-
-    @pytest.mark.parametrize("test", [moran_permutation, lisa_permutation])
-    @pytest.mark.parametrize("islands", [False, True])
-    def test_unknown_sidedness_refused(self, test, islands, queen_6x6_rs):
-        W = self.all_islands() if islands else queen_6x6_rs
-        f = ValueField(np.random.default_rng(41).normal(0, 1, W.n))
-        with pytest.raises(ParameterError, match="unknown sidedness 'bogus'"):
-            test(f, W, permutations=9, sided="bogus")
 
 
 class TestClassify:

@@ -13,7 +13,7 @@ from mobility_esda.indicator import RadarConfig
 from mobility_esda.ingest import CATEGORIES
 from mobility_esda.moran import LisaResult
 from mobility_esda.render import (
-    ColorScale,
+    MISSING_COLOR,
     FigureSpec,
     join_geojson,
     lisa_to_csv,
@@ -28,63 +28,76 @@ from mobility_esda.render import (
 
 from conftest import grid_geojson, grid_geometries, square
 
-BW_SCALE = ColorScale([(0.0, "#000000"), (1.0, "#ffffff")])
+DARK, LIGHT = "#08306b", "#deebf7"  # the ramp's lowest and highest colours
+
+
+def fills(svg):
+    return re.findall(r'<path [^>]*fill="(#\w{6})"', svg)
+
+
+def ramp_fills(values):
+    """The fill of each region of a 1 x len(values) row of squares, left to
+    right, with its value."""
+    ids = [f"r{i:02d}" for i in range(len(values))]
+    geoms = [RegionGeometry(rid, square(i, 0)) for i, rid in enumerate(ids)]
+    return fills(render_choropleth(map_paths(geoms), dict(zip(ids, values))))
 
 
 class TestColorScale:
+    """The choropleth's blue ramp, spanning the values it draws."""
+
     def test_endpoints(self):
-        assert BW_SCALE.color(0.0) == "#000000"
-        assert BW_SCALE.color(1.0) == "#ffffff"
+        assert ramp_fills([0.0, 1.0]) == [DARK, LIGHT]
+        assert ramp_fills([-1e300, 1e300]) == [DARK, LIGHT]
 
     def test_midpoint_componentwise(self):
-        scale = ColorScale([(0.0, "#200040"), (1.0, "#40ff80")])
-        assert scale.color(0.5) == "#308060"
+        # (0x08 + 0xde) / 2 = 0x73, (0x30 + 0xeb) / 2 = 0x8d.8 -> 0x8e, (0x6b + 0xf7) / 2 = 0xb1
+        assert ramp_fills([0.0, 0.5, 1.0]) == [DARK, "#738eb1", LIGHT]
+        assert ramp_fills([-3.0, -1.5, 0.0]) == [DARK, "#738eb1", LIGHT]
 
     def test_clamping(self):
-        assert BW_SCALE.color(-5.0) == "#000000"
-        assert BW_SCALE.color(5.0) == "#ffffff"
+        # the ramp spans the values: the extremes take its end colours whatever their scale
+        assert ramp_fills([5.0, -5.0, 0.0]) == [LIGHT, DARK, "#738eb1"]
+        assert ramp_fills([7.0, 7.0]) == [LIGHT, LIGHT]  # a constant field is all light
 
     def test_missing(self):
-        assert BW_SCALE.color(None) == BW_SCALE.missing_color
+        assert ramp_fills([0.0, None, 1.0]) == [DARK, MISSING_COLOR, LIGHT]
+        assert MISSING_COLOR == "#cccccc"
 
-    def test_non_increasing_stops_rejected(self):
-        with pytest.raises(ParameterError, match="increasing"):
-            ColorScale([(1.0, "#000000"), (0.0, "#ffffff")])
-
-    def test_bad_color_rejected(self):
-        with pytest.raises(ParameterError, match="invalid color"):
-            ColorScale([(0.0, "red")])
+    def test_overflowing_spread_refused(self):
+        with pytest.raises(DataError, match="spread overflows"):
+            ramp_fills([1.7e308, -1.7e308, 0.0])
 
 
 class TestChoropleth:
     def test_endpoint_fills(self):
         geoms = [RegionGeometry("left", square(0, 0)), RegionGeometry("right", square(1, 0))]
-        svg = render_choropleth(map_paths(geoms), {"left": 0.0, "right": 1.0}, BW_SCALE)
-        fills = re.findall(r'<path [^>]*fill="(#\w{6})"', svg)
-        assert fills.count("#000000") == 1
-        assert fills.count("#ffffff") == 1
+        svg = render_choropleth(map_paths(geoms), {"left": 0.0, "right": 1.0})
+        assert fills(svg) == [DARK, LIGHT]
+        legend = re.findall(r'<rect [^>]*fill="(#\w{6})" stroke="#000000"/>\n<text [^>]*>([^<]*)</text>', svg)
+        assert legend == [(DARK, "min 0"), (LIGHT, "max 1")]
 
     def test_missing_region_gets_missing_color(self):
         geoms = [RegionGeometry("a", square(0, 0)), RegionGeometry("b", square(1, 0))]
-        svg = render_choropleth(map_paths(geoms), {"a": 0.5}, BW_SCALE)
-        assert f'fill="{BW_SCALE.missing_color}"' in svg
+        svg = render_choropleth(map_paths(geoms), {"a": 0.5})
+        assert fills(svg) == [LIGHT, MISSING_COLOR]
 
     def test_unknown_value_id_warned(self):
         geoms = [RegionGeometry("a", square(0, 0)), RegionGeometry("b", square(1, 0))]
-        svg = render_choropleth(map_paths(geoms), {"a": 0.5, "ghost": 1.0}, BW_SCALE)
+        svg = render_choropleth(map_paths(geoms), {"a": 0.5, "ghost": 1.0})
         assert "warning" in svg and "ghost" in svg
 
     def test_deterministic(self):
         geoms = grid_geometries(3, 3)
         values = {g.region_id: i / 8 for i, g in enumerate(geoms)}
-        h1 = hashlib.sha256(render_choropleth(map_paths(geoms), values, BW_SCALE).encode()).hexdigest()
-        h2 = hashlib.sha256(render_choropleth(map_paths(geoms), values, BW_SCALE).encode()).hexdigest()
+        h1 = hashlib.sha256(render_choropleth(map_paths(geoms), values).encode()).hexdigest()
+        h2 = hashlib.sha256(render_choropleth(map_paths(geoms), values).encode()).hexdigest()
         assert h1 == h2
 
     def test_every_region_drawn_once(self):
         geoms = grid_geometries(3, 3)
         values = {g.region_id: 0.5 for g in geoms}
-        svg = render_choropleth(map_paths(geoms), values, BW_SCALE)
+        svg = render_choropleth(map_paths(geoms), values)
         assert svg.count("<path ") == 9
 
 
@@ -135,8 +148,9 @@ class TestLisaMaps:
 
 class TestMapPaths:
     # sha256 of the maps as drawn before the projection was shared, when each
-    # renderer took the geometries and projected them itself
-    CHOROPLETH_SHA = "f14dc9cbd119b967cdf585a63b13102513570b392a0a5c141ae9c866e58eaeea"
+    # renderer took the geometries and projected them itself; the choropleth's
+    # as drawn when the caller passed the blue ramp over -12.5..7.125 as a scale
+    CHOROPLETH_SHA = "cb412953f8d89586370d208173654c3dd0c5925aa234d6c94e4d84abafcf5710"
     CLUSTER_SHA = "26d6558dcab8471d48dfbdac1ebfadba93d6b7561f2bd910366bc6914b2210cc"
     SIGNIFICANCE_SHA = "38902709689b0f7cc5f45b953545383f23eacf1c824faa397fda49cbe138ec99"
 
@@ -146,11 +160,10 @@ class TestMapPaths:
 
     def test_choropleth_bytes(self):
         geoms = grid_geometries(2, 3)
-        scale = ColorScale([(-10.0, "#2c7bb6"), (0.0, "#ffffbf"), (10.0, "#d7191c")])
         values = {"cell0_0": -12.5, "cell0_1": 3.25, "cell0_2": None, "cell1_0": 0.0,
                   "cell1_1": 7.125, "ghost": 1.0}
         spec = FigureSpec(width=500, height=311, margin=25, title="Mean <variation> & more")
-        svg = render_choropleth(map_paths(geoms, spec), values, scale, spec)
+        svg = render_choropleth(map_paths(geoms, spec), values, spec)
         assert self.sha(svg) == self.CHOROPLETH_SHA
 
     def test_lisa_map_bytes(self):
