@@ -48,13 +48,15 @@ EXIT_ID_MISMATCH = 4
 REQUIRED = object()  # default of an option that the command line or config must give
 
 
-def atomic_write(path: Path, data: str | bytes) -> None:
+def atomic_write(path: Path, text: str) -> None:
+    # UTF-8 whatever the locale, as every input is read
+    data = text.encode("utf-8")
     # the pid sets the name apart from other live writers, the random part from a
     # file that a killed run left behind; the kernel applies the umask to 0o666
     tmp = path.parent / f".tmp-{os.getpid()}-{os.urandom(4).hex()}"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
+        with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:

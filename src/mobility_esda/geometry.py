@@ -89,8 +89,10 @@ def load_geojson(doc: dict, id_property: str = "region_id") -> list[RegionGeomet
     geoms = []
     seen = set()
     for feature in features:
-        props = feature.get("properties") or {}
-        rid = props.get(id_property)
+        props = feature.get("properties")
+        if props is not None and not isinstance(props, dict):
+            raise DataError(f"feature properties must be an object, got {type(props).__name__!r}")
+        rid = (props or {}).get(id_property)
         if rid is None:
             raise DataError(f"feature missing id property {id_property!r}")
         rid = str(rid)

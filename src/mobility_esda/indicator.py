@@ -39,7 +39,7 @@ class RadarConfig:
 @dataclass
 class CirculationSeries:
     """Radar areas and indicators, (regions, days) over shared ``dates``, and
-    the (regions, 6) window-mean category values; one region drops that axis."""
+    the (regions, 6) window-mean category values."""
 
     region_ids: list[str]
     dates: list[dt.date]
@@ -86,14 +86,14 @@ def baseline_area(config: RadarConfig = RadarConfig()) -> float:
 
 def circulation_indicator(
     table: MobilityTable,
-    region_ids: str | Sequence[str],
-    config: RadarConfig = RadarConfig(),
-    window: tuple[dt.date, dt.date] | None = None,
+    region_ids: Sequence[str],
+    config: RadarConfig,
+    window: tuple[dt.date, dt.date],
 ) -> CirculationSeries:
-    """Daily radar areas and indicators, and window means, of one region (a
-    str) or of a panel of regions, over the values :meth:`MobilityTable.panel`
-    gathers and checks; an area that overflows is a ``DataError``."""
-    ids = [region_ids] if isinstance(region_ids, str) else list(region_ids)
+    """Daily radar areas and indicators, and window means, of a panel of
+    regions, over the values :meth:`MobilityTable.panel` gathers and checks
+    in ``window``; an area that overflows is a ``DataError``."""
+    ids = list(region_ids)
     dates, block, means = table.panel(ids, window)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned of
         areas = radar_area(radar_radii(block, config))
@@ -102,6 +102,4 @@ def circulation_indicator(
     if not np.isfinite(areas).all():
         k, d = np.argwhere(~np.isfinite(areas))[0]
         raise DataError(f"{ids[k]} {dates[d]}: radar area overflows at center {config.center}")
-    if isinstance(region_ids, str):  # one region: its 1-D series
-        areas, means = areas[0], means[0]
     return CirculationSeries(ids, dates, areas, areas / baseline, means)

@@ -67,8 +67,7 @@ class MobilityTable:
     ``region_ids`` are sorted and unique, with each region's country code
     and sub-region alongside. Per row, ``region`` indexes ``region_ids``,
     ``dates`` holds the date ordinal and ``values`` the six categories in
-    ``CATEGORIES`` order, NaN where missing. Region ``k`` owns rows
-    ``offsets[k]:offsets[k + 1]``.
+    ``CATEGORIES`` order, NaN where missing.
     """
 
     region_ids: tuple[str, ...]
@@ -77,7 +76,6 @@ class MobilityTable:
     region: np.ndarray
     dates: np.ndarray
     values: np.ndarray
-    offsets: np.ndarray
     issues: list[str] = field(default_factory=list)
 
     @classmethod
@@ -104,7 +102,6 @@ class MobilityTable:
             region,
             dates[order],
             values[order],
-            np.searchsorted(region, np.arange(len(region_ids) + 1)),
             list(issues),
         )
         table._validate()
@@ -125,47 +122,30 @@ class MobilityTable:
                 f"{_date(self.dates[i])} .. {_date(self.dates[i + 1])}"
             )
 
-    @property
-    def coverage(self) -> tuple[dt.date, dt.date] | None:
-        return (_date(self.dates.min()), _date(self.dates.max())) if len(self.dates) else None
-
     def _region(self, region_id: str) -> int:
         """Index of a region in ``region_ids``, -1 if absent."""
         k = bisect.bisect_left(self.region_ids, region_id)
         return k if k < len(self.region_ids) and self.region_ids[k] == region_id else -1
 
-    def rows(self, region_id: str, window: tuple[dt.date, dt.date] | None = None) -> slice:
-        """Row slice of one region (empty if absent), clipped to an inclusive window."""
-        k = self._region(region_id)
-        if k < 0:
-            return slice(0, 0)
-        start, stop = int(self.offsets[k]), int(self.offsets[k + 1])
-        if window is not None:
-            dates = self.dates[start:stop]
-            lo = np.searchsorted(dates, window[0].toordinal(), side="left")
-            hi = np.searchsorted(dates, window[1].toordinal(), side="right")
-            start, stop = start + int(lo), start + int(hi)
-        return slice(start, stop)
-
-    def panel(self, region_ids: list[str], window: tuple[dt.date, dt.date] | None = None):
-        """The shared dates, (regions, days, 6) values and (regions, 6) window means
-        of the regions in the given order; each must cover the inclusive ``window``
-        (without one, all share their dates) and be complete there, checked first."""
+    def panel(self, region_ids: list[str], window: tuple[dt.date, dt.date]):
+        """The dates of the inclusive ``window``, and the (regions, days, 6)
+        values and (regions, 6) window means of the regions in the given
+        order; each must have a row on every day of the window and no
+        missing cell there, checked first."""
         if not region_ids:
             raise DataError("no regions to gather")
         k = np.array([self._region(rid) for rid in region_ids], dtype=np.intp)
-        if window is None:
-            start, stop = self.offsets[k], self.offsets[k + 1]
-        else:
-            # one search over (region, day) keys, ascending down the rows: days
-            # before the window count as -1, days after it as its length
-            expected = max((window[1] - window[0]).days + 1, 0)
-            day = np.clip(self.dates - window[0].toordinal(), -1, expected)
-            keys = self.region * (expected + 2) + day
-            start = np.searchsorted(keys, k * (expected + 2), side="left")
-            stop = np.searchsorted(keys, k * (expected + 2) + expected - 1, side="right")
+        # one search over (region, day) keys, ascending down the rows: days
+        # before the window count as -1, days after it as its length
+        expected = max((window[1] - window[0]).days + 1, 0)
+        day = np.clip(self.dates - window[0].toordinal(), -1, expected)
+        keys = self.region * (expected + 2) + day
+        start = np.searchsorted(keys, k * (expected + 2), side="left")
+        stop = np.searchsorted(keys, k * (expected + 2) + expected - 1, side="right")
         count = np.where(k < 0, 0, stop - start)
-        short = (count <= 0) if window is None else (count <= 0) | (count != expected)
+        # no (region, date) pair repeats, so a region with as many rows as
+        # the window has days has a row on each of them
+        short = (count <= 0) | (count != expected)
         if short.any():
             j = int(np.argmax(short))
             rid = region_ids[j]
@@ -173,14 +153,10 @@ class MobilityTable:
                 raise DataError(f"no data for region {rid!r} in requested window")
             raise DataError(f"region {rid!r} covers {count[j]} of {expected} days "
                             f"in {window[0]}..{window[1]}")
-        days = int(count[0])
-        index = start[:, None] + np.arange(days)
-        if (count != days).any() or (self.dates[index] != self.dates[index[0]]).any():
-            raise DataError("regions cover different dates; give a window")
         # gathered once, category-major: each mean sums along a contiguous
-        # last axis, as one region's column mean does, bit for bit
-        block = self.values.T.take(index, axis=1)  # (6, regions, days)
-        dates = self.date_list(slice(start[0], start[0] + days))
+        # last axis, as the mean of one category over one region's rows does, bit for bit
+        block = self.values.T.take(start[:, None] + np.arange(expected), axis=1)  # (6, regions, days)
+        dates = [window[0] + dt.timedelta(days=d) for d in range(expected)]
         absent = np.isnan(block)
         if absent.any():
             k, d = np.argwhere(absent.any(axis=0))[0]
@@ -188,12 +164,8 @@ class MobilityTable:
             raise DataError(f"{region_ids[k]} {dates[d]}: missing {missing}; impute first")
         return dates, block.transpose(1, 2, 0), block.mean(axis=2).T
 
-    def column(self, category: str) -> np.ndarray:
-        """One category's values for every row (a view into ``values``)."""
-        return self.values[:, category_index(category)]
-
-    def date_list(self, rows: slice = slice(None)) -> list[dt.date]:
-        return [dt.date.fromordinal(d) for d in self.dates[rows].tolist()]
+    def date_list(self) -> list[dt.date]:
+        return [dt.date.fromordinal(d) for d in self.dates.tolist()]
 
 
 def category_index(category: str) -> int:

@@ -96,11 +96,9 @@ class MoranGlobalResult:
     I: float
     expected: float
     permutations: int
-    seed: int | None
     sim_mean: float
     sim_sd: float
     pseudo_p: float
-    exhaustive: bool = False
 
 
 def _pseudo_p(observed: float, sims: np.ndarray, reference: float) -> float:
@@ -118,37 +116,26 @@ def _pseudo_p(observed: float, sims: np.ndarray, reference: float) -> float:
     return (M + 1) / (len(sims) + 1)
 
 
-def _field_group(
-    fields: ValueField | Sequence[ValueField], W: SpatialWeights
-) -> tuple[list[ValueField], bool]:
-    """The fields of a permutation call, each checked against ``W``, and
-    whether a single field (not a sequence) was passed."""
-    single = isinstance(fields, ValueField)
-    group = [fields] if single else list(fields)
-    for field in group:
-        _check_aligned(field, W)
-    return group, single
-
-
 def moran_permutation(
-    fields: ValueField | Sequence[ValueField],
+    fields: Sequence[ValueField],
     W: SpatialWeights,
     permutations: int = 999,
-    seed: int | None = 0,
+    seed: int = 0,
     exhaustive: bool = False,
-) -> MoranGlobalResult | list[MoranGlobalResult]:
+) -> list[MoranGlobalResult]:
     """Permutation test of spatial independence for the global index.
 
     Values are shuffled across regions uniformly at random. With
     ``exhaustive=True`` every one of the n! relabelings is evaluated
     instead (n <= 9 only) and ``permutations``/``seed`` are ignored.
 
-    ``fields`` is one field, giving one result, or a sequence of fields
-    on the same regions, giving one result per field in order. The
-    relabelings are drawn once and every field is tested against them,
-    so each field's result equals a call on that field alone.
+    ``fields`` are on the same regions, and there is one result per
+    field in order. The relabelings are drawn once and every field is
+    tested against them, so each field's result equals a call on that
+    field alone.
     """
-    group, single = _field_group(fields, W)
+    for field in fields:
+        _check_aligned(field, W)
     n = W.n
     if exhaustive:
         if n > 9:
@@ -161,7 +148,7 @@ def moran_permutation(
         # row by row the same relabelings as one rng.permutation(n) call each
         perms = rng.permuted(np.tile(np.arange(n), (permutations, 1)), axis=1)
     results = []
-    for field in group:
+    for field in fields:
         observed = moran_global(field, W)
         sims = _moran_sims(field.x - field.mean, perms, W)
         results.append(
@@ -169,14 +156,12 @@ def moran_permutation(
                 I=observed,
                 expected=expected_i(n),
                 permutations=len(sims),
-                seed=None if exhaustive else seed,
                 sim_mean=float(sims.mean()),
                 sim_sd=float(sims.std()),
                 pseudo_p=_pseudo_p(observed, sims, expected_i(n)),
-                exhaustive=exhaustive,
             )
         )
-    return results[0] if single else results
+    return results
 
 
 def _quadrant(zi: float, lagi: float) -> str:
@@ -243,12 +228,12 @@ def _local_tails(
 
 
 def lisa_permutation(
-    fields: ValueField | Sequence[ValueField],
+    fields: Sequence[ValueField],
     W: SpatialWeights,
     permutations: int = 999,
-    seed: int | None = 0,
+    seed: int = 0,
     exhaustive: bool = False,
-) -> np.ndarray | list[np.ndarray]:
+) -> list[np.ndarray]:
     """Conditional permutation pseudo p-value per region.
 
     For each region i, z_i is held fixed and its |N(i)| neighbor values
@@ -261,29 +246,26 @@ def lisa_permutation(
     on blocks of regions of equal degree, of about ``LISA_BLOCK`` draw
     elements each, and gives the same p-values bit for bit as evaluating
     one region at a time: seeded p-values are those of earlier releases
-    that use this sampler. ``seed=None`` draws fresh entropy once and
-    uses it in place of the integer seed. Exhaustive mode enumerates
-    every arrangement of neighbor values, once per degree.
+    that use this sampler. Exhaustive mode enumerates every arrangement
+    of neighbor values, once per degree.
 
-    ``fields`` is one field, giving one p array, or a sequence of fields
-    on the same regions, giving one p array per field in order. The draws
-    are made once and every field is evaluated on them, one field at a
-    time, so each field's p-values equal a call on that field alone.
-    Islands get p = 1.
+    ``fields`` are on the same regions, and there is one p array per
+    field in order. The draws are made once and every field is evaluated
+    on them, one field at a time, so each field's p-values equal a call
+    on that field alone. Islands get p = 1.
     """
-    group, single = _field_group(fields, W)
+    for field in fields:
+        _check_aligned(field, W)
     if not exhaustive and permutations < 1:
         raise ParameterError(f"permutations must be >= 1, got {permutations}")
-    if seed is None:
-        seed = np.random.SeedSequence().entropy
     n = W.n
     degree = np.diff(W.indptr)
     if exhaustive:
         big = [i for i, k in enumerate(degree.tolist()) if k and math.perm(n - 1, k) > 500_000]
         if big:
             raise ParameterError(f"exhaustive conditional enumeration too large for region {big[0]}")
-    Z = np.array([field.z for field in group]).reshape(len(group), n)
-    p = np.ones((len(group), n))
+    Z = np.array([field.z for field in fields]).reshape(len(fields), n)
+    p = np.ones((len(fields), n))
     for k in sorted(set(degree.tolist()) - {0}):
         regions = np.flatnonzero(degree == k)
         stored = W.indptr[regions][:, None] + np.arange(k)
@@ -307,7 +289,7 @@ def lisa_permutation(
                 lag = (z[others] @ wts[b, :, None])[..., 0]
                 counts[f, b] = (signed_zi[f, b, None] * lag >= threshold[f, b, None]).sum(axis=1)
         p[:, regions] = (counts + 1) / (R + 1)
-    return p[0] if single else list(p)
+    return list(p)
 
 
 @dataclass

@@ -135,7 +135,7 @@ def stl_oracle(y, period=7, seasonal_window=7, inner_iters=2, outer_iters=0, tre
     return trend, seasonal
 
 
-def exhaustive_pseudo_p(x, W: SpatialWeights, sided="one_sided_folded") -> float:
+def exhaustive_pseudo_p(x, W: SpatialWeights) -> float:
     """Brute-force enumeration of all n! relabelings for the global test."""
     x = np.asarray(x, float)
     n = len(x)
@@ -190,29 +190,20 @@ def _oracle_ordered_draws(rng: np.random.Generator, m: int, k: int, size: int) -
     return np.take_along_axis(picks, order, axis=1)
 
 
-def _oracle_pseudo_p(observed: float, sims: np.ndarray, reference: float, sided: str) -> float:
+def _oracle_pseudo_p(observed: float, sims: np.ndarray, reference: float) -> float:
     R = len(sims)
     dev = observed - reference
     eps = 1e-12
-    if sided == "greater":
+    if dev > 0:
         M = int(np.sum(sims >= observed - eps))
-    elif sided == "less":
+    elif dev < 0:
         M = int(np.sum(sims <= observed + eps))
-    elif sided == "one_sided_folded":
-        if dev > 0:
-            M = int(np.sum(sims >= observed - eps))
-        elif dev < 0:
-            M = int(np.sum(sims <= observed + eps))
-        else:
-            M = R
     else:
-        raise ValueError(f"unknown sidedness {sided!r}")
+        M = R
     return (M + 1) / (R + 1)
 
 
-def lisa_oracle(
-    fields, W: SpatialWeights, permutations=999, seed=0, sided="one_sided_folded", exhaustive=False
-) -> list[np.ndarray]:
+def lisa_oracle(fields, W: SpatialWeights, permutations=999, seed=0, exhaustive=False) -> list[np.ndarray]:
     """Conditional-permutation p-values one region at a time: region i's
     draws come from ``default_rng((seed, i))`` (or every arrangement when
     exhaustive) and each field is evaluated on them with ``np.delete``."""
@@ -233,7 +224,7 @@ def lisa_oracle(
             observed = float(z[i] * np.dot(wts, z[nbrs]))
             reference = -(z[i] ** 2) * wsum / (n - 1)
             sims = z[i] * (np.delete(z, i)[draws] @ wts)
-            p[f, i] = _oracle_pseudo_p(observed, sims, reference, sided)
+            p[f, i] = _oracle_pseudo_p(observed, sims, reference)
     return list(p)
 
 
@@ -371,6 +362,14 @@ def table_from_rows(rows, issues=()) -> MobilityTable:
         np.array([row[3] for row in rows], dtype=float).reshape(-1, len(CATEGORIES)),
         issues,
     )
+
+
+def window_mask(table: MobilityTable, region_id: str, window: tuple[dt.date, dt.date]) -> np.ndarray:
+    """The rows of one region dated inside the inclusive window, found by
+    comparing every row's region and date (no search over sorted keys)."""
+    region = table.region_ids.index(region_id) if region_id in table.region_ids else -1
+    dates = table.dates
+    return (table.region == region) & (dates >= window[0].toordinal()) & (dates <= window[1].toordinal())
 
 
 def make_table(rows) -> MobilityTable:

@@ -101,13 +101,13 @@ def test_03_permutation_oracle(star_5):
     W = row_standardize(rook_adjacency(grid_geometries(2, 3)))
     for _ in range(3):
         x = rng.normal(0, 1, 6)
-        result = moran_permutation(ValueField(x), W, exhaustive=True)
+        [result] = moran_permutation([ValueField(x)], W, exhaustive=True)
         assert result.pseudo_p == exhaustive_pseudo_p(x, W)
         assert result.permutations == 720
 
     x = rng.normal(0, 1, 5)
     field = ValueField(x)
-    p = lisa_permutation(field, star_5, exhaustive=True)
+    [p] = lisa_permutation([field], star_5, exhaustive=True)
     for i in range(5):
         assert p[i] == exhaustive_conditional_p(field.z, star_5, i)
 
@@ -120,7 +120,7 @@ def test_04_calibration():
     trials = 200
     for t in range(trials):
         field = ValueField(rng.normal(0, 1, 25))
-        result = moran_permutation(field, W, permutations=199, seed=t)
+        [result] = moran_permutation([field], W, permutations=199, seed=t)
         if result.pseudo_p <= 0.05:
             rejections += 1
     assert 0.01 <= rejections / trials <= 0.10
@@ -144,9 +144,10 @@ def test_05_contiguity():
 @criterion(6, "indicator closed forms and axis-rotation invariance")
 def test_06_indicator_closed_forms():
     def indicator_at(level):
-        table = make_table([("XX", "", d.isoformat(), flat_values(level)) for d in days("2020-03-01", 3)])
-        series = circulation_indicator(table, region_key("XX", ""))
-        return series.indicators
+        window = days("2020-03-01", 3)
+        table = make_table([("XX", "", d.isoformat(), flat_values(level)) for d in window])
+        series = circulation_indicator(table, [region_key("XX", "")], RadarConfig(), (window[0], window[-1]))
+        return series.indicators[0]
 
     assert indicator_at(0.0) == pytest.approx(np.ones(3))
     assert indicator_at(-100.0) == pytest.approx(np.zeros(3))
@@ -204,8 +205,8 @@ def test_08_imputation():
     assert np.array_equal(filled.values[present], table.values[present])
     # column means preserved
     for c in CATEGORIES:
-        before = table.column(c)
-        assert np.mean(filled.column(c)) == pytest.approx(np.mean(before[~np.isnan(before)]))
+        before, after = (t.values[:, CATEGORIES.index(c)] for t in (table, filled))
+        assert np.mean(after) == pytest.approx(np.mean(before[~np.isnan(before)]))
     # idempotence
     refilled, report2 = impute_missing(filled)
     assert np.array_equal(filled.values, refilled.values)
@@ -267,21 +268,21 @@ def test_10_affine_invariance(queen_6x6_rs):
     x = rng.normal(-40, 12, 36)
 
     base = ValueField(x)
-    p_base = lisa_permutation(base, W, permutations=199, seed=9)
+    [p_base] = lisa_permutation([base], W, permutations=199, seed=9)
     res_base = lisa_classify(base, W, p_base)
     i_base = moran_global(base, W)
 
     for a, b in ((2.5, 0.0), (1.0, 17.0), (0.3, -8.0)):
         aff = ValueField(a * x + b)
         assert moran_global(aff, W) == pytest.approx(i_base, abs=1e-12)
-        p_aff = lisa_permutation(aff, W, permutations=199, seed=9)
+        [p_aff] = lisa_permutation([aff], W, permutations=199, seed=9)
         assert p_aff == pytest.approx(p_base, abs=1e-12)
         res_aff = lisa_classify(aff, W, p_aff)
         assert res_aff.labels == res_base.labels
 
     neg = ValueField(-x)
     assert moran_global(neg, W) == pytest.approx(i_base, abs=1e-12)
-    p_neg = lisa_permutation(neg, W, permutations=199, seed=9)
+    [p_neg] = lisa_permutation([neg], W, permutations=199, seed=9)
     assert p_neg == pytest.approx(p_base, abs=1e-12)
     res_neg = lisa_classify(neg, W, p_neg)
     swap = {"HH": "LL", "LL": "HH", "LH": "HL", "HL": "LH", "ns": "ns"}

@@ -54,7 +54,7 @@ def test_atomic_write_follows_umask(umask, mode, tmp_path):
     "name, data, error", [("out", "x", IsADirectoryError), ("out.txt", "\udcff", UnicodeError)]
 )
 def test_atomic_write_leaves_no_temp_file_on_error(name, data, error, tmp_path):
-    # renaming onto a directory fails late; a lone surrogate fails while writing
+    # renaming onto a directory fails late; a lone surrogate fails to encode
     (tmp_path / "out").mkdir()
     with pytest.raises(error):
         atomic_write(tmp_path / name, data)
@@ -93,6 +93,22 @@ def test_run_does_not_import_numpy_ma(command, tmp_path):
     run = subprocess.run([sys.executable, "-c", code, *argv, "--out-dir", "out"],
                          cwd=tmp_path, env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+
+
+def test_outputs_are_utf8_whatever_the_locale(tmp_path):
+    """An accented sub-region is written in UTF-8 under the C locale too,
+    the same bytes as in UTF-8 mode."""
+    header = synthetic_country_csv(1, 1, 1).splitlines()[0]
+    rows = [f"BR,São Paulo,2020-03-0{d},1,2,3,4,5,6" for d in (1, 2, 3)]
+    (tmp_path / "br.csv").write_bytes(("\n".join([header, *rows]) + "\n").encode("utf-8"))
+    modes = {"c": {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}, "utf8": {"PYTHONUTF8": "1"}}
+    for name, mode in modes.items():
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), **mode}
+        run = subprocess.run([sys.executable, "-m", "mobility_esda.cli", "ingest", "--input", "br.csv",
+                              "--out-dir", name], cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+    assert hash_tree(tmp_path / "c") == hash_tree(tmp_path / "utf8")
+    assert "São Paulo".encode() in (tmp_path / "c" / "mobility-normalized.csv").read_bytes()
 
 
 class TestIngestCmd:
@@ -260,8 +276,8 @@ class TestIndicatorCmd:
         with open(csv_path, "rb") as fh:
             table, _ = impute_missing(parse_cmr_csv(fh))
         window = (dt.date(2020, 3, 1), dt.date(2020, 3, 21))
-        series = circulation_indicator(table, "SY/cell1_2", RadarConfig(), window)
-        dec = stl_decompose(series.indicators, period=7, seasonal_window=7, outer_iters=1 if robust else 0)
+        series = circulation_indicator(table, ["SY/cell1_2"], RadarConfig(), window)
+        dec = stl_decompose(series.indicators[0], period=7, seasonal_window=7, outer_iters=1 if robust else 0)
         got = [float(r["indicator_deseasonalized"]) for r in recs]
         assert got == [float(f"{v:.15g}") for v in dec.trend]
 
@@ -296,10 +312,10 @@ class TestIndicatorCmd:
         window = (dt.date(2020, 3, 1), dt.date(2020, 3, 14))
         expected = ["region_id,date,area,indicator"]
         for rid in ["SY/%s %d", "SY/50% zone", "SY/a%%d"]:
-            s = circulation_indicator(table, rid, RadarConfig(), window)
+            s = circulation_indicator(table, [rid], RadarConfig(), window)
             expected += [
                 f"{rid},{date.isoformat()},{area:.15g},{ind:.15g}"
-                for date, area, ind in zip(s.dates, s.areas, s.indicators)
+                for date, area, ind in zip(s.dates, s.areas[0], s.indicators[0])
             ]
         assert (out / "circulation.csv").read_text().splitlines() == expected
 
@@ -702,6 +718,10 @@ BAD_GEOMETRY_DOCS = {
     "geometry array": [1],
     "features not a list": {"type": "FeatureCollection", "features": 5},
     "feature not an object": {"type": "FeatureCollection", "features": [5]},
+    "properties not an object": {"type": "FeatureCollection", "features": [{
+        "type": "Feature", "properties": ["cell1_1"],
+        "geometry": {"type": "Polygon", "coordinates": [[[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]]},
+    }]},
 }
 
 # contiguity options that weights refuses
@@ -937,6 +957,7 @@ def failing_run(kind, sy, tmp, monkeypatch):
         ("geometry array", 3),
         ("features not a list", 3),
         ("feature not an object", 3),
+        ("properties not an object", 3),
         ("unknown category", 3),
         ("negative seed", 3),
         ("negative config seed", 3),
@@ -1059,6 +1080,7 @@ FAILURE_MESSAGES = {
     "geometry array": "error: expected FeatureCollection, got 'list'",
     "features not a list": "error: features must be a list of feature objects",
     "feature not an object": "error: features must be a list of feature objects",
+    "properties not an object": "error: feature properties must be an object, got 'list'",
     "negative seed": "error: --seed (or config seed) must be a non-negative integer, got -1",
     "negative config seed": "error: --seed (or config seed) must be a non-negative integer, got -3",
     "bad seed env": "error: $ESDA_MOBILITY_SEED must be a non-negative integer, got 'abc'",

@@ -14,7 +14,7 @@ from mobility_esda.indicator import (
 )
 from mobility_esda.ingest import CATEGORIES
 
-from conftest import flat_values, make_table
+from conftest import flat_values, make_table, window_mask
 
 HEX_AREA_100 = 6 * 0.5 * 100 * 100 * math.sqrt(3) / 2
 
@@ -111,40 +111,46 @@ def one_region_table(value, days=5):
     return make_table(rows)
 
 
+FIVE_DAYS = (dt.date(2020, 3, 1), dt.date(2020, 3, 5))
+
+
+def national(table, config=RadarConfig(), window=FIVE_DAYS):
+    """The indicator of the one region SY/, a one-row panel."""
+    return circulation_indicator(table, ["SY/"], config, window)
+
+
 class TestCirculation:
     def test_baseline_gives_one(self):
-        series = circulation_indicator(one_region_table(0.0), "SY/")
+        series = national(one_region_table(0.0))
         assert np.allclose(series.indicators, 1.0)
         assert series.indicators.mean(axis=-1) == pytest.approx(1.0)
 
     def test_half_values_give_quarter(self):
-        series = circulation_indicator(one_region_table(-50.0), "SY/")
+        series = national(one_region_table(-50.0))
         assert np.allclose(series.indicators, 0.25)
         # hand-check one date through the area formula
-        assert series.areas[0] == pytest.approx(radar_area([50] * 6))
+        assert series.areas[0, 0] == pytest.approx(radar_area([50] * 6))
 
     def test_floor_gives_zero(self):
-        series = circulation_indicator(one_region_table(-100.0), "SY/")
+        series = national(one_region_table(-100.0))
         assert np.allclose(series.indicators, 0.0)
 
     def test_missing_cell_instructs_to_impute(self):
         rows = [("SY", "", "2020-03-01", {**flat_values(0), "parks": None})]
         with pytest.raises(DataError, match="impute"):
-            circulation_indicator(make_table(rows), "SY/")
+            national(make_table(rows), window=(dt.date(2020, 3, 1), dt.date(2020, 3, 1)))
 
     def test_incomplete_window_rejected(self):
-        import datetime as dt
-
         table = one_region_table(0.0, days=3)
         with pytest.raises(DataError, match="covers 3 of 5"):
-            circulation_indicator(table, "SY/", window=(dt.date(2020, 3, 1), dt.date(2020, 3, 5)))
+            national(table)
 
     def test_center_offset_invariance(self):
         # raw values shifted with C keep radii and hence the indicator
         cfg = RadarConfig(center=-150)
         shifted = one_region_table(-50.0)
-        series_default = circulation_indicator(one_region_table(0.0), "SY/")
-        series_shifted = circulation_indicator(shifted, "SY/", cfg)
+        series_default = national(one_region_table(0.0))
+        series_shifted = national(shifted, cfg)
         # radii 100 in both cases: (0 - (-100)) and (-50 - (-150))
         assert np.allclose(series_shifted.areas, series_default.areas)
 
@@ -167,40 +173,33 @@ def three_region_table(days=6, skip=()):
 
 class TestPanel:
     def test_panel_rows_equal_single_region_series(self):
+        # each row is the series of that region's own rows in the window
         table = three_region_table()
         window = (dt.date(2020, 3, 2), dt.date(2020, 3, 5))
-        panel = circulation_indicator(table, ["SY/c", "SY/a", "SY/b"], window=window)
+        panel = circulation_indicator(table, ["SY/c", "SY/a", "SY/b"], RadarConfig(), window)
         assert panel.region_ids == ["SY/c", "SY/a", "SY/b"]
         assert panel.areas.shape == panel.indicators.shape == (3, 4)
         assert panel.dates == [dt.date(2020, 3, d) for d in range(2, 6)]
         for k, rid in enumerate(panel.region_ids):
-            one = circulation_indicator(table, rid, window=window)
-            assert one.areas.shape == (4,) and one.window_means.shape == (6,)
-            assert panel.areas[k].tolist() == one.areas.tolist()
-            assert panel.indicators[k].tolist() == one.indicators.tolist()
-            rows = table.rows(rid, window)
-            means = [float(table.column(cat)[rows].mean()) for cat in CATEGORIES]
-            assert panel.window_means[k].tolist() == means == one.window_means.tolist()
+            values = table.values[window_mask(table, rid, window)]
+            areas = [radar_area(radar_radii(day)) for day in values]
+            assert panel.areas[k].tolist() == areas
+            assert panel.indicators[k].tolist() == [a / baseline_area() for a in areas]
+            assert panel.window_means[k].tolist() == [column.mean() for column in values.T]
         assert panel.indicators.mean(axis=-1) == pytest.approx(panel.areas.mean(axis=1) / baseline_area())
 
     def test_every_region_checked_before_any_area(self):
         table = three_region_table(skip=[("c", 2)])
+        window = (dt.date(2020, 3, 1), dt.date(2020, 3, 6))
         with pytest.raises(DataError, match="region 'SY/c' covers 5 of 6 days"):
-            circulation_indicator(table, ["SY/a", "SY/b", "SY/c"],
-                                  window=(dt.date(2020, 3, 1), dt.date(2020, 3, 6)))
+            circulation_indicator(table, ["SY/a", "SY/b", "SY/c"], RadarConfig(), window)
         with pytest.raises(DataError, match="no data for region 'SY/d'"):
-            circulation_indicator(table, ["SY/a", "SY/d"])
-
-    def test_without_window_regions_share_dates(self):
-        table = three_region_table(skip=[("b", 0), ("c", 5)])
-        assert circulation_indicator(table, ["SY/a", "SY/a"]).areas.shape == (2, 6)
-        for ids in (["SY/a", "SY/b"], ["SY/b", "SY/a"], ["SY/b", "SY/c"]):  # the last: same length
-            with pytest.raises(DataError, match="different dates"):
-                circulation_indicator(table, ids)
+            circulation_indicator(table, ["SY/a", "SY/d"], RadarConfig(), window)
 
     def test_first_missing_cell_reported(self):
         rows = [("SY", sub, "2020-03-01", flat_values(0)) for sub in "ab"]
         rows.append(("SY", "b", "2020-03-02", {**flat_values(0), "parks": None}))
         rows.append(("SY", "a", "2020-03-02", flat_values(0)))
         with pytest.raises(DataError, match=r"SY/b 2020-03-02: missing \['parks'\]"):
-            circulation_indicator(make_table(rows), ["SY/a", "SY/b"])
+            circulation_indicator(make_table(rows), ["SY/a", "SY/b"], RadarConfig(),
+                                  (dt.date(2020, 3, 1), dt.date(2020, 3, 2)))
