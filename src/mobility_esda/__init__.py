@@ -12,7 +12,7 @@ from .ingest import (  # noqa: F401
     subregion_ids,
     impute_missing,
 )
-from .timeseries import Decomposition, loess_smooth, stl_decompose  # noqa: F401
+from .timeseries import Decomposition, stl_decompose  # noqa: F401
 from .indicator import RadarConfig, CirculationSeries, radar_radii, radar_area, circulation_indicator  # noqa: F401
 from .geometry import RegionGeometry, load_geojson  # noqa: F401
 from .weights import (  # noqa: F401

@@ -46,6 +46,8 @@ EXIT_DATA = 3
 EXIT_ID_MISMATCH = 4
 
 REQUIRED = object()  # default of an option that the command line or config must give
+# options that name files; the text of every other option is read as UTF-8
+PATH_OPTIONS = ("config", "input", "geometry", "values", "out_dir")
 
 
 def atomic_write(path: Path, text: str) -> None:
@@ -90,6 +92,22 @@ def manifest(args, omit=(), issues=None, **resolved) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, default=dt.date.isoformat) + "\n"
 
 
+def _utf8(text: str) -> str:
+    """An argv value as the UTF-8 text its bytes hold, whatever the locale; a
+    byte that is not UTF-8 stays escaped, as argv decoding left it."""
+    return os.fsencode(text).decode("utf-8", "surrogateescape")
+
+
+def _decode_argv(args) -> None:
+    """Read every value of the process's command line that is not a path (a
+    region, a category, a title ...) as UTF-8, as the input files are."""
+    for dest, value in vars(args).items():
+        if isinstance(value, str) and dest not in PATH_OPTIONS:
+            setattr(args, dest, _utf8(value))
+        elif isinstance(value, list):
+            setattr(args, dest, [_utf8(item) for item in value])
+
+
 def _parse_date(s: str) -> dt.date:
     try:
         return dt.date.fromisoformat(s)
@@ -126,6 +144,8 @@ def _load_config_file(path: str) -> dict:
             config = json.loads(text)
     except ValueError as exc:
         raise ParameterError(f"config file {path}: {exc}") from None
+    except RecursionError:
+        raise ParameterError(f"config file {path}: nested too deeply") from None
     if not isinstance(config, dict):
         raise ParameterError(f"config file {path}: expected a table of option values")
     return config
@@ -137,6 +157,8 @@ def _read_json(path: str):
             return json.load(fh)
     except ValueError as exc:
         raise SchemaError(f"{path} is not JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError(f"{path}: JSON nested too deeply") from None
 
 
 def _resolve_seed(args) -> int:
@@ -523,15 +545,19 @@ def main(argv=None) -> int:
     parser, defaults = build_parser()
     try:
         args = parser.parse_args(sys.argv[1:] if argv is None else list(argv))
+        if argv is None:  # a caller's own list is text already
+            _decode_argv(args)
         config = _load_config_file(args.config) if args.config else {}
         resolve_options(args, defaults[args.command], config)
         files = COMMANDS[args.command](args)
         # nothing is written until every stage has succeeded; the manifest comes last
+        # a file's name is stored as its UTF-8 bytes, whatever the file-system encoding
         out_dir = Path(args.out_dir)
-        for folder in dict.fromkeys((out_dir / name).parent for name in files):
+        paths = {out_dir / os.fsdecode(name.encode("utf-8")): data for name, data in files.items()}
+        for folder in dict.fromkeys(path.parent for path in paths):
             folder.mkdir(parents=True, exist_ok=True)
-        for name, data in files.items():
-            atomic_write(out_dir / name, data)
+        for path, data in paths.items():
+            atomic_write(path, data)
         return EXIT_OK
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)

@@ -233,27 +233,21 @@ _DROPPED, _NO_COUNTRY = -2, -1
 
 @contextlib.contextmanager
 def _text_lines(source):
-    """``source`` (bytes, str, or a binary or text file) as an iterator of text lines.
+    """``source`` (bytes or a binary file) as a text stream of its lines.
 
-    Bytes are decoded as UTF-8 while they are read, and a byte-order mark is
-    dropped; line ends are left to the CSV reader. A file passed in stays open.
+    The bytes are decoded as UTF-8 while they are read, and a byte-order
+    mark is dropped; line ends are left to the CSV reader. A file passed in
+    stays open.
     """
-    wrapper = None
-    if isinstance(source, str):
-        stream = io.StringIO(source, newline="")
-    elif isinstance(source, io.TextIOBase):
-        stream = source
-    elif isinstance(source, (bytes, bytearray)) or hasattr(source, "read"):
-        binary = io.BytesIO(source) if isinstance(source, (bytes, bytearray)) else source
-        stream = wrapper = io.TextIOWrapper(binary, encoding="utf-8-sig", newline="")
-    else:
+    if isinstance(source, (bytes, bytearray)):
+        source = io.BytesIO(source)
+    elif not hasattr(source, "read"):
         raise TypeError(f"unsupported source type: {type(source)!r}")
+    stream = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
     try:
-        first = next(stream, "")
-        yield itertools.chain((first.removeprefix("\ufeff"),), stream)
+        yield stream
     finally:
-        if wrapper is not None:
-            wrapper.detach()  # closing the wrapper would close the caller's file
+        stream.detach()  # closing the wrapper would close the caller's file
 
 
 def _chunks(lines, start: int, width: int, keep: list[int]):
@@ -306,15 +300,13 @@ def _plain_cells(chunk: list[str], width: int) -> list[str] | None:
     """The chunk's cells, row after row, split on ``,`` if that reads the
     lines as ``csv.reader`` would; else None.
 
-    That holds for lines with ``width - 1`` commas each and no ``"``, lone
-    CR or LF but a line end (LF or CRLF; a stream's last line may have
-    none), as long as no cell can reach the CSV field size limit.
+    That holds for lines with ``width - 1`` commas each and no ``"`` or lone
+    CR, each ending in LF or CRLF (a stream's last line may have no end),
+    as long as no cell can reach the CSV field size limit.
     """
     text = "".join(chunk)
     if '"' in text or width < 2 or len(text) >= csv.field_size_limit():
         return None
-    if text.count("\n") != sum(map(str.endswith, chunk, itertools.repeat("\n"))):
-        return None  # an LF inside a line, which a text file split at CR can hold
     if set(map(str.count, chunk, itertools.repeat(","))) != {width - 1}:
         return None
     if "\r" in text:
@@ -451,9 +443,9 @@ def parse_cmr_csv(
 ) -> MobilityTable:
     """Parse a community-mobility CSV into a :class:`MobilityTable`.
 
-    ``source`` is bytes, str or an open file. It is read as a stream,
-    ``CHUNK_ROWS`` lines at a time (``_chunks`` splits a chunk into cells
-    one of two ways), and each chunk is converted a column at a time.
+    ``source`` is bytes or a file opened in binary mode. It is read as a
+    stream, ``CHUNK_ROWS`` lines at a time (``_chunks`` splits a chunk into
+    cells one of two ways), and each chunk is converted a column at a time.
     ``column_map`` maps logical names (keys of ``DEFAULT_COLUMNS``) to
     actual header names. Empty cells become NaN;
     non-finite cells and values below -100 are errors, reported with the

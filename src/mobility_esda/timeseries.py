@@ -35,15 +35,6 @@ class Decomposition:
     residual: np.ndarray
 
 
-def _check_window(window: int, degree: int, n: int) -> None:
-    if window % 2 == 0:
-        raise ParameterError(f"window must be odd, got {window}")
-    if window < degree + 1:
-        raise ParameterError(f"window {window} too small for degree {degree}")
-    if window > n:
-        raise ParameterError(f"window {window} exceeds series length {n}")
-
-
 def _loess_hat(xs, window, degree, eval_xs, rho=None) -> np.ndarray:
     """E x N hat matrix of a local weighted polynomial fit at each eval x.
 
@@ -76,20 +67,6 @@ def _loess_hat(xs, window, degree, eval_xs, rho=None) -> np.ndarray:
     H = np.zeros(d.shape)
     np.put_along_axis(H, idx, rows, axis=1)
     return H
-
-
-def loess_smooth(xs, ys, window: int, degree: int = 1) -> np.ndarray:
-    """LOESS-smooth ys over xs, evaluated at every x."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if len(xs) != len(ys):
-        raise ParameterError("xs and ys lengths differ")
-    if np.any(np.diff(xs) <= 0):
-        raise ParameterError("xs must be strictly increasing")
-    if degree not in (0, 1, 2):
-        raise ParameterError(f"degree must be 0, 1 or 2, got {degree}")
-    _check_window(window, degree, len(xs))
-    return _loess_hat(xs, window, degree, xs) @ ys
 
 
 def _odd_at_most(k: int, n: int) -> int:

@@ -103,20 +103,6 @@ class SpatialWeights:
         indptr = np.concatenate(([0], np.cumsum(counts)))
         return cls(list(ids), indptr, indices[order], data[order])
 
-    @classmethod
-    def from_neighbors(cls, ids: list[str], neighbors: dict[str, list[str]]) -> "SpatialWeights":
-        """Binary weights from an id -> neighbor-ids mapping."""
-        return cls.from_rows(ids, _positions(ids, [neighbors.get(rid, []) for rid in ids]))
-
-
-def _positions(ids: list[str], neighbor_ids: list[list[str]]) -> list[list[int]]:
-    """Each region's neighbor ids as positions in ``ids``; an id not there is a DataError."""
-    index = {rid: i for i, rid in enumerate(ids)}
-    try:
-        return [[index[m] for m in nbrs] for nbrs in neighbor_ids]
-    except KeyError as err:
-        raise DataError(f"neighbor {err.args[0]!r} is not a region id") from None
-
 
 def _snap(p: tuple[float, float], tol: float) -> tuple[int, int]:
     return (round(p[0] / tol), round(p[1] / tol))

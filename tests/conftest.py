@@ -228,19 +228,14 @@ def lisa_oracle(fields, W: SpatialWeights, permutations=999, seed=0, exhaustive=
     return list(p)
 
 
-def _oracle_text(source) -> str:
-    data = source.read() if hasattr(source, "read") else source
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8-sig")
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"input is not UTF-8 text: {exc}") from None
-    if not isinstance(data, str):
-        raise TypeError(f"unsupported source type: {type(source)!r}")
-    return data.removeprefix("\ufeff")
+def _oracle_text(data: bytes) -> str:
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"input is not UTF-8 text: {exc}") from None
 
 
-def parse_oracle(source, column_map=None, strict=True) -> MobilityTable:
+def parse_oracle(data: bytes, column_map=None, strict=True) -> MobilityTable:
     """Community-mobility CSV parsed row by row, the reference for
     ``parse_cmr_csv``: the whole input is decoded at once and each row's
     cells are checked one at a time. Lines end at LF, CRLF or a lone CR, as
@@ -252,7 +247,7 @@ def parse_oracle(source, column_map=None, strict=True) -> MobilityTable:
             raise SchemaError(f"unknown column-map keys: {sorted(unknown)}")
         columns.update(column_map)
 
-    reader = csv.reader(io.StringIO(_oracle_text(source), newline=""))
+    reader = csv.reader(io.StringIO(_oracle_text(data), newline=""))
     try:
         header = next(reader, None)
         if header is None:
@@ -321,8 +316,7 @@ def _oracle_row(cells: list[str], lineno: int) -> tuple[str, str, int, list[floa
 @pytest.fixture
 def pair_weights():
     """Two mutually adjacent regions, row-standardized."""
-    W = SpatialWeights.from_neighbors(["a", "b"], {"a": ["b"], "b": ["a"]})
-    return row_standardize(W)
+    return row_standardize(SpatialWeights.from_rows(["a", "b"], [[1], [0]]))
 
 
 @pytest.fixture
@@ -343,10 +337,7 @@ def queen_6x6_rs():
 @pytest.fixture
 def star_5():
     """Five regions, hub-and-spoke: s0 touches every leaf."""
-    W = SpatialWeights.from_neighbors(
-        ["s0", "s1", "s2", "s3", "s4"],
-        {"s0": ["s1", "s2", "s3", "s4"], "s1": ["s0"], "s2": ["s0"], "s3": ["s0"], "s4": ["s0"]},
-    )
+    W = SpatialWeights.from_rows(["s0", "s1", "s2", "s3", "s4"], [[1, 2, 3, 4], [0], [0], [0], [0]])
     return row_standardize(W)
 
 

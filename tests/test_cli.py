@@ -96,19 +96,30 @@ def test_run_does_not_import_numpy_ma(command, tmp_path):
 
 
 def test_outputs_are_utf8_whatever_the_locale(tmp_path):
-    """An accented sub-region is written in UTF-8 under the C locale too,
-    the same bytes as in UTF-8 mode."""
+    """An accented sub-region is written in UTF-8 under the C locale too, the
+    same bytes as in UTF-8 mode, file names included, and is found by name;
+    an accented title is drawn as given."""
     header = synthetic_country_csv(1, 1, 1).splitlines()[0]
     rows = [f"BR,São Paulo,2020-03-0{d},1,2,3,4,5,6" for d in (1, 2, 3)]
     (tmp_path / "br.csv").write_bytes(("\n".join([header, *rows]) + "\n").encode("utf-8"))
+    (tmp_path / "map.geojson").write_text(json.dumps(grid_geojson(1, 1)))
+    (tmp_path / "vals.csv").write_text("region_id,value\ncell0_0,1\n")
+    indicator = ["indicator", "--input", "br.csv", "--from", "2020-03-01", "--to", "2020-03-03"]
+    runs = {"ingest": ["ingest", "--input", "br.csv"],
+            "subnational": [*indicator, "--country", "BR", "--subnational"],
+            "region": [*indicator, "--region", "BR/São Paulo"],
+            "render": ["render", "--geometry", "map.geojson", "--values", "vals.csv", "--title", "São Paulo"]}
     modes = {"c": {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}, "utf8": {"PYTHONUTF8": "1"}}
     for name, mode in modes.items():
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), **mode}
-        run = subprocess.run([sys.executable, "-m", "mobility_esda.cli", "ingest", "--input", "br.csv",
-                              "--out-dir", name], cwd=tmp_path, env=env, capture_output=True, text=True)
-        assert run.returncode == 0, run.stderr
+        for run_name, argv in runs.items():
+            run = subprocess.run([sys.executable, "-m", "mobility_esda.cli", *argv, "--out-dir", f"{name}/{run_name}"],
+                                 cwd=tmp_path, env=env, capture_output=True, text=True)
+            assert run.returncode == 0, run.stderr
     assert hash_tree(tmp_path / "c") == hash_tree(tmp_path / "utf8")
-    assert "São Paulo".encode() in (tmp_path / "c" / "mobility-normalized.csv").read_bytes()
+    assert "São Paulo".encode() in (tmp_path / "c" / "ingest" / "mobility-normalized.csv").read_bytes()
+    for run_name in ("subnational", "region"):
+        assert "radar-BR_São Paulo.svg".encode() in os.listdir(os.fsencode(tmp_path / "c" / run_name))
 
 
 class TestIngestCmd:
@@ -774,6 +785,14 @@ def failing_run(kind, sy, tmp, monkeypatch):
     if kind == "geometry not json":
         (tmp / "bad.geojson").write_text("{")
         return ["weights", "--geometry", str(tmp / "bad.geojson")]
+    if kind == "geometry nested too deep":
+        (tmp / "deep.geojson").write_text("[" * 200000)
+        return ["weights", "--geometry", str(tmp / "deep.geojson")]
+    if kind in ("config nested too deep", "toml config nested too deep"):
+        path, text = (("run.json", "[" * 200000) if kind == "config nested too deep"
+                      else ("run.toml", "x = " + "[" * 200000))
+        (tmp / path).write_text(text)
+        return ["--config", str(tmp / path), "weights", "--geometry", geo_path]
     if kind in BAD_GEOMETRY_DOCS:
         (tmp / "bad.geojson").write_text(json.dumps(BAD_GEOMETRY_DOCS[kind]))
         return ["weights", "--geometry", str(tmp / "bad.geojson")]
@@ -930,6 +949,7 @@ def failing_run(kind, sy, tmp, monkeypatch):
         ("schema", 2),
         ("undecodable", 2),
         ("geometry not json", 2),
+        ("geometry nested too deep", 2),
         ("undecodable values", 2),
         ("values without value column", 2),
         ("values header without needed columns", 2),
@@ -996,6 +1016,8 @@ def failing_run(kind, sy, tmp, monkeypatch):
         ("no two regions touch", 3),
         ("missing config", 3),
         ("bad config", 3),
+        ("config nested too deep", 3),
+        ("toml config nested too deep", 3),
         ("required option", 3),
         ("id mismatch", 4),
     ],
@@ -1047,11 +1069,13 @@ def test_late_failure_writes_nothing(sy, tmp_path, monkeypatch):
      "radar name collision", "center nan", "center -inf", "alpha 1.5", "no categories",
      "config categories empty", "center -1e160", "overflowing categories",
      "moran overflowing categories", "huge coordinates", "overflowing spread",
+     "geometry nested too deep", "config nested too deep", "toml config nested too deep",
      *BAD_GEOMETRY_DOCS, *BAD_WEIGHTS_OPTIONS],
 )
 def test_failure_writes_nothing(kind, sy, tmp_path, monkeypatch):
     argv = failing_run(kind, sy, tmp_path, monkeypatch)
-    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == (2 if kind == "no categories" else 3)
+    code = 2 if kind in ("no categories", "geometry nested too deep") else 3
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == code
     assert not (tmp_path / "out").exists()
 
 
@@ -1111,6 +1135,9 @@ FAILURE_MESSAGES = {
     "config categories empty": "error: config categories: [] is not a valid --categories value",
     "config axis_order short": "error: config axis_order: ['parks'] is not a valid --axis-order value",
     "config flag string": "error: config row_standardize: 'no' is not a valid --row-standardize value",
+    "geometry nested too deep": "deep.geojson: JSON nested too deeply",
+    "config nested too deep": "run.json: nested too deeply",
+    "toml config nested too deep": "run.toml: nested too deeply",
 }
 
 

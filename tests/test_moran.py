@@ -71,7 +71,7 @@ class TestLag:
         from mobility_esda.weights import SpatialWeights, row_standardize
 
         W = row_standardize(
-            SpatialWeights.from_neighbors(["a", "b", "c"], {"a": ["b"], "b": ["a"], "c": []})
+            SpatialWeights.from_rows(["a", "b", "c"], [[1], [0], []])
         )
         assert spatial_lag(W, [1.0, -1.0, 5.0]).tolist() == [-1.0, 1.0, 0.0]
 
@@ -148,11 +148,7 @@ class TestScatter:
         from mobility_esda.weights import SpatialWeights, row_standardize
 
         ids = ["p0", "p1", "p2", "p3"]
-        W = row_standardize(
-            SpatialWeights.from_neighbors(
-                ids, {"p0": ["p1"], "p1": ["p0", "p2"], "p2": ["p1", "p3"], "p3": ["p2"]}
-            )
-        )
+        W = row_standardize(SpatialWeights.from_rows(ids, [[1], [0, 2], [1, 3], [2]]))
         x = np.array([1.0, 0.0, 0.0, 0.0])
         s = all_significant(ValueField(x), W)
         assert s.slope == pytest.approx(moran_oracle(x, W), rel=1e-12)
@@ -169,9 +165,7 @@ class TestLocal:
         from mobility_esda.weights import SpatialWeights, row_standardize
 
         W = row_standardize(
-            SpatialWeights.from_neighbors(
-                ["a", "b", "c"], {"a": ["b", "c"], "b": ["a", "c"], "c": ["a", "b"]}
-            )
+            SpatialWeights.from_rows(["a", "b", "c"], [[1, 2], [0, 2], [0, 1]])
         )
         f = ValueField([1.0, 2.0, 3.0])
         li = f.z * spatial_lag(W, f.z)
@@ -194,10 +188,7 @@ class TestLocal:
         from mobility_esda.weights import SpatialWeights, row_standardize
 
         W = row_standardize(
-            SpatialWeights.from_neighbors(
-                ["a", "b", "c", "isle"],
-                {"a": ["b", "c"], "b": ["a", "c"], "c": ["a", "b"], "isle": []},
-            )
+            SpatialWeights.from_rows(["a", "b", "c", "isle"], [[1, 2], [0, 2], [0, 1], []])
         )
         f = ValueField([3.0, -1.0, 2.0, -4.0])
         li = f.z * spatial_lag(W, f.z)
@@ -285,9 +276,7 @@ class TestLisaPermutation:
         from mobility_esda.weights import SpatialWeights, row_standardize
 
         W = row_standardize(
-            SpatialWeights.from_neighbors(
-                ["a", "b", "c"], {"a": ["b", "c"], "b": ["a", "c"], "c": ["a", "b"]}
-            )
+            SpatialWeights.from_rows(["a", "b", "c"], [[1, 2], [0, 2], [0, 1]])
         )
         f = ValueField([1.0, 2.0, 3.0])
         [p] = lisa_permutation([f], W, permutations=99, seed=0)
@@ -319,9 +308,7 @@ class TestLisaPermutation:
         from mobility_esda.weights import SpatialWeights, row_standardize
 
         W = row_standardize(
-            SpatialWeights.from_neighbors(
-                ["a", "b", "isle"], {"a": ["b"], "b": ["a"], "isle": []}
-            )
+            SpatialWeights.from_rows(["a", "b", "isle"], [[1], [0], []])
         )
         f = ValueField([1.0, -1.0, 0.0])
         [p] = lisa_permutation([f], W, permutations=99, seed=0)
@@ -353,10 +340,8 @@ def _island_weights():
     from mobility_esda.weights import SpatialWeights
 
     return row_standardize(
-        SpatialWeights.from_neighbors(
-            list("abcdef"),
-            {"a": ["b", "c"], "b": ["a", "d"], "c": ["a", "d", "e"],
-             "d": ["b", "c", "e"], "e": ["c", "d"], "f": []},
+        SpatialWeights.from_rows(
+            list("abcdef"), [[1, 2], [0, 3], [0, 3, 4], [1, 2, 4], [2, 3], []]
         )
     )
 
@@ -491,7 +476,7 @@ class TestLisaOracle:
 class TestDegenerateInputs:
     @staticmethod
     def all_islands():
-        return SpatialWeights.from_neighbors(list("abc"), {})
+        return SpatialWeights.from_rows(list("abc"), [[], [], []])
 
     def test_global_without_links_refused(self):
         f = ValueField([1.0, 2.0, 4.0])
@@ -536,10 +521,7 @@ class TestClassify:
         from mobility_esda.weights import SpatialWeights, row_standardize
 
         W = row_standardize(
-            SpatialWeights.from_neighbors(
-                ["a", "b", "c", "d"],
-                {"a": ["b"], "b": ["a"], "c": ["d"], "d": ["c"]},
-            )
+            SpatialWeights.from_rows(["a", "b", "c", "d"], [[1], [0], [3], [2]])
         )
         f = ValueField([5.0, 4.0, -5.0, -4.0])
         res = lisa_classify(f, W, np.full(4, 0.004))
