@@ -26,6 +26,7 @@ from .weights import SpatialWeights
 
 SIGNIFICANCE_TIERS = (0.05, 0.01, 0.001)
 LISA_BLOCK = 8192  # elements of one block's regions x draws x degree arrays
+PAIR_BLOCK = 1 << 16  # bytes of one block's relabelings x linked pairs index array
 EPS = 1e-12  # a simulation within EPS of the observation counts as at least as extreme
 
 
@@ -66,21 +67,51 @@ def expected_i(n: int) -> float:
     return -1.0 / (n - 1)
 
 
-def _moran_sims(z: np.ndarray, perms: np.ndarray, W: SpatialWeights) -> np.ndarray:
-    """The global index of ``z[perm]`` for every row of the R x n ``perms``.
-
-    A relabeling leaves ``z @ z`` unchanged, so the denominator is shared.
-    The numerator gathers both ends of every stored weight; relabelings
-    go in blocks of R*n // nnz so each gather is no larger than the
-    R x n ``z[perms]`` itself.
+def _linked_pairs(W: SpatialWeights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each unordered linked pair i <= j once, as indices ``i``, ``j`` and
+    weight w_ij + w_ji (w_ii for a link of a region to itself), so that
+    sum_ij w_ij z_i z_j = sum over pairs of weight * z_i * z_j. Every stored
+    link has its mirror (``SpatialWeights`` refuses others), and sorting the
+    links above the diagonal by (i, j) and those below by (j, i) aligns them.
     """
-    rows = W.rows
-    block = max(1, perms.size // max(1, len(W.indices)))
-    num = np.empty(len(perms))
+    rows, cols, n = W.rows, W.indices, W.n
+    upper = np.flatnonzero(rows < cols)
+    upper = upper[np.argsort(rows[upper] * n + cols[upper], kind="stable")]
+    lower = np.flatnonzero(rows > cols)
+    lower = lower[np.argsort(cols[lower] * n + rows[lower], kind="stable")]
+    loops = np.flatnonzero(rows == cols)
+    return (
+        np.concatenate((rows[upper], rows[loops])),
+        np.concatenate((cols[upper], cols[loops])),
+        np.concatenate((W.data[upper] + W.data[lower], W.data[loops])),
+    )
+
+
+def _moran_sims(Z: np.ndarray, perms: np.ndarray, W: SpatialWeights) -> np.ndarray:
+    """The global index of ``z[perm]`` for every row z of the F x n ``Z``
+    (each centered) and every row of the R x n ``perms``: F x R.
+
+    The numerator sums each linked pair once (``_linked_pairs``) with
+    elementwise products and a numpy row sum per relabeling, so a value
+    does not depend on the block it falls in, the BLAS kernel or numpy's
+    SIMD dispatch. A relabeling leaves ``(z * z).sum()`` unchanged, so the
+    denominator is shared. Relabelings go in blocks of about
+    ``PAIR_BLOCK`` bytes of pair indices, which every field uses.
+    """
+    i, j, w = _linked_pairs(W)
+    block = max(1, PAIR_BLOCK // (perms.itemsize * max(1, len(w))))
+    num = np.empty((len(Z), len(perms)))
     for start in range(0, len(perms), block):
-        zp = z[perms[start : start + block]]
-        num[start : start + block] = (zp[:, rows] * zp[:, W.indices]) @ W.data
-    return len(z) / W.s0 * num / (z @ z)
+        b = slice(start, start + block)
+        # take, not perms[b][:, i], whose rows are not contiguous: each row sums in the same order
+        pi, pj = perms[b].take(i, axis=1), perms[b].take(j, axis=1)
+        for f, z in enumerate(Z):
+            terms = z[pi]
+            terms *= z[pj]
+            terms *= w
+            num[f, b] = terms.sum(axis=1)
+    den = np.array([(z * z).sum() for z in Z])
+    return Z.shape[1] / W.s0 * num / den[:, None]
 
 
 def moran_global(field: ValueField, W: SpatialWeights) -> float:
@@ -88,7 +119,7 @@ def moran_global(field: ValueField, W: SpatialWeights) -> float:
     if W.s0 == 0:
         raise DataError("the weights link no two regions; the global Moran index is undefined")
     z = field.x - field.mean
-    return float(_moran_sims(z, np.arange(W.n)[None, :], W)[0])
+    return float(_moran_sims(z[None], np.arange(W.n)[None], W)[0, 0])
 
 
 @dataclass
@@ -144,24 +175,22 @@ def moran_permutation(
     else:
         if permutations < 1:
             raise ParameterError(f"permutations must be >= 1, got {permutations}")
-        rng = np.random.default_rng(seed)
-        # row by row the same relabelings as one rng.permutation(n) call each
-        perms = rng.permuted(np.tile(np.arange(n), (permutations, 1)), axis=1)
-    results = []
-    for field in fields:
-        observed = moran_global(field, W)
-        sims = _moran_sims(field.x - field.mean, perms, W)
-        results.append(
-            MoranGlobalResult(
-                I=observed,
-                expected=expected_i(n),
-                permutations=len(sims),
-                sim_mean=float(sims.mean()),
-                sim_sd=float(sims.std()),
-                pseudo_p=_pseudo_p(observed, sims, expected_i(n)),
-            )
+        perms = np.tile(np.arange(n), (permutations, 1))
+        # in place, row by row the same relabelings as one rng.permutation(n) call each
+        np.random.default_rng(seed).permuted(perms, axis=1, out=perms)
+    observed = [moran_global(field, W) for field in fields]
+    Z = np.array([field.x - field.mean for field in fields]).reshape(len(fields), n)
+    return [
+        MoranGlobalResult(
+            I=I,
+            expected=expected_i(n),
+            permutations=len(sims),
+            sim_mean=float(sims.mean()),
+            sim_sd=float(sims.std()),
+            pseudo_p=_pseudo_p(I, sims, expected_i(n)),
         )
-    return results
+        for I, sims in zip(observed, _moran_sims(Z, perms, W) if fields else [])
+    ]
 
 
 def _quadrant(zi: float, lagi: float) -> str:

@@ -7,17 +7,19 @@ the seasonal component, then re-estimate the trend on the deseasonalized
 series. The residual is defined as input - trend - seasonal, so the
 additive identity holds exactly.
 
-Every LOESS fit is a hat matrix H with ``fit = H @ ys`` (the smoother
-matrix of Hastie & Tibshirani, *Generalized Additive Models*, 1990).
-Without robustness weights every step of the loop is linear in the
-series, so the whole decomposition is a pair of n x n operators built
-once per (length, period, seasonal window) and then applied to each
-series by matrix-vector products (Cleveland et al. 1990).
+Every LOESS fit is a band: each fitted value is a weighted sum of its
+``window`` nearest observations, the nonzeros of one row of the smoother
+matrix of Hastie & Tibshirani (*Generalized Additive Models*, 1990). For
+a local line the weights are explicit in the weighted sums of the
+positions. Without robustness weights the bands are the same for every
+series, so the loop (Cleveland et al. 1990) runs once on a (days, series)
+panel, a block of series at a time. The bands are applied by elementwise
+products summed one offset after another, so each value is rounded the
+same way whatever the block, the BLAS kernel or numpy's SIMD dispatch.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +28,8 @@ from .errors import DataError, ParameterError
 
 
 INNER_ITERS = 2  # passes of the inner loop per fit
+STL_BLOCK = 1 << 17  # bytes of one (days, series) block of the panel
+MIN_DET_RATIO = 2.0**-20  # below this det / (S0 * S2), a local line has lost 20 of 53 bits and goes to pinv
 
 
 @dataclass
@@ -35,38 +39,77 @@ class Decomposition:
     residual: np.ndarray
 
 
-def _loess_hat(xs, window, degree, eval_xs, rho=None) -> np.ndarray:
-    """E x N hat matrix of a local weighted polynomial fit at each eval x.
+def _loess_hat(xs, window, degree, eval_xs, rho=None) -> tuple[np.ndarray, np.ndarray]:
+    """Band of a local weighted polynomial fit at each eval x: E x window
+    column indices ``idx`` and weights ``w``, the fit at eval x e being
+    sum_k w[e, k] * ys[idx[e, k]].
 
-    Each row fits the `window` nearest data points (stable order on
-    ties) with tricube weights w(u) = (1 - |u|^3)^3, u = distance / max
-    distance in window, times the robustness weights ``rho`` if given.
-    The pseudo-inverse keeps the minimum-norm least-squares fit when
-    zero weights leave fewer points than coefficients.
+    Each row fits the `window` nearest of the increasing data points
+    ``xs`` (the lower index first on ties) with tricube weights
+    w(u) = (1 - |u|^3)^3, u = distance / max distance in window, times
+    the robustness weights ``rho`` if given. With the sums S0 = sum(w),
+    S1 = sum(w t) and S2 = sum(w t^2) over the positions t relative to
+    the eval x, point j gets w_j / S0 for degree 0 and
+    w_j (S2 - S1 t_j) / (S0 S2 - S1^2) for degree 1. Rows where the
+    sums leave the fit singular (fewer than degree + 1 weighted points,
+    or S0 S2 - S1^2 so small against S0 S2 that the subtraction cancels
+    more than 20 of its 53 bits) and every row of a higher degree take
+    the pseudo-inverse, which keeps the minimum-norm least-squares fit.
     """
     xs = np.asarray(xs, dtype=float)
     eval_xs = np.asarray(eval_xs, dtype=float)
-    d = np.abs(eval_xs[:, None] - xs[None, :])
-    idx = np.argsort(d, axis=1, kind="stable")[:, :window]
-    dw = np.take_along_axis(d, idx, axis=1)
+    # xs increase, so the window nearest points lie within window places of
+    # where the eval x would be inserted: only those 2 * window are ranked
+    span = min(2 * window, len(xs))
+    lo = np.clip(np.searchsorted(xs, eval_xs) - window, 0, len(xs) - span)
+    near = lo[:, None] + np.arange(span)
+    d = np.abs(eval_xs[:, None] - xs[near])
+    order = np.argsort(d, axis=1, kind="stable")[:, :window]
+    idx = np.take_along_axis(near, order, axis=1)
+    dw = np.take_along_axis(d, order, axis=1)
     h = dw.max(axis=1)
     exact = h == 0
     u = dw / np.where(exact, 1.0, h)[:, None]
-    w = np.clip(1 - u**3, 0, None) ** 3
+    v = np.clip(1 - u * u * u, 0, None)
+    w = v * v * v
     if rho is not None:
         w = w * rho[idx]
-    # centered design matrix keeps the fit well conditioned
+    # centered positions keep the fit well conditioned
     t = xs[idx] - eval_xs[:, None]
-    A = t[:, :, None] ** np.arange(degree + 1)
-    sw = np.sqrt(w)
-    # same singular-value cutoff as np.linalg.lstsq(..., rcond=None)
-    rcond = max(window, degree + 1) * np.finfo(float).eps
-    rows = np.linalg.pinv(A * sw[:, :, None], rcond=rcond)[:, 0, :] * sw
-    rows[exact] = 0.0
-    rows[exact, 0] = 1.0
-    H = np.zeros(d.shape)
-    np.put_along_axis(H, idx, rows, axis=1)
-    return H
+    s0 = w.sum(axis=1)
+    singular = np.count_nonzero(w, axis=1) < degree + 1
+    if degree == 0:
+        hat = w / np.where(singular, 1.0, s0)[:, None]
+    elif degree == 1:
+        wt = w * t
+        s1 = wt.sum(axis=1)
+        s2 = (wt * t).sum(axis=1)
+        det = s0 * s2 - s1 * s1
+        singular |= det <= MIN_DET_RATIO * s0 * s2
+        hat = (w * s2[:, None] - wt * s1[:, None]) / np.where(singular, 1.0, det)[:, None]
+    else:
+        singular[:] = True
+        hat = np.empty_like(w)
+    singular &= ~exact
+    if singular.any():
+        A = t[singular, :, None] ** np.arange(degree + 1)
+        sw = np.sqrt(w[singular])
+        # same singular-value cutoff as np.linalg.lstsq(..., rcond=None)
+        rcond = max(window, degree + 1) * np.finfo(float).eps
+        hat[singular] = np.linalg.pinv(A * sw[:, :, None], rcond=rcond)[:, 0, :] * sw
+    hat[exact] = 0.0
+    hat[exact, 0] = 1.0
+    return idx, hat
+
+
+def _smooth(band, y: np.ndarray) -> np.ndarray:
+    """The fits of ``band`` = (idx, w) on each column of ``y``, whose rows
+    are the band's data points: sum_k w[:, k] * y[idx[:, k]], k in order."""
+    idx, w = band
+    out = w[:, 0, None] * y[idx[:, 0]]
+    for k in range(1, idx.shape[1]):
+        out += w[:, k, None] * y[idx[:, k]]
+    return out
 
 
 def _odd_at_most(k: int, n: int) -> int:
@@ -80,65 +123,62 @@ def _moving_average(values: np.ndarray, length: int) -> np.ndarray:
     return sum(values[j : j + m] for j in range(length)) / length
 
 
-def _stl_pass(y, trend, period, seasonal_window, rho=None):
-    """Inner STL loop on the columns of ``y`` (shape (n, ...)), from ``trend``.
+def _stl_bands(n, period, seasonal_window, rho=None):
+    """The bands of the inner STL loop over n days: (cycle, lowpass, trend).
 
-    Returns (trend, seasonal) of the same shape as ``y``. ``rho`` are the
-    robustness weights of the n points, or None for none.
+    ``cycle`` fits each cycle-subseries, extended one period on each end so
+    the low-pass moving averages return length n; its row k + period * j
+    is subseries k at position j - 1 and indexes days. ``rho`` are the
+    robustness weights of the n days, or None for none.
     """
-    n = len(y)
-    grid = np.arange(n, dtype=float)
-    # cycle-subseries fits, extended one period on each end so the
-    # low-pass moving averages return length n
     subseries = []
     for k in range(period):
-        sub_idx = np.arange(k, n, period)
-        m = len(sub_idx)
+        days = np.arange(k, n, period)
+        m = len(days)
         win = _odd_at_most(seasonal_window, m)
-        sub_rho = None if rho is None else rho[sub_idx]
-        H = _loess_hat(np.arange(m), win, 1 if win >= 2 else 0, np.arange(-1, m + 1), sub_rho)
-        subseries.append((sub_idx, H))
+        sub_rho = None if rho is None else rho[days]
+        idx, w = _loess_hat(np.arange(m), win, 1 if win >= 2 else 0, np.arange(-1, m + 1), sub_rho)
+        subseries.append((days[idx], w))
+    # subseries one day shorter may have a narrower window: pad with zero weights
+    width = max(w.shape[1] for _, w in subseries)
+    cycle_idx = np.zeros((n + 2 * period, width), dtype=np.intp)
+    cycle_w = np.zeros((n + 2 * period, width))
+    for k, (idx, w) in enumerate(subseries):
+        cycle_idx[k::period, : w.shape[1]] = idx
+        cycle_w[k::period, : w.shape[1]] = w
+    grid = np.arange(n, dtype=float)
     lowpass_window = period if period % 2 == 1 else period + 1
     lowpass = _loess_hat(grid, _odd_at_most(lowpass_window, n), 1, grid)
     # the smallest odd integer >= 1.5 * period / (1 - 1.5 / seasonal_window),
     # at most n; period >= 2, seasonal_window >= 3 and n >= 2 * period keep it >= 3
     trend_window = int(np.ceil(1.5 * period / (1 - 1.5 / seasonal_window)))
-    trend_hat = _loess_hat(grid, _odd_at_most(trend_window | 1, n), 1, grid, rho)
+    trend = _loess_hat(grid, _odd_at_most(trend_window | 1, n), 1, grid, rho)
+    return (cycle_idx, cycle_w), lowpass, trend
 
-    seasonal = np.zeros_like(y)
-    C = np.empty((n + 2 * period,) + y.shape[1:])
+
+def _stl_pass(y, trend, period, bands):
+    """Inner STL loop on the columns of the (n, B) ``y``, from ``trend``,
+    with the ``bands`` of ``_stl_bands``. Returns (trend, seasonal), (n, B) each."""
+    cycle, lowpass, trend_band = bands
+    n = len(y)
     for _inner in range(INNER_ITERS):
-        detrended = y - trend
-        for k, (sub_idx, H) in enumerate(subseries):
-            C[k::period] = H @ detrended[sub_idx]
+        C = _smooth(cycle, y - trend)
         L = _moving_average(C, period)
         L = _moving_average(L, period)
         L = _moving_average(L, 3)
-        seasonal = C[period : period + n] - lowpass @ L
-        trend = trend_hat @ (y - seasonal)
+        seasonal = C[period : period + n] - _smooth(lowpass, L)
+        trend = _smooth(trend_band, y - seasonal)
     return trend, seasonal
-
-
-@functools.lru_cache(maxsize=8)
-def _stl_operators(n, period, seasonal_window):
-    """Read-only n x n operators (T, S): trend = T @ y, seasonal = S @ y."""
-    T, S = _stl_pass(np.eye(n), np.zeros((n, n)), period, seasonal_window)
-    T.flags.writeable = False
-    S.flags.writeable = False
-    return T, S
 
 
 def stl_decompose(values, period: int = 7, seasonal_window: int = 7, outer_iters: int = 0) -> Decomposition:
     """Additive season-trend decomposition of each daily series in ``values``.
 
     ``values`` is one series of n days or an array (..., n) of them, such
-    as a (regions, days) panel; the components have its shape. Without
-    robustness iterations the decomposition is linear in the series: a
-    pair of n x n operators (trend, seasonal) is built once per (n, period,
-    seasonal_window), cached, and applied to each series by matrix-vector
-    products. The operator is assembled in a different order of arithmetic
-    than a point-by-point fit, so results can differ from earlier versions
-    around the 15th significant digit.
+    as a (regions, days) panel; the components have its shape. The LOESS
+    bands are built once per call and the loop runs on blocks of about
+    ``STL_BLOCK`` bytes of series; each series gets the same values bit
+    for bit as when decomposed alone.
 
     ``outer_iters`` adds robustness iterations that down-weight points
     with large residuals (bisquare weights); each one refits a series
@@ -158,20 +198,26 @@ def stl_decompose(values, period: int = 7, seasonal_window: int = 7, outer_iters
     if seasonal_window < 3:
         raise ParameterError(f"seasonal_window must be >= 3, got {seasonal_window}")
 
-    T, S = _stl_operators(n, period, seasonal_window)
     rows = y.reshape(-1, n)
     trend = np.empty(rows.shape)
     seasonal = np.empty(rows.shape)
+    bands = _stl_bands(n, period, seasonal_window)
+    block = max(1, STL_BLOCK // (8 * n))
+    for start in range(0, len(rows), block):
+        b = slice(start, start + block)
+        t, s = _stl_pass(np.ascontiguousarray(rows[b].T), 0.0, period, bands)
+        trend[b], seasonal[b] = t.T, s.T
     for row, t, s in zip(rows, trend, seasonal):
-        t[:], s[:] = T @ row, S @ row
         for _outer in range(outer_iters):
-            resid = row - t - s
+            resid = np.abs(row - t - s)
             # np.median's own arithmetic, without its check that imports numpy.ma
-            r = np.sort(np.abs(resid))
+            r = np.sort(resid)
             mad = r[(n - 1) // 2 : n // 2 + 1].mean()
-            h = 6 * mad if mad > 0 else 1.0
-            rho = np.clip(1 - (np.abs(resid) / h) ** 2, 0, None) ** 2
-            t[:], s[:] = _stl_pass(row, t, period, seasonal_window, rho)
+            q = resid / (6 * mad if mad > 0 else 1.0)
+            v = np.clip(1 - q * q, 0, None)
+            bands = _stl_bands(n, period, seasonal_window, rho=v * v)
+            fit_t, fit_s = _stl_pass(row[:, None], t[:, None], period, bands)
+            t[:], s[:] = fit_t[:, 0], fit_s[:, 0]
     trend = trend.reshape(y.shape)
     seasonal = seasonal.reshape(y.shape)
     return Decomposition(trend=trend, seasonal=seasonal, residual=y - trend - seasonal)

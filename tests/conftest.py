@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import importlib.util
 import io
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,6 +334,16 @@ def rook_2x2_rs(rook_2x2):
 @pytest.fixture
 def queen_6x6_rs():
     return row_standardize(queen_adjacency(grid_geometries(6, 6)))
+
+
+@pytest.fixture(scope="session")
+def gen():
+    """The benchmark's input generator ``perfbench/gen.py``, whose seeded
+    grids CI's pinned commands run on."""
+    spec = importlib.util.spec_from_file_location("gen", Path(__file__).parents[1] / "perfbench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

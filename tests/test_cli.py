@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -120,6 +121,64 @@ def test_outputs_are_utf8_whatever_the_locale(tmp_path):
     assert "São Paulo".encode() in (tmp_path / "c" / "ingest" / "mobility-normalized.csv").read_bytes()
     for run_name in ("subnational", "region"):
         assert "radar-BR_São Paulo.svg".encode() in os.listdir(os.fsencode(tmp_path / "c" / run_name))
+
+
+# CI's pinned 3x3 seed-1 commands, on the inputs of perfbench/gen.py
+PINNED_RUNS = {
+    "moran": ["moran", "--input", "mobility.csv", "--geometry", "regions.geojson", "--country", "SY",
+              "--permutations", "99", "--seed", "1"],
+    "indicator": ["indicator", "--input", "mobility.csv", "--country", "SY", "--subnational", "--deseasonalize"],
+    "robust": ["indicator", "--input", "mobility.csv", "--country", "SY", "--subnational", "--deseasonalize",
+               "--robust", "--trend-only"],
+}
+
+# numpy's AVX-512 paths off, as on a CPU without them
+AVX512_OFF = {"NPY_DISABLE_CPU_FEATURES": "X86_V4,AVX512_ICL,AVX512_SPR"}
+
+
+def kernel_environments() -> dict[str, dict[str, str]]:
+    """Environments in which numpy runs other BLAS kernels or SIMD paths than
+    this CPU's defaults; each kernel is one this CPU can run."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return {}
+    try:
+        with open("/proc/cpuinfo") as fh:
+            flags = {f for line in fh if line.startswith("flags") for f in line.split(":", 1)[1].split()}
+    except OSError:
+        flags = set()
+    envs = {"Prescott": {"OPENBLAS_CORETYPE": "Prescott"}}  # every x86-64 CPU runs it
+    if "avx2" in flags:
+        envs["Haswell"] = {"OPENBLAS_CORETYPE": "Haswell"}
+    if "avx512f" in flags:
+        envs["SkylakeX"] = {"OPENBLAS_CORETYPE": "SkylakeX"}
+    # a numpy that refuses to turn its AVX-512 paths off is not asked to
+    probe = subprocess.run([sys.executable, "-W", "error", "-c", "import numpy"],
+                           env={**os.environ, **AVX512_OFF}, capture_output=True)
+    if probe.returncode == 0:
+        envs["avx512-off"] = AVX512_OFF
+    return envs
+
+
+def test_pinned_outputs_do_not_depend_on_blas_kernel_or_simd(gen, tmp_path):
+    """CI's pinned runs write the same bytes whichever OpenBLAS kernel or
+    numpy SIMD targets compute them, so the pins do not hang on the CPU."""
+    envs = kernel_environments()
+    if not envs:
+        pytest.skip("OpenBLAS kernels are chosen here only on x86-64")
+    gen.write_inputs(tmp_path, 3, 3, 92, seed=1)
+    code = ("import json, sys; from mobility_esda.cli import main; "
+            "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
+    for name, extra in {"default": {}, **envs}.items():
+        runs = [[*argv, "--out-dir", f"{name}/{run}"] for run, argv in PINNED_RUNS.items()]
+        env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_CORETYPE", *AVX512_OFF)}
+        env.update(PYTHONPATH=str(Path(cli.__file__).parents[1]), **extra)
+        run = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                             cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert run.returncode == 0, (name, run.stderr)
+    default = hash_tree(tmp_path / "default")
+    assert len(default) > 20
+    for name in envs:
+        assert hash_tree(tmp_path / name) == default, name
 
 
 class TestIngestCmd:

@@ -18,6 +18,7 @@ from mobility_esda.moran import (
     spatial_lag,
 )
 from mobility_esda import moran
+from mobility_esda.geometry import load_geojson
 from mobility_esda.weights import SpatialWeights, queen_adjacency, rook_adjacency, row_standardize
 
 from conftest import (
@@ -222,22 +223,34 @@ class TestGlobalPermutation:
     def test_expected_value(self):
         assert expected_i(4) == pytest.approx(-1 / 3)
 
-    def test_batched_sims_match_oracle(self, queen_6x6_rs):
+    def test_batched_sims_match_oracle(self, queen_6x6_rs, monkeypatch):
         W = queen_6x6_rs
         rng = np.random.default_rng(11)
-        x = rng.normal(0, 1, 36)
+        X = rng.normal(0, 1, (3, 36))
         perms = np.array([rng.permutation(36) for _ in range(50)])
-        sims = _moran_sims(x - x.mean(), perms, W)
-        expected = [moran_oracle(x[perm], W) for perm in perms]
-        assert np.allclose(sims, expected, rtol=0, atol=1e-12)
+        sims = _moran_sims(X - X.mean(axis=1, keepdims=True), perms, W)
+        assert sims.shape == (3, 50)
+        for x, row in zip(X, sims):
+            expected = [moran_oracle(x[perm], W) for perm in perms]
+            assert np.allclose(row, expected, rtol=0, atol=1e-12)
+        # blocks of 1 and of 7 relabelings (the last one short) sum each one alike
+        for block_bytes in (8, 8 * 7 * 110):
+            monkeypatch.setattr(moran, "PAIR_BLOCK", block_bytes)
+            assert np.array_equal(_moran_sims(X - X.mean(axis=1, keepdims=True), perms, W), sims)
+
+    def test_self_link_counted_once(self):
+        # a region linked to itself adds w_ii z_i**2, as in the double sum
+        W = SpatialWeights.from_rows(["a", "b", "c"], [[0, 1], [0, 2], [1]], [[2.0, 1.0], [1.0, 3.0], [0.5]])
+        x = np.array([1.0, -2.0, 4.0])
+        assert moran_global(ValueField(x), W) == pytest.approx(moran_oracle(x, W), abs=1e-12)
 
     @pytest.mark.parametrize("n, R, seed", [(2, 1, 0), (9, 7, 3), (27, 999, 42), (400, 99, 1)])
     def test_relabelings_equal_one_permutation_call_each(self, n, R, seed, monkeypatch):
         seen = []
 
-        def record(z, perms, W):
+        def record(Z, perms, W):
             seen.append(perms)
-            return _moran_sims(z, perms, W)
+            return _moran_sims(Z, perms, W)
 
         monkeypatch.setattr(moran, "_moran_sims", record)
         W = SpatialWeights.from_rows(
@@ -564,3 +577,91 @@ class TestAffineInvariance:
         r1 = lisa_classify(f1, W, p1)
         r2 = lisa_classify(f2, W, p2)
         assert r2.labels == [swap[lbl] for lbl in r1.labels]
+
+
+# (rows, cols, seed) -> the global test's (M + 1) of R = 99 for the six
+# window-mean fields of a perfbench/gen.py grid and then for the same fields
+# relabeled, and each region's LISA (M + 1) for the six fields, category by
+# category. Computed before the global test and STL summed without BLAS.
+PINNED_COUNTS = {
+    (3, 3, 1): (
+        "1 1 1 1 1 1 19 21 21 18 19 19",
+        [
+            "5 21 26 6 100 2 40 18 6",
+            "4 19 25 6 100 3 41 18 6",
+            "5 17 29 6 100 2 41 21 6",
+            "4 17 31 6 100 3 37 15 6",
+            "5 25 23 4 100 2 30 20 6",
+            "5 17 23 6 100 2 34 23 6",
+        ],
+    ),
+    (3, 3, 2): (
+        "1 1 1 1 1 1 12 13 12 12 15 11",
+        [
+            "6 20 34 3 100 3 44 18 3",
+            "6 17 37 3 100 3 44 18 3",
+            "6 17 39 3 100 3 42 20 3",
+            "9 22 33 3 100 1 42 21 3",
+            "9 17 36 3 100 1 40 25 3",
+            "9 19 34 1 100 1 36 25 4",
+        ],
+    ),
+    (3, 3, 3): (
+        "1 1 1 1 1 1 12 10 13 13 13 13",
+        [
+            "6 29 32 1 100 2 26 17 8",
+            "6 23 34 5 100 2 26 17 4",
+            "5 25 35 1 100 3 30 12 8",
+            "5 29 37 1 100 3 31 15 8",
+            "5 25 36 1 100 3 28 17 8",
+            "5 23 36 5 100 3 30 12 4",
+        ],
+    ),
+    (3, 9, 1): (
+        "1 1 1 1 1 1 49 51 51 54 54 51",
+        [
+            "1 1 1 7 18 54 18 7 9 1 1 1 23 53 17 1 1 1 6 5 19 44 21 6 2 1 1",
+            "1 1 1 9 17 50 21 6 10 1 1 1 25 56 16 1 1 1 6 5 18 45 25 7 3 1 1",
+            "1 1 1 9 18 54 18 6 10 1 1 1 26 56 18 1 1 1 8 5 17 46 24 7 3 1 1",
+            "1 1 1 7 17 53 21 6 9 1 1 1 20 56 17 1 1 1 8 5 18 48 21 7 3 1 1",
+            "1 1 1 9 17 53 20 7 9 1 1 1 24 54 16 1 1 1 8 5 17 45 24 6 2 1 1",
+            "1 1 1 7 16 51 19 7 10 1 1 1 19 41 17 1 1 1 7 5 18 43 23 6 2 1 1",
+        ],
+    ),
+    (3, 9, 2): (
+        "1 1 1 1 1 1 41 41 45 41 43 43",
+        [
+            "1 1 2 12 29 44 20 4 5 1 1 1 15 51 14 2 1 1 10 5 22 46 23 4 3 1 1",
+            "1 1 3 11 29 49 20 5 4 1 1 1 14 46 17 2 1 1 10 5 25 43 26 4 3 1 1",
+            "1 1 2 7 28 46 23 5 6 1 1 1 14 45 16 2 1 1 10 5 25 45 24 4 3 1 1",
+            "1 1 3 13 29 48 21 6 6 1 1 1 14 52 15 2 1 1 10 5 21 48 25 4 3 1 1",
+            "1 1 2 6 28 47 22 6 6 1 1 1 13 48 15 2 1 1 10 5 24 46 23 4 3 1 1",
+            "1 1 2 6 28 48 23 6 5 1 1 1 15 46 17 2 1 1 8 5 24 46 27 4 3 1 1",
+        ],
+    ),
+    (3, 9, 3): (
+        "1 1 1 1 1 1 21 21 26 21 25 21",
+        [
+            "1 1 1 7 26 51 10 5 6 1 1 2 14 50 13 3 1 1 3 6 15 49 23 8 3 1 2",
+            "1 1 1 7 22 50 10 5 6 1 1 2 13 51 12 3 1 1 3 6 14 46 26 7 3 1 2",
+            "1 1 1 7 25 46 8 4 7 1 1 2 13 52 10 3 1 1 4 6 13 45 26 7 2 1 2",
+            "1 1 1 7 23 50 9 4 7 1 1 2 14 50 12 3 1 1 4 6 13 45 27 9 2 1 1",
+            "1 1 1 7 24 46 8 4 7 1 1 2 14 51 11 3 1 1 4 6 13 50 22 7 2 1 1",
+            "1 1 1 7 26 47 8 4 6 1 1 2 13 50 10 3 1 1 3 6 13 49 24 8 3 1 2",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("rows, cols, seed", sorted(PINNED_COUNTS))
+def test_p_values_on_benchmark_grids_pinned(gen, rows, cols, seed):
+    W = row_standardize(queen_adjacency(load_geojson(gen.grid_geojson(rows, cols))))
+    means = np.nanmean(gen.mobility_values(rows, cols, 92, seed), axis=1).T
+    relabeled = means[:, np.random.default_rng(seed).permutation(W.n)]
+    fields = [ValueField(x) for x in (*means, *relabeled)]
+    R = 99
+    global_counts, lisa_counts = PINNED_COUNTS[rows, cols, seed]
+    results = moran_permutation(fields, W, permutations=R, seed=seed)
+    assert " ".join(str(round(r.pseudo_p * (R + 1))) for r in results) == global_counts
+    p_locals = lisa_permutation(fields[:6], W, permutations=R, seed=seed)
+    assert [" ".join(str(round(p * (R + 1))) for p in ps) for ps in p_locals] == lisa_counts

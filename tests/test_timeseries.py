@@ -1,40 +1,50 @@
 import numpy as np
 import pytest
 
+from mobility_esda import timeseries
 from mobility_esda.errors import DataError, ParameterError
-from mobility_esda.timeseries import _loess_hat, _stl_operators, stl_decompose
+from mobility_esda.timeseries import _loess_hat, stl_decompose
 
-from conftest import loess_oracle_point, stl_oracle
+from conftest import _loess_eval_oracle, loess_oracle_point, stl_oracle
 
 
 WEEK_PATTERN = np.array([3.0, -1.0, 2.0, -2.0, 1.0, -3.0, 0.0])
 WEEK_PATTERN -= WEEK_PATTERN.mean()
 
 
+def dense_hat(xs, window, degree, eval_xs=None):
+    """The E x N hat matrix whose rows hold ``_loess_hat``'s band."""
+    idx, w = _loess_hat(xs, window, degree, xs if eval_xs is None else eval_xs)
+    assert idx.shape == w.shape == (len(idx), window)
+    H = np.zeros((len(idx), len(xs)))
+    np.put_along_axis(H, idx, w, axis=1)
+    return H
+
+
 class TestLoess:
     def test_constant_reproduced(self):
         xs = np.arange(11.0)
         for degree in (0, 1, 2):
-            out = _loess_hat(xs, 5, degree, xs) @ np.full(11, 4.2)
+            out = dense_hat(xs, 5, degree) @ np.full(11, 4.2)
             assert np.allclose(out, 4.2, atol=1e-12)
 
     def test_linear_reproduced_degree1(self):
         xs = np.arange(15.0)
         ys = 3 * xs - 7
         for window in (3, 7, 11, 15):
-            out = _loess_hat(xs, window, 1, xs) @ ys
+            out = dense_hat(xs, window, 1) @ ys
             assert np.max(np.abs(out - ys)) < 1e-9
 
     def test_quadratic_reproduced_degree2(self):
         xs = np.arange(15.0)
         ys = 0.5 * xs**2 - xs + 2
-        out = _loess_hat(xs, 9, 2, xs) @ ys
+        out = dense_hat(xs, 9, 2) @ ys
         assert np.max(np.abs(out - ys)) < 1e-8
 
     def test_sine_matches_wls_oracle(self):
         xs = np.arange(13.0)
         ys = np.sin(xs)
-        out = _loess_hat(xs, 7, 1, xs) @ ys
+        out = dense_hat(xs, 7, 1) @ ys
         expected = [loess_oracle_point(xs, ys, 7, 1, x0) for x0 in xs]
         assert np.max(np.abs(out - expected)) < 1e-9
 
@@ -42,9 +52,46 @@ class TestLoess:
     def test_matches_wls_oracle_each_degree(self, degree, window):
         xs = np.array([0.0, 0.5, 1.0, 2.0, 3.5, 4.0, 5.0, 7.0, 8.0, 8.5, 10.0, 12.0, 13.0])
         ys = np.cos(xs) + 0.1 * xs**2
-        out = _loess_hat(xs, window, degree, xs) @ ys
+        out = dense_hat(xs, window, degree) @ ys
         expected = [loess_oracle_point(xs, ys, window, degree, x0) for x0 in xs]
         assert np.max(np.abs(out - expected)) < 1e-9
+
+    @pytest.mark.parametrize("window", [2, 3, 4, 5, 6, 13])
+    def test_eval_between_and_beyond_points(self, window):
+        # the band holds the window nearest points ranked as a full stable
+        # sort ranks them, ties (4.5, 8.0) with the lower index first
+        xs = np.array([0.0, 0.5, 1.0, 2.0, 3.5, 4.0, 5.0, 7.0, 8.0, 9.0, 10.0, 12.0, 13.0])
+        ys = np.cos(xs) + 0.1 * xs**2
+        eval_xs = np.array([-4.0, -0.5, 0.25, 4.5, 6.0, 8.0, 12.5, 13.0, 20.0])
+        idx, _ = _loess_hat(xs, window, 1, eval_xs)
+        ranked = np.argsort(np.abs(eval_xs[:, None] - xs), axis=1, kind="stable")[:, :window]
+        assert np.array_equal(idx, ranked)
+        if window >= 4:  # smaller windows leave some of these fits singular for the oracle
+            out = dense_hat(xs, window, 1, eval_xs) @ ys
+            expected = [loess_oracle_point(xs, ys, window, 1, x0) for x0 in eval_xs]
+            assert np.max(np.abs(out - expected)) < 1e-9
+
+    def test_lone_weighted_point_gives_minimum_norm_fit(self):
+        # window 3 on a unit grid: an interior fit weighs its two outer
+        # points 0, so a local line is singular; the minimum-norm fit is the
+        # value at the point. A constant fit with no weighted point is 0
+        xs = np.arange(9.0)
+        ys = np.cos(xs)
+        out = dense_hat(xs, 3, 1) @ ys
+        assert np.max(np.abs(out[1:-1] - ys[1:-1])) < 1e-12
+        assert np.array_equal(dense_hat(xs, 1, 0, np.array([-1.0])), np.zeros((1, 9)))
+
+    def test_near_singular_line_matches_least_squares(self):
+        # nearly all weight on one point beyond the eval x: S0 * S2 - S1**2
+        # cancels about 40 of 53 bits, and the sums alone would miss by 1e-4
+        xs = np.arange(13.0)
+        ys = np.cos(xs) + 0.1 * xs**2
+        rho = np.full(13, 1e-12)
+        rho[0] = 1.0
+        eval_xs = np.array([-3.0, 6.0, 14.0])
+        idx, w = _loess_hat(xs, 7, 1, eval_xs, rho)
+        expected = _loess_eval_oracle(xs, ys, 7, 1, eval_xs, rho)
+        assert np.max(np.abs((w * ys[idx]).sum(axis=1) - expected)) < 1e-9
 
 
 class TestStl:
@@ -106,14 +153,17 @@ class TestStl:
         assert np.max(np.abs(dec.trend + dec.seasonal + dec.residual - y)) < 1e-9 * np.max(np.abs(y))
 
     @pytest.mark.parametrize("outer_iters", [0, 1, 2])
-    def test_panel_rows_equal_each_series_alone(self, outer_iters):
+    def test_panel_rows_equal_each_series_alone(self, outer_iters, monkeypatch):
         panel = np.array([_oracle_case(92, 7, seed) for seed in range(5)])
-        dec = stl_decompose(panel, outer_iters=outer_iters)
-        for k, y in enumerate(panel):
-            one = stl_decompose(y, outer_iters=outer_iters)
-            for name in ("trend", "seasonal", "residual"):
-                assert getattr(one, name).shape == (92,)
-                assert np.array_equal(getattr(dec, name)[k], getattr(one, name)), (k, name)
+        # blocks of 1, of 2 (the last one short) and of all 5 series
+        for block_series in (1, 2, 5):
+            monkeypatch.setattr(timeseries, "STL_BLOCK", 8 * 92 * block_series)
+            dec = stl_decompose(panel, outer_iters=outer_iters)
+            for k, y in enumerate(panel):
+                one = stl_decompose(y, outer_iters=outer_iters)
+                for name in ("trend", "seasonal", "residual"):
+                    assert getattr(one, name).shape == (92,)
+                    assert np.array_equal(getattr(dec, name)[k], getattr(one, name)), (block_series, k, name)
 
 
 def _oracle_case(n, period, seed, outlier=False):
@@ -157,19 +207,26 @@ class TestStlOracle:
         assert np.max(np.abs(dec.trend - trend)) < 1e-9 * scale
         assert np.max(np.abs(dec.seasonal - seasonal)) < 1e-9 * scale
 
-    def test_cached_operators_reused_and_read_only(self):
+    def test_linear_in_the_series(self):
         a = _oracle_case(35, 7, seed=1)
         b = _oracle_case(35, 7, seed=2)
-        first = stl_decompose(a)
-        stl_decompose(b)
+        dec = stl_decompose(np.array([a, b, 2 * a - 3 * b]))
         again = stl_decompose(a)
+        scale = np.max(np.abs(2 * a - 3 * b))
         for name in ("trend", "seasonal", "residual"):
-            assert np.array_equal(getattr(first, name), getattr(again, name))
-        trend_op, seasonal_op = _stl_operators(35, 7, 7)
-        assert not trend_op.flags.writeable
-        assert not seasonal_op.flags.writeable
-        with pytest.raises(ValueError):
-            seasonal_op[0, 0] = 1.0
+            part = getattr(dec, name)
+            assert np.max(np.abs(part[2] - (2 * part[0] - 3 * part[1]))) < 1e-9 * scale, name
+            assert np.array_equal(part[0], getattr(again, name)), name
+
+    @pytest.mark.parametrize("outer_iters", [0, 1])
+    def test_published_report_length(self, outer_iters):
+        # 970 days, the length of the published report
+        y = _oracle_case(970, 7, seed=970)
+        dec = stl_decompose(y, outer_iters=outer_iters)
+        trend, seasonal = stl_oracle(y, 7, 7, 2, outer_iters)
+        scale = np.max(np.abs(y))
+        assert np.max(np.abs(dec.trend - trend)) < 1e-9 * scale
+        assert np.max(np.abs(dec.seasonal - seasonal)) < 1e-9 * scale
 
 
 def deseasonalize(y):
