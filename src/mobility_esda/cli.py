@@ -337,6 +337,8 @@ def _select_regions(table, args) -> list[str]:
 
 
 def cmd_indicator(args) -> dict[str, str]:
+    if (args.robust or args.trend_only) and not args.deseasonalize:
+        raise ParameterError("--robust and --trend-only need --deseasonalize")
     window = _window(args)
     # imputation is per country: parsing only the one selected country changes no value
     countries = {key.partition("/")[0] for key in [*args.region, args.country] if key}

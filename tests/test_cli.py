@@ -949,6 +949,10 @@ def failing_run(kind, sy, tmp, monkeypatch):
     if kind in ("center nan", "center -inf", "center -1e160"):
         return ["indicator", "--input", csv_path, "--country", "SY", "--subnational",
                 "--from", "2020-03-01", "--to", "2020-03-21", f"--center={kind.split()[1]}"]
+    if kind in ("robust without deseasonalize", "trend only without deseasonalize"):
+        return ["indicator", "--input", csv_path, "--country", "SY", "--subnational",
+                "--from", "2020-03-01", "--to", "2020-03-21",
+                "--robust" if kind.startswith("robust") else "--trend-only"]
     if kind == "seasonal window 1":
         return ["indicator", "--input", csv_path, "--country", "SY", "--subnational",
                 "--from", "2020-03-01", "--to", "2020-03-21",
@@ -1021,6 +1025,8 @@ def failing_run(kind, sy, tmp, monkeypatch):
         ("region of absent country", 3),
         ("bad date", 3),
         ("seasonal window 1", 3),
+        ("robust without deseasonalize", 3),
+        ("trend only without deseasonalize", 3),
         ("center nan", 3),
         ("center -inf", 3),
         ("center -1e160", 3),
@@ -1125,8 +1131,8 @@ def test_late_failure_writes_nothing(sy, tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "kind",
     ["window gap", "moran window gap", "reversed window", "moran reversed window",
-     "radar name collision", "center nan", "center -inf", "alpha 1.5", "no categories",
-     "config categories empty", "center -1e160", "overflowing categories",
+     "radar name collision", "robust without deseasonalize", "trend only without deseasonalize",
+     "center nan", "center -inf", "alpha 1.5", "no categories", "config categories empty", "center -1e160", "overflowing categories",
      "moran overflowing categories", "huge coordinates", "overflowing spread",
      "geometry nested too deep", "config nested too deep", "toml config nested too deep",
      *BAD_GEOMETRY_DOCS, *BAD_WEIGHTS_OPTIONS],
@@ -1152,6 +1158,8 @@ FAILURE_MESSAGES = {
     "huge coordinates": "error: snap_tol 1e-07 is too small for coordinates as large as 4e+302",
     "radar name collision": "error: regions 'SY/a/b' and 'SY/a_b' would both be drawn to radar-SY_a_b.svg",
     "no categories": "schema error: mobility-esda moran: argument --categories: expected at least one",
+    "robust without deseasonalize": "error: --robust and --trend-only need --deseasonalize",
+    "trend only without deseasonalize": "error: --robust and --trend-only need --deseasonalize",
     "center nan": "error: center must be finite and <= -100, got nan",
     "center -inf": "error: center must be finite and <= -100, got -inf",
     "center -1e160": "error: SY/cell0_0 2020-03-01: radar area overflows at center -1e+160",
