@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DataError, GeometryError
 
@@ -15,6 +15,8 @@ Ring = list[Point]
 class RegionGeometry:
     region_id: str
     rings: list[Ring]  # all rings of all polygons, each closed
+    # (min x, min y, max x, max y) over every ring point, set once on construction
+    bbox: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.rings:
@@ -26,11 +28,9 @@ class RegionGeometry:
                 )
             if ring[0] != ring[-1]:
                 raise GeometryError(f"{self.region_id}: ring not closed")
-
-    def bbox(self) -> tuple[float, float, float, float]:
         xs = [p[0] for ring in self.rings for p in ring]
         ys = [p[1] for ring in self.rings for p in ring]
-        return min(xs), min(ys), max(xs), max(ys)
+        self.bbox = (min(xs), min(ys), max(xs), max(ys))
 
     def centroid(self) -> Point:
         """Area-weighted centroid over all rings (shoelace formula);
@@ -52,11 +52,18 @@ class RegionGeometry:
         return (cx / a_total, cy / a_total)
 
 
+# the types json gives a number; a string or a boolean is no coordinate
+_NUMBER = {int, float}
+
+
 def _point(position) -> Point:
     """x and y of a GeoJSON position; a third number, the altitude, is dropped."""
     if not isinstance(position, (list, tuple)) or len(position) < 2:
         raise TypeError(position)
-    x, y = float(position[0]), float(position[1])
+    x, y = position[0], position[1]
+    if type(x) not in _NUMBER or type(y) not in _NUMBER:
+        raise TypeError(position)
+    x, y = float(x), float(y)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(position)
     return x, y

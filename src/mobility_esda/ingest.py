@@ -531,25 +531,27 @@ def impute_missing(table: MobilityTable) -> tuple[MobilityTable, ImputationRepor
     values for the same country and category. A pair with missing cells
     but no present values at all is unimputable.
     """
+    # region ids sort by country first (a country code holds no "/"), so
+    # each country's rows are one run of the table
     countries = {c: j for j, c in enumerate(dict.fromkeys(table.country_codes))}
-    row_country = np.array([countries[c] for c in table.country_codes], dtype=np.intp)[table.region]
+    region_country = np.array([countries[c] for c in table.country_codes], dtype=np.intp)
+    first_region = np.searchsorted(region_country, np.arange(len(countries) + 1))
+    bounds = np.searchsorted(table.region, first_region).tolist()
     absent = np.isnan(table.values)
-    fills = np.empty((len(countries), len(CATEGORIES)))
+    filled = np.where(absent, 0.0, table.values)
     entries = []
-    for country, j in countries.items():
-        rows = row_country == j
-        total = int(rows.sum())
-        missing = absent[rows].sum(axis=0)
+    for country, a, b in zip(countries, bounds, bounds[1:]):
+        missing = absent[a:b].sum(axis=0).tolist()
         # summed down the rows in table order
-        sums = np.where(absent[rows], 0.0, table.values[rows]).sum(axis=0)
-        for k, cat in enumerate(CATEGORIES):
-            present = total - int(missing[k])
-            if not present:
+        sums = filled[a:b].sum(axis=0).tolist()
+        fills = []
+        for cat, gone, total in zip(CATEGORIES, missing, sums):
+            if gone == b - a:
                 raise DataError(f"cannot impute ({country}, {cat}): every value is missing")
-            fills[j, k] = float(sums[k]) / present
-            entries.append(ImputationEntry(country, cat, int(missing[k]), total, float(fills[j, k])))
+            fills.append(total / (b - a - gone))
+            entries.append(ImputationEntry(country, cat, gone, b - a, fills[-1]))
+        np.copyto(filled[a:b], fills, where=absent[a:b])
     entries.sort(key=lambda e: (e.country_code, e.category))
-    filled = np.where(absent, fills[row_country], table.values)
     return replace(table, values=filled, issues=list(table.issues)), ImputationReport(entries)
 
 

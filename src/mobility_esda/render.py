@@ -89,7 +89,7 @@ def map_paths(geoms: list[RegionGeometry], spec: FigureSpec = FigureSpec()) -> d
     regions into ``spec``'s frame; every map of that frame reuses it."""
     if not geoms:
         raise DataError("no geometry to draw")
-    x0s, y0s, x1s, y1s = zip(*(g.bbox() for g in geoms))
+    x0s, y0s, x1s, y1s = zip(*(g.bbox for g in geoms))
     xs0, ys0 = min(x0s), min(y0s)
     dw = max(max(x1s) - xs0, 1e-12)
     dh = max(max(y1s) - ys0, 1e-12)

@@ -17,6 +17,10 @@ import numpy as np
 from .errors import DataError, GeometryError, ParameterError
 from .geometry import RegionGeometry
 
+# candidate pairs the queen sweep builds per array pass: bounds its memory
+# at any region count
+PAIR_BLOCK = 32768
+
 
 @dataclass
 class SpatialWeights:
@@ -118,7 +122,7 @@ def _check_geoms(geoms: list[RegionGeometry], snap_tol: float) -> None:
         if g.region_id in seen:
             raise DataError(f"duplicate region id {g.region_id!r}")
         seen.add(g.region_id)
-    reach = max(abs(v) for g in geoms for v in g.bbox())
+    reach = max(abs(v) for g in geoms for v in g.bbox)
     if not math.isfinite(reach / snap_tol):
         raise ParameterError(f"snap_tol {snap_tol} is too small for coordinates as large as {reach}")
 
@@ -187,20 +191,39 @@ def _sharing(keysets: list[set]) -> list[set[int]]:
     return adjacency
 
 
+def _box_pairs(geoms: list[RegionGeometry], tol: float):
+    """Each pair of regions whose bounding boxes widened by ``tol`` overlap,
+    once, as index arrays built from at most ``PAIR_BLOCK`` candidates at a time.
+
+    A sort-and-sweep: sorted by ``x0 - tol``, a region's candidates are the
+    run of later regions whose key is at most its own ``x1``. That is one
+    half of the x-test; the other half holds in sorted order, as
+    ``key <= x0 <= x1``. The y-test then runs on the candidates.
+    """
+    x0, y0, x1, y1 = np.array([g.bbox for g in geoms]).T
+    keys = x0 - tol
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    reach = np.searchsorted(keys, x1[order], side="right")
+    # sorted position p's candidates are p + 1 .. reach[p] - 1, and hold
+    # flat indices ends[p - 1] .. ends[p] - 1 of all candidates
+    ends = np.cumsum(reach - np.arange(1, len(geoms) + 1))
+    for start in range(0, int(ends[-1]), PAIR_BLOCK):
+        k = np.arange(start, min(start + PAIR_BLOCK, int(ends[-1])))
+        p = np.searchsorted(ends, k, side="right")
+        a, b = order[p], order[k - ends[p] + reach[p]]
+        keep = (y0[a] - tol <= y1[b]) & (y0[b] - tol <= y1[a])
+        yield a[keep], b[keep]
+
+
 def queen_adjacency(geoms: list[RegionGeometry], snap_tol: float = 1e-7) -> SpatialWeights:
     """Binary weights: adjacent iff sharing any snapped boundary point."""
     _check_geoms(geoms, snap_tol)
     adjacency = _sharing([_snapped_vertices(g, snap_tol) for g in geoms])
     # a vertex of one region lying mid-segment on another still counts;
-    # candidates are the later regions whose tol-widened boxes overlap
-    x0, y0, x1, y1 = np.array([g.bbox() for g in geoms]).T
-    for i in range(len(geoms)):
-        later = slice(i + 1, None)
-        overlap = (
-            (x0[i] - snap_tol <= x1[later]) & (x0[later] - snap_tol <= x1[i])
-            & (y0[i] - snap_tol <= y1[later]) & (y0[later] - snap_tol <= y1[i])
-        )
-        for j in (np.flatnonzero(overlap) + i + 1).tolist():
+    # candidates are the pairs whose tol-widened boxes overlap
+    for first, second in _box_pairs(geoms, snap_tol):
+        for i, j in zip(first.tolist(), second.tolist()):
             if j in adjacency[i]:
                 continue
             if _vertex_touches(geoms[i], geoms[j], snap_tol) or _vertex_touches(
@@ -261,14 +284,20 @@ def row_standardize(W: SpatialWeights) -> SpatialWeights:
     return SpatialWeights(list(W.ids), W.indptr, W.indices, W.data / totals[rows], "row_standardized")
 
 
+def _neighbor_lists(W: SpatialWeights):
+    """Each region's neighbor ids and weights, as lists sliced from the CSR arrays."""
+    names = [W.ids[j] for j in W.indices.tolist()]
+    data = W.data.tolist()
+    bounds = W.indptr.tolist()
+    return [(names[a:b], data[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
 def to_text(W: SpatialWeights) -> str:
     """Plain-text neighbor list: one ``id<TAB>n1<TAB>n2...`` line per region."""
     bad = [rid for rid in W.ids if any(c in rid for c in "\t\r\n")]
     if bad:
         raise DataError(f"weights.txt cannot hold region ids with a tab or line break: {bad!r}")
-    lines = []
-    for i, rid in enumerate(W.ids):
-        lines.append("\t".join([rid, *(W.ids[j] for j in W.neighbors(i).tolist())]))
+    lines = ["\t".join([rid, *names]) for rid, (names, _) in zip(W.ids, _neighbor_lists(W))]
     return "\n".join(lines) + "\n"
 
 
@@ -276,12 +305,8 @@ def to_json(W: SpatialWeights) -> str:
     payload = {
         "mode": W.mode,
         "regions": [
-            {
-                "id": rid,
-                "neighbors": [W.ids[j] for j in W.neighbors(i).tolist()],
-                "weights": W.weights(i).tolist(),
-            }
-            for i, rid in enumerate(W.ids)
+            {"id": rid, "neighbors": names, "weights": weights}
+            for rid, (names, weights) in zip(W.ids, _neighbor_lists(W))
         ],
     }
     return json.dumps(payload, separators=(",", ":")) + "\n"

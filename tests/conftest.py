@@ -5,8 +5,10 @@ Moran oracle is a plain double loop over the weights, the LOESS oracle
 solves each local weighted least-squares problem directly, the STL
 oracle runs the decomposition loop with one least-squares fit per
 point, the permutation oracles enumerate relabelings by brute force, the
-LISA oracle evaluates one region at a time on its own stream, and the
-parse oracle decodes the whole input and checks it row by row.
+LISA oracle evaluates one region at a time on its own stream, the
+parse oracle decodes the whole input and checks it row by row, the
+contiguity oracle tests every pair of regions, and the imputation oracle
+picks each country's rows by a boolean mask.
 """
 
 from __future__ import annotations
@@ -26,7 +28,13 @@ import pytest
 from mobility_esda.errors import DataError, SchemaError
 from mobility_esda.geometry import RegionGeometry, Ring
 from mobility_esda.ingest import CATEGORIES, DEFAULT_COLUMNS, FINER_LEVEL_COLUMNS, MobilityTable
-from mobility_esda.weights import SpatialWeights, queen_adjacency, rook_adjacency, row_standardize
+from mobility_esda.weights import (
+    SpatialWeights,
+    _vertex_touches,
+    queen_adjacency,
+    rook_adjacency,
+    row_standardize,
+)
 
 
 # ---------------------------------------------------------------- oracles
@@ -311,6 +319,60 @@ def _oracle_row(cells: list[str], lineno: int) -> tuple[str, str, int, list[floa
             raise DataError(f"line {lineno}: {cat} value {v} below -100")
         values.append(v)
     return country, sub_region, date, values
+
+
+def queen_oracle(geoms: list[RegionGeometry], snap_tol: float = 1e-7) -> SpatialWeights:
+    """Queen weights by testing every pair: regions sharing a snapped vertex,
+    and pairs whose tol-widened boxes overlap with a vertex of one lying on a
+    segment of the other. Boxes are taken from the rings here and compared in
+    plain float arithmetic, pair by pair."""
+    snapped = [
+        {(round(x / snap_tol), round(y / snap_tol)) for ring in g.rings for x, y in ring} for g in geoms
+    ]
+    boxes = []
+    for g in geoms:
+        xs = [x for ring in g.rings for x, _ in ring]
+        ys = [y for ring in g.rings for _, y in ring]
+        boxes.append((min(xs), min(ys), max(xs), max(ys)))
+    adjacency = [set() for _ in geoms]
+    for i, j in itertools.combinations(range(len(geoms)), 2):
+        (ax0, ay0, ax1, ay1), (bx0, by0, bx1, by1) = boxes[i], boxes[j]
+        overlap = (
+            ax0 - snap_tol <= bx1 and bx0 - snap_tol <= ax1
+            and ay0 - snap_tol <= by1 and by0 - snap_tol <= ay1
+        )
+        if snapped[i] & snapped[j] or overlap and (
+            _vertex_touches(geoms[i], geoms[j], snap_tol) or _vertex_touches(geoms[j], geoms[i], snap_tol)
+        ):
+            adjacency[i].add(j)
+            adjacency[j].add(i)
+    return SpatialWeights.from_rows([g.region_id for g in geoms], adjacency)
+
+
+def impute_oracle(table: MobilityTable):
+    """Mean imputation with each country's rows picked by a boolean mask over
+    the whole table and summed down the rows in table order. Returns the
+    filled values, the fills by country in order of first appearance, and
+    the report entries as (country, category, missing, total, fill) sorted
+    by country and category."""
+    row_country = np.array(table.country_codes, dtype=object)[table.region]
+    absent = np.isnan(table.values)
+    filled = table.values.copy()
+    fills, entries = {}, []
+    for country in dict.fromkeys(table.country_codes):
+        rows = row_country == country
+        total = int(rows.sum())
+        missing = absent[rows].sum(axis=0)
+        sums = np.where(absent[rows], 0.0, table.values[rows]).sum(axis=0)
+        fills[country] = []
+        for k, cat in enumerate(CATEGORIES):
+            present = total - int(missing[k])
+            if not present:
+                raise DataError(f"cannot impute ({country}, {cat}): every value is missing")
+            fills[country].append(float(sums[k]) / present)
+            entries.append((country, cat, int(missing[k]), total, fills[country][-1]))
+        filled[rows] = np.where(absent[rows], fills[country], table.values[rows])
+    return filled, fills, sorted(entries, key=lambda e: e[:2])
 
 
 # ---------------------------------------------------------------- fixtures

@@ -794,6 +794,13 @@ BAD_GEOMETRY_DOCS = {
     }]},
 }
 
+# positions that are no pair of JSON numbers
+BAD_POSITIONS = {
+    "non-numeric position": [1, "y"],
+    "numeric string position": ["1", "0"],
+    "boolean position": [True, False],
+}
+
 # contiguity options that weights refuses
 BAD_WEIGHTS_OPTIONS = {
     "snap tol 0": ["--snap-tol", "0"],
@@ -873,7 +880,7 @@ def failing_run(kind, sy, tmp, monkeypatch):
         (tmp / "holey.geojson").write_text(json.dumps(doc))
         return ["weights", "--geometry", str(tmp / "holey.geojson")]
     if kind in ("empty map", "polygon without rings", "polygon without coordinates",
-                "non-numeric position"):
+                *BAD_POSITIONS):
         doc = grid_geojson(1, 1)
         geom = doc["features"][0]["geometry"]
         if kind == "empty map":
@@ -883,7 +890,7 @@ def failing_run(kind, sy, tmp, monkeypatch):
         elif kind == "polygon without coordinates":
             del geom["coordinates"]
         else:
-            geom["coordinates"][0][1] = [1, "y"]
+            geom["coordinates"][0][1] = BAD_POSITIONS[kind]
         (tmp / "map.geojson").write_text(json.dumps(doc))
         (tmp / "vals.csv").write_text("region_id,value\ncell0_0,1\n")
         return ["render", "--geometry", str(tmp / "map.geojson"), "--values", str(tmp / "vals.csv")]
@@ -1056,7 +1063,7 @@ def failing_run(kind, sy, tmp, monkeypatch):
         ("empty map", 3),
         ("polygon without rings", 3),
         ("polygon without coordinates", 3),
-        ("non-numeric position", 3),
+        *((kind, 3) for kind in BAD_POSITIONS),
         ("missing values", 3),
         ("duplicate values id", 3),
         ("nan value", 3),
@@ -1135,7 +1142,7 @@ def test_late_failure_writes_nothing(sy, tmp_path, monkeypatch):
      "center nan", "center -inf", "alpha 1.5", "no categories", "config categories empty", "center -1e160", "overflowing categories",
      "moran overflowing categories", "huge coordinates", "overflowing spread",
      "geometry nested too deep", "config nested too deep", "toml config nested too deep",
-     *BAD_GEOMETRY_DOCS, *BAD_WEIGHTS_OPTIONS],
+     *BAD_GEOMETRY_DOCS, *BAD_WEIGHTS_OPTIONS, *BAD_POSITIONS],
 )
 def test_failure_writes_nothing(kind, sy, tmp_path, monkeypatch):
     argv = failing_run(kind, sy, tmp_path, monkeypatch)
@@ -1179,7 +1186,7 @@ FAILURE_MESSAGES = {
     "empty map": "error: no geometry to draw",
     "polygon without rings": "error: cell0_0: geometry has no rings",
     "polygon without coordinates": "error: cell0_0: Polygon has no coordinates",
-    "non-numeric position": "error: cell0_0: malformed coordinates",
+    **{kind: "error: cell0_0: malformed coordinates" for kind in BAD_POSITIONS},
     "duplicate values id": "error: values CSV: region id 'cell0_0' appears more than once",
     "no two regions touch": "error: no two regions touch; link them with --island-knn",
     "nan value": "error: values CSV: non-finite value 'nan' for region 'cell1_1'",

@@ -1,6 +1,7 @@
 import csv
 import datetime as dt
 import io
+import math
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,7 @@ from mobility_esda.ingest import (
     write_csv,
 )
 
-from conftest import flat_values, make_table, parse_oracle, table_from_rows, window_mask
+from conftest import flat_values, impute_oracle, make_table, parse_oracle, table_from_rows, window_mask
 
 HEADER = (
     "country_region_code,sub_region_1,date,"
@@ -610,6 +611,25 @@ class TestFilter:
         assert subregion_ids(two_country, "BR") == []
 
 
+# country codes that are prefixes of one another or hold a character below
+# "/": their region ids ("B R/", "B-X/", "B.R/", "B/", "BR/") sort unlike the
+# codes themselves
+TANGLED = ("B", "B-X", "B.R", "BR", "B R")
+
+
+@st.composite
+def tangled_tables(draw):
+    """Tables over the tangled country codes, each cell present or missing."""
+    cell = st.one_of(st.none(), st.floats(min_value=-100, max_value=1e6, allow_nan=False))
+    rows = []
+    for country in draw(st.lists(st.sampled_from(TANGLED), min_size=1, max_size=5, unique=True)):
+        for sub in draw(st.lists(st.sampled_from(["", "a", " ", "x/y"]), min_size=1, max_size=3, unique=True)):
+            for day in range(draw(st.integers(1, 5))):
+                values = [math.nan if v is None else v for v in draw(st.lists(cell, min_size=6, max_size=6))]
+                rows.append((country, sub, 737500 + day, values))
+    return table_from_rows(draw(st.permutations(rows)))
+
+
 class TestImpute:
     def test_mean_of_two(self):
         table = make_table(
@@ -622,6 +642,37 @@ class TestImpute:
         filled, report = impute_missing(table)
         assert filled.values[:, CATEGORIES.index("parks")][1] == 15
         assert report.entry("BR", "parks").fill_value == 15
+
+    @given(table=tangled_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_country_runs_equal_the_mask_oracle(self, table):
+        try:
+            values, _, entries = impute_oracle(table)
+        except DataError as exc:
+            with pytest.raises(DataError) as raised:
+                impute_missing(table)
+            assert str(raised.value) == str(exc)
+            return
+        filled, report = impute_missing(table)
+        assert filled.values.tobytes() == values.tobytes()
+        got = [(e.country_code, e.category, e.missing_count, e.total_count, e.fill_value.hex())
+               for e in report.entries]
+        assert got == [(*e[:4], e[4].hex()) for e in entries]
+
+    def test_first_unimputable_pair_in_region_order(self):
+        # ("B", "parks") and ("B.R", "residential") have no value; the message
+        # names the country whose regions come first, "B.R/..." before "B/..."
+        rows = []
+        for country, gone in (("B", "parks"), ("BR", None), ("B.R", "residential"), ("B R", None)):
+            for day in range(3):
+                values = flat_values(day)
+                if gone:
+                    values[gone] = None
+                rows.append((country, "s", f"2020-03-0{day + 1}", values))
+        for impute in (impute_oracle, impute_missing):
+            with pytest.raises(DataError) as raised:
+                impute(make_table(rows))
+            assert str(raised.value) == "cannot impute (B.R, residential): every value is missing"
 
     def test_fill_is_the_running_mean_in_row_order(self):
         # the fill must equal a left-to-right running sum over the country's

@@ -1,8 +1,12 @@
 import json
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mobility_esda import weights
 from mobility_esda.errors import DataError, GeometryError, ParameterError
 from mobility_esda.geometry import RegionGeometry, load_geojson
 from mobility_esda.weights import (
@@ -15,12 +19,52 @@ from mobility_esda.weights import (
     to_text,
 )
 
-from conftest import grid_geojson, grid_geometries, square
+from conftest import grid_geojson, grid_geometries, queen_oracle, square
 
 
 def neighbor_ids(W, rid):
     i = W.ids.index(rid)
     return [W.ids[j] for j in W.neighbors(i)]
+
+
+def assert_same_weights(W, expected):
+    assert W.ids == expected.ids
+    assert W.indptr.tolist() == expected.indptr.tolist()
+    assert W.indices.tolist() == expected.indices.tolist()
+    assert W.data.tolist() == expected.data.tolist()
+
+
+@st.composite
+def layouts(draw):
+    """Regions made of boxes and right triangles on a half-unit lattice:
+    they touch exactly, share left sides, meet in T-junctions (a corner on a
+    triangle's hypotenuse or mid-side of a larger box) or stand apart as
+    islands. Each shape is moved by -tol, 0 or tol, and each coordinate
+    then by -1, 0 or 1 ulp, so gaps come out at tol and one ulp either
+    side; far from the origin a coordinate's ulp exceeds tol."""
+    tol = draw(st.sampled_from([1e-7, 1e-3, 0.25]))
+    origin = draw(st.sampled_from([0.0, -7.25, 1e10]))
+
+    def coord(k, shift):
+        v = origin + k / 2 + shift
+        ulps = draw(st.integers(-1, 1))
+        return math.nextafter(v, math.copysign(math.inf, ulps)) if ulps else v
+
+    geoms = []
+    for r in range(draw(st.integers(2, 10))):
+        rings = []
+        for _ in range(draw(st.integers(1, 2))):
+            kx, ky = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+            kw, kh = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+            dx, dy = draw(st.sampled_from([-tol, 0.0, tol])), draw(st.sampled_from([-tol, 0.0, tol]))
+            x0, x1 = coord(kx, dx), coord(kx + kw, dx)
+            y0, y1 = coord(ky, dy), coord(ky + kh, dy)
+            if draw(st.booleans()):
+                rings.append([(x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0)])
+            else:
+                rings.append([(x0, y0), (x1, y0), (x0, y1), (x0, y0)])
+        geoms.append(RegionGeometry(f"r{r}", rings))
+    return geoms, tol
 
 
 class TestQueen:
@@ -55,6 +99,28 @@ class TestQueen:
         small = RegionGeometry("small", square(2, 0.5, 1))
         W = queen_adjacency([big, small])
         assert neighbor_ids(W, "big") == ["small"]
+
+    @given(layout=layouts(), block=st.sampled_from([1, 2, 3, weights.PAIR_BLOCK]))
+    @settings(max_examples=300, deadline=None)
+    def test_sweep_equals_all_pairs(self, layout, block):
+        geoms, tol = layout
+        with mock.patch.object(weights, "PAIR_BLOCK", block):
+            W = queen_adjacency(geoms, snap_tol=tol)
+        assert_same_weights(W, queen_oracle(geoms, snap_tol=tol))
+
+    @pytest.mark.parametrize("block", [1, 2, 5])
+    def test_block_smaller_than_a_candidate_run(self, block):
+        # in a 6x6 grid every region but the last column's has its column's
+        # later regions and the next column as candidates: 6 to 11 of them
+        geoms = grid_geometries(6, 6) + [
+            RegionGeometry("t", square(6, 0.25, 0.5)),  # T-junction on cell0_5's right side
+            RegionGeometry("island", square(20, 20)),
+        ]
+        expected = queen_oracle(geoms)
+        assert_same_weights(queen_adjacency(geoms), expected)
+        with mock.patch.object(weights, "PAIR_BLOCK", block):
+            assert_same_weights(queen_adjacency(geoms), expected)
+        assert neighbor_ids(expected, "t") == ["cell0_5"]
 
     def test_s0_counts_directed_pairs(self):
         W = queen_adjacency(grid_geometries(2, 2))
@@ -334,8 +400,10 @@ class TestGeoJson:
         "coordinates",
         [[[[0, 0], None, [1, 1], [0, 0]]], [[[0, 0], [1], [1, 1], [0, 0]]], [[0, 0, 1, 1]],
          [[[0, 0], [1, 10**400], [1, 1], [0, 0]]], [[[0, 0], [1, float("nan")], [1, 1], [0, 0]]],
-         [[[0, 0], [float("inf"), 0], [1, 1], [0, 0]]]],
-        ids=["null position", "short position", "bare numbers", "huge integer", "nan", "inf"],
+         [[[0, 0], [float("inf"), 0], [1, 1], [0, 0]]], [[[0, 0], ["1.5", "2"], [1, 1], [0, 0]]],
+         [[[0, 0], [True, False], [1, 1], [0, 0]]]],
+        ids=["null position", "short position", "bare numbers", "huge integer", "nan", "inf",
+             "numeric string", "boolean"],
     )
     def test_malformed_position_names_region(self, coordinates):
         doc = grid_geojson(1, 2)
