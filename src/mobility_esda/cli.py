@@ -372,7 +372,7 @@ def cmd_indicator(args) -> dict[str, str]:
         files[name] = rd.render_radar(means, config)
     files["circulation.csv"] = "\n".join(rows) + "\n"
     # the overlay draws the last column: the deseasonalized indicator if there is one
-    overlay = rd.render_series(regions, columns[-1], rd.FigureSpec(title="Circulation indicator"))
+    overlay = rd.render_series(regions, columns[-1], "Circulation indicator")
     files["indicator-overlay.svg"] = overlay
     files["run-manifest.json"] = manifest(
         args,
@@ -467,17 +467,15 @@ def cmd_moran(args) -> dict[str, str]:
             indent=2,
             sort_keys=True,
         ) + "\n"
-        files[cat_dir + "scatter.svg"] = rd.render_moran_scatter(
-            lisa, rd.FigureSpec(title=f"Moran scatter: {category}")
-        )
+        files[cat_dir + "scatter.svg"] = rd.render_moran_scatter(lisa, f"Moran scatter: {category}")
         files[cat_dir + "lisa.csv"] = rd.lisa_to_csv(lisa)
         files[cat_dir + "lisa-clusters.svg"], files[cat_dir + "lisa-significance.svg"] = (
-            rd.render_lisa_maps(paths, lisa, rd.FigureSpec(title=f"LISA clusters: {category}"))
+            rd.render_lisa_maps(paths, lisa, (f"LISA clusters: {category}", f"LISA significance: {category}"))
         )
         files[cat_dir + "mean-variation.svg"] = rd.render_choropleth(
             paths,
             {rid: float(v) for rid, v in zip(W.ids, x)},
-            rd.FigureSpec(title=f"Mean variation: {category}"),
+            f"Mean variation: {category}",
         )
         files[cat_dir + "mean-variation.geojson"] = rd.join_geojson(
             geojson_doc,
@@ -511,25 +509,28 @@ def cmd_render(args) -> dict[str, str]:
         raise SchemaError(f"values CSV is not UTF-8 text: {exc}") from None
     values: dict[str, float | None] = {}
     reader = csv.DictReader(io.StringIO(text, newline=""))
-    if not {"region_id", "value"} <= set(reader.fieldnames or ()):
-        raise SchemaError("values CSV needs region_id and value columns")
-    for row in reader:
-        if row["region_id"] in values:
-            raise DataError(f"values CSV: region id {row['region_id']!r} appears more than once")
-        try:
-            value = float(row["value"]) if row["value"] else None
-        except ValueError:
-            raise DataError(f"values CSV: non-numeric value {row['value']!r}") from None
-        if value is not None and not np.isfinite(value):
-            raise DataError(
-                f"values CSV: non-finite value {row['value']!r} for region {row['region_id']!r}"
-            )
-        values[row["region_id"]] = value
+    try:
+        if not {"region_id", "value"} <= set(reader.fieldnames or ()):
+            raise SchemaError("values CSV needs region_id and value columns")
+        for row in reader:
+            if row["region_id"] in values:
+                raise DataError(f"values CSV: region id {row['region_id']!r} appears more than once")
+            try:
+                value = float(row["value"]) if row["value"] else None
+            except ValueError:
+                raise DataError(f"values CSV: non-numeric value {row['value']!r}") from None
+            if value is not None and not np.isfinite(value):
+                raise DataError(
+                    f"values CSV: non-finite value {row['value']!r} for region {row['region_id']!r}"
+                )
+            values[row["region_id"]] = value
+    except csv.Error as exc:  # the DictReader's own line_num stops at the last good row
+        raise SchemaError(f"values CSV: line {reader.reader.line_num}: malformed CSV: {exc}") from None
     present = [v for v in values.values() if v is not None]
     if not present:
         raise DataError("values CSV contains no numeric values")
     return {
-        "choropleth.svg": rd.render_choropleth(rd.map_paths(geoms), values, rd.FigureSpec(title=args.title)),
+        "choropleth.svg": rd.render_choropleth(rd.map_paths(geoms), values, args.title),
         "run-manifest.json": manifest(args),
     }
 
@@ -569,6 +570,9 @@ def main(argv=None) -> int:
         return EXIT_ID_MISMATCH
     except (MobilityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,47 +32,41 @@ BAND_COLOR = "#abd9e9"
 # the choropleth's blue ramp: dark at the lowest value, light at the highest
 RAMP_LOW, RAMP_HIGH = (0x08, 0x30, 0x6B), (0xDE, 0xEB, 0xF7)  # #08306b, #deebf7
 MISSING_COLOR = "#cccccc"
-
-
-@dataclass
-class FigureSpec:
-    width: int = 640
-    height: int = 480
-    title: str = ""
-    margin: int = 40
-
-    def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ParameterError("figure dimensions must be positive")
+# every figure's frame: maps, the Moran scatter and the series plot are
+# WIDTH x HEIGHT, the radar is RADAR_SIZE square; all keep MARGIN clear
+WIDTH, HEIGHT = 640, 480
+RADAR_SIZE = 480
+MARGIN = 40
 
 
 def _fmt(v: float) -> str:
     return f"{v:.3f}".rstrip("0").rstrip(".")
 
 
-def _svg_open(spec: FigureSpec) -> list[str]:
-    parts = [
+def _svg(title: str, body: list[str], width: int = WIDTH, height: int = HEIGHT) -> str:
+    """The whole document: a white ``width`` x ``height`` frame, ``title``
+    centred at its top (if any), then ``body``."""
+    head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{spec.width}" height="{spec.height}" '
-        f'viewBox="0 0 {spec.width} {spec.height}">',
-        f'<rect width="{spec.width}" height="{spec.height}" fill="#ffffff"/>',
+        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
     ]
-    if spec.title:
-        parts.append(
-            f'<text x="{spec.width // 2}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{_escape(spec.title)}</text>'
+    if title:
+        head.append(
+            f'<text x="{width // 2}" y="20" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="14">{_escape(title)}</text>'
         )
-    return parts
+    return "\n".join(head + body + ["</svg>"]) + "\n"
 
 
 def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _legend(spec: FigureSpec, entries: list[tuple[str, str]]) -> list[str]:
+def _legend(entries: list[tuple[str, str]]) -> list[str]:
     parts = []
-    x = spec.width - spec.margin - 110
-    y = spec.margin
+    x = WIDTH - MARGIN - 110
+    y = MARGIN
     for k, (label, color) in enumerate(entries):
         yy = y + 18 * k
         parts.append(f'<rect x="{x}" y="{yy}" width="12" height="12" fill="{color}" stroke="#000000"/>')
@@ -84,21 +77,21 @@ def _legend(spec: FigureSpec, entries: list[tuple[str, str]]) -> list[str]:
     return parts
 
 
-def map_paths(geoms: list[RegionGeometry], spec: FigureSpec = FigureSpec()) -> dict[str, str]:
+def map_paths(geoms: list[RegionGeometry]) -> dict[str, str]:
     """SVG path data by region id, in id order, in one projection fitting all
-    regions into ``spec``'s frame; every map of that frame reuses it."""
+    regions into the map frame; every map reuses it."""
     if not geoms:
         raise DataError("no geometry to draw")
     x0s, y0s, x1s, y1s = zip(*(g.bbox for g in geoms))
     xs0, ys0 = min(x0s), min(y0s)
     dw = max(max(x1s) - xs0, 1e-12)
     dh = max(max(y1s) - ys0, 1e-12)
-    m = spec.margin
-    scale = min((spec.width - 2 * m) / dw, (spec.height - 2 * m) / dh)
+    m = MARGIN
+    scale = min((WIDTH - 2 * m) / dw, (HEIGHT - 2 * m) / dh)
     return {
         g.region_id: " ".join(
             "M" + " L".join(
-                f"{_fmt(m + (x - xs0) * scale)},{_fmt(spec.height - m - (y - ys0) * scale)}"
+                f"{_fmt(m + (x - xs0) * scale)},{_fmt(HEIGHT - m - (y - ys0) * scale)}"
                 for x, y in ring[:-1]
             ) + " Z"
             for ring in g.rings
@@ -107,27 +100,23 @@ def map_paths(geoms: list[RegionGeometry], spec: FigureSpec = FigureSpec()) -> d
     }
 
 
-def _map_svg(paths: dict[str, str], fills: dict[str, str], spec: FigureSpec, legend, note=()) -> str:
-    parts = _svg_open(spec)
-    parts.extend(note)
+def _map_svg(paths: dict[str, str], fills: dict[str, str], title: str, legend, note=()) -> str:
+    parts = list(note)
     for rid, d in paths.items():
         parts.append(f'<path d="{d}" fill="{fills[rid]}" stroke="#333333" stroke-width="0.5"/>')
-    parts.extend(_legend(spec, legend))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg(title, parts + _legend(legend))
 
 
 def render_choropleth(
     paths: dict[str, str],
     values: dict[str, float | None],
-    spec: FigureSpec = FigureSpec(),
+    title: str = "",
 ) -> str:
-    """One filled path per region of ``paths`` (:func:`map_paths` in the frame
-    of ``spec``), on a blue ramp from ``#08306b`` at the lowest value to
-    ``#deebf7`` at the highest (all light for a constant field); regions
-    without a value get ``MISSING_COLOR`` and value ids without geometry are
-    listed in a warnings comment. Values whose spread overflows are a
-    ``DataError``."""
+    """One filled path per region of ``paths`` (from :func:`map_paths`), on a
+    blue ramp from ``#08306b`` at the lowest value to ``#deebf7`` at the
+    highest (all light for a constant field); regions without a value get
+    ``MISSING_COLOR`` and value ids without geometry are listed in a warnings
+    comment. Values whose spread overflows are a ``DataError``."""
     warnings = [rid for rid in values if rid not in paths]
     note = [f"<!-- warning: no geometry for {', '.join(sorted(warnings))} -->"] if warnings else []
     present = [v for v in values.values() if v is not None]
@@ -142,16 +131,16 @@ def render_choropleth(
         return "#%02x%02x%02x" % tuple(round(x + (y - x) * t) for x, y in zip(RAMP_LOW, RAMP_HIGH))
 
     legend = [(f"min {_fmt(lo)}", color(lo)), (f"max {_fmt(hi)}", color(hi))] if present else []
-    return _map_svg(paths, {rid: color(values.get(rid)) for rid in paths}, spec, legend, note)
+    return _map_svg(paths, {rid: color(values.get(rid)) for rid in paths}, title, legend, note)
 
 
 def render_lisa_maps(
     paths: dict[str, str],
     lisa: LisaResult,
-    spec: FigureSpec = FigureSpec(),
+    titles: tuple[str, str] = ("", ""),
 ) -> tuple[str, str]:
     """Cluster map (HH/LL/LH/HL/ns) and significance-tier map of ``paths``
-    (:func:`map_paths` in the frame of ``spec``)."""
+    (from :func:`map_paths`), titled ``titles[0]`` and ``titles[1]``."""
     by_id = dict(zip(lisa.ids, lisa.labels))
     tiers = dict(zip(lisa.ids, lisa.tiers))
     missing = [rid for rid in paths if rid not in by_id]
@@ -161,42 +150,37 @@ def render_lisa_maps(
     signif = {rid: SIGNIFICANCE_COLORS[tiers[rid]] for rid in paths}
     tier_legend = [(f"p <= {t:g}" if t else "ns", c) for t, c in SIGNIFICANCE_COLORS.items()]
     return (
-        _map_svg(paths, cluster, spec, list(CLUSTER_COLORS.items())),
-        _map_svg(paths, signif, spec, tier_legend),
+        _map_svg(paths, cluster, titles[0], list(CLUSTER_COLORS.items())),
+        _map_svg(paths, signif, titles[1], tier_legend),
     )
 
 
-def render_moran_scatter(scatter: LisaResult, spec: FigureSpec = FigureSpec()) -> str:
+def render_moran_scatter(scatter: LisaResult, title: str = "") -> str:
     """Moran scatter of (z, lag) with axes through the origin and the
     origin-regression line whose slope is the global index."""
     if len(scatter.z) < 2:
         raise ParameterError("need at least 2 points")
-    m = spec.margin
+    m = MARGIN
     extent = max(
         1e-9,
         float(np.max(np.abs(scatter.z))),
         float(np.max(np.abs(scatter.lag))),
     ) * 1.1
-    half_w = (spec.width - 2 * m) / 2
-    half_h = (spec.height - 2 * m) / 2
+    half_w = (WIDTH - 2 * m) / 2
+    half_h = (HEIGHT - 2 * m) / 2
     cx, cy = m + half_w, m + half_h
 
     def project(zx, zy):
         return cx + zx / extent * half_w, cy - zy / extent * half_h
 
-    parts = _svg_open(spec)
-    parts.append(
-        f'<line x1="{_fmt(m)}" y1="{_fmt(cy)}" x2="{_fmt(spec.width - m)}" y2="{_fmt(cy)}" stroke="#000000"/>'
-    )
-    parts.append(
-        f'<line x1="{_fmt(cx)}" y1="{_fmt(m)}" x2="{_fmt(cx)}" y2="{_fmt(spec.height - m)}" stroke="#000000"/>'
-    )
     x0, y0 = project(-extent, -extent * scatter.slope)
     x1, y1 = project(extent, extent * scatter.slope)
-    parts.append(
+    parts = [
+        f'<line x1="{_fmt(m)}" y1="{_fmt(cy)}" x2="{_fmt(WIDTH - m)}" y2="{_fmt(cy)}" stroke="#000000"/>',
+        f'<line x1="{_fmt(cx)}" y1="{_fmt(m)}" x2="{_fmt(cx)}" y2="{_fmt(HEIGHT - m)}" stroke="#000000"/>',
         f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}" '
-        f'stroke="#d7191c" stroke-width="1.5"/>'
-    )
+        f'stroke="#d7191c" stroke-width="1.5"/>',
+    ]
     for zi, li in zip(scatter.z, scatter.lag):
         x, y = project(zi, li)
         parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="#2c7bb6"/>')
@@ -205,8 +189,7 @@ def render_moran_scatter(scatter: LisaResult, spec: FigureSpec = FigureSpec()) -
         parts.append(
             f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="sans-serif" font-size="12">{label}</text>'
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg(title, parts)
 
 
 # (cos, sin) of each radar spoke, clockwise from the top
@@ -216,7 +199,7 @@ _SPOKES = [(math.cos(t), math.sin(t)) for t in (math.radians(90 - 60 * k) for k 
 def render_radar(
     values: dict[str, float] | np.ndarray,
     config: RadarConfig = RadarConfig(),
-    spec: FigureSpec = FigureSpec(width=480, height=480),
+    title: str = "",
 ) -> str:
     """Hexagonal radar chart of ``values`` (as :func:`radar_radii` takes them):
     axis spokes, the value polygon, and a reference hexagon at the baseline
@@ -224,15 +207,14 @@ def render_radar(
     radii = radar_radii(values, config)
     baseline_r = -config.center
     max_r = max(baseline_r, float(max(radii)))
-    m = spec.margin
-    cx, cy = spec.width / 2, spec.height / 2
-    plot_r = min(spec.width, spec.height) / 2 - m
+    cx = cy = RADAR_SIZE / 2
+    plot_r = RADAR_SIZE / 2 - MARGIN
 
     def vertex(k: int, r: float):
         cos, sin = _SPOKES[k]
         return cx + r / max_r * plot_r * cos, cy - r / max_r * plot_r * sin
 
-    parts = _svg_open(spec)
+    parts = []
     for k, cat in enumerate(config.axis_order):
         x, y = vertex(k, max_r)
         parts.append(
@@ -253,8 +235,7 @@ def render_radar(
     parts.append(
         f'<polygon points="{val_pts}" fill="#2c7bb6" fill-opacity="0.35" stroke="#2c7bb6"/>'
     )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg(title, parts, RADAR_SIZE, RADAR_SIZE)
 
 
 def quantile_band(values: np.ndarray) -> np.ndarray:
@@ -272,7 +253,7 @@ def quantile_band(values: np.ndarray) -> np.ndarray:
     return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
 
 
-def render_series(names: list[str], values, spec: FigureSpec = FigureSpec()) -> str:
+def render_series(names: list[str], values, title: str = "") -> str:
     """Line plot of a (series, points) panel, one row of ``values`` per name,
     e.g. the daily circulation indicator of several regions. More series than
     ``SERIES_PALETTE`` has colors are drawn as their pointwise median inside
@@ -283,17 +264,17 @@ def render_series(names: list[str], values, spec: FigureSpec = FigureSpec()) -> 
     lo, hi = float(values.min()), float(values.max())
     if hi == lo:
         hi = lo + 1.0
-    m = spec.margin
+    m = MARGIN
     span = max(values.shape[1] - 1, 1)
-    iw, ih = spec.width - 2 * m, spec.height - 2 * m
+    iw, ih = WIDTH - 2 * m, HEIGHT - 2 * m
 
     def points(indexed) -> str:
         return " ".join(
-            f"{_fmt(m + (i / span) * iw)},{_fmt(spec.height - m - (v - lo) / (hi - lo) * ih)}"
+            f"{_fmt(m + (i / span) * iw)},{_fmt(HEIGHT - m - (v - lo) / (hi - lo) * ih)}"
             for i, v in indexed
         )
 
-    parts = _svg_open(spec)
+    parts = []
     band_legend = []
     if len(names) > len(SERIES_PALETTE):  # too many lines to tell apart
         low, median, high = quantile_band(values)
@@ -306,9 +287,7 @@ def render_series(names: list[str], values, spec: FigureSpec = FigureSpec()) -> 
         pts = points(enumerate(values[k]))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         legend.append((names[k], color))
-    parts.extend(_legend(spec, legend + band_legend))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg(title, parts + _legend(legend + band_legend))
 
 
 def lisa_to_csv(lisa: LisaResult) -> str:

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import tempfile
@@ -589,6 +590,17 @@ class TestMoranCmd:
         assert len(calls) == 1
         assert len(list((tmp_path / "o").glob("*/lisa-clusters.svg"))) == 3
 
+    def test_each_lisa_map_names_itself(self, sy, tmp_path):
+        csv_path, geo_path = sy
+        cats = ["parks", "residential"]
+        assert main(self.moran_args(csv_path, geo_path, tmp_path / "o", extra=["--categories", *cats])) == 0
+        for cat in cats:
+            titles = [
+                re.findall(r'<text [^>]*font-size="14">([^<]*)</text>', (tmp_path / "o" / cat / name).read_text())
+                for name in ("lisa-clusters.svg", "lisa-significance.svg")
+            ]
+            assert titles == [[f"LISA clusters: {cat}"], [f"LISA significance: {cat}"]]
+
 
 class TestWeightsCmd:
     def test_export_formats(self, sy, tmp_path):
@@ -781,6 +793,9 @@ BAD_VALUES = {
     "values header without needed columns": "a,b\n",
     "empty values file": "",
     "overflowing spread": "region_id,value\ncell0_0,1.7e308\ncell1_1,-1.7e308\ncell2_2,0\n",
+    # one cell longer than the csv module reads
+    "oversized values header": f"region_id,value,{'x' * (csv.field_size_limit() + 1)}\ncell0_0,1\n",
+    "oversized values cell": f"region_id,value\ncell0_0,1\ncell1_1,{'1' * (csv.field_size_limit() + 1)}\n",
 }
 
 # parsed JSON that is no FeatureCollection of feature objects
@@ -966,6 +981,9 @@ def failing_run(kind, sy, tmp, monkeypatch):
                 "--deseasonalize", "--seasonal-window", "1"]
     if kind == "negative seed":
         return moran + ["--seed", "-1"]
+    if kind == "impossible permutations":
+        # draws that exceed the address space: numpy refuses them without allocating
+        return moran + ["--permutations", "1000000000000000"]
     if kind == "negative config seed":
         (tmp / "run.json").write_text(json.dumps({"seed": -3}))
         return ["--config", str(tmp / "run.json")] + moran
@@ -1024,6 +1042,8 @@ def failing_run(kind, sy, tmp, monkeypatch):
         ("values without value column", 2),
         ("values header without needed columns", 2),
         ("empty values file", 2),
+        ("oversized values header", 2),
+        ("oversized values cell", 2),
         ("weights seed", 2),
         ("no categories", 2),
         ("data", 3),
@@ -1046,6 +1066,7 @@ def failing_run(kind, sy, tmp, monkeypatch):
         ("moran reversed window", 3),
         ("radar name collision", 3),
         ("alpha 1.5", 3),
+        ("impossible permutations", 3),
         ("geometry array", 3),
         ("features not a list", 3),
         ("feature not an object", 3),
@@ -1142,11 +1163,12 @@ def test_late_failure_writes_nothing(sy, tmp_path, monkeypatch):
      "center nan", "center -inf", "alpha 1.5", "no categories", "config categories empty", "center -1e160", "overflowing categories",
      "moran overflowing categories", "huge coordinates", "overflowing spread",
      "geometry nested too deep", "config nested too deep", "toml config nested too deep",
+     "oversized values header", "oversized values cell", "impossible permutations",
      *BAD_GEOMETRY_DOCS, *BAD_WEIGHTS_OPTIONS, *BAD_POSITIONS],
 )
 def test_failure_writes_nothing(kind, sy, tmp_path, monkeypatch):
     argv = failing_run(kind, sy, tmp_path, monkeypatch)
-    code = 2 if kind in ("no categories", "geometry nested too deep") else 3
+    code = 2 if kind in ("no categories", "geometry nested too deep") or "oversized" in kind else 3
     assert main(argv + ["--out-dir", str(tmp_path / "out")]) == code
     assert not (tmp_path / "out").exists()
 
@@ -1198,6 +1220,9 @@ FAILURE_MESSAGES = {
     "values without value column": "schema error: values CSV needs region_id and value columns",
     "values header without needed columns": "schema error: values CSV needs region_id and value columns",
     "empty values file": "schema error: values CSV needs region_id and value columns",
+    "oversized values header": "schema error: values CSV: line 1: malformed CSV: field larger than field limit",
+    "oversized values cell": "schema error: values CSV: line 3: malformed CSV: field larger than field limit",
+    "impossible permutations": "error: out of memory: Unable to allocate",
     "overflowing spread": "error: values too large: their spread overflows",
     "bad column map": "error: bad --column-map entry 'sub_region' (want key=value)",
     "config permutations 5.5": "error: config permutations: 5.5 is not a valid --permutations value",

@@ -13,8 +13,8 @@ from mobility_esda.indicator import RadarConfig
 from mobility_esda.ingest import CATEGORIES
 from mobility_esda.moran import LisaResult
 from mobility_esda.render import (
+    HEIGHT,
     MISSING_COLOR,
-    FigureSpec,
     join_geojson,
     lisa_to_csv,
     map_paths,
@@ -147,10 +147,11 @@ class TestLisaMaps:
 
 
 class TestMapPaths:
-    # sha256 of the maps as drawn before the projection was shared, when each
-    # renderer took the geometries and projected them itself; the choropleth's
-    # as drawn when the caller passed the blue ramp over -12.5..7.125 as a scale
-    CHOROPLETH_SHA = "cb412953f8d89586370d208173654c3dd0c5925aa234d6c94e4d84abafcf5710"
+    # sha256 of the lisa maps as drawn before the projection was shared, when
+    # each renderer took the geometries and projected them itself, and when
+    # one title served both maps; the choropleth's as drawn when the frame
+    # was a setting, in its default 640 x 480 one
+    CHOROPLETH_SHA = "68a39b6ba19d06e45a6ff0b482ee3a153eeef855f7c3e692246451bf9663bc79"
     CLUSTER_SHA = "26d6558dcab8471d48dfbdac1ebfadba93d6b7561f2bd910366bc6914b2210cc"
     SIGNIFICANCE_SHA = "38902709689b0f7cc5f45b953545383f23eacf1c824faa397fda49cbe138ec99"
 
@@ -162,8 +163,7 @@ class TestMapPaths:
         geoms = grid_geometries(2, 3)
         values = {"cell0_0": -12.5, "cell0_1": 3.25, "cell0_2": None, "cell1_0": 0.0,
                   "cell1_1": 7.125, "ghost": 1.0}
-        spec = FigureSpec(width=500, height=311, margin=25, title="Mean <variation> & more")
-        svg = render_choropleth(map_paths(geoms, spec), values, spec)
+        svg = render_choropleth(map_paths(geoms), values, "Mean <variation> & more")
         assert self.sha(svg) == self.CHOROPLETH_SHA
 
     def test_lisa_map_bytes(self):
@@ -171,14 +171,15 @@ class TestMapPaths:
         ids = ["cell1_2", "cell1_1", "cell1_0", "cell0_2", "cell0_1", "cell0_0"]
         lisa = simple_lisa(ids, ["HH", "LL", "LH", "HL", "ns", "HH"],
                            [0.05, 0.01, 0.001, None, None, 0.05], p=[0.5] * 6)
-        cluster, signif = render_lisa_maps(map_paths(geoms), lisa, FigureSpec(title="LISA clusters: parks"))
+        titles = ("LISA clusters: parks", "LISA clusters: parks")
+        cluster, signif = render_lisa_maps(map_paths(geoms), lisa, titles)
         assert (self.sha(cluster), self.sha(signif)) == (self.CLUSTER_SHA, self.SIGNIFICANCE_SHA)
 
-    def test_sorted_ids_in_spec_frame(self):
+    def test_sorted_ids_in_map_frame(self):
+        # 2 x 1 units fill the 560 px between the margins: 280 px a unit
         geoms = [RegionGeometry("b", square(1, 0)), RegionGeometry("a", square(0, 0))]
-        paths = map_paths(geoms, FigureSpec(width=220, height=120, margin=10))
-        assert list(paths.items()) == [("a", "M10,110 L110,110 L110,10 L10,10 Z"),
-                                       ("b", "M110,110 L210,110 L210,10 L110,10 Z")]
+        assert list(map_paths(geoms).items()) == [("a", "M40,440 L320,440 L320,160 L40,160 Z"),
+                                                  ("b", "M320,440 L600,440 L600,160 L320,160 Z")]
 
     def test_every_ring_in_one_path(self):
         g = RegionGeometry("two", square(0, 0) + square(2, 0))
@@ -232,9 +233,7 @@ class TestRadarFigure:
 
     def test_vertex_coordinates(self):
         values = dict(zip(CATEGORIES, [-30.0, -10, -80, -60, -40, 10]))
-        config = RadarConfig()
-        spec = FigureSpec(width=480, height=480, margin=40)
-        svg = render_radar(values, config, spec)
+        svg = render_radar(values, RadarConfig())
         polys = re.findall(r'<polygon points="([^"]+)"', svg)
         got = [tuple(map(float, p.split(","))) for p in polys[1].split()]
         radii = [values[c] + 100 for c in CATEGORIES]
@@ -255,21 +254,19 @@ class TestSeriesFigure:
 
     def test_few_series_keep_one_line_each(self):
         # the bytes of the one-line-per-series plot, legend sorted by name
-        svg = render_series(["b", "a"], [np.linspace(1, 0, 5), np.linspace(0, 1, 5) ** 2],
-                            FigureSpec(title="two"))
+        svg = render_series(["b", "a"], [np.linspace(1, 0, 5), np.linspace(0, 1, 5) ** 2], "two")
         digest = hashlib.sha256(svg.encode()).hexdigest()
         assert digest == "61e005517c94ec35cc057c4b2bb65f5c64974060c56402fdfcde2899a72b0775"
 
     def test_many_series_drawn_as_median_and_band(self):
         rng = np.random.default_rng(0)
         values = rng.normal(size=(27, 92)).cumsum(axis=1)
-        spec = FigureSpec()
-        svg = render_series([f"r{k}" for k in range(27)], values, spec)
+        svg = render_series([f"r{k}" for k in range(27)], values)
         assert svg.count("<polyline ") == 1
         assert svg.count("<polygon ") == 1
         legend_ys = [float(y) for y in re.findall(r'<rect x="[^"]+" y="([^"]+)"', svg)]
         assert len(legend_ys) == 2
-        assert all(0 <= y and y + 12 <= spec.height for y in legend_ys)
+        assert all(0 <= y and y + 12 <= HEIGHT for y in legend_ys)
         assert "median of 27" in svg
         # the median line's first point sits at the first column's median
         fraction = (np.median(values[:, 0]) - values.min()) / (values.max() - values.min())
