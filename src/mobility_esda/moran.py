@@ -7,9 +7,10 @@ The global index for values x over weights W is
 and the local index for standardized values z is I_i = z_i * sum_j w_ij z_j.
 Significance uses pseudo p-values (M+1)/(R+1) from seeded permutations,
 where M counts the simulations at least as extreme as the observation on
-the side of its reference that it falls on (folded one-sided); an
-exhaustive mode enumerates every relabeling for small n so Monte Carlo
-results can be checked exactly.
+the side of its reference that it falls on (folded one-sided), or every
+simulation when it ties its reference; an exhaustive mode enumerates
+every relabeling for small n so Monte Carlo results can be checked
+exactly.
 """
 
 from __future__ import annotations
@@ -132,18 +133,25 @@ class MoranGlobalResult:
     pseudo_p: float
 
 
+def _side(observed, reference):
+    """The sign of ``observed - reference``, elementwise, or 0 for a tie:
+    a deviation of at most ``EPS``, which rounding alone can give."""
+    deviation = np.subtract(observed, reference)
+    return np.where(np.abs(deviation) <= EPS, 0.0, np.sign(deviation))
+
+
 def _pseudo_p(observed: float, sims: np.ndarray, reference: float) -> float:
     """(M+1)/(R+1) with M counting simulations at least as extreme as the
-    observed value on its side of the reference (the folded tail); a zero
-    deviation counts every simulation.
+    observed value on its side of the reference (the folded tail); a tie
+    counts every simulation.
 
-    With sign = sign(observed - reference), a simulation s is at least as
-    extreme as the observation o when ``sign * s >= sign * o - EPS``. For
-    sign -1 that is exactly ``s <= o + EPS``, as negation is exact, and for
-    sign 0 it always holds.
+    With side s (``_side``), a simulation v is at least as extreme as the
+    observation o when ``s * v >= s * o - EPS``. For s = -1 that is
+    exactly ``v <= o + EPS``, as negation is exact, and for s = 0 it
+    always holds.
     """
-    sign = np.sign(observed - reference)
-    M = int(np.count_nonzero(sign * sims >= sign * observed - EPS))
+    side = _side(observed, reference)
+    M = int(np.count_nonzero(side * sims >= side * observed - EPS))
     return (M + 1) / (len(sims) + 1)
 
 
@@ -200,60 +208,26 @@ def _quadrant(zi: float, lagi: float) -> str:
 
 
 def _block_draws(rngs: list[np.random.Generator], m: int, k: int, size: int) -> np.ndarray:
-    """One block of ``size`` rows of k distinct indices from range(m) per
-    generator, G x size x k; each row is uniform over the m!/(m-k)!
-    ordered k-tuples.
+    """One block of ``size`` uniform k-subsets of range(m) per generator,
+    k x G x size: ``picks[:, g, r]`` is row r of generator g.
 
-    Each generator is read on its own, in this order: k rounds of
-    ``size`` integers in [0, j] for j = m-k .. m-1, in one ``integers``
-    call (it gives the values, and leaves the state, of k calls
-    ``integers(0, j + 1, size=size)``), then ``random((size, k))`` sort
-    keys. The rest runs on all blocks at once.
-    Floyd's subset algorithm: a round's draw that repeats an earlier pick
-    of its row becomes j instead, which leaves a uniform k-subset in k
-    rounds with no redraws. Sorting each row by its uniform keys then puts
-    the subset in uniform order.
+    Each generator is read on its own: k rounds of ``size`` integers in
+    [0, j] for j = m-k .. m-1, in one ``integers`` call (it gives the
+    values of k calls ``integers(0, j + 1, size=size)``). Floyd's subset
+    algorithm (Bentley and Floyd 1987) then runs on all generators at
+    once: a round's draw that repeats an earlier pick of its row becomes j
+    instead, which leaves a uniform k-subset in k rounds with no redraws.
+    Each subset is the one earlier releases drew, so seeded p-values carry
+    over.
     """
     G = len(rngs)
     picks = np.empty((k, G, size), dtype=np.intp)  # round-major: each round is contiguous
-    keys = np.empty((G, size, k))
     bounds = np.arange(m - k, m)[:, None] + 1
     for g, rng in enumerate(rngs):
         picks[:, g] = rng.integers(0, bounds, size=(k, size))
-        rng.random(out=keys[g])
     for t, j in enumerate(range(m - k, m)):
         np.copyto(picks[t], j, where=(picks[:t] == picks[t]).any(axis=0))
-    # row (g, r) in the order of its keys; picks[a, g, r] is flat element a*G*size + g*size + r
-    # (in place: at most three G x size x k arrays are live, as in a one-region block)
-    order = np.argsort(keys, axis=-1)
-    order *= G * size
-    order += np.arange(G * size).reshape(G, size, 1)
-    return np.take(picks, order)
-
-
-def _local_tails(
-    Z: np.ndarray, regions: np.ndarray, nbrs: np.ndarray, wts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """For each field (row of the F x n ``Z``) and each of G regions of one
-    degree k with G x k neighbours ``nbrs`` and weights ``wts``: sign * z_i
-    and sign * I_i - EPS, F x G each, where sign is that of I_i less its
-    reference, as in ``_pseudo_p``.
-
-    A draw whose lag is ``lag`` is at least as extreme as the observation
-    when ``(sign * z_i) * lag >= sign * I_i - EPS``, which is
-    ``sign * (z_i * lag)`` exactly. I_i and its reference
-    -z_i**2 * sum(w) / (n - 1) are rounded as the one-region formulas: a
-    BLAS dot per region (one field at a time, as a stacked matmul sums in
-    another order) and libm ``pow`` for z_i**2 (numpy squares arrays by
-    multiplication, which can round differently).
-    """
-    zi = Z[:, regions]
-    lags = [(wts[:, None, :] @ z[nbrs][:, :, None])[:, 0, 0] for z in Z]
-    observed = zi * np.reshape(lags, zi.shape)
-    zi_pow2 = np.reshape([v**2 for v in zi.ravel().tolist()], zi.shape)
-    reference = -zi_pow2 * wts.sum(axis=1) / (Z.shape[1] - 1)
-    sign = np.sign(observed - reference)
-    return sign * zi, sign * observed - EPS
+    return picks
 
 
 def lisa_permutation(
@@ -265,18 +239,23 @@ def lisa_permutation(
 ) -> list[np.ndarray]:
     """Conditional permutation pseudo p-value per region.
 
-    For each region i, z_i is held fixed and its |N(i)| neighbor values
-    are drawn without replacement from the other n-1 values (Anselin
-    1995, conditional randomization). Region i draws all of its
-    ``permutations`` arrangements from its own stream
-    ``default_rng((seed, i))``, read exactly as ``_block_draws`` reads
-    it, so its p-value does not depend on which regions are evaluated
-    with it. The reads go region by region; everything after them runs
-    on blocks of regions of equal degree, of about ``LISA_BLOCK`` draw
-    elements each, and gives the same p-values bit for bit as evaluating
-    one region at a time: seeded p-values are those of earlier releases
-    that use this sampler. Exhaustive mode enumerates every arrangement
-    of neighbor values, once per degree.
+    For each region i, z_i is held fixed and its k = |N(i)| neighbor
+    values are drawn without replacement from the other n-1 values
+    (Anselin 1995, conditional randomization). A region's stored weights
+    must all be equal, as binary and row-standardized ones are, else
+    ``ParameterError``: a draw's lag is then w_i times the sum of the k
+    values drawn, whatever their order. I_i is z_i times
+    ``spatial_lag(W, z)_i``, and its reference -z_i**2 k w_i / (n - 1);
+    the tail and the tie rule are those of ``_pseudo_p``.
+
+    Region i draws its ``permutations`` k-subsets from its own stream
+    ``default_rng((seed, i))``, read as ``_block_draws`` reads it, so its
+    p-value does not depend on which regions are evaluated with it.
+    Everything after the reads runs on blocks of regions of equal degree,
+    of about ``LISA_BLOCK`` draw elements each, and gives the p-values of
+    one region at a time bit for bit. Exhaustive mode enumerates every
+    ordered arrangement of neighbor values, once per degree, so its R is
+    (n-1)!/(n-1-k)!.
 
     ``fields`` are on the same regions, and there is one p array per
     field in order. The draws are made once and every field is evaluated
@@ -287,6 +266,10 @@ def lisa_permutation(
         _check_aligned(field, W)
     if not exhaustive and permutations < 1:
         raise ParameterError(f"permutations must be >= 1, got {permutations}")
+    unequal = np.flatnonzero(W.data != W.data[W.indptr[W.rows]])
+    if len(unequal):
+        region = W.ids[W.rows[unequal[0]]]
+        raise ParameterError(f"region {region!r} has unequal weights; conditional permutation needs equal ones")
     n = W.n
     degree = np.diff(W.indptr)
     if exhaustive:
@@ -294,28 +277,32 @@ def lisa_permutation(
         if big:
             raise ParameterError(f"exhaustive conditional enumeration too large for region {big[0]}")
     Z = np.array([field.z for field in fields]).reshape(len(fields), n)
+    local = np.array([z * spatial_lag(W, z) for z in Z]).reshape(Z.shape)
     p = np.ones((len(fields), n))
     for k in sorted(set(degree.tolist()) - {0}):
         regions = np.flatnonzero(degree == k)
-        stored = W.indptr[regions][:, None] + np.arange(k)
-        wts = W.data[stored]
-        signed_zi, threshold = _local_tails(Z, regions, W.indices[stored], wts)
+        w = W.data[W.indptr[regions]]
+        zi, Ii = Z[:, regions], local[:, regions]
+        side = _side(Ii, -zi * zi * (k * w) / (n - 1))
+        # a draw whose lag is w_i * s counts when side * z_i * (w_i * s) >= side * I_i - EPS
+        signed_zi, threshold = side * zi, side * Ii - EPS
         if exhaustive:
-            enumeration = np.array(list(itertools.permutations(range(n - 1), k)))
-        R = len(enumeration) if exhaustive else permutations
-        counts = np.empty(signed_zi.shape, dtype=np.intp)
+            enumeration = np.array(list(itertools.permutations(range(n - 1), k))).T[:, None]
+        R = enumeration.shape[-1] if exhaustive else permutations
+        counts = np.empty(zi.shape, dtype=np.intp)
         block = max(1, LISA_BLOCK // (R * k))
         for start in range(0, len(regions), block):
             b = slice(start, start + block)
-            # each draw indexes the n - 1 regions other than i: skip i itself
-            if exhaustive:
-                others = enumeration + (enumeration >= regions[b, None, None])
-            else:
-                rngs = [np.random.default_rng((seed, i)) for i in regions[b].tolist()]
-                others = _block_draws(rngs, n - 1, k, R)
-                others += others >= regions[b, None, None]
+            picks = enumeration if exhaustive else _block_draws(
+                [np.random.default_rng((seed, i)) for i in regions[b].tolist()], n - 1, k, R
+            )
+            # each pick indexes the n - 1 regions other than i: skip i itself
+            others = picks + (picks >= regions[b, None])
             for f, z in enumerate(Z):
-                lag = (z[others] @ wts[b, :, None])[..., 0]
+                lag = z[others[0]]
+                for t in range(1, k):
+                    lag += z[others[t]]
+                lag *= w[b, None]
                 counts[f, b] = (signed_zi[f, b, None] * lag >= threshold[f, b, None]).sum(axis=1)
         p[:, regions] = (counts + 1) / (R + 1)
     return list(p)

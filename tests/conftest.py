@@ -145,22 +145,29 @@ def stl_oracle(y, period=7, seasonal_window=7, inner_iters=2, outer_iters=0, tre
     return trend, seasonal
 
 
+def _oracle_pseudo_p(observed: float, sims, reference: float) -> float:
+    """(M + 1) / (R + 1), M counting the simulations at least as extreme as
+    the observation on its side of the reference; a deviation of at most
+    1e-12 is a tie, which counts every simulation."""
+    sims = np.asarray(sims, dtype=float)
+    R = len(sims)
+    dev = observed - reference
+    eps = 1e-12
+    if abs(dev) <= eps:
+        M = R
+    elif dev > 0:
+        M = int(np.sum(sims >= observed - eps))
+    else:
+        M = int(np.sum(sims <= observed + eps))
+    return (M + 1) / (R + 1)
+
+
 def exhaustive_pseudo_p(x, W: SpatialWeights) -> float:
     """Brute-force enumeration of all n! relabelings for the global test."""
     x = np.asarray(x, float)
     n = len(x)
-    observed = moran_oracle(x, W)
     sims = [moran_oracle(x[list(p)], W) for p in itertools.permutations(range(n))]
-    ref = -1.0 / (n - 1)
-    dev = observed - ref
-    eps = 1e-12
-    if dev > 0:
-        M = sum(1 for s in sims if s >= observed - eps)
-    elif dev < 0:
-        M = sum(1 for s in sims if s <= observed + eps)
-    else:
-        M = len(sims)
-    return (M + 1) / (len(sims) + 1)
+    return _oracle_pseudo_p(moran_oracle(x, W), sims, -1.0 / (n - 1))
 
 
 def exhaustive_conditional_p(z, W: SpatialWeights, i: int) -> float:
@@ -175,42 +182,18 @@ def exhaustive_conditional_p(z, W: SpatialWeights, i: int) -> float:
         z[i] * sum(w * others[a] for a, w in zip(arr, wts))
         for arr in itertools.permutations(range(n - 1), len(nbrs))
     ]
-    ref = -(z[i] ** 2) * sum(wts) / (n - 1)
-    dev = observed - ref
-    eps = 1e-12
-    if dev > 0:
-        M = sum(1 for s in sims if s >= observed - eps)
-    elif dev < 0:
-        M = sum(1 for s in sims if s <= observed + eps)
-    else:
-        M = len(sims)
-    return (M + 1) / (len(sims) + 1)
+    return _oracle_pseudo_p(observed, sims, -(z[i] ** 2) * sum(wts) / (n - 1))
 
 
-def _oracle_ordered_draws(rng: np.random.Generator, m: int, k: int, size: int) -> np.ndarray:
-    """One region's block of ordered draws, read from its stream as the
-    package reads it: Floyd's subset algorithm on all rows at once, then a
-    uniform order from sorting each row by random keys."""
+def _oracle_subset_draws(rng: np.random.Generator, m: int, k: int, size: int) -> np.ndarray:
+    """One region's block of k-subsets, size x k, read from its stream as
+    the package reads it: Floyd's subset algorithm on all rows at once."""
     picks = np.empty((size, k), dtype=np.intp)
     for t, j in enumerate(range(m - k, m)):
         draw = rng.integers(0, j + 1, size=size)
         repeat = (picks[:, :t] == draw[:, None]).any(axis=1)
         picks[:, t] = np.where(repeat, j, draw)
-    order = np.argsort(rng.random((size, k)), axis=1)
-    return np.take_along_axis(picks, order, axis=1)
-
-
-def _oracle_pseudo_p(observed: float, sims: np.ndarray, reference: float) -> float:
-    R = len(sims)
-    dev = observed - reference
-    eps = 1e-12
-    if dev > 0:
-        M = int(np.sum(sims >= observed - eps))
-    elif dev < 0:
-        M = int(np.sum(sims <= observed + eps))
-    else:
-        M = R
-    return (M + 1) / (R + 1)
+    return picks
 
 
 def lisa_oracle(fields, W: SpatialWeights, permutations=999, seed=0, exhaustive=False) -> list[np.ndarray]:
@@ -228,7 +211,7 @@ def lisa_oracle(fields, W: SpatialWeights, permutations=999, seed=0, exhaustive=
         if exhaustive:
             draws = np.array(list(itertools.permutations(range(n - 1), k)))
         else:
-            draws = _oracle_ordered_draws(np.random.default_rng((seed, i)), n - 1, k, permutations)
+            draws = _oracle_subset_draws(np.random.default_rng((seed, i)), n - 1, k, permutations)
         for f, field in enumerate(fields):
             z = field.z
             observed = float(z[i] * np.dot(wts, z[nbrs]))

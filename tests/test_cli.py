@@ -124,14 +124,31 @@ def test_outputs_are_utf8_whatever_the_locale(tmp_path):
         assert "radar-BR_São Paulo.svg".encode() in os.listdir(os.fsencode(tmp_path / "c" / run_name))
 
 
-# CI's pinned 3x3 seed-1 commands, on the inputs of perfbench/gen.py
+# CI's pinned 3x3 seed-1 commands, on the inputs of perfbench/gen.py, and a LISA run on a tied copy of them
 PINNED_RUNS = {
     "moran": ["moran", "--input", "mobility.csv", "--geometry", "regions.geojson", "--country", "SY",
               "--permutations", "99", "--seed", "1"],
     "indicator": ["indicator", "--input", "mobility.csv", "--country", "SY", "--subnational", "--deseasonalize"],
     "robust": ["indicator", "--input", "mobility.csv", "--country", "SY", "--subnational", "--deseasonalize",
                "--robust", "--trend-only"],
+    "tied": ["moran", "--input", "tied/mobility.csv", "--geometry", "tied/regions.geojson", "--country", "SY",
+             "--permutations", "99", "--seed", "1", "--categories", "residential"],
 }
+
+
+def write_tied_inputs(gen, directory: Path) -> None:
+    """The 3x3 seed-1 inputs with every day and category of the regions, in
+    row-major order, set to 0, 2, 1, 2, 1, 0, 2, 0, 0: cell2_1's I_i then
+    equals its reference -z_i**2 / 8 but for rounding, whose sign can
+    hang on the BLAS kernel."""
+    directory.mkdir()
+    gen.write_inputs(directory, 3, 3, 92, seed=1)
+    values = dict(zip([gen.region_name(*divmod(i, 3)) for i in range(9)], "021210200"))
+    rows = [line.split(",") for line in (directory / "mobility.csv").read_text().splitlines()]
+    (directory / "mobility.csv").write_text(
+        "".join(",".join(r[:9] + [values[r[2]]] * 6 if r[2] in values else r) + "\n" for r in rows)
+    )
+
 
 # numpy's AVX-512 paths off, as on a CPU without them
 AVX512_OFF = {"NPY_DISABLE_CPU_FEATURES": "X86_V4,AVX512_ICL,AVX512_SPR"}
@@ -162,11 +179,13 @@ def kernel_environments() -> dict[str, dict[str, str]]:
 
 def test_pinned_outputs_do_not_depend_on_blas_kernel_or_simd(gen, tmp_path):
     """CI's pinned runs write the same bytes whichever OpenBLAS kernel or
-    numpy SIMD targets compute them, so the pins do not hang on the CPU."""
+    numpy SIMD targets compute them, so the pins do not hang on the CPU;
+    in one run a region's local index ties its reference."""
     envs = kernel_environments()
     if not envs:
         pytest.skip("OpenBLAS kernels are chosen here only on x86-64")
     gen.write_inputs(tmp_path, 3, 3, 92, seed=1)
+    write_tied_inputs(gen, tmp_path / "tied")
     code = ("import json, sys; from mobility_esda.cli import main; "
             "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
     for name, extra in {"default": {}, **envs}.items():
@@ -178,6 +197,8 @@ def test_pinned_outputs_do_not_depend_on_blas_kernel_or_simd(gen, tmp_path):
         assert run.returncode == 0, (name, run.stderr)
     default = hash_tree(tmp_path / "default")
     assert len(default) > 20
+    # every kernel's tied run writes the bytes CI pins, where cell2_1's p is 1
+    assert default["tied/residential/lisa.csv"] == "29cd2bcad1fa635d9793481428dee20536e9d9a32cf3baa5d349df8d47aea1e3"
     for name in envs:
         assert hash_tree(tmp_path / name) == default, name
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -269,19 +270,29 @@ def chi2_upper_quantile(df: int, z: float = 3.09) -> float:
     return df * (1 - c + z * math.sqrt(c)) ** 3
 
 
-class TestOrderedDraws:
-    @pytest.mark.parametrize("m, k", [(4, 2), (5, 3), (4, 4), (6, 1)])
-    def test_uniform_over_ordered_tuples(self, m, k):
-        tuples = list(itertools.permutations(range(m), k))
-        size = 200 * len(tuples)
-        rows = _block_draws([np.random.default_rng(0)], m, k, size)[0]
+class TestSubsetDraws:
+    @pytest.mark.parametrize("m, k", [(4, 2), (5, 3), (7, 4), (6, 1)])
+    def test_uniform_over_subsets(self, m, k):
+        subsets = list(itertools.combinations(range(m), k))
+        size = 200 * len(subsets)
+        rows = _block_draws([np.random.default_rng(0)], m, k, size)[:, 0].T
         assert rows.shape == (size, k)
         assert all(len(set(row)) == k for row in rows.tolist())
-        index = {t: c for c, t in enumerate(tuples)}
-        counts = np.bincount([index[tuple(row)] for row in rows.tolist()], minlength=len(tuples))
-        expected = size / len(tuples)
+        index = {s: c for c, s in enumerate(subsets)}
+        counts = np.bincount([index[tuple(sorted(row))] for row in rows.tolist()], minlength=len(subsets))
+        expected = size / len(subsets)
         chi2 = float(((counts - expected) ** 2 / expected).sum())
-        assert chi2 < chi2_upper_quantile(len(tuples) - 1)
+        assert chi2 < chi2_upper_quantile(len(subsets) - 1)
+
+    def test_picks_are_those_of_earlier_releases(self):
+        # earlier releases read sort keys after these picks and shuffled each row by them: as sets, the
+        # rows of streams (42, 0), (42, 1) and (42, 2) for k = 5 of m = 26 (a 3x9 grid's queen interior)
+        draws = _block_draws([np.random.default_rng((42, i)) for i in range(3)], 26, 5, 4)
+        assert np.sort(draws, axis=0).transpose(1, 2, 0).tolist() == [
+            [[1, 4, 9, 13, 18], [2, 3, 17, 19, 24], [1, 12, 14, 17, 21], [9, 11, 16, 19, 23]],
+            [[11, 14, 21, 23, 25], [9, 10, 17, 19, 24], [1, 6, 9, 18, 21], [5, 13, 14, 19, 20]],
+            [[3, 4, 8, 16, 22], [2, 6, 8, 23, 24], [0, 3, 4, 15, 19], [7, 16, 17, 20, 21]],
+        ]
 
 
 class TestLisaPermutation:
@@ -415,7 +426,7 @@ def lisa_cases(draw):
             neighbors[j].append(i)
     ids = [f"r{i}" for i in range(n)]
     kind = draw(st.sampled_from(["binary", "row-standardized", "unequal"]))
-    if kind == "unequal":  # the order of a region's draws then matters to its lag
+    if kind == "unequal":  # refused: a draw's lag would then depend on the order of its values
         weight = st.floats(0.1, 10)
         W = SpatialWeights.from_rows(ids, neighbors, [[draw(weight) for _ in nbrs] for nbrs in neighbors])
     else:
@@ -445,14 +456,18 @@ class TestLisaOracle:
     @settings(max_examples=200, deadline=None)
     def test_equals_per_region_loop(self, case):
         fields, W, kwargs = case
+        if any(len(set(W.weights(i).tolist())) > 1 for i in range(W.n)):
+            with pytest.raises(ParameterError, match="unequal weights"):
+                lisa_permutation(fields, W, **kwargs)
+            return
         got = lisa_permutation(fields, W, **kwargs)
         for p, expected in zip(got, lisa_oracle(fields, W, **kwargs), strict=True):
             assert np.array_equal(p, expected)
 
-    # graphs and integer values where a region's observation equals its
-    # reference but for rounding, so the sign of a deviation of about 1e-16
-    # decides the folded tail: I_i needs one BLAS dot per region and field,
-    # the reference libm pow for z_i ** 2
+    # graphs and integer values where some region's I_i equals its reference
+    # in exact arithmetic. In floating point the deviation is then 0 or about
+    # 1e-16 of either sign, as the rounding (and so the BLAS kernel) falls;
+    # the tie rule makes p = 1 whichever it is
     TIED = [
         ([1, 1, 0, 0, 1, 1, 0],
          [[2, 4, 5], [2, 6], [0, 1, 3, 4, 5, 6], [2, 4, 5], [0, 2, 3, 6], [0, 2, 3], [1, 2, 4]]),
@@ -474,6 +489,19 @@ class TestLisaOracle:
         got = lisa_permutation(fields, W, **kwargs)
         for p, expected in zip(got, lisa_oracle(fields, W, **kwargs), strict=True):
             assert np.array_equal(p, expected)
+        assert self.exact_ties(x, neighbors)
+        for p, values in zip(got, (x, x[::-1])):
+            assert (p[self.exact_ties(values, neighbors)] == 1).all()
+
+    @staticmethod
+    def exact_ties(x, neighbors) -> list[int]:
+        """The regions whose I_i equals its reference -z_i**2 / (n - 1) in
+        exact arithmetic, for row-standardized weights: d_i (mean of the
+        neighbours' d_j + d_i / (n - 1)) = 0, with d = x - mean(x)."""
+        n = len(x)
+        d = [Fraction(v) - Fraction(sum(x), n) for v in x]
+        return [i for i, nbrs in enumerate(neighbors)
+                if d[i] * (sum(d[j] for j in nbrs) / len(nbrs) + d[i] / (n - 1)) == 0]
 
     @pytest.mark.parametrize("permutations", [99, 999])
     def test_many_blocks_per_degree(self, permutations):
