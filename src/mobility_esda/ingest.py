@@ -12,14 +12,14 @@ A :class:`MobilityTable` keeps the rows as columns, sorted by
 from __future__ import annotations
 
 import bisect
-import contextlib
+import codecs
 import csv
 import datetime as dt
 import io
 import itertools
 import json
 import math
-import operator
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -216,11 +216,12 @@ class ImputationReport:
         return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
 
-# lines read and converted at a time: enough to amortize the per-chunk
-# numpy calls, few enough that a chunk's cell strings stay small (on 400
-# regions x 92 days, 1,024 parsed about as fast as 2,048 and 15% faster
-# than 8,192, with half the peak memory)
-CHUNK_ROWS = 1024
+# bytes read at a time, a block being what the reads hold up to their last
+# line end: enough to amortize the numpy calls per block, few enough that a
+# block's offset arrays stay small (on 400 regions x 92 days, 256 KiB
+# parsed faster than 64 KiB and as fast as 1 MiB, which raised the parse's
+# peak from 9.5 to 14.1 MB)
+BLOCK_BYTES = 1 << 18
 
 # columns of the country, sub-region, date and CATEGORIES that _Columns.add
 # takes first
@@ -230,99 +231,281 @@ _WANTED = 3 + len(CATEGORIES)
 # code is empty or contains the "/" of region_key
 _DROPPED, _NO_COUNTRY = -2, -1
 
+# zero bytes after the cells of a buffer _Columns.add converts, so that the
+# 16 bytes, or the 8-byte word, at any cell's start are in the buffer
+_PAD = bytes(16)
 
-@contextlib.contextmanager
-def _text_lines(source):
-    """``source`` (bytes or a binary file) as a text stream of its lines.
+# the low r bytes of a little-endian 8-byte word, r = 0 .. 8
+_MASKS = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
 
-    The bytes are decoded as UTF-8 while they are read, and a byte-order
-    mark is dropped; line ends are left to the CSV reader. A file passed in
-    stays open.
-    """
+# a line end as a text stream opened with newline="" reads it; a block never
+# ends between the CR and LF of a CRLF
+_LINE_END = re.compile(rb"\r\n?|\n")
+
+# 10**0 .. 10**15, each exact in a double
+_TENS = np.array([float(10**k) for k in range(16)])
+
+
+def _blocks(source):
+    """``source`` (bytes or a binary file) in blocks of whole lines: what
+    ``BLOCK_BYTES``-byte reads hold up to their last line end, with the rest
+    carried to the next block. A byte-order mark is dropped. Each block is
+    checked to be UTF-8 text, and the first byte that is not is a
+    SchemaError naming its line."""
     if isinstance(source, (bytes, bytearray)):
         source = io.BytesIO(source)
     elif not hasattr(source, "read"):
         raise TypeError(f"unsupported source type: {type(source)!r}")
-    stream = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
-    try:
-        yield stream
-    finally:
-        stream.detach()  # closing the wrapper would close the caller's file
+    line, first, pieces = 1, True, []
+    while True:
+        read = source.read(BLOCK_BYTES)
+        cut = _last_line_end(read)
+        # with no line end in the read, a CR that ended the one before is a
+        # lone CR: the read does not start with LF
+        if read and not cut and not (pieces and pieces[-1].endswith(b"\r")):
+            pieces.append(read)  # no line end yet: read on
+            continue
+        data = b"".join([*pieces, read[:cut]])  # no copy when it is all one read
+        pieces = [read[cut:]] if cut < len(read) else []
+        end, read = not read, None  # freed while the block is converted
+        if first:
+            data, first = data.removeprefix(codecs.BOM_UTF8), False
+        try:
+            data.decode()
+        except UnicodeDecodeError as exc:
+            line += _line_ends(data[: exc.start])
+            raise SchemaError(
+                f"line {line}: input is not UTF-8 text: byte {data[exc.start]:#04x}: {exc.reason}"
+            ) from None
+        line += _line_ends(data)
+        if data:
+            yield data
+        if end:
+            return
 
 
-def _chunks(lines, start: int, width: int, keep: list[int]):
-    """The records left in ``lines``, whose first is physical line
-    ``start + 1``, ``CHUNK_ROWS`` lines at a time: per chunk, the cells of
-    the ``keep`` columns (blank lines dropped, short records padded with
-    ``""``) and the physical line each record ends on.
+def _last_line_end(data: bytes) -> int:
+    """The offset just past the last line end in ``data`` (LF, CRLF or lone
+    CR), 0 if there is none. A CR that ends ``data`` is left out: the byte
+    after it decides whether it ends a line or starts a CRLF."""
+    stop = len(data) - data.endswith(b"\r")
+    return max(data.rfind(b"\n", 0, stop), data.rfind(b"\r", 0, stop)) + 1
 
-    A chunk of whole lines that holds no ``"`` or lone CR and has
-    ``width - 1`` commas on every line is split on ``,``, which is what
-    ``csv.reader`` reads on such lines; any other chunk is read by
+
+def _line_ends(data: bytes) -> int:
+    """The line ends in ``data``: LF, CRLF and lone CR, as a text stream
+    opened with ``newline=""`` reads them."""
+    ends = np.count_nonzero(np.frombuffer(data, np.uint8) == 0x0A)
+    if b"\r" in data:
+        ends += data.count(b"\r") - data.count(b"\r\n")
+    return ends
+
+
+class _Lines:
+    """A stream's blocks, and the lines of the current block one at a time,
+    decoded for ``csv.reader``; each line ends at LF, CRLF or a lone CR."""
+
+    def __init__(self, blocks):
+        self.blocks, self.data, self.at = blocks, b"", 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> str:
+        while self.at == len(self.data):
+            self.data, self.at = next(self.blocks), 0
+        data, at = self.data, self.at
+        end = _LINE_END.search(data, at)
+        self.at = end.end() if end else len(data)
+        return data[at : self.at].decode()
+
+    def block(self) -> bytes:
+        """The lines of the current block not read yet, else the next
+        block, all counted as read; ``b""`` at the end of the stream."""
+        data = self.data[self.at:] if self.at < len(self.data) else next(self.blocks, b"")
+        self.data, self.at = b"", 0
+        return data
+
+
+def _records(lines: _Lines, line: int, width: int, keep: list[int]):
+    """The records after the header, whose last line is physical line
+    ``line``, a block at a time: per block, a buffer holding the cells of
+    the ``keep`` columns, their start and stop offsets in it, (len(keep),
+    records), and the physical line each record ends on. Blank lines are
+    dropped, and short records are padded with empty cells.
+
+    A block that csv.reader would read as the text between its ``,``s and
+    line ends is split there (``_split``); any other block is read by
     ``csv.reader``, on past its last line while a quoted cell is open.
     """
-    while chunk := list(itertools.islice(lines, CHUNK_ROWS)):
-        cells, error = _plain_cells(chunk, width), None
-        if cells is not None:
-            columns = [cells[i::width] for i in keep]
-            ends = range(start + 1, start + len(chunk) + 1)
-            start += len(chunk)
-        else:
-            reader = csv.reader(itertools.chain(chunk, lines))
-            records, ends = [], []
-            try:
-                for row in reader:
-                    if row:
-                        records.append(row)
-                        ends.append(start + reader.line_num)
-                    if reader.line_num >= len(chunk):
-                        break
-            except csv.Error as exc:
-                # the records before the malformed one are converted first, so
-                # that a bad row above it is reported as it is row by row
-                error = SchemaError(f"line {start + reader.line_num}: malformed CSV: {exc}")
-            start += reader.line_num
-            need = max(keep) + 1
-            if records and min(map(len, records)) < need:
-                records = [row + [""] * (need - len(row)) for row in records]
-            columns = list(zip(*records))
-            columns = [columns[i] for i in keep] if records else []
-            del records, reader
-        del chunk, cells  # freed before the next chunk is read
-        if ends:
-            yield columns, ends
-        del columns
+    while data := lines.block():
+        split = _split(data, width, keep)
+        if split is not None:
+            del data  # freed while the block is converted
+            n = split[1].shape[1]
+            yield *split, np.arange(line + 1, line + n + 1)
+            line += n
+            continue
+        block = data.splitlines(keepends=True)
+        # the block's lines, then the stream's while a quoted cell is open
+        reader = csv.reader(itertools.chain(map(bytes.decode, block), lines))
+        last = len(block)
+        records, ends, error = [], [], None
+        try:
+            for row in reader:
+                if row:
+                    records.append(row)
+                    ends.append(line + reader.line_num)
+                if reader.line_num >= last:
+                    break
+        except csv.Error as exc:
+            # the records before the malformed one are converted first, so
+            # that a bad row above it is reported as it is row by row
+            error = SchemaError(f"line {line + reader.line_num}: malformed CSV: {exc}")
+        line += reader.line_num
+        del data, block, reader  # freed before the next block is read
+        if records:
+            yield *_joined(records, keep), np.array(ends)
+        del records
         if error is not None:
             raise error
 
 
-def _plain_cells(chunk: list[str], width: int) -> list[str] | None:
-    """The chunk's cells, row after row, split on ``,`` if that reads the
-    lines as ``csv.reader`` would; else None.
+def _split(data: bytes, width: int, keep: list[int]):
+    """``data``, with a line end after its last line and ``_PAD`` after
+    that, and the start and stop offsets of the cells of the ``keep``
+    columns, (len(keep), lines), if splitting each line at its ``,``s reads
+    it as ``csv.reader`` would; else None.
 
-    That holds for lines with ``width - 1`` commas each and no ``"`` or lone
-    CR, each ending in LF or CRLF (a stream's last line may have no end),
-    as long as no cell can reach the CSV field size limit.
+    That holds for lines with ``width - 1`` commas each and no ``"`` or
+    lone CR, each ending in LF or CRLF (a stream's last line may have no
+    end), as long as no cell is longer than the CSV field size limit.
     """
-    text = "".join(chunk)
-    if '"' in text or width < 2 or len(text) >= csv.field_size_limit():
+    if width < 2 or b'"' in data:
         return None
-    if set(map(str.count, chunk, itertools.repeat(","))) != {width - 1}:
+    crs = b"\r" in data
+    if crs and data.count(b"\r") != data.count(b"\r\n"):
         return None
-    if "\r" in text:
-        if text.count("\r") != text.count("\r\n"):
-            return None
-        text = text.replace("\r\n", "\n")
-    cells = text.replace("\n", ",").split(",")
-    if text.endswith("\n"):
-        cells.pop()  # the empty cell after the last line end
-    return cells
+    buf = data + _PAD if data.endswith(b"\n") else data + b"\n" + _PAD
+    octets = np.frombuffer(buf, np.uint8, len(buf) - len(_PAD))
+    lf = octets == 0x0A
+    separator = octets == 0x2C
+    separator |= lf
+    stops = np.flatnonzero(separator)
+    del separator
+    ends = stops[width - 1 :: width]
+    if stops.size != np.count_nonzero(lf) * width or not lf[ends].all():
+        return None
+    del lf
+    starts = np.empty_like(stops)
+    starts[0] = 0
+    np.add(stops[:-1], 1, out=starts[1:])
+    if (stops - starts).max() > csv.field_size_limit():
+        return None
+    if crs:
+        ends -= octets[ends - 1] == 0x0D  # the CR of a CRLF is in no cell
+    return buf, starts.reshape(-1, width).T[keep], stops.reshape(-1, width).T[keep]
 
 
-def _changes(cells):
-    """Positions of the cells that differ from the cell before them."""
-    differs = map(operator.ne, itertools.islice(cells, 1, None), cells)
-    return itertools.compress(itertools.count(1), differs)
+def _joined(records: list[list[str]], keep: list[int]):
+    """The cells of the ``keep`` columns of ``records``, short records
+    padded with empty cells, as one UTF-8 buffer with a ``,`` after each
+    cell and ``_PAD`` at the end, and their start and stop offsets in it,
+    (len(keep), records)."""
+    need = max(keep) + 1
+    if min(map(len, records)) < need:
+        records = [row + [""] * (need - len(row)) for row in records]
+    cells = [row[i] for i in keep for row in records]
+    text = ",".join([*cells, ""])
+    # an ASCII cell has as many bytes as characters
+    sizes = map(len, cells if text.isascii() else map(str.encode, cells))
+    sizes = np.fromiter(sizes, np.intp, len(cells)).reshape(len(keep), -1)
+    stops = (sizes + 1).cumsum().reshape(sizes.shape) - 1
+    return text.encode() + _PAD, stops - sizes, stops
+
+
+def _keys(words, starts, stops) -> list[np.ndarray]:
+    """Integers that are equal for two cells exactly when their bytes are:
+    each cell's size, and each 8 bytes of it, zero past its end."""
+    size = stops - starts
+    keys = [size]
+    for k in range((int(size.max()) + 7) // 8):
+        at = np.minimum(starts + 8 * k, stops)
+        keys.append(words[at] & _MASKS[np.minimum(stops - at, 8)])
+    return keys
+
+
+def _runs(keys: list[np.ndarray]) -> np.ndarray:
+    """The rows where a key differs from the row before, the first row
+    always among them."""
+    new = np.zeros(keys[0].size, dtype=bool)
+    new[0] = True
+    for key in keys:
+        new[1:] |= key[1:] != key[:-1]
+    return np.flatnonzero(new)
+
+
+def _distinct(keys: list[np.ndarray]):
+    """One row of each distinct set of keys, and each row's index among them."""
+    order = np.lexsort(keys)
+    runs = _runs([key[order] for key in keys])
+    index = np.empty_like(order)
+    index[order] = np.repeat(np.arange(runs.size), np.diff(runs, append=order.size))
+    return order[runs], index
+
+
+def _nonblank(buf: bytes, starts, stops) -> np.ndarray:
+    """Whether each record has a cell in these columns that ``str.strip``
+    leaves non-empty."""
+    found = np.zeros(starts.shape[1], dtype=bool)
+    for s, e in zip(starts, stops):
+        for r in np.flatnonzero(e > s).tolist():
+            found[r] |= bool(buf[s[r] : e[r]].decode().strip())
+    return found
+
+
+def _decimals(buf: bytes, octets, starts, stops) -> np.ndarray:
+    """The cells as floats, each equal to ``_float_or_inf`` of the cell to
+    the bit.
+
+    A cell of an optional ``-`` and 1 to 15 digits, at most one ``.`` among
+    them, is m / 10**f: m is its digits as an integer and f the count after
+    the point. Both are exact doubles, so their one correctly rounded
+    quotient is ``float(cell)``, -0 included (Clinger 1990). An empty cell
+    is NaN; any other cell goes through ``_float_or_inf``.
+    """
+    size = stops - starts
+    minus = (octets[starts] == 0x2D) & (size > 0)
+    before = starts + minus - 1  # the byte before the digits: neither digit nor point
+    length = np.minimum(size - minus, 17).astype(np.uint8)  # digits and point
+    width = min(int(length.max(initial=0)), 16)
+    # read right-aligned, so that the positions before a shorter cell's
+    # digits come first and read its byte before them: 0 * 10 + 0 keeps 0
+    mantissa = np.zeros(size.shape)  # exact: below 10**15
+    digits = np.zeros(size.shape, dtype=np.uint8)
+    points = np.zeros(size.shape, dtype=np.uint8)
+    scale = np.zeros(size.shape, dtype=np.uint8)  # digits after the point
+    at = stops - width
+    for k in range(width - 1, -1, -1):
+        octet = octets[np.maximum(at, before)]
+        at += 1
+        digit = octet - np.uint8(0x30)
+        is_digit = digit < 10
+        point = octet == 0x2E
+        mantissa *= np.where(point, 1.0, 10.0)
+        digit *= is_digit
+        mantissa += digit
+        digits += is_digit
+        points += point
+        scale += point * np.uint8(k)
+    fast = (digits + points == length) & (points <= 1) & (digits >= 1) & (digits <= 15)
+    scale *= fast
+    values = mantissa / _TENS.take(scale.astype(np.intp))
+    values = np.where(minus, -values, values)
+    values[size == 0] = math.nan
+    for r in np.flatnonzero(~fast & (size > 0)).tolist():
+        values[r] = _float_or_inf(buf[starts[r] : stops[r]].decode())
+    return values
 
 
 def _ordinal(text: str) -> int:
@@ -333,15 +516,8 @@ def _ordinal(text: str) -> int:
         return 0
 
 
-def _floats(cells) -> list[float]:
-    """Cells as floats, NaN where blank and inf where not a number."""
-    try:
-        return [float(c) if c else math.nan for c in cells]
-    except ValueError:
-        return list(map(_float_or_inf, cells))
-
-
 def _float_or_inf(cell: str) -> float:
+    """A cell as a float: NaN where blank, inf where not a number."""
     try:
         return float(cell) if cell.strip() else math.nan
     except ValueError:
@@ -349,32 +525,35 @@ def _float_or_inf(cell: str) -> float:
 
 
 class _Columns:
-    """The rows kept so far, as arrays per chunk, and the lookups that
-    converting the chunks has built."""
+    """The rows kept so far, as arrays per block, and the lookups that
+    converting the blocks has built."""
 
     def __init__(self, strict: bool, country: str | None):
         self.strict, self.country = strict, country
         self.pairs: dict[tuple[str, str], int] = {}  # (country, sub-region) -> region index
-        self.codes: dict[tuple[str, str], int] = {}  # raw cells -> region index or code
-        self.ordinals: dict[str, int] = {}  # raw date cell -> ordinal, 0 if unparseable
+        self.codes: dict[tuple[bytes, bytes], int] = {}  # raw cells -> region index or code
+        self.ordinals: dict[bytes, int] = {}  # raw date cell -> ordinal, 0 if unparseable
         self.countries: set[str] = set()
         self.issues: list[str] = []
         self.finer_rows = 0
-        # per chunk: region index, date ordinal and values of the rows kept
+        # per block: region index, date ordinal and values of the rows kept
         self.parts = [(np.empty(0, np.intp), np.empty(0, np.int64), np.empty((0, len(CATEGORIES))))]
 
-    def add(self, columns, ends) -> None:
-        """Convert one chunk: the cells of the country, sub-region, date and
-        CATEGORIES columns, then of the FINER_LEVEL_COLUMNS in the header,
-        and the line each record ends on."""
-        wanted, finer = columns[:_WANTED], columns[_WANTED:]
-        n = len(ends)
+    def add(self, buf: bytes, starts, stops, lines) -> None:
+        """Convert one block: ``buf`` holds the cells of the country,
+        sub-region, date and CATEGORIES columns, then of the
+        FINER_LEVEL_COLUMNS in the header, from their ``starts`` to their
+        ``stops`` offsets, (columns, records), and ends in ``_PAD``;
+        ``lines`` holds the line each record ends on."""
+        octets = np.frombuffer(buf, np.uint8)
+        words = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))
         # a region's rows come in runs: its cells are looked up once a run
-        starts = sorted({0, *_changes(wanted[0]), *_changes(wanted[1])})
-        pairs = [(wanted[0][i], wanted[1][i]) for i in starts]
+        runs = _runs(_keys(words, starts[0], stops[0]) + _keys(words, starts[1], stops[1]))
+        (a0, a1), (b0, b1) = starts[:2, runs].tolist(), stops[:2, runs].tolist()
+        pairs = [(buf[s:e], buf[t:u]) for s, e, t, u in zip(a0, b0, a1, b1)]
         # new cell pairs in first-seen order, so that no table depends on string hashing
         for key in [key for key in dict.fromkeys(pairs) if key not in self.codes]:
-            country, sub = key[0].strip(), key[1].strip()
+            country, sub = key[0].decode().strip(), key[1].decode().strip()
             self.countries.add(country)
             if self.country is not None and country != self.country:
                 self.codes[key] = _DROPPED
@@ -383,37 +562,38 @@ class _Columns:
             else:
                 self.codes[key] = self.pairs.setdefault((country, sub), len(self.pairs))
         codes = np.array([self.codes[key] for key in pairs], np.intp)
-        region = np.repeat(codes, np.diff([*starts, n]))
-        keep = region != _DROPPED
-        deeper = np.zeros(n, dtype=bool)
-        for column in finer:
-            if any(column):
-                deeper |= np.fromiter(map(bool, map(str.strip, column)), bool, n)
-        self.finer_rows += int((deeper & keep).sum())
-        keep &= ~deeper
-        rows = np.flatnonzero(keep).tolist()
-        if not rows:
+        region = np.repeat(codes, np.diff(runs, append=len(lines)))
+        kept = np.flatnonzero(region != _DROPPED)
+        if kept.size < region.size:
+            starts, stops, lines, region = starts[:, kept], stops[:, kept], lines[kept], region[kept]
+        deeper = _nonblank(buf, starts[_WANTED:], stops[_WANTED:])
+        if deeper.any():
+            self.finer_rows += int(deeper.sum())
+            kept = np.flatnonzero(~deeper)
+            starts, stops, lines, region = starts[:, kept], stops[:, kept], lines[kept], region[kept]
+        if not region.size:
             return
-        cells = wanted[2:]
-        if len(rows) < n:
-            cells = [[col[j] for j in rows] for col in cells]
-            region = region[rows]
-        for text in set(cells[0]).difference(self.ordinals):
-            self.ordinals[text] = _ordinal(text)
-        dates = np.fromiter(map(self.ordinals.__getitem__, cells[0]), np.int64, len(rows))
-        values = np.column_stack([_floats(col) for col in cells[1:]])
+        firsts, index = _distinct(_keys(words, starts[2], stops[2]))
+        ordinals = []
+        for a, b in zip(starts[2, firsts].tolist(), stops[2, firsts].tolist()):
+            raw = buf[a:b]
+            if raw not in self.ordinals:
+                self.ordinals[raw] = _ordinal(raw.decode())
+            ordinals.append(self.ordinals[raw])
+        dates = np.array(ordinals, np.int64)[index]
+        cells = (starts[3:_WANTED].ravel(), stops[3:_WANTED].ravel())
+        values = _decimals(buf, octets, *cells).reshape(len(CATEGORIES), -1).T
 
         # rows that may be bad: _parse_row decides, and words the message
         suspect = (region == _NO_COUNTRY) | (dates == 0)
         suspect |= (np.isinf(values) | (values < -100)).any(axis=1)
-        at, cat = np.nonzero(np.isnan(values))
-        for r, k in zip(at.tolist(), cat.tolist()):
-            suspect[r] |= cells[k + 1][r] != ""  # NaN from a "nan" cell
+        suspect |= (np.isnan(values) & (stops[3:_WANTED] > starts[3:_WANTED]).T).any(axis=1)
         bad = []
         for r in np.flatnonzero(suspect).tolist():
-            j = rows[r]
+            spans = zip(starts[:_WANTED, r].tolist(), stops[:_WANTED, r].tolist())
+            cells = [buf[a:b].decode().strip() for a, b in spans]
             try:
-                _parse_row([col[j].strip() for col in wanted], ends[j])
+                _parse_row(cells, int(lines[r]))
             except DataError as exc:
                 if self.strict:
                     raise
@@ -444,9 +624,9 @@ def parse_cmr_csv(
     """Parse a community-mobility CSV into a :class:`MobilityTable`.
 
     ``source`` is bytes or a file opened in binary mode. It is read as a
-    stream, ``CHUNK_ROWS`` lines at a time (``_chunks`` splits a chunk into
-    cells one of two ways), and each chunk is converted a column at a time.
-    ``column_map`` maps logical names (keys of ``DEFAULT_COLUMNS``) to
+    stream of blocks of about ``BLOCK_BYTES`` (``_records`` splits a block
+    into cells one of two ways), and each block is converted a column at a
+    time. ``column_map`` maps logical names (keys of ``DEFAULT_COLUMNS``) to
     actual header names. Empty cells become NaN;
     non-finite cells and values below -100 are errors, reported with the
     physical line the row ends on. In strict mode any bad row aborts the
@@ -464,27 +644,25 @@ def parse_cmr_csv(
             raise SchemaError(f"unknown column-map keys: {sorted(unknown)}")
         columns.update(column_map)
 
+    lines = _Lines(_blocks(source))
+    reader = csv.reader(lines)
     try:
-        with _text_lines(source) as lines:
-            reader = csv.reader(lines)
-            header = next(reader, None)
-            if header is None:
-                raise SchemaError("empty input: no header row")
-            # a repeated header name refers to its last column
-            position = {name: i for i, name in enumerate(header)}
-            missing_cols = [v for v in columns.values() if v not in position]
-            if missing_cols:
-                raise SchemaError(f"missing columns: {missing_cols}")
-            keep = [position[columns[k]] for k in ("country_code", "sub_region", "date", *CATEGORIES)]
-            keep += [position[c] for c in FINER_LEVEL_COLUMNS if c in position]
-            kept = _Columns(strict, country)
-            for cells, ends in _chunks(lines, reader.line_num, len(header), keep):
-                kept.add(cells, ends)
-                del cells  # freed before the next chunk is read
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"input is not UTF-8 text: {exc}") from None
-    except csv.Error as exc:  # in the header
+        header = next(reader, None)
+    except csv.Error as exc:
         raise SchemaError(f"line {reader.line_num}: malformed CSV: {exc}") from None
+    if header is None:
+        raise SchemaError("empty input: no header row")
+    # a repeated header name refers to its last column
+    position = {name: i for i, name in enumerate(header)}
+    missing_cols = [v for v in columns.values() if v not in position]
+    if missing_cols:
+        raise SchemaError(f"missing columns: {missing_cols}")
+    keep = [position[columns[k]] for k in ("country_code", "sub_region", "date", *CATEGORIES)]
+    keep += [position[c] for c in FINER_LEVEL_COLUMNS if c in position]
+    kept = _Columns(strict, country)
+    for block in _records(lines, reader.line_num, len(header), keep):
+        kept.add(*block)
+        del block  # freed before the next block is read
     return kept.table()
 
 

@@ -222,10 +222,15 @@ def lisa_oracle(fields, W: SpatialWeights, permutations=999, seed=0, exhaustive=
 
 
 def _oracle_text(data: bytes) -> str:
+    data = data.removeprefix(b"\xef\xbb\xbf")
     try:
-        return data.decode("utf-8-sig")
+        return data.decode()
     except UnicodeDecodeError as exc:
-        raise SchemaError(f"input is not UTF-8 text: {exc}") from None
+        # the line of the first bad byte, lines ending at LF, CRLF or a lone CR
+        line = len(io.StringIO(data[: exc.start].decode() + "?", newline="").readlines())
+        raise SchemaError(
+            f"line {line}: input is not UTF-8 text: byte {data[exc.start]:#04x}: {exc.reason}"
+        ) from None
 
 
 def parse_oracle(data: bytes, column_map=None, strict=True) -> MobilityTable:

@@ -2,6 +2,7 @@ import csv
 import datetime as dt
 import io
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -216,6 +217,29 @@ class TestParse:
         with pytest.raises(SchemaError, match="UTF-8"):
             parse_cmr_csv(b"\xff\xfe" + csv_bytes("BR,,2020-03-01,1,2,3,4,5,6"))
 
+    def test_cells_differing_by_a_trailing_nul_differ(self):
+        # cells are compared as zero-padded words, so their sizes must count too
+        data = csv_bytes("AR,Salta,2020-03-01,1,1,1,1,1,1", "AR,Salta\0,2020-03-01,2,2,2,2,2,2",
+                         "AR,Salta,2020-03-02,3,3,3,3,3,3", "AR,Salta,2020-03-02\0,4,4,4,4,4,4")
+        for strict in (True, False):
+            got = parse_outcome(parse_cmr_csv, data, strict=strict)
+            assert got == parse_outcome(parse_oracle, data, strict=strict)
+        assert got[0] == ("AR/Salta", "AR/Salta\0")
+        assert got[-1] == ["line 5: unparseable date '2020-03-02\\x00'"]
+
+    @pytest.mark.parametrize("block_bytes", [ingest.BLOCK_BYTES, 2, 300])
+    @pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"])
+    def test_undecodable_byte_names_its_line(self, block_bytes, eol):
+        rows = [f"BR,,2020-03-{d:02d},1,2,3,4,5,6".encode() for d in range(1, 29)]
+        rows[20] = rows[20].replace(b",3,", b",3\xff,")  # on line 22, after the header
+        data = eol.join([HEADER.encode(), *rows, b""])
+        message = "^line 22: input is not UTF-8 text: byte 0xff: invalid start byte$"
+        with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes):
+            with pytest.raises(SchemaError, match=message):
+                parse_cmr_csv(data)
+        with pytest.raises(SchemaError, match=message):
+            parse_oracle(data)
+
     def test_source_kinds_parse_alike(self, tmp_path):
         data = csv_bytes("BR,,2020-03-01,1,2,3,4,5,6", "AR,Salta,2020-03-01,-1,,3,4,5,6")
         path = tmp_path / "in.csv"
@@ -324,8 +348,8 @@ def parses_or_raises_package_error(data: bytes) -> None:
 
 
 CELLS = st.sampled_from(
-    ["", "BR", "AR", "A/B", "Salta", "2020-03-01", "2020-03-02", "2020-02-30", "-101", "-100",
-     "0", "12.5", "nan", "inf", "x", '"', '","', "\ufeff", " "]
+    ["", "BR", "AR", "A/B", "Salta", "Salta\0", "2020-03-01", "2020-03-02", "2020-02-30", "-101", "-100",
+     "0", "12.5", "nan", "inf", "x", '"', '","', "\ufeff", " ", "\u00a0", "1e2"]
 )
 
 
@@ -366,30 +390,35 @@ def parse_outcome(parse, data: bytes, **kw):
 
 
 ROWS = st.lists(st.lists(CELLS, min_size=0, max_size=11), max_size=8)
-LAYOUT = dict(header=st.sampled_from([HEADER, FINER_HEADER]), eol=st.sampled_from(["\n", "\r\n"]))
+LAYOUT = dict(header=st.sampled_from([HEADER, FINER_HEADER]), eol=st.sampled_from(["\n", "\r\n", "\r"]))
+
+
+# block sizes in bytes: the default, shorter than any line (a block is one
+# line), and a few hundred, so that a quoted cell's lines straddle blocks
+BLOCKS = [ingest.BLOCK_BYTES, 2, 300]
 
 
 class TestAgainstOracle:
-    """The chunked column parse against the row-by-row parse it replaced,
-    at the default chunk size and at two records a chunk."""
+    """The block-wise column parse against the row-by-row parse it replaced,
+    at several block sizes."""
 
-    @pytest.mark.parametrize("chunk_rows", [ingest.CHUNK_ROWS, 2])
+    @pytest.mark.parametrize("block_bytes", BLOCKS)
     @given(rows=ROWS, **LAYOUT)
     @settings(max_examples=200, deadline=None)
-    def test_same_table_or_error(self, chunk_rows, rows, header, eol):
+    def test_same_table_or_error(self, block_bytes, rows, header, eol):
         data = csv_text(header, rows, eol)
-        with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows):
+        with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes):
             for strict in (True, False):
                 assert parse_outcome(parse_cmr_csv, data, strict=strict) == parse_outcome(
                     parse_oracle, data, strict=strict
                 )
 
-    @pytest.mark.parametrize("chunk_rows", [ingest.CHUNK_ROWS, 2])
+    @pytest.mark.parametrize("block_bytes", BLOCKS)
     @given(rows=ROWS, country=st.sampled_from(["BR", "AR", "XX"]), **LAYOUT)
     @settings(max_examples=200, deadline=None)
-    def test_country_matches_select(self, chunk_rows, rows, country, header, eol):
+    def test_country_matches_select(self, block_bytes, rows, country, header, eol):
         data = csv_text(header, rows, eol)
-        with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows):
+        with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes):
             for strict in (True, False):
                 try:
                     whole = parse_oracle(data, strict=strict)
@@ -480,23 +509,23 @@ class LineCount:
 
 
 class TestChunkPaths:
-    """Files mixing chunks the comma split reads with chunks csv.reader must
+    """Files mixing blocks the byte split reads with blocks csv.reader must
     read, against the row-by-row parse: same table, issues and errors."""
 
-    @pytest.mark.parametrize("chunk_rows", [2, 3, ingest.CHUNK_ROWS])
+    @pytest.mark.parametrize("block_bytes", BLOCKS)
     @given(case=mixed_csv(), limit=st.sampled_from([None, FIELD_LIMIT]))
     @settings(max_examples=200, deadline=None)
-    def test_same_table_or_error(self, chunk_rows, case, limit):
+    def test_same_table_or_error(self, block_bytes, case, limit):
         data, clean = case
         old_limit = csv.field_size_limit(limit) if limit else None
         try:
-            with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows):
+            with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes):
                 for strict in (True, False):
                     want = parse_outcome(parse_oracle, data, strict=strict)
                     with mock.patch.object(csv, "reader", LineCount()) as reader:
                         assert parse_outcome(parse_cmr_csv, data, strict=strict) == want
                     if clean and limit is None:
-                        assert reader.lines == 1  # the header: every chunk was split
+                        assert reader.lines == 1  # the header: every block was split
         finally:
             if old_limit is not None:
                 csv.field_size_limit(old_limit)
@@ -507,18 +536,123 @@ class TestChunkPaths:
         # splits into a cell but csv.reader reads no record from it
         data = b"x\n\nBR\n\n"
         column_map = dict.fromkeys(ingest.DEFAULT_COLUMNS, "x")
-        with mock.patch.object(ingest, "CHUNK_ROWS", 2):
+        with mock.patch.object(ingest, "BLOCK_BYTES", 2):
             got = parse_outcome(parse_cmr_csv, data, column_map=column_map, strict=strict)
         assert got == parse_outcome(parse_oracle, data, column_map=column_map, strict=strict)
         assert "line 3: unparseable date 'BR'" in str(got)
 
     def test_clean_chunks_are_split_not_read(self):
-        rows = [f"BR,Acre,2020-03-{d:02d},1,2,3,4,5,6" for d in range(1, 11)]
-        with mock.patch.object(ingest, "CHUNK_ROWS", 3), \
-                mock.patch.object(csv, "reader", LineCount()) as reader:
-            table = parse_cmr_csv(csv_bytes(*rows))
-        assert reader.lines == 1
-        assert len(table.dates) == 10
+        rows = [f"BR,Acre,2020-03-{d:02d},1,2,3,4,5,6".split(",") for d in range(1, 11)]
+        for eol in ("\n", "\r\n"):
+            with mock.patch.object(ingest, "BLOCK_BYTES", 100), \
+                    mock.patch.object(csv, "reader", LineCount()) as reader:
+                table = parse_cmr_csv(csv_text(HEADER, rows, eol))
+            assert reader.lines == 1  # the header: each block of the 10 rows was split
+            assert len(table.dates) == 10
+
+    def test_generated_grid_matches_row_by_row(self, gen):
+        data = gen.mobility_csv(20, 20, 92, seed=1).encode()
+        got = parse_outcome(parse_cmr_csv, data)
+        assert got == parse_outcome(parse_oracle, data)
+        assert len(got[0]) == 401  # the national rows and 400 regions
+
+    @pytest.mark.parametrize("block_bytes", [2, 300, 4096])
+    def test_lone_cr_file_is_read_in_blocks(self, gen, block_bytes):
+        data = gen.mobility_csv(3, 3, 92, seed=1).replace("\n", "\r").encode()
+        longest = max(map(len, data.splitlines(keepends=True)))
+        with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes):
+            blocks = list(ingest._blocks(data))
+            got = parse_outcome(parse_cmr_csv, data)
+        assert len(blocks) > 1 and b"".join(blocks) == data
+        assert max(map(len, blocks)) < block_bytes + longest
+        assert got == parse_outcome(parse_oracle, data)
+
+    def test_lone_cr_grid_parses_in_bounded_memory(self, gen):
+        text = gen.mobility_csv(20, 20, 92, seed=1)
+        lf, cr = text.encode(), text.replace("\n", "\r").encode()
+        assert max(map(len, ingest._blocks(cr))) < ingest.BLOCK_BYTES + 200
+        tables, peaks = [], []
+        for data in (lf, cr):
+            tracemalloc.start()
+            try:
+                tables.append(parse_cmr_csv(data))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert write_csv(tables[1]) == write_csv(tables[0])
+        # csv.reader's records of a block cost more than the byte split's
+        # offsets, but a block is a small part of the file
+        assert peaks[1] < 2 * peaks[0]
+
+
+def split_floats(cells: list[str]) -> np.ndarray:
+    """The cells as the byte split converts them, from lines that hold each
+    cell twice, so that one copy starts its line and one ends it."""
+    buf, starts, stops = ingest._split("".join(f"{c},{c}\n" for c in cells).encode(), 2, [0, 1])
+    return ingest._decimals(buf, np.frombuffer(buf, np.uint8), starts.ravel(), stops.ravel())
+
+
+def joined_floats(cells: list[str]) -> np.ndarray:
+    """The cells as csv.reader's records are converted."""
+    buf, starts, stops = ingest._joined([[c] for c in cells], [0])
+    return ingest._decimals(buf, np.frombuffer(buf, np.uint8), starts.ravel(), stops.ravel())
+
+
+def assert_same_bits(got: np.ndarray, want: list[float]) -> None:
+    want = np.array(want)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    real = ~np.isnan(want)
+    assert got[real].view(np.int64).tolist() == want[real].view(np.int64).tolist()
+
+
+DIGIT_RUNS = st.one_of(st.text("0123456789", max_size=4), st.text("0123456789", min_size=14, max_size=17))
+# 15 to 17 digits with a point anywhere: from 16 digits on, the digits as a
+# double may be rounded, and a second rounding by the division can differ
+LONG_DECIMALS = st.builds(
+    lambda sign, digits, at: sign + digits[:at] + "." + digits[at:],
+    st.sampled_from(["", "-"]),
+    st.integers(15, 17).flatmap(lambda n: st.text("0123456789", min_size=n, max_size=n)),
+    st.integers(0, 17),
+)
+DECIMALS = st.one_of(
+    st.builds(
+        lambda sign, whole, point, part, tail: sign + whole + point + part + tail,
+        st.sampled_from(["", "", "-", "+", " ", "--"]),
+        DIGIT_RUNS,
+        st.sampled_from(["", ".", "."]),
+        DIGIT_RUNS,
+        st.sampled_from(["", "", "e5", "E-2", " ", "_1", "."]),
+    ),
+    LONG_DECIMALS,
+    st.sampled_from(["", ".", "-", "-0", "-0.0", "0", ".5", "5.", "-.5", "-5.", "1_000", "+1",
+                     "nan", "-nan", "inf", "-inf", "Infinity", "\u0661\u0662", "\u0663.\u0665",
+                     "\u00a0", "\u00a07", " ", "1.2.3", "00000000000000012", "999999999999999",
+                     "9999999999999999", "9007199254740993", "95748906828836.07", "0.000000000000001",
+                     "-100.00", "100"]),
+    st.text("0123456789.-+eE_ \u0661", max_size=20),
+)
+
+
+class TestDecimals:
+    """Value cells converted a block at a time equal ``float`` of each cell,
+    bit for bit, by the fast path or the per-cell fallback."""
+
+    @given(cells=st.lists(DECIMALS, min_size=1, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_block_equals_per_cell(self, cells):
+        want = [ingest._float_or_inf(c) for c in cells]
+        assert_same_bits(split_floats(cells), want * 2)
+        assert_same_bits(joined_floats(cells), want)
+
+    def test_every_two_place_percentage(self):
+        cells = [f"{k / 100:.2f}" for k in range(-10000, 10001)]
+        want = [float(c) for c in cells]
+        assert_same_bits(split_floats(cells), want * 2)
+        assert_same_bits(joined_floats(cells), want)
+
+    def test_negative_zero(self):
+        got = split_floats(["-0", "-0.00", "0", "-.0"])
+        assert np.signbit(got[:4]).tolist() == [True, True, False, True]
 
 
 class TestPanel:
