@@ -11,7 +11,6 @@ import argparse
 import csv
 import datetime as dt
 import hashlib
-import io
 import json
 import os
 import sys
@@ -328,7 +327,12 @@ def _select_regions(table, args) -> list[str]:
     regions = list(args.region)
     if args.country:
         if args.subnational:
-            regions += ing.subregion_ids(table, args.country)
+            subregions = ing.subregion_ids(table, args.country)
+            if not subregions:
+                raise DataError(
+                    f"country {args.country!r} has no sub-regions; drop --subnational to use its national rows"
+                )
+            regions += subregions
         else:
             regions.append(ing.region_key(args.country))
     if not regions:
@@ -501,14 +505,18 @@ def cmd_weights(args) -> dict[str, str]:
     return _weights_files(W) | {"run-manifest.json": manifest(args)}
 
 
+def _values_lines(data: bytes):
+    """The values CSV's lines, read as the mobility CSV's are."""
+    try:
+        yield from ing.TextLines(data)
+    except SchemaError as exc:  # a byte that is not UTF-8, by its line
+        raise SchemaError(f"values CSV: {exc}") from None
+
+
 def cmd_render(args) -> dict[str, str]:
     geoms = load_geojson(_read_json(args.geometry), id_property=args.id_property)
-    try:
-        text = Path(args.values).read_bytes().decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"values CSV is not UTF-8 text: {exc}") from None
     values: dict[str, float | None] = {}
-    reader = csv.DictReader(io.StringIO(text, newline=""))
+    reader = csv.DictReader(_values_lines(Path(args.values).read_bytes()))
     try:
         if not {"region_id", "value"} <= set(reader.fieldnames or ()):
             raise SchemaError("values CSV needs region_id and value columns")

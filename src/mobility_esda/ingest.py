@@ -301,12 +301,14 @@ def _line_ends(data: bytes) -> int:
     return ends
 
 
-class _Lines:
-    """A stream's blocks, and the lines of the current block one at a time,
-    decoded for ``csv.reader``; each line ends at LF, CRLF or a lone CR."""
+class TextLines:
+    """The lines of ``source`` (bytes or a binary file), read in ``_blocks``
+    and decoded one at a time for ``csv.reader``; each line ends at LF, CRLF
+    or a lone CR. A byte-order mark is dropped, and a byte that is not UTF-8
+    is a SchemaError naming its line."""
 
-    def __init__(self, blocks):
-        self.blocks, self.data, self.at = blocks, b"", 0
+    def __init__(self, source):
+        self.blocks, self.data, self.at = _blocks(source), b"", 0
 
     def __iter__(self):
         return self
@@ -327,7 +329,7 @@ class _Lines:
         return data
 
 
-def _records(lines: _Lines, line: int, width: int, keep: list[int]):
+def _records(lines: TextLines, line: int, width: int, keep: list[int]):
     """The records after the header, whose last line is physical line
     ``line``, a block at a time: per block, a buffer holding the cells of
     the ``keep`` columns, their start and stop offsets in it, (len(keep),
@@ -644,7 +646,7 @@ def parse_cmr_csv(
             raise SchemaError(f"unknown column-map keys: {sorted(unknown)}")
         columns.update(column_map)
 
-    lines = _Lines(_blocks(source))
+    lines = TextLines(source)
     reader = csv.reader(lines)
     try:
         header = next(reader, None)

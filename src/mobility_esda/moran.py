@@ -26,8 +26,7 @@ from .errors import DataError, ParameterError, ZeroVarianceError
 from .weights import SpatialWeights
 
 SIGNIFICANCE_TIERS = (0.05, 0.01, 0.001)
-LISA_BLOCK = 8192  # elements of one block's regions x draws x degree arrays
-PAIR_BLOCK = 1 << 16  # bytes of one block's relabelings x linked pairs index array
+PAIR_BLOCK = 1 << 16  # bytes of a block's index array: relabelings x linked pairs, or regions x draws x degree
 EPS = 1e-12  # a simulation within EPS of the observation counts as at least as extreme
 
 
@@ -72,12 +71,11 @@ def _linked_pairs(W: SpatialWeights) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """Each unordered linked pair i <= j once, as indices ``i``, ``j`` and
     weight w_ij + w_ji (w_ii for a link of a region to itself), so that
     sum_ij w_ij z_i z_j = sum over pairs of weight * z_i * z_j. Every stored
-    link has its mirror (``SpatialWeights`` refuses others), and sorting the
-    links above the diagonal by (i, j) and those below by (j, i) aligns them.
+    link has its mirror (``SpatialWeights`` refuses others); the links above the
+    diagonal are stored in (i, j) order, and sorting those below by (j, i) aligns them.
     """
     rows, cols, n = W.rows, W.indices, W.n
     upper = np.flatnonzero(rows < cols)
-    upper = upper[np.argsort(rows[upper] * n + cols[upper], kind="stable")]
     lower = np.flatnonzero(rows > cols)
     lower = lower[np.argsort(cols[lower] * n + rows[lower], kind="stable")]
     loops = np.flatnonzero(rows == cols)
@@ -99,6 +97,8 @@ def _moran_sims(Z: np.ndarray, perms: np.ndarray, W: SpatialWeights) -> np.ndarr
     denominator is shared. Relabelings go in blocks of about
     ``PAIR_BLOCK`` bytes of pair indices, which every field uses.
     """
+    if W.s0 == 0:
+        raise DataError("the weights link no two regions; the global Moran index is undefined")
     i, j, w = _linked_pairs(W)
     block = max(1, PAIR_BLOCK // (perms.itemsize * max(1, len(w))))
     num = np.empty((len(Z), len(perms)))
@@ -117,8 +117,6 @@ def _moran_sims(Z: np.ndarray, perms: np.ndarray, W: SpatialWeights) -> np.ndarr
 
 def moran_global(field: ValueField, W: SpatialWeights) -> float:
     _check_aligned(field, W)
-    if W.s0 == 0:
-        raise DataError("the weights link no two regions; the global Moran index is undefined")
     z = field.x - field.mean
     return float(_moran_sims(z[None], np.arange(W.n)[None], W)[0, 0])
 
@@ -186,8 +184,11 @@ def moran_permutation(
         perms = np.tile(np.arange(n), (permutations, 1))
         # in place, row by row the same relabelings as one rng.permutation(n) call each
         np.random.default_rng(seed).permuted(perms, axis=1, out=perms)
-    observed = [moran_global(field, W) for field in fields]
-    Z = np.array([field.x - field.mean for field in fields]).reshape(len(fields), n)
+    if not fields:
+        return []
+    Z = np.array([field.x - field.mean for field in fields])
+    # the identity relabeling gives each field's observed index, as moran_global does
+    observed = _moran_sims(Z, np.arange(n)[None], W)[:, 0].tolist()
     return [
         MoranGlobalResult(
             I=I,
@@ -197,14 +198,8 @@ def moran_permutation(
             sim_sd=float(sims.std()),
             pseudo_p=_pseudo_p(I, sims, expected_i(n)),
         )
-        for I, sims in zip(observed, _moran_sims(Z, perms, W) if fields else [])
+        for I, sims in zip(observed, _moran_sims(Z, perms, W))
     ]
-
-
-def _quadrant(zi: float, lagi: float) -> str:
-    if zi > 0:
-        return "HH" if lagi > 0 else "HL"
-    return "LH" if lagi > 0 else "LL"
 
 
 def _block_draws(rngs: list[np.random.Generator], m: int, k: int, size: int) -> np.ndarray:
@@ -252,7 +247,7 @@ def lisa_permutation(
     ``default_rng((seed, i))``, read as ``_block_draws`` reads it, so its
     p-value does not depend on which regions are evaluated with it.
     Everything after the reads runs on blocks of regions of equal degree,
-    of about ``LISA_BLOCK`` draw elements each, and gives the p-values of
+    of about ``PAIR_BLOCK`` bytes of draw indices each, and gives the p-values of
     one region at a time bit for bit. Exhaustive mode enumerates every
     ordered arrangement of neighbor values, once per degree, so its R is
     (n-1)!/(n-1-k)!.
@@ -290,7 +285,7 @@ def lisa_permutation(
             enumeration = np.array(list(itertools.permutations(range(n - 1), k))).T[:, None]
         R = enumeration.shape[-1] if exhaustive else permutations
         counts = np.empty(zi.shape, dtype=np.intp)
-        block = max(1, LISA_BLOCK // (R * k))
+        block = max(1, PAIR_BLOCK // (np.dtype(np.intp).itemsize * R * k))
         for start in range(0, len(regions), block):
             b = slice(start, start + block)
             picks = enumeration if exhaustive else _block_draws(
@@ -341,14 +336,10 @@ def lisa_classify(
     if not 0 < alpha < 1:
         raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
     lag = spatial_lag(W, field.z)
-    labels = []
-    tiers: list[float | None] = []
-    for i in range(W.n):
-        if p[i] > alpha:
-            labels.append("ns")
-            tiers.append(None)
-            continue
-        labels.append(_quadrant(field.z[i], lag[i]))
-        # finest tier: smallest threshold still satisfied, None above 0.05
-        tiers.append(min((t for t in SIGNIFICANCE_TIERS if p[i] <= t), default=None))
-    return LisaResult(list(W.ids), field.z, lag, np.asarray(p, dtype=float), labels, tiers)
+    p = np.asarray(p, dtype=float)
+    quadrants = np.where(field.z > 0, np.where(lag > 0, "HH", "HL"), np.where(lag > 0, "LH", "LL"))
+    labels = np.where(p > alpha, "ns", quadrants).tolist()
+    # finest tier: smallest threshold still satisfied, None above 0.05
+    tiers = [None if pi > alpha else min((t for t in SIGNIFICANCE_TIERS if pi <= t), default=None)
+             for pi in p.tolist()]
+    return LisaResult(list(W.ids), field.z, lag, p, labels, tiers)

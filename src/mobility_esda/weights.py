@@ -45,13 +45,15 @@ class SpatialWeights:
             raise DataError("ids/indptr/indices/data lengths differ")
         if nnz and not 0 <= self.indices.min() <= self.indices.max() < self.n:
             raise DataError("neighbor index out of range")
-        # every (row, col) pair needs its (col, row) pair, and is stored once;
-        # report the first that fails. Sorted keys and binary search, not
-        # np.unique or np.isin: the first np.unique call imports numpy.ma. The
-        # keys of weights built by from_rows are in order already, which the
-        # stable sort (timsort) passes in linear time
+        # each row's neighbors are put in ascending order; every (row, col) pair
+        # needs its (col, row) pair and is stored once: report the first that
+        # fails. Sorted keys and binary search, not np.unique or np.isin: the
+        # first np.unique call imports numpy.ma. Keys in order already, as
+        # row_standardize gives them, pass the stable sort (timsort) in linear time
         rows = self.rows
-        keys = np.sort(rows * self.n + self.indices, kind="stable")
+        keys = rows * self.n + self.indices
+        order = np.argsort(keys, kind="stable")
+        keys, self.indices, self.data = keys[order], self.indices[order], self.data[order]
         mirrored = self.indices * self.n + rows
         lonely = keys.take(np.searchsorted(keys, mirrored), mode="clip") != mirrored
         if lonely.any():
@@ -103,13 +105,7 @@ class SpatialWeights:
         else:
             data = np.array([w for wts in weights for w in wts], dtype=float)
         indices = np.array([j for nbrs in neighbors for j in nbrs], dtype=np.intp)
-        order = np.lexsort((indices, np.repeat(np.arange(len(counts)), counts)))
-        indptr = np.concatenate(([0], np.cumsum(counts)))
-        return cls(list(ids), indptr, indices[order], data[order])
-
-
-def _snap(p: tuple[float, float], tol: float) -> tuple[int, int]:
-    return (round(p[0] / tol), round(p[1] / tol))
+        return cls(list(ids), np.concatenate(([0], np.cumsum(counts))), indices, data)
 
 
 def _check_geoms(geoms: list[RegionGeometry], snap_tol: float) -> None:
@@ -127,24 +123,13 @@ def _check_geoms(geoms: list[RegionGeometry], snap_tol: float) -> None:
         raise ParameterError(f"snap_tol {snap_tol} is too small for coordinates as large as {reach}")
 
 
-def _snapped_vertices(g: RegionGeometry, tol: float) -> set[tuple[int, int]]:
-    """Snapped ring points; a region is degenerate (edgeless) if each ring snaps to one point."""
-    rings = [{_snap(p, tol) for p in ring} for ring in g.rings]
-    if all(len(ring) == 1 for ring in rings):
+def _snapped_rings(g: RegionGeometry, tol: float) -> list[list[tuple[int, int]]]:
+    """Each ring's points snapped to the ``tol`` grid. A region is degenerate
+    if every ring snaps to one point: it then has no edge with two distinct ends."""
+    rings = [[(round(p[0] / tol), round(p[1] / tol)) for p in ring] for ring in g.rings]
+    if all(len(set(ring)) == 1 for ring in rings):
         raise GeometryError(f"{g.region_id}: ring degenerate at tolerance {tol}")
-    return set().union(*rings)
-
-
-def _snapped_edges(g: RegionGeometry, tol: float) -> set[frozenset]:
-    edges = set()
-    for ring in g.rings:
-        snapped = [_snap(p, tol) for p in ring]
-        for a, b in zip(snapped, snapped[1:]):
-            if a != b:
-                edges.add(frozenset((a, b)))
-    if not edges:
-        raise GeometryError(f"{g.region_id}: ring degenerate at tolerance {tol}")
-    return edges
+    return rings
 
 
 def _point_on_segment(p, a, b, tol: float) -> bool:
@@ -219,7 +204,7 @@ def _box_pairs(geoms: list[RegionGeometry], tol: float):
 def queen_adjacency(geoms: list[RegionGeometry], snap_tol: float = 1e-7) -> SpatialWeights:
     """Binary weights: adjacent iff sharing any snapped boundary point."""
     _check_geoms(geoms, snap_tol)
-    adjacency = _sharing([_snapped_vertices(g, snap_tol) for g in geoms])
+    adjacency = _sharing([{p for ring in _snapped_rings(g, snap_tol) for p in ring} for g in geoms])
     # a vertex of one region lying mid-segment on another still counts;
     # candidates are the pairs whose tol-widened boxes overlap
     for first, second in _box_pairs(geoms, snap_tol):
@@ -237,7 +222,10 @@ def queen_adjacency(geoms: list[RegionGeometry], snap_tol: float = 1e-7) -> Spat
 def rook_adjacency(geoms: list[RegionGeometry], snap_tol: float = 1e-7) -> SpatialWeights:
     """Binary weights: adjacent iff sharing a positive-length boundary edge."""
     _check_geoms(geoms, snap_tol)
-    adjacency = _sharing([_snapped_edges(g, snap_tol) for g in geoms])
+    adjacency = _sharing([
+        {frozenset((a, b)) for ring in _snapped_rings(g, snap_tol) for a, b in zip(ring, ring[1:]) if a != b}
+        for g in geoms
+    ])
     return SpatialWeights.from_rows([g.region_id for g in geoms], adjacency)
 
 

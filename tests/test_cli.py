@@ -124,15 +124,45 @@ def test_outputs_are_utf8_whatever_the_locale(tmp_path):
         assert "radar-BR_São Paulo.svg".encode() in os.listdir(os.fsencode(tmp_path / "c" / run_name))
 
 
-# CI's pinned 3x3 seed-1 commands, on the inputs of perfbench/gen.py, and a LISA run on a tied copy of them
+# CI's pinned 3x3 seed-1 commands, on the inputs of perfbench/gen.py, a LISA run on a tied copy of
+# them, and the pinned weights runs on the 3x3 grid and on a 20x20 one
 PINNED_RUNS = {
     "moran": ["moran", "--input", "mobility.csv", "--geometry", "regions.geojson", "--country", "SY",
               "--permutations", "99", "--seed", "1"],
     "indicator": ["indicator", "--input", "mobility.csv", "--country", "SY", "--subnational", "--deseasonalize"],
     "robust": ["indicator", "--input", "mobility.csv", "--country", "SY", "--subnational", "--deseasonalize",
                "--robust", "--trend-only"],
+    "robust-seasonal": ["indicator", "--input", "mobility.csv", "--country", "SY", "--subnational",
+                        "--deseasonalize", "--robust"],
+    "render": ["render", "--geometry", "regions.geojson", "--values", "values.csv", "--title", "a <b> & c"],
     "tied": ["moran", "--input", "tied/mobility.csv", "--geometry", "tied/regions.geojson", "--country", "SY",
              "--permutations", "99", "--seed", "1", "--categories", "residential"],
+    "weights": ["weights", "--geometry", "regions.geojson", "--row-standardize"],
+    "weights20": ["weights", "--geometry", "grid20.geojson"],
+}
+
+# the sha256 of the files CI pins, as the default run writes them
+PINNED_DIGESTS = {
+    "moran/residential/lisa.csv": "a464a1db3d70a421bc6073b642c8432ecaf27c4d85926660274fbcf5b988b9c8",
+    "moran/residential/global.json": "d1c9f13363a761d006faaeaacb5dd7271ec95d50b5d571fd6d7617fc74f03a7d",
+    "moran/residential/mean-variation.svg": "0662ed292a26de584da1a76d0b1ece979033c1ec51b811059bb197066832b25d",
+    "moran/residential/scatter.svg": "e12f91158bfa52cb0560ead2f8c2a9347d503e7823161117cd87d624b1b1f021",
+    "moran/residential/lisa-clusters.svg": "ff70dadcd3fa8a469a7f19088dff7275df78707734a67ec10020709f4c0468ac",
+    "moran/residential/lisa-significance.svg": "214a8d881aea0454d9b3dd86f237e0559834d824f597e36d7e8db0c28ce59e5e",
+    "moran/weights.json": "5490e6a9a53a55d10442fec124369299e5dfa81933221bc091ae87443e177989",
+    "moran/weights.txt": "6735dfada04fb6fbf6be2159902d6f8c7c410d7c323fb841077793169a139683",
+    "indicator/circulation.csv": "ad6ad25ebb40333bfbe0beb01d3335dcce05eafb1df3542963396cd2e3dae04e",
+    "indicator/radar-SY_cell1_1.svg": "8484ccbed0c54c3120b78ff3c1ba869bc89f7747c1783e962ff48c8691d101a3",
+    "indicator/indicator-overlay.svg": "5a8680d1483912a9e07f524cc6ae81e26ead49f23554114a8cce7585007aa869",
+    "robust/circulation.csv": "9616aa4af4143ccebcfe3a221ffd171e4acbe53bb05fa50ef4d1ea795029fa6d",
+    "robust-seasonal/circulation.csv": "3e3986edbfb82d2e20475cff84dbc5dcbcf919c8639b9e9d87b24f599f227da4",
+    "render/choropleth.svg": "6bef428212395e47ae6f7be1a00d2c0f1744d7adca4920428b973705b15be0b9",
+    # cell2_1's p is 1
+    "tied/residential/lisa.csv": "29cd2bcad1fa635d9793481428dee20536e9d9a32cf3baa5d349df8d47aea1e3",
+    "weights/weights.json": "5490e6a9a53a55d10442fec124369299e5dfa81933221bc091ae87443e177989",
+    "weights/weights.txt": "6735dfada04fb6fbf6be2159902d6f8c7c410d7c323fb841077793169a139683",
+    "weights20/weights.json": "7742b29a0237c177d5e169fdf8a7cfc68b30719adb3b946d1523a90cfa8a52e0",
+    "weights20/weights.txt": "fdf746ab8a628b0de148c6297794583ae282d7ca52c06dd5173f5fb85c4ac5be",
 }
 
 
@@ -178,14 +208,16 @@ def kernel_environments() -> dict[str, dict[str, str]]:
 
 
 def test_pinned_outputs_do_not_depend_on_blas_kernel_or_simd(gen, tmp_path):
-    """CI's pinned runs write the same bytes whichever OpenBLAS kernel or
-    numpy SIMD targets compute them, so the pins do not hang on the CPU;
-    in one run a region's local index ties its reference."""
+    """CI's pinned runs write the bytes CI pins, and the same bytes whichever
+    OpenBLAS kernel or numpy SIMD targets compute them, so the pins do not
+    hang on the CPU; in one run a region's local index ties its reference."""
     envs = kernel_environments()
     if not envs:
         pytest.skip("OpenBLAS kernels are chosen here only on x86-64")
     gen.write_inputs(tmp_path, 3, 3, 92, seed=1)
     write_tied_inputs(gen, tmp_path / "tied")
+    (tmp_path / "values.csv").write_text("region_id,value\ncell0_0,1.5\ncell1_1,\ncell2_2,-3\nghost,2\n")
+    (tmp_path / "grid20.geojson").write_text(json.dumps(gen.grid_geojson(20, 20)))
     code = ("import json, sys; from mobility_esda.cli import main; "
             "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
     for name, extra in {"default": {}, **envs}.items():
@@ -197,8 +229,7 @@ def test_pinned_outputs_do_not_depend_on_blas_kernel_or_simd(gen, tmp_path):
         assert run.returncode == 0, (name, run.stderr)
     default = hash_tree(tmp_path / "default")
     assert len(default) > 20
-    # every kernel's tied run writes the bytes CI pins, where cell2_1's p is 1
-    assert default["tied/residential/lisa.csv"] == "29cd2bcad1fa635d9793481428dee20536e9d9a32cf3baa5d349df8d47aea1e3"
+    assert {name: default.get(name) for name in PINNED_DIGESTS} == PINNED_DIGESTS
     for name in envs:
         assert hash_tree(tmp_path / name) == default, name
 
@@ -981,11 +1012,15 @@ def failing_run(kind, sy, tmp, monkeypatch):
             return moran[:2] + [str(tmp / "huge.csv")] + moran[3:] + ["--categories", "retail_recreation"]
         return ["indicator", "--input", str(tmp / "huge.csv"), "--country", "SY", "--subnational",
                 "--from", "2020-03-01", "--to", "2020-03-21"]
-    if kind == "moran national rows only":
-        # no sub-region in the data and no feature on the map: nothing to gather
+    if kind in ("moran national rows only", "subnational of national rows only"):
+        # SY rows at the national level only: no sub-region to select, and with
+        # no feature on the map, none to gather
         header = Path(csv_path).read_text().partition("\n")[0]
         rows = [f"SY,,2020-03-{d:02d},1,2,3,4,5,6" for d in range(1, 22)]
         (tmp / "national.csv").write_text("\n".join([header, *rows]) + "\n")
+        if kind == "subnational of national rows only":
+            return ["indicator", "--input", str(tmp / "national.csv"), "--country", "SY", "--subnational",
+                    "--from", "2020-03-01", "--to", "2020-03-21"]
         (tmp / "none.geojson").write_text(json.dumps({"type": "FeatureCollection", "features": []}))
         return ["moran", "--input", str(tmp / "national.csv"), "--geometry", str(tmp / "none.geojson"),
                 "--country", "SY", "--from", "2020-03-01", "--to", "2020-03-21"]
@@ -1033,8 +1068,10 @@ def failing_run(kind, sy, tmp, monkeypatch):
         return ["ingest", "--input", str(tmp / "absent.csv")]
     if kind == "missing geometry":
         return moran[:3] + ["--geometry", str(tmp / "absent.geojson"), "--country", "SY"]
-    if kind == "undecodable values":
-        (tmp / "vals.csv").write_bytes(b"\xff\xferegion_id,value\n")
+    if kind in ("undecodable values", "undecodable values line 3"):
+        data = b"\xff\xferegion_id,value\n" if kind == "undecodable values" else (
+            b"region_id,value\ncell0_0,1\ncell1_1,\xff2\n")
+        (tmp / "vals.csv").write_bytes(data)
         return ["render", "--geometry", geo_path, "--values", str(tmp / "vals.csv")]
     if kind == "missing values":
         return ["render", "--geometry", geo_path, "--values", str(tmp / "absent.csv")]
@@ -1060,6 +1097,7 @@ def failing_run(kind, sy, tmp, monkeypatch):
         ("geometry not json", 2),
         ("geometry nested too deep", 2),
         ("undecodable values", 2),
+        ("undecodable values line 3", 2),
         ("values without value column", 2),
         ("values header without needed columns", 2),
         ("empty values file", 2),
@@ -1081,6 +1119,7 @@ def failing_run(kind, sy, tmp, monkeypatch):
         ("overflowing categories", 3),
         ("moran overflowing categories", 3),
         ("moran national rows only", 3),
+        ("subnational of national rows only", 3),
         ("window gap", 3),
         ("moran window gap", 3),
         ("reversed window", 3),
@@ -1185,11 +1224,13 @@ def test_late_failure_writes_nothing(sy, tmp_path, monkeypatch):
      "moran overflowing categories", "huge coordinates", "overflowing spread",
      "geometry nested too deep", "config nested too deep", "toml config nested too deep",
      "oversized values header", "oversized values cell", "impossible permutations",
+     "undecodable values line 3", "subnational of national rows only",
      *BAD_GEOMETRY_DOCS, *BAD_WEIGHTS_OPTIONS, *BAD_POSITIONS],
 )
 def test_failure_writes_nothing(kind, sy, tmp_path, monkeypatch):
     argv = failing_run(kind, sy, tmp_path, monkeypatch)
-    code = 2 if kind in ("no categories", "geometry nested too deep") or "oversized" in kind else 3
+    schema = ("no categories", "geometry nested too deep", "undecodable values line 3")
+    code = 2 if kind in schema or "oversized" in kind else 3
     assert main(argv + ["--out-dir", str(tmp_path / "out")]) == code
     assert not (tmp_path / "out").exists()
 
@@ -1216,6 +1257,8 @@ FAILURE_MESSAGES = {
     "overflowing categories": "error: SY/cell0_0 2020-03-05: radar area overflows at center -100.0",
     "moran overflowing categories": "error: retail_recreation: values too large: their spread overflows",
     "moran national rows only": "error: no regions to gather",
+    "subnational of national rows only":
+        "error: country 'SY' has no sub-regions; drop --subnational to use its national rows",
     "alpha 1.5": "error: alpha must be in (0, 1), got 1.5",
     "region of absent country": "error: unknown country 'XX'; available: ['SY']",
     "geometry array": "error: expected FeatureCollection, got 'list'",
@@ -1243,6 +1286,8 @@ FAILURE_MESSAGES = {
     "empty values file": "schema error: values CSV needs region_id and value columns",
     "oversized values header": "schema error: values CSV: line 1: malformed CSV: field larger than field limit",
     "oversized values cell": "schema error: values CSV: line 3: malformed CSV: field larger than field limit",
+    "undecodable values line 3":
+        "schema error: values CSV: line 3: input is not UTF-8 text: byte 0xff: invalid start byte",
     "impossible permutations": "error: out of memory: Unable to allocate",
     "overflowing spread": "error: values too large: their spread overflows",
     "bad column map": "error: bad --column-map entry 'sub_region' (want key=value)",

@@ -98,6 +98,14 @@ class TestGlobal:
         f = ValueField([1.0, 1.0, -1.0, -1.0])
         assert moran_global(f, rook_2x2_rs) == pytest.approx(0.0, abs=1e-12)
 
+    def test_rows_given_out_of_order(self):
+        # a's neighbours given as c, b are stored as b, c, so the index pairs
+        # each link above the diagonal with its own mirror
+        W = SpatialWeights(["a", "b", "c"], [0, 2, 3, 4], [2, 1, 0, 0], [0.25, 0.75, 1.0, 1.0])
+        assert W.indices.tolist() == [1, 2, 0, 0] and W.data.tolist() == [0.75, 0.25, 1.0, 1.0]
+        x = np.array([1.0, -2.0, 4.0])
+        assert moran_global(ValueField(x), W) == pytest.approx(moran_oracle(x, W), abs=1e-12)
+
     def test_matches_oracle_on_random_fields(self, queen_6x6_rs):
         rng = np.random.default_rng(1)
         for _ in range(20):
@@ -504,14 +512,18 @@ class TestLisaOracle:
                 if d[i] * (sum(d[j] for j in nbrs) / len(nbrs) + d[i] / (n - 1)) == 0]
 
     @pytest.mark.parametrize("permutations", [99, 999])
-    def test_many_blocks_per_degree(self, permutations):
-        # 12x12 queen: 100 regions of degree 8 go in blocks of 10 at R=99, of 1 at R=999
+    def test_many_blocks_per_degree(self, permutations, monkeypatch):
+        # 12x12 queen: 100 regions of degree 8 go in blocks of 10 at R=99, of 1 at R=999; a
+        # PAIR_BLOCK of 8 bytes holds one region per block, and 1 MiB each whole degree class at R=99
         W = row_standardize(queen_adjacency(grid_geometries(12, 12)))
         rng = np.random.default_rng(40)
         fields = [ValueField(rng.normal(0, 1, W.n)) for _ in range(2)]
-        got = lisa_permutation(fields, W, permutations=permutations, seed=11)
-        for p, expected in zip(got, lisa_oracle(fields, W, permutations=permutations, seed=11), strict=True):
-            assert np.array_equal(p, expected)
+        expected = lisa_oracle(fields, W, permutations=permutations, seed=11)
+        for block_bytes in (moran.PAIR_BLOCK, 8, 1 << 20):
+            monkeypatch.setattr(moran, "PAIR_BLOCK", block_bytes)
+            got = lisa_permutation(fields, W, permutations=permutations, seed=11)
+            for p, want in zip(got, expected, strict=True):
+                assert np.array_equal(p, want), block_bytes
 
 
 class TestDegenerateInputs:
