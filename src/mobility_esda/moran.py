@@ -202,24 +202,48 @@ def moran_permutation(
     ]
 
 
-def _block_draws(rngs: list[np.random.Generator], m: int, k: int, size: int) -> np.ndarray:
-    """One block of ``size`` uniform k-subsets of range(m) per generator,
-    k x G x size: ``picks[:, g, r]`` is row r of generator g.
+def _bounded_draws(keys: Sequence[int | tuple[int, int]], m: int, k: int, size: int) -> np.ndarray:
+    """Per stream key, the values of k calls ``integers(0, j + 1, size=size)``
+    on ``default_rng(key)`` for j = m-k .. m-1, read from the stream's raw
+    PCG64 words: k x G x size (m <= 2**32).
 
-    Each generator is read on its own: k rounds of ``size`` integers in
-    [0, j] for j = m-k .. m-1, in one ``integers`` call (it gives the
-    values of k calls ``integers(0, j + 1, size=size)``). Floyd's subset
-    algorithm (Bentley and Floyd 1987) then runs on all generators at
-    once: a round's draw that repeats an earlier pick of its row becomes j
-    instead, which leaves a uniform k-subset in k rounds with no redraws.
-    Each subset is the one earlier releases drew, so seeded p-values carry
-    over.
+    Each 64-bit word is two 32-bit draws, low half first as ``PCG64`` hands
+    them out, and a draw u becomes (u * (j+1)) >> 32, rejected when its low
+    32 bits fall below 2**32 mod (j+1) (Lemire 2019), as numpy does; a bound
+    of 1 (j = 0, when m == k) reads no word and gives 0. A stream with a
+    rejected draw, about one in 2**32 / j, is read again by ``integers``.
     """
-    G = len(rngs)
-    picks = np.empty((k, G, size), dtype=np.intp)  # round-major: each round is contiguous
-    bounds = np.arange(m - k, m)[:, None] + 1
-    for g, rng in enumerate(rngs):
-        picks[:, g] = rng.integers(0, bounds, size=(k, size))
+    G = len(keys)
+    draws = np.empty((k, G, size), dtype=np.intp)  # round-major: each round is contiguous
+    bounds = np.arange(m - k, m, dtype=np.uint64)[:, None] + 1
+    skip = int(m == k)  # the rounds of bound 1
+    draws[:skip] = 0
+    words = (k - skip) * size
+    raw = np.array([np.random.PCG64(key).random_raw((words + 1) // 2) for key in keys])
+    u = np.empty((G, 2 * raw.shape[1]), dtype=np.uint64)
+    u[:, 0::2], u[:, 1::2] = raw & 0xFFFFFFFF, raw >> 32  # arithmetic halves: no byte order
+    u = u[:, :words].reshape(G, k - skip, size).transpose(1, 0, 2)
+    span = bounds[skip:, :, None]
+    u *= span
+    draws[skip:] = u >> 32
+    rejected = ((u & 0xFFFFFFFF) < (1 << 32) % span).any(axis=(0, 2))
+    for g in np.flatnonzero(rejected).tolist():
+        draws[:, g] = np.random.default_rng(keys[g]).integers(0, bounds, size=(k, size))
+    return draws
+
+
+def _block_draws(keys: Sequence[int | tuple[int, int]], m: int, k: int, size: int) -> np.ndarray:
+    """One block of ``size`` uniform k-subsets of range(m) per stream key,
+    k x G x size: ``picks[:, g, r]`` is row r of the stream
+    ``default_rng(keys[g])``.
+
+    The k rounds of ``_bounded_draws`` go through Floyd's subset algorithm
+    (Bentley and Floyd 1987) on all streams at once: a round's draw that
+    repeats an earlier pick of its row becomes j instead, which leaves a
+    uniform k-subset in k rounds with no redraws. Each subset is the one
+    earlier releases drew, so seeded p-values carry over.
+    """
+    picks = _bounded_draws(keys, m, k, size)
     for t, j in enumerate(range(m - k, m)):
         np.copyto(picks[t], j, where=(picks[:t] == picks[t]).any(axis=0))
     return picks
@@ -244,8 +268,10 @@ def lisa_permutation(
     the tail and the tie rule are those of ``_pseudo_p``.
 
     Region i draws its ``permutations`` k-subsets from its own stream
-    ``default_rng((seed, i))``, read as ``_block_draws`` reads it, so its
-    p-value does not depend on which regions are evaluated with it.
+    ``default_rng((seed, i))``, read as ``_block_draws`` reads it (raw
+    PCG64 words through Lemire's bounded multiply, the values of
+    ``integers``), so its p-value does not depend on which regions are
+    evaluated with it.
     Everything after the reads runs on blocks of regions of equal degree,
     of about ``PAIR_BLOCK`` bytes of draw indices each, and gives the p-values of
     one region at a time bit for bit. Exhaustive mode enumerates every
@@ -270,7 +296,9 @@ def lisa_permutation(
     if exhaustive:
         big = [i for i, k in enumerate(degree.tolist()) if k and math.perm(n - 1, k) > 500_000]
         if big:
-            raise ParameterError(f"exhaustive conditional enumeration too large for region {big[0]}")
+            count = math.perm(n - 1, int(degree[big[0]]))
+            raise ParameterError(f"exhaustive conditional enumeration too large for region {W.ids[big[0]]!r}: "
+                                 f"{count:,} arrangements, more than 500,000")
     Z = np.array([field.z for field in fields]).reshape(len(fields), n)
     local = np.array([z * spatial_lag(W, z) for z in Z]).reshape(Z.shape)
     p = np.ones((len(fields), n))
@@ -289,7 +317,7 @@ def lisa_permutation(
         for start in range(0, len(regions), block):
             b = slice(start, start + block)
             picks = enumeration if exhaustive else _block_draws(
-                [np.random.default_rng((seed, i)) for i in regions[b].tolist()], n - 1, k, R
+                [(seed, i) for i in regions[b].tolist()], n - 1, k, R
             )
             # each pick indexes the n - 1 regions other than i: skip i itself
             others = picks + (picks >= regions[b, None])

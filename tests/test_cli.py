@@ -125,7 +125,8 @@ def test_outputs_are_utf8_whatever_the_locale(tmp_path):
 
 
 # CI's pinned 3x3 seed-1 commands, on the inputs of perfbench/gen.py, a LISA run on a tied copy of
-# them, and the pinned weights runs on the 3x3 grid and on a 20x20 one
+# them, the benchmark's moran-municipal run on the 20x20 seed-1 inputs, and the pinned weights runs
+# on the 3x3 grid and on a 20x20 one
 PINNED_RUNS = {
     "moran": ["moran", "--input", "mobility.csv", "--geometry", "regions.geojson", "--country", "SY",
               "--permutations", "99", "--seed", "1"],
@@ -137,6 +138,9 @@ PINNED_RUNS = {
     "render": ["render", "--geometry", "regions.geojson", "--values", "values.csv", "--title", "a <b> & c"],
     "tied": ["moran", "--input", "tied/mobility.csv", "--geometry", "tied/regions.geojson", "--country", "SY",
              "--permutations", "99", "--seed", "1", "--categories", "residential"],
+    "municipal": ["moran", "--input", "municipal/mobility.csv", "--geometry", "municipal/regions.geojson",
+                  "--country", "SY", "--contiguity", "queen", "--permutations", "99", "--seed", "42",
+                  "--categories", "residential"],
     "weights": ["weights", "--geometry", "regions.geojson", "--row-standardize"],
     "weights20": ["weights", "--geometry", "grid20.geojson"],
 }
@@ -159,6 +163,9 @@ PINNED_DIGESTS = {
     "render/choropleth.svg": "6bef428212395e47ae6f7be1a00d2c0f1744d7adca4920428b973705b15be0b9",
     # cell2_1's p is 1
     "tied/residential/lisa.csv": "29cd2bcad1fa635d9793481428dee20536e9d9a32cf3baa5d349df8d47aea1e3",
+    # 400 regions: a LISA block holds many regions of one degree
+    "municipal/residential/lisa.csv": "c9c71513e31920df6e6a16613db6f953ce3699738ecd7ff1e4e8a05b44ee7bf4",
+    "municipal/residential/global.json": "dccff31e49babd594f0ec4a35a56c3c1b39add3524837ce9b71774e617dc67db",
     "weights/weights.json": "5490e6a9a53a55d10442fec124369299e5dfa81933221bc091ae87443e177989",
     "weights/weights.txt": "6735dfada04fb6fbf6be2159902d6f8c7c410d7c323fb841077793169a139683",
     "weights20/weights.json": "7742b29a0237c177d5e169fdf8a7cfc68b30719adb3b946d1523a90cfa8a52e0",
@@ -216,6 +223,8 @@ def test_pinned_outputs_do_not_depend_on_blas_kernel_or_simd(gen, tmp_path):
         pytest.skip("OpenBLAS kernels are chosen here only on x86-64")
     gen.write_inputs(tmp_path, 3, 3, 92, seed=1)
     write_tied_inputs(gen, tmp_path / "tied")
+    (tmp_path / "municipal").mkdir()
+    gen.write_inputs(tmp_path / "municipal", 20, 20, 92, seed=1)
     (tmp_path / "values.csv").write_text("region_id,value\ncell0_0,1.5\ncell1_1,\ncell2_2,-3\nghost,2\n")
     (tmp_path / "grid20.geojson").write_text(json.dumps(gen.grid_geojson(20, 20)))
     code = ("import json, sys; from mobility_esda.cli import main; "

@@ -10,6 +10,7 @@ from mobility_esda.errors import DataError, ParameterError, ZeroVarianceError
 from mobility_esda.moran import (
     ValueField,
     _block_draws,
+    _bounded_draws,
     _moran_sims,
     expected_i,
     lisa_classify,
@@ -23,6 +24,7 @@ from mobility_esda.geometry import load_geojson
 from mobility_esda.weights import SpatialWeights, queen_adjacency, rook_adjacency, row_standardize
 
 from conftest import (
+    _oracle_subset_draws,
     exhaustive_conditional_p,
     exhaustive_pseudo_p,
     grid_geometries,
@@ -283,7 +285,7 @@ class TestSubsetDraws:
     def test_uniform_over_subsets(self, m, k):
         subsets = list(itertools.combinations(range(m), k))
         size = 200 * len(subsets)
-        rows = _block_draws([np.random.default_rng(0)], m, k, size)[:, 0].T
+        rows = _block_draws([0], m, k, size)[:, 0].T
         assert rows.shape == (size, k)
         assert all(len(set(row)) == k for row in rows.tolist())
         index = {s: c for c, s in enumerate(subsets)}
@@ -295,12 +297,37 @@ class TestSubsetDraws:
     def test_picks_are_those_of_earlier_releases(self):
         # earlier releases read sort keys after these picks and shuffled each row by them: as sets, the
         # rows of streams (42, 0), (42, 1) and (42, 2) for k = 5 of m = 26 (a 3x9 grid's queen interior)
-        draws = _block_draws([np.random.default_rng((42, i)) for i in range(3)], 26, 5, 4)
+        draws = _block_draws([(42, i) for i in range(3)], 26, 5, 4)
         assert np.sort(draws, axis=0).transpose(1, 2, 0).tolist() == [
             [[1, 4, 9, 13, 18], [2, 3, 17, 19, 24], [1, 12, 14, 17, 21], [9, 11, 16, 19, 23]],
             [[11, 14, 21, 23, 25], [9, 10, 17, 19, 24], [1, 6, 9, 18, 21], [5, 13, 14, 19, 20]],
             [[3, 4, 8, 16, 22], [2, 6, 8, 23, 24], [0, 3, 4, 15, 19], [7, 16, 17, 20, 21]],
         ]
+
+    @staticmethod
+    @st.composite
+    def blocks(draw):
+        """Stream keys, k, size and m: m == k (round 0 has bound 1 and
+        reads no word), a small m, or m in [2**31, 2**32 - 1], where about
+        a quarter of 32-bit words are rejected, so streams are read again."""
+        k = draw(st.integers(1, 8))
+        m = draw(st.one_of(st.just(k), st.integers(k, 40), st.integers(max(k, 1 << 31), (1 << 32) - 1)))
+        size = draw(st.integers(1, 40))
+        seeds = st.tuples(st.integers(0, (1 << 32) - 1), st.integers(0, 10_000))
+        return draw(st.lists(seeds, min_size=1, max_size=6)), m, k, size
+
+    @given(blocks())
+    @settings(max_examples=300, deadline=None)
+    def test_reader_equals_integers_bit_for_bit(self, block):
+        # the raw-word reader gives, stream by stream, the values of Generator.integers bit for bit, and
+        # the subsets drawn from them; when m == k the subsets are range(k) whatever the values
+        keys, m, k, size = block
+        values, picks = _bounded_draws(keys, m, k, size), _block_draws(keys, m, k, size)
+        assert values.shape == picks.shape == (k, len(keys), size)
+        bounds = np.arange(m - k, m)[:, None] + 1
+        for g, key in enumerate(keys):
+            assert np.array_equal(values[:, g], np.random.default_rng(key).integers(0, bounds, size=(k, size)))
+            assert np.array_equal(picks[:, g].T, _oracle_subset_draws(np.random.default_rng(key), m, k, size))
 
 
 class TestLisaPermutation:
@@ -365,6 +392,13 @@ class TestLisaPermutation:
         f = ValueField(np.random.default_rng(14).normal(0, 1, 36))
         with pytest.raises(ParameterError):
             lisa_permutation([f], queen_6x6_rs, permutations=0)
+
+    def test_exhaustive_refusal_names_region_and_arrangements(self):
+        # on a 4x4 queen grid cell1_1 is the first region of 8 neighbours: 15!/7! arrangements
+        W = queen_adjacency(grid_geometries(4, 4))
+        f = ValueField(np.random.default_rng(15).normal(0, 1, 16))
+        with pytest.raises(ParameterError, match=r"region 'cell1_1': 259,459,200 arrangements"):
+            lisa_permutation([f], W, exhaustive=True)
 
 
 def _island_weights():
