@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -49,9 +50,7 @@ REQUIRED = object()  # default of an option that the command line or config must
 PATH_OPTIONS = ("config", "input", "geometry", "values", "out_dir")
 
 
-def atomic_write(path: Path, text: str) -> None:
-    # UTF-8 whatever the locale, as every input is read
-    data = text.encode("utf-8")
+def atomic_write(path: Path, data: bytes) -> None:
     # the pid sets the name apart from other live writers, the random part from a
     # file that a killed run left behind; the kernel applies the umask to 0o666
     tmp = path.parent / f".tmp-{os.getpid()}-{os.urandom(4).hex()}"
@@ -455,22 +454,11 @@ def cmd_moran(args) -> dict[str, str]:
         lisa = mr.lisa_classify(field, W, p_local, alpha=args.alpha)
         local_i = lisa.local_i
         cat_dir = f"{category}/"
-        files[cat_dir + "global.json"] = json.dumps(
-            {
-                "category": category,
-                "I": result.I,
-                "expected_I": result.expected,
-                "permutations": result.permutations,
-                "seed": seed,
-                "sided": "one_sided_folded",
-                "sim_mean": result.sim_mean,
-                "sim_sd": result.sim_sd,
-                "pseudo_p": result.pseudo_p,
-                "significant": result.pseudo_p <= args.alpha,
-            },
-            indent=2,
-            sort_keys=True,
-        ) + "\n"
+        record = asdict(result)
+        record["expected_I"] = record.pop("expected")
+        record |= {"category": category, "seed": seed, "sided": "one_sided_folded",
+                   "significant": result.pseudo_p <= args.alpha}
+        files[cat_dir + "global.json"] = json.dumps(record, indent=2, sort_keys=True) + "\n"
         files[cat_dir + "scatter.svg"] = rd.render_moran_scatter(lisa, f"Moran scatter: {category}")
         files[cat_dir + "lisa.csv"] = rd.lisa_to_csv(lisa)
         files[cat_dir + "lisa-clusters.svg"], files[cat_dir + "lisa-significance.svg"] = (
@@ -561,10 +549,15 @@ def main(argv=None) -> int:
         config = _load_config_file(args.config) if args.config else {}
         resolve_options(args, defaults[args.command], config)
         files = COMMANDS[args.command](args)
-        # nothing is written until every stage has succeeded; the manifest comes last
-        # a file's name is stored as its UTF-8 bytes, whatever the file-system encoding
-        out_dir = Path(args.out_dir)
-        paths = {out_dir / os.fsdecode(name.encode("utf-8")): data for name, data in files.items()}
+        # nothing is written until every stage has succeeded; the manifest comes last.
+        # Each file, its name too, is encoded as UTF-8, whatever the locale, as every
+        # input is read, and its text is freed as its bytes are made
+        out_dir, paths = Path(args.out_dir), {}
+        for name in list(files):
+            try:
+                paths[out_dir / os.fsdecode(name.encode("utf-8"))] = files.pop(name).encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise SchemaError(f"{name}: {exc.object[exc.start:exc.end]!r} is not UTF-8 text") from None
         for folder in dict.fromkeys(path.parent for path in paths):
             folder.mkdir(parents=True, exist_ok=True)
         for path, data in paths.items():

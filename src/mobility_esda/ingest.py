@@ -20,7 +20,7 @@ import itertools
 import json
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -184,11 +184,8 @@ class ImputationEntry:
     category: str
     missing_count: int
     total_count: int
+    missing_rate: float
     fill_value: float | None
-
-    @property
-    def missing_rate(self) -> float:
-        return self.missing_count / self.total_count if self.total_count else 0.0
 
 
 @dataclass
@@ -202,18 +199,7 @@ class ImputationReport:
         raise NotFoundError(f"no imputation entry for ({country_code}, {category})")
 
     def to_json(self) -> str:
-        payload = [
-            {
-                "country_code": e.country_code,
-                "category": e.category,
-                "missing_count": e.missing_count,
-                "total_count": e.total_count,
-                "missing_rate": e.missing_rate,
-                "fill_value": e.fill_value,
-            }
-            for e in self.entries
-        ]
-        return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+        return json.dumps([asdict(e) for e in self.entries], indent=2) + "\n"
 
 
 # bytes read at a time, a block being what the reads hold up to their last
@@ -586,7 +572,7 @@ class _Columns:
         cells = (starts[3:_WANTED].ravel(), stops[3:_WANTED].ravel())
         values = _decimals(buf, octets, *cells).reshape(len(CATEGORIES), -1).T
 
-        # rows that may be bad: _parse_row decides, and words the message
+        # rows that may be bad: _check_row decides, and words the message
         suspect = (region == _NO_COUNTRY) | (dates == 0)
         suspect |= (np.isinf(values) | (values < -100)).any(axis=1)
         suspect |= (np.isnan(values) & (stops[3:_WANTED] > starts[3:_WANTED]).T).any(axis=1)
@@ -595,7 +581,7 @@ class _Columns:
             spans = zip(starts[:_WANTED, r].tolist(), stops[:_WANTED, r].tolist())
             cells = [buf[a:b].decode().strip() for a, b in spans]
             try:
-                _parse_row(cells, int(lines[r]))
+                _check_row(cells, int(lines[r]))
             except DataError as exc:
                 if self.strict:
                     raise
@@ -668,20 +654,19 @@ def parse_cmr_csv(
     return kept.table()
 
 
-def _parse_row(cells: list[str], lineno: int) -> tuple[str, str, int, list[float]]:
-    country, sub_region, raw_date, *raw = cells
+def _check_row(cells: list[str], lineno: int) -> None:
+    """Raise the ``DataError`` that names a row's first fault, if it has one."""
+    country, _, raw_date, *raw = cells
     try:
-        date = dt.date.fromisoformat(raw_date).toordinal()
+        dt.date.fromisoformat(raw_date)
     except ValueError:
         raise DataError(f"line {lineno}: unparseable date {raw_date!r}") from None
     if not country:
         raise DataError(f"line {lineno}: empty country code")
     if "/" in country:  # it would make region_key ambiguous
         raise DataError(f"line {lineno}: country code {country!r} contains '/'")
-    values = []
     for cat, cell in zip(CATEGORIES, raw):
         if cell == "":
-            values.append(math.nan)
             continue
         try:
             v = float(cell)
@@ -691,8 +676,6 @@ def _parse_row(cells: list[str], lineno: int) -> tuple[str, str, int, list[float
             raise DataError(f"line {lineno}: non-finite {cat} cell {cell!r}")
         if v < -100:
             raise DataError(f"line {lineno}: {cat} value {v} below -100")
-        values.append(v)
-    return country, sub_region, date, values
 
 
 def subregion_ids(table: MobilityTable, country_code: str) -> list[str]:
@@ -729,7 +712,7 @@ def impute_missing(table: MobilityTable) -> tuple[MobilityTable, ImputationRepor
             if gone == b - a:
                 raise DataError(f"cannot impute ({country}, {cat}): every value is missing")
             fills.append(total / (b - a - gone))
-            entries.append(ImputationEntry(country, cat, gone, b - a, fills[-1]))
+            entries.append(ImputationEntry(country, cat, gone, b - a, gone / (b - a), fills[-1]))
         np.copyto(filled[a:b], fills, where=absent[a:b])
     entries.sort(key=lambda e: (e.country_code, e.category))
     return replace(table, values=filled, issues=list(table.issues)), ImputationReport(entries)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from .errors import DataError, ParameterError
 from .geometry import RegionGeometry
 from .indicator import RadarConfig, radar_radii
 from .ingest import csv_field
-from .moran import LisaResult
+from .moran import SIGNIFICANCE_TIERS, LisaResult
 
 # conventional LISA palettes
 CLUSTER_COLORS = {
@@ -26,7 +27,9 @@ CLUSTER_COLORS = {
     "HL": "#fdae61",
     "ns": "#d9d9d9",
 }
-SIGNIFICANCE_COLORS = {0.05: "#a1d99b", 0.01: "#41ab5d", 0.001: "#00441b", None: "#d9d9d9"}
+# a colour per tier of moran.SIGNIFICANCE_TIERS, then one for ns
+SIGNIFICANCE_COLORS = dict(zip((*SIGNIFICANCE_TIERS, None), ("#a1d99b", "#41ab5d", "#00441b", "#d9d9d9"),
+                               strict=True))
 SERIES_PALETTE = ["#2c7bb6", "#d7191c", "#1a9641", "#fdae61", "#7b3294", "#d01c8b", "#636363"]
 BAND_COLOR = "#abd9e9"
 # the choropleth's blue ramp: dark at the lowest value, light at the highest
@@ -61,6 +64,14 @@ def _svg(title: str, body: list[str], width: int = WIDTH, height: int = HEIGHT) 
 
 def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _comment(text: str) -> str:
+    """An XML comment of ``text``, with each backslash, each ``-`` right after
+    a ``-`` and each character XML does not allow written as its ``\\uhhhh``
+    escape, so that no text can close or break the comment."""
+    unsafe = r"\\|(?<=-)-|[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]"
+    return "<!-- %s -->" % re.sub(unsafe, lambda char: f"\\u{ord(char[0]):04x}", text)
 
 
 def _legend(entries: list[tuple[str, str]]) -> list[str]:
@@ -118,7 +129,7 @@ def render_choropleth(
     ``MISSING_COLOR`` and value ids without geometry are listed in a warnings
     comment. Values whose spread overflows are a ``DataError``."""
     warnings = [rid for rid in values if rid not in paths]
-    note = [f"<!-- warning: no geometry for {', '.join(sorted(warnings))} -->"] if warnings else []
+    note = [_comment(f"warning: no geometry for {', '.join(sorted(warnings))}")] if warnings else []
     present = [v for v in values.values() if v is not None]
     lo, hi = min(present, default=0.0), max(present, default=0.0)
     if not math.isfinite(hi - lo):

@@ -46,21 +46,43 @@ def sy(tmp_path):
 def test_atomic_write_follows_umask(umask, mode, tmp_path):
     old = os.umask(umask)
     try:
-        atomic_write(tmp_path / "out.txt", "x")
+        atomic_write(tmp_path / "out.txt", b"x")
     finally:
         os.umask(old)
     assert (tmp_path / "out.txt").stat().st_mode & 0o777 == mode
 
 
-@pytest.mark.parametrize(
-    "name, data, error", [("out", "x", IsADirectoryError), ("out.txt", "\udcff", UnicodeError)]
-)
+@pytest.mark.parametrize("name, data, error", [("out", b"x", IsADirectoryError)])
 def test_atomic_write_leaves_no_temp_file_on_error(name, data, error, tmp_path):
-    # renaming onto a directory fails late; a lone surrogate fails to encode
+    # renaming onto a directory fails late
     (tmp_path / "out").mkdir()
     with pytest.raises(error):
         atomic_write(tmp_path / name, data)
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+@pytest.mark.parametrize("source", ["argv title", "config title", "geometry id"])
+def test_text_that_is_not_utf8_writes_nothing(source, sy, tmp_path, monkeypatch, capsys):
+    """A lone surrogate, from an argv byte that is not UTF-8 or a JSON escape,
+    has no UTF-8 form: one schema error naming the file, exit 2, no out dir."""
+    _, geo_path = sy
+    (tmp_path / "vals.csv").write_text("region_id,value\ncell0_0,1\n")
+    render = ["render", "--geometry", str(geo_path), "--values", str(tmp_path / "vals.csv")]
+    if source == "argv title":
+        argv, name = [*render, "--title", os.fsdecode(b"caf\xe9")], "choropleth.svg"
+    elif source == "config title":
+        (tmp_path / "run.json").write_text('{"title": "\\udce9"}')
+        argv, name = ["--config", str(tmp_path / "run.json"), *render], "choropleth.svg"
+    else:
+        doc = grid_geojson(2, 2)
+        doc["features"][0]["properties"]["region_id"] = "\udce9"
+        (tmp_path / "odd.geojson").write_text(json.dumps(doc))  # the id as the escape \udce9
+        argv, name = ["weights", "--geometry", str(tmp_path / "odd.geojson")], "weights.txt"
+    out = tmp_path / "out"
+    monkeypatch.setattr(sys, "argv", ["mobility-esda", *argv, "--out-dir", str(out)])
+    assert main() == 2
+    assert capsys.readouterr().err == f"schema error: {name}: '\\udce9' is not UTF-8 text\n"
+    assert not out.exists()
 
 
 RUNS_WITHOUT_NUMPY_MA = {
@@ -143,6 +165,7 @@ PINNED_RUNS = {
                   "--categories", "residential"],
     "weights": ["weights", "--geometry", "regions.geojson", "--row-standardize"],
     "weights20": ["weights", "--geometry", "grid20.geojson"],
+    "ingest": ["ingest", "--input", "mobility.csv", "--country", "SY"],
 }
 
 # the sha256 of the files CI pins, as the default run writes them
@@ -153,6 +176,7 @@ PINNED_DIGESTS = {
     "moran/residential/scatter.svg": "e12f91158bfa52cb0560ead2f8c2a9347d503e7823161117cd87d624b1b1f021",
     "moran/residential/lisa-clusters.svg": "ff70dadcd3fa8a469a7f19088dff7275df78707734a67ec10020709f4c0468ac",
     "moran/residential/lisa-significance.svg": "214a8d881aea0454d9b3dd86f237e0559834d824f597e36d7e8db0c28ce59e5e",
+    "moran/residential/mean-variation.geojson": "09d5c1ee6523c7f512d43acf9c5140fdd7cc5daa6c208e72fc1b72a6708f2e20",
     "moran/weights.json": "5490e6a9a53a55d10442fec124369299e5dfa81933221bc091ae87443e177989",
     "moran/weights.txt": "6735dfada04fb6fbf6be2159902d6f8c7c410d7c323fb841077793169a139683",
     "indicator/circulation.csv": "ad6ad25ebb40333bfbe0beb01d3335dcce05eafb1df3542963396cd2e3dae04e",
@@ -170,6 +194,8 @@ PINNED_DIGESTS = {
     "weights/weights.txt": "6735dfada04fb6fbf6be2159902d6f8c7c410d7c323fb841077793169a139683",
     "weights20/weights.json": "7742b29a0237c177d5e169fdf8a7cfc68b30719adb3b946d1523a90cfa8a52e0",
     "weights20/weights.txt": "fdf746ab8a628b0de148c6297794583ae282d7ca52c06dd5173f5fb85c4ac5be",
+    # 6 to 11 cells imputed in each category
+    "ingest/imputation-report.json": "2460b9fd7fd3e0ecc0ed044bc108db2aceec7aecafd0a070b72b36cf1c3373f7",
 }
 
 

@@ -413,6 +413,18 @@ class TestAgainstOracle:
                     parse_oracle, data, strict=strict
                 )
 
+    @pytest.mark.parametrize("cell", [" ", "\t", "\u00a0"])
+    @pytest.mark.parametrize("sub_region", ["Acre", '"Acre"'])  # a block split as bytes, one csv.reader reads
+    def test_whitespace_only_cell_is_absent(self, cell, sub_region):
+        # the byte pass flags the cell, and the row check keeps the row
+        data = csv_bytes(f"BR,{sub_region},2020-03-01,1,{cell},3,4,5,6")
+        for block_bytes in BLOCKS:
+            with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes):
+                for strict in (True, False):
+                    got = parse_outcome(parse_cmr_csv, data, strict=strict)
+                    assert got == parse_outcome(parse_oracle, data, strict=strict)
+                    assert got[5:] == ([[1.0, None, 3.0, 4.0, 5.0, 6.0]], [])
+
     @pytest.mark.parametrize("block_bytes", BLOCKS)
     @given(rows=ROWS, country=st.sampled_from(["BR", "AR", "XX"]), **LAYOUT)
     @settings(max_examples=200, deadline=None)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -86,6 +87,15 @@ class TestChoropleth:
         geoms = [RegionGeometry("a", square(0, 0)), RegionGeometry("b", square(1, 0))]
         svg = render_choropleth(map_paths(geoms), {"a": 0.5, "ghost": 1.0})
         assert "warning" in svg and "ghost" in svg
+
+    @pytest.mark.parametrize("stray", ["a--b", "x --><script>alert(1)</script><!-- y"])
+    def test_stray_id_cannot_break_the_warning(self, stray):
+        # the id stays inside one well-formed comment, which the parse drops
+        svg = render_choropleth(map_paths(grid_geometries(2, 2)), {"cell0_0": 0.5, stray: 1.0})
+        assert {el.tag for el in ET.fromstring(svg).iter()} == {
+            f"{{http://www.w3.org/2000/svg}}{tag}" for tag in ("svg", "rect", "path", "text")
+        }
+        assert svg.count("<!--") == svg.count("-->") == 1
 
     def test_deterministic(self):
         geoms = grid_geometries(3, 3)
