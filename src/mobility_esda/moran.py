@@ -26,7 +26,9 @@ from .errors import DataError, ParameterError, ZeroVarianceError
 from .weights import SpatialWeights
 
 SIGNIFICANCE_TIERS = (0.05, 0.01, 0.001)
-PAIR_BLOCK = 1 << 16  # bytes of a block's index array: relabelings x linked pairs, or regions x draws x degree
+# bytes of a block's index array: relabelings x linked pairs, or regions x draws x degree. 256 KiB ran
+# 20x20 and 75x75 moran runs faster than 64 KiB; 512 KiB raised a 3x9 R=999 run's time and peak memory
+PAIR_BLOCK = 1 << 18
 EPS = 1e-12  # a simulation within EPS of the observation counts as at least as extreme
 
 
@@ -202,40 +204,129 @@ def moran_permutation(
     ]
 
 
-def _bounded_draws(keys: Sequence[int | tuple[int, int]], m: int, k: int, size: int) -> np.ndarray:
-    """Per stream key, the values of k calls ``integers(0, j + 1, size=size)``
-    on ``default_rng(key)`` for j = m-k .. m-1, read from the stream's raw
-    PCG64 words: k x G x size (m <= 2**32).
+# numpy's SeedSequence (pool of 4 words, its hashmix and mix constants) and PCG64's LCG multiplier
+POOL_SIZE = 4
+HASH_A, HASH_B = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)  # (initial constant, multiplier)
+MIX_L, MIX_R = 0xCA01F9DD, 0x4973F715
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+MASK32, MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
-    Each 64-bit word is two 32-bit draws, low half first as ``PCG64`` hands
-    them out, and a draw u becomes (u * (j+1)) >> 32, rejected when its low
-    32 bits fall below 2**32 mod (j+1) (Lemire 2019), as numpy does; a bound
-    of 1 (j = 0, when m == k) reads no word and gives 0. A stream with a
-    rejected draw, about one in 2**32 / j, is read again by ``integers``.
+
+def _key_words(seed: int, index) -> np.ndarray:
+    """The keys (seed, i) for each i of ``index`` (< 2**32) as the uint32
+    words ``SeedSequence`` assembles from them, one row a key: seed's words,
+    low first, then i. ``default_rng(row)`` is the stream ``default_rng((seed, i))``."""
+    if seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed}")
+    words = [seed & MASK32]
+    while seed := seed >> 32:
+        words.append(seed & MASK32)
+    keys = np.empty((len(index), len(words) + 1), dtype=np.uint32)
+    keys[:, :-1] = words
+    keys[:, -1] = index
+    return keys
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's hashmix over uint32 arrays: its constant steps once a
+    call, whatever the value, so every row takes the same steps."""
+    const = init
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * mult & MASK32
+        value *= const
+        value ^= value >> 16
+        return value
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = MIX_L * x - MIX_R * y
+    out ^= out >> 16
+    return out
+
+
+def _stream_states(keys: np.ndarray) -> list[tuple[int, int]]:
+    """The PCG64 ``(state, inc)`` of ``default_rng(key)`` for each row of the
+    uint32 key words ``keys``, as ``PCG64.state`` gives them, derived for all
+    rows at once.
+
+    numpy's ``SeedSequence`` rounds run in uint32 arithmetic over the rows:
+    hashmix each word into the pool of 4 (0 past the key's end), mix every
+    pool word into every other, hashmix in each word past the pool, then
+    ``generate_state`` draws 8 words, read as 4 little-endian 64-bit seeds.
+    PCG64's set-seq seeding (O'Neill 2014) then runs in Python ints:
+    inc = 2 * seq + 1 and state = (inc + initstate) * mult + inc, mod 2**128.
     """
-    G = len(keys)
+    G, L = keys.shape
+    words = list(keys.T)
+    hashmix = _hasher(*HASH_A)
+    pool = [hashmix(words[p] if p < L else np.zeros(G, dtype=np.uint32)) for p in range(POOL_SIZE)]
+    for src in range(POOL_SIZE):
+        for dst in range(POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for src in range(POOL_SIZE, L):
+        for dst in range(POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(words[src]))
+    hashmix = _hasher(*HASH_B)
+    out = [hashmix(pool[w % POOL_SIZE]).astype(np.uint64) for w in range(8)]
+    seeds = np.array([out[w] | out[w + 1] << np.uint64(32) for w in range(0, 8, 2)]).T.tolist()
+    states = []
+    for init_hi, init_lo, seq_hi, seq_lo in seeds:
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & MASK128
+        states.append((((inc + (init_hi << 64 | init_lo)) * PCG_MULT + inc) & MASK128, inc))
+    return states
+
+
+def _bounded_draws(states: Sequence[tuple[int, int]], m: int, k: int, size: int) -> np.ndarray:
+    """Per stream, given by its PCG64 ``(state, inc)`` (``_stream_states``),
+    the values of k calls ``integers(0, j + 1, size=size)`` on a ``Generator``
+    of that state for j = m-k .. m-1, read from the stream's raw PCG64
+    words: k x G x size (m <= 2**32).
+
+    One ``PCG64`` takes each stream's state in turn. Each 64-bit word is two
+    32-bit draws, low half first as ``PCG64`` hands them out, and a draw u
+    becomes (u * (j+1)) >> 32, rejected when its low 32 bits fall below
+    2**32 mod (j+1) (Lemire 2019), as numpy does; a bound of 1 (j = 0, when
+    m == k) reads no word and gives 0. A stream with a rejected draw, about
+    one in 2**32 / j, is read again by ``integers``.
+    """
+    G = len(states)
     draws = np.empty((k, G, size), dtype=np.intp)  # round-major: each round is contiguous
     bounds = np.arange(m - k, m, dtype=np.uint64)[:, None] + 1
     skip = int(m == k)  # the rounds of bound 1
     draws[:skip] = 0
     words = (k - skip) * size
-    raw = np.array([np.random.PCG64(key).random_raw((words + 1) // 2) for key in keys])
-    u = np.empty((G, 2 * raw.shape[1]), dtype=np.uint64)
-    u[:, 0::2], u[:, 1::2] = raw & 0xFFFFFFFF, raw >> 32  # arithmetic halves: no byte order
-    u = u[:, :words].reshape(G, k - skip, size).transpose(1, 0, 2)
+    bitgen, seeded = np.random.PCG64(0), {}
+    state = {"bit_generator": "PCG64", "state": seeded, "has_uint32": 0, "uinteger": 0}
+
+    def restart(g: int) -> np.random.PCG64:
+        seeded["state"], seeded["inc"] = states[g]
+        bitgen.state = state
+        return bitgen
+
+    raw = np.empty((G, (words + 1) // 2), dtype=np.uint64)
+    for g in range(G):
+        raw[g] = restart(g).random_raw(raw.shape[1])
+    # the 32-bit halves, low first, of little-endian words: the same on a machine of either byte order
+    u = raw.astype("<u8", copy=False).view("<u4")[:, :words].reshape(G, k - skip, size).transpose(1, 0, 2)
     span = bounds[skip:, :, None]
-    u *= span
-    draws[skip:] = u >> 32
-    rejected = ((u & 0xFFFFFFFF) < (1 << 32) % span).any(axis=(0, 2))
+    product = u * span
+    np.right_shift(product, 32, out=draws[skip:], casting="unsafe")
+    rejected = (product.astype(np.uint32) < (1 << 32) % span).any(axis=(0, 2))
     for g in np.flatnonzero(rejected).tolist():
-        draws[:, g] = np.random.default_rng(keys[g]).integers(0, bounds, size=(k, size))
+        draws[:, g] = np.random.Generator(restart(g)).integers(0, bounds, size=(k, size))
     return draws
 
 
-def _block_draws(keys: Sequence[int | tuple[int, int]], m: int, k: int, size: int) -> np.ndarray:
-    """One block of ``size`` uniform k-subsets of range(m) per stream key,
-    k x G x size: ``picks[:, g, r]`` is row r of the stream
-    ``default_rng(keys[g])``.
+def _block_draws(states: Sequence[tuple[int, int]], m: int, k: int, size: int) -> np.ndarray:
+    """One block of ``size`` uniform k-subsets of range(m) per stream, given
+    by its PCG64 ``(state, inc)``, k x G x size: ``picks[:, g, r]`` is row r
+    of stream g.
 
     The k rounds of ``_bounded_draws`` go through Floyd's subset algorithm
     (Bentley and Floyd 1987) on all streams at once: a round's draw that
@@ -243,7 +334,7 @@ def _block_draws(keys: Sequence[int | tuple[int, int]], m: int, k: int, size: in
     uniform k-subset in k rounds with no redraws. Each subset is the one
     earlier releases drew, so seeded p-values carry over.
     """
-    picks = _bounded_draws(keys, m, k, size)
+    picks = _bounded_draws(states, m, k, size)
     for t, j in enumerate(range(m - k, m)):
         np.copyto(picks[t], j, where=(picks[:t] == picks[t]).any(axis=0))
     return picks
@@ -271,7 +362,9 @@ def lisa_permutation(
     ``default_rng((seed, i))``, read as ``_block_draws`` reads it (raw
     PCG64 words through Lemire's bounded multiply, the values of
     ``integers``), so its p-value does not depend on which regions are
-    evaluated with it.
+    evaluated with it. The PCG64 states of all n streams are derived from
+    their keys in one pass per call (``_stream_states``), and one ``PCG64``
+    reads them in turn.
     Everything after the reads runs on blocks of regions of equal degree,
     of about ``PAIR_BLOCK`` bytes of draw indices each, and gives the p-values of
     one region at a time bit for bit. Exhaustive mode enumerates every
@@ -302,6 +395,7 @@ def lisa_permutation(
     Z = np.array([field.z for field in fields]).reshape(len(fields), n)
     local = np.array([z * spatial_lag(W, z) for z in Z]).reshape(Z.shape)
     p = np.ones((len(fields), n))
+    states = [] if exhaustive else _stream_states(_key_words(seed, range(n)))
     for k in sorted(set(degree.tolist()) - {0}):
         regions = np.flatnonzero(degree == k)
         w = W.data[W.indptr[regions]]
@@ -317,7 +411,7 @@ def lisa_permutation(
         for start in range(0, len(regions), block):
             b = slice(start, start + block)
             picks = enumeration if exhaustive else _block_draws(
-                [(seed, i) for i in regions[b].tolist()], n - 1, k, R
+                [states[i] for i in regions[b].tolist()], n - 1, k, R
             )
             # each pick indexes the n - 1 regions other than i: skip i itself
             others = picks + (picks >= regions[b, None])

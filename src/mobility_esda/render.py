@@ -62,8 +62,17 @@ def _svg(title: str, body: list[str], width: int = WIDTH, height: int = HEIGHT) 
     return "\n".join(head + body + ["</svg>"]) + "\n"
 
 
+def _hex(char: re.Match) -> str:
+    return f"\\u{ord(char[0]):04x}"
+
+
 def _escape(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    """``text`` as SVG element text: ``&``, ``<`` and ``>`` as entities, and
+    each character XML does not allow but a lone surrogate written as its
+    ``\\uhhhh`` escape; a lone surrogate is left for the write to refuse
+    as not UTF-8."""
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return re.sub(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]", _hex, text)
 
 
 def _comment(text: str) -> str:
@@ -71,7 +80,7 @@ def _comment(text: str) -> str:
     a ``-`` and each character XML does not allow written as its ``\\uhhhh``
     escape, so that no text can close or break the comment."""
     unsafe = r"\\|(?<=-)-|[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]"
-    return "<!-- %s -->" % re.sub(unsafe, lambda char: f"\\u{ord(char[0]):04x}", text)
+    return "<!-- %s -->" % re.sub(unsafe, _hex, text)
 
 
 def _legend(entries: list[tuple[str, str]]) -> list[str]:

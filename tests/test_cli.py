@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from xml.etree import ElementTree
 from pathlib import Path
 
 import pytest
@@ -85,6 +86,36 @@ def test_text_that_is_not_utf8_writes_nothing(source, sy, tmp_path, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["config title", "sub-region"])
+def test_characters_xml_forbids_are_written_as_escapes(source, sy, tmp_path):
+    """A control character in SVG text, a render title from a JSON config or a
+    sub-region named in the overlay's legend, is written as its \\uhhhh text:
+    every SVG of the out dir parses."""
+    csv_path, geo_path = sy
+    if source == "config title":
+        (tmp_path / "vals.csv").write_text("region_id,value\ncell0_0,1\ncell1_1,2\n")
+        (tmp_path / "run.json").write_text('{"title": "a\\u0001b"}')
+        argv = ["--config", str(tmp_path / "run.json"), "render", "--geometry", str(geo_path),
+                "--values", str(tmp_path / "vals.csv")]
+        name, text = "choropleth.svg", "a\\u0001b"
+    else:
+        # two sub-regions, fewer than the overlay has colours, so each is named in its legend
+        lines = csv_path.read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        kept = sorted({r[1] for r in rows})[:2]
+        renamed = {kept[0]: "a\x01b", kept[1]: kept[1]}
+        (tmp_path / "two.csv").write_text("\n".join(
+            [lines[0], *(",".join([r[0], renamed[r[1]], *r[2:]]) for r in rows if r[1] in renamed)]) + "\n")
+        argv = ["indicator", "--input", str(tmp_path / "two.csv"), "--country", "SY", "--subnational",
+                "--from", "2020-03-01", "--to", "2020-03-21"]
+        name, text = "indicator-overlay.svg", "SY/a\\u0001b"
+    out = tmp_path / "out"
+    assert main([*argv, "--out-dir", str(out)]) == 0
+    for svg in out.glob("*.svg"):
+        ElementTree.parse(svg)
+    assert text in {t.text for t in ElementTree.parse(out / name).iter("{http://www.w3.org/2000/svg}text")}
+
+
 RUNS_WITHOUT_NUMPY_MA = {
     # 9 series, more than the overlay has colours: the median-and-band path runs;
     # --robust takes the median absolute residual of each series
@@ -147,8 +178,8 @@ def test_outputs_are_utf8_whatever_the_locale(tmp_path):
 
 
 # CI's pinned 3x3 seed-1 commands, on the inputs of perfbench/gen.py, a LISA run on a tied copy of
-# them, the benchmark's moran-municipal run on the 20x20 seed-1 inputs, and the pinned weights runs
-# on the 3x3 grid and on a 20x20 one
+# them, a moran run whose seed is four 32-bit words, the benchmark's moran-municipal run on the 20x20
+# seed-1 inputs, and the pinned weights runs on the 3x3 grid and on a 20x20 one
 PINNED_RUNS = {
     "moran": ["moran", "--input", "mobility.csv", "--geometry", "regions.geojson", "--country", "SY",
               "--permutations", "99", "--seed", "1"],
@@ -160,6 +191,9 @@ PINNED_RUNS = {
     "render": ["render", "--geometry", "regions.geojson", "--values", "values.csv", "--title", "a <b> & c"],
     "tied": ["moran", "--input", "tied/mobility.csv", "--geometry", "tied/regions.geojson", "--country", "SY",
              "--permutations", "99", "--seed", "1", "--categories", "residential"],
+    # 2**100 + 7: with the region index, a LISA stream's entropy runs past SeedSequence's pool of 4 words
+    "seed-words": ["moran", "--input", "mobility.csv", "--geometry", "regions.geojson", "--country", "SY",
+                   "--permutations", "99", "--categories", "residential", "--seed", str(2**100 + 7)],
     "municipal": ["moran", "--input", "municipal/mobility.csv", "--geometry", "municipal/regions.geojson",
                   "--country", "SY", "--contiguity", "queen", "--permutations", "99", "--seed", "42",
                   "--categories", "residential"],
@@ -187,6 +221,8 @@ PINNED_DIGESTS = {
     "render/choropleth.svg": "6bef428212395e47ae6f7be1a00d2c0f1744d7adca4920428b973705b15be0b9",
     # cell2_1's p is 1
     "tied/residential/lisa.csv": "29cd2bcad1fa635d9793481428dee20536e9d9a32cf3baa5d349df8d47aea1e3",
+    "seed-words/residential/lisa.csv": "87d947c6b855d7e07078e4e55645e5ea9a71e52b725ea1f4ab276706ec7437d4",
+    "seed-words/residential/global.json": "4207cc15fcf47adca0b35c9f005aa3182381682b13d6abae4ab1f42d76e51c5b",
     # 400 regions: a LISA block holds many regions of one degree
     "municipal/residential/lisa.csv": "c9c71513e31920df6e6a16613db6f953ce3699738ecd7ff1e4e8a05b44ee7bf4",
     "municipal/residential/global.json": "dccff31e49babd594f0ec4a35a56c3c1b39add3524837ce9b71774e617dc67db",

@@ -11,7 +11,9 @@ from mobility_esda.moran import (
     ValueField,
     _block_draws,
     _bounded_draws,
+    _key_words,
     _moran_sims,
+    _stream_states,
     expected_i,
     lisa_classify,
     lisa_permutation,
@@ -280,12 +282,42 @@ def chi2_upper_quantile(df: int, z: float = 3.09) -> float:
     return df * (1 - c + z * math.sqrt(c)) ** 3
 
 
+def streams(keys):
+    """The PCG64 states of ``default_rng(key)`` for int keys, or (seed, i)
+    keys with seed < 2**32, all of one length."""
+    return _stream_states(np.array(keys, dtype=np.uint32).reshape(len(keys), -1))
+
+
+class TestStreamStates:
+    @given(seed=st.integers(0, 1 << 160), index=st.lists(st.integers(0, (1 << 32) - 1), min_size=1, max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_states_equal_seed_sequence(self, seed, index):
+        # seeds of 1 to 6 words: with i the key may fill the pool of 4 words, or run past it
+        states = _stream_states(_key_words(seed, index))
+        assert len(states) == len(index)
+        bitgen = np.random.PCG64(0)
+        for i, (state, inc) in zip(index, states):
+            want = np.random.PCG64(np.random.SeedSequence((seed, i)))
+            assert want.state["state"] == {"state": state, "inc": inc}
+            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+            assert np.array_equal(bitgen.random_raw(8), want.random_raw(8))
+
+    def test_int_keys(self):
+        # one-word keys: the key 0 is the stream default_rng(0)
+        assert streams([0, 7]) == [tuple(np.random.PCG64(key).state["state"].values()) for key in (0, 7)]
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(ParameterError, match="non-negative"):
+            _key_words(-1, [0])
+
+
 class TestSubsetDraws:
     @pytest.mark.parametrize("m, k", [(4, 2), (5, 3), (7, 4), (6, 1)])
     def test_uniform_over_subsets(self, m, k):
         subsets = list(itertools.combinations(range(m), k))
         size = 200 * len(subsets)
-        rows = _block_draws([0], m, k, size)[:, 0].T
+        rows = _block_draws(streams([0]), m, k, size)[:, 0].T
         assert rows.shape == (size, k)
         assert all(len(set(row)) == k for row in rows.tolist())
         index = {s: c for c, s in enumerate(subsets)}
@@ -297,7 +329,7 @@ class TestSubsetDraws:
     def test_picks_are_those_of_earlier_releases(self):
         # earlier releases read sort keys after these picks and shuffled each row by them: as sets, the
         # rows of streams (42, 0), (42, 1) and (42, 2) for k = 5 of m = 26 (a 3x9 grid's queen interior)
-        draws = _block_draws([(42, i) for i in range(3)], 26, 5, 4)
+        draws = _block_draws(streams([(42, i) for i in range(3)]), 26, 5, 4)
         assert np.sort(draws, axis=0).transpose(1, 2, 0).tolist() == [
             [[1, 4, 9, 13, 18], [2, 3, 17, 19, 24], [1, 12, 14, 17, 21], [9, 11, 16, 19, 23]],
             [[11, 14, 21, 23, 25], [9, 10, 17, 19, 24], [1, 6, 9, 18, 21], [5, 13, 14, 19, 20]],
@@ -322,7 +354,7 @@ class TestSubsetDraws:
         # the raw-word reader gives, stream by stream, the values of Generator.integers bit for bit, and
         # the subsets drawn from them; when m == k the subsets are range(k) whatever the values
         keys, m, k, size = block
-        values, picks = _bounded_draws(keys, m, k, size), _block_draws(keys, m, k, size)
+        values, picks = _bounded_draws(streams(keys), m, k, size), _block_draws(streams(keys), m, k, size)
         assert values.shape == picks.shape == (k, len(keys), size)
         bounds = np.arange(m - k, m)[:, None] + 1
         for g, key in enumerate(keys):
@@ -547,7 +579,7 @@ class TestLisaOracle:
 
     @pytest.mark.parametrize("permutations", [99, 999])
     def test_many_blocks_per_degree(self, permutations, monkeypatch):
-        # 12x12 queen: 100 regions of degree 8 go in blocks of 10 at R=99, of 1 at R=999; a
+        # 12x12 queen: 100 regions of degree 8 go in blocks of 41 at R=99, of 4 at R=999; a
         # PAIR_BLOCK of 8 bytes holds one region per block, and 1 MiB each whole degree class at R=99
         W = row_standardize(queen_adjacency(grid_geometries(12, 12)))
         rng = np.random.default_rng(40)
