@@ -355,6 +355,8 @@ def cmd_indicator(args) -> dict[str, str]:
     radars: dict[str, str] = {}  # radar file name -> region id, in region order
     for rid in regions:
         name = f"radar-{rid.replace('/', '_').strip('_') or 'national'}.svg"
+        if "\0" in name or len(name.encode()) > 255:  # no file system holds such a name
+            raise DataError(f"region {rid!r} cannot name a radar file: it holds NUL or is over 255 bytes")
         if radars.setdefault(name, rid) != rid:
             raise DataError(f"regions {radars[name]!r} and {rid!r} would both be drawn to {name}")
     header = "region_id,date,area,indicator"
@@ -364,16 +366,13 @@ def cmd_indicator(args) -> dict[str, str]:
                             outer_iters=1 if args.robust else 0)
         columns.append(fit.trend if args.trend_only else panel.indicators - fit.seasonal)
         header += ",indicator_deseasonalized"
-    dates = [date.isoformat() for date in panel.dates]
-    rows = [header]
+    # one row per region and day, region-major as each (regions, days) column ravels
+    ids = [field for field in map(ing.csv_field, regions) for _ in panel.dates]
+    dates = [date.isoformat() for date in panel.dates] * len(regions)
     row = "%s,%s" + ",%.15g" * len(columns)  # %.15g writes what format(v, ".15g") does
-    files = {}
-    for (name, rid), cells, means in zip(radars.items(), np.stack(columns, axis=-1), panel.window_means):
-        field = ing.csv_field(rid)
-        # tolist() makes the Python floats a region at a time
-        rows += [row % (field, date, *day) for date, day in zip(dates, cells.tolist())]
-        files[name] = rd.render_radar(means, config)
-    files["circulation.csv"] = "\n".join(rows) + "\n"
+    rows = [row % cells for cells in zip(ids, dates, *(column.ravel().tolist() for column in columns))]
+    files = {name: rd.render_radar(means, config) for name, means in zip(radars, panel.window_means)}
+    files["circulation.csv"] = "\n".join([header, *rows]) + "\n"
     # the overlay draws the last column: the deseasonalized indicator if there is one
     overlay = rd.render_series(regions, columns[-1], "Circulation indicator")
     files["indicator-overlay.svg"] = overlay

@@ -389,7 +389,7 @@ def queen_6x6_rs():
 @pytest.fixture(scope="session")
 def gen():
     """The benchmark's input generator ``perfbench/gen.py``, whose seeded
-    grids CI's pinned commands run on."""
+    grids the pinned commands run on."""
     spec = importlib.util.spec_from_file_location("gen", Path(__file__).parents[1] / "perfbench" / "gen.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

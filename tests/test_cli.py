@@ -177,7 +177,7 @@ def test_outputs_are_utf8_whatever_the_locale(tmp_path):
         assert "radar-BR_São Paulo.svg".encode() in os.listdir(os.fsencode(tmp_path / "c" / run_name))
 
 
-# CI's pinned 3x3 seed-1 commands, on the inputs of perfbench/gen.py, a LISA run on a tied copy of
+# the pinned 3x3 seed-1 commands, on the inputs of perfbench/gen.py, a LISA run on a tied copy of
 # them, a moran run whose seed is four 32-bit words, the benchmark's moran-municipal run on the 20x20
 # seed-1 inputs, and the pinned weights runs on the 3x3 grid and on a 20x20 one
 PINNED_RUNS = {
@@ -202,7 +202,7 @@ PINNED_RUNS = {
     "ingest": ["ingest", "--input", "mobility.csv", "--country", "SY"],
 }
 
-# the sha256 of the files CI pins, as the default run writes them
+# the sha256 of the pinned files, as the default run writes them; the only copy of each pin
 PINNED_DIGESTS = {
     "moran/residential/lisa.csv": "a464a1db3d70a421bc6073b642c8432ecaf27c4d85926660274fbcf5b988b9c8",
     "moran/residential/global.json": "d1c9f13363a761d006faaeaacb5dd7271ec95d50b5d571fd6d7617fc74f03a7d",
@@ -277,12 +277,11 @@ def kernel_environments() -> dict[str, dict[str, str]]:
 
 
 def test_pinned_outputs_do_not_depend_on_blas_kernel_or_simd(gen, tmp_path):
-    """CI's pinned runs write the bytes CI pins, and the same bytes whichever
-    OpenBLAS kernel or numpy SIMD targets compute them, so the pins do not
-    hang on the CPU; in one run a region's local index ties its reference."""
+    """The pinned runs write the pinned bytes on every platform, and the same
+    bytes whichever OpenBLAS kernel or numpy SIMD targets compute them, where
+    the CPU offers a choice, so the pins do not hang on the CPU; in one run a
+    region's local index ties its reference."""
     envs = kernel_environments()
-    if not envs:
-        pytest.skip("OpenBLAS kernels are chosen here only on x86-64")
     gen.write_inputs(tmp_path, 3, 3, 92, seed=1)
     write_tied_inputs(gen, tmp_path / "tied")
     (tmp_path / "municipal").mkdir()
@@ -303,6 +302,28 @@ def test_pinned_outputs_do_not_depend_on_blas_kernel_or_simd(gen, tmp_path):
     assert {name: default.get(name) for name in PINNED_DIGESTS} == PINNED_DIGESTS
     for name in envs:
         assert hash_tree(tmp_path / name) == default, name
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+def test_crlf_input_writes_the_outputs_of_lf(quoted, gen, tmp_path, monkeypatch):
+    """The pinned ingest and moran runs on the 3x3 seed-1 rows with CRLF line
+    ends, every sub-region quoted (read by csv.reader) or none (split as
+    bytes), write the out dirs of the LF file but for the manifest's input
+    sha256."""
+    gen.write_inputs(tmp_path, 3, 3, 92, seed=1)
+    header, *rows = (tmp_path / "mobility.csv").read_text().splitlines()
+    if quoted:
+        rows = [",".join([*cells[:2], f'"{cells[2]}"', *cells[3:]]) for cells in (row.split(",") for row in rows)]
+    (tmp_path / "crlf.csv").write_bytes("".join(f"{line}\r\n" for line in [header, *rows]).encode())
+    monkeypatch.chdir(tmp_path)
+    trees = []
+    for name in ("mobility.csv", "crlf.csv"):
+        for run in ("ingest", "moran"):
+            argv = [name if arg == "mobility.csv" else arg for arg in PINNED_RUNS[run]]
+            assert main([*argv, "--out-dir", f"{name}-out/{run}"]) == 0
+        trees.append({k: v for k, v in hash_tree(tmp_path / f"{name}-out").items()
+                      if not k.endswith("run-manifest.json")})
+    assert len(trees[0]) == 2 + 2 + 6 * 7 and trees[1] == trees[0]
 
 
 class TestIngestCmd:
@@ -776,8 +797,10 @@ class TestRenderCmd:
          "--from", "2020-03-01", "--to", "2020-03-21", "--permutations", "9"],
         ["ingest", "--input", "{dir}/sy.csv", "--country", "SY"],
         ["render", "--geometry", "{dir}/sy.geojson", "--values", "{dir}/vals.csv"],
+        ["indicator", "--input", "{dir}/sy.csv", "--country", "SY", "--subnational", "--deseasonalize",
+         "--from", "2020-03-01", "--to", "2020-03-21"],
     ],
-    ids=["moran", "ingest", "render"],
+    ids=["moran", "ingest", "render", "indicator"],
 )
 def test_out_dir_does_not_depend_on_input_paths(argv, tmp_path):
     trees = []
@@ -946,6 +969,14 @@ BAD_WEIGHTS_OPTIONS = {
     "negative snap tol": ["--snap-tol=-1e-7"],  # argparse reads "-1e-7" alone as an option
     "negative island knn": ["--island-knn", "-1"],
     "snap tol 1e-320": ["--snap-tol", "1e-320"],  # coordinates / snap_tol overflows
+}
+
+# pairs of sub-regions whose radar file names indicator refuses
+BAD_RADAR_NAMES = {
+    "radar name collision": ("a/b", "a_b"),  # both would be drawn to radar-SY_a_b.svg
+    "radar name with NUL": ("aa", "a\0b"),
+    # after a region whose radar could be written
+    "radar name over 255 bytes": ("aa", "a" * 300),
 }
 
 # config values that the option's flag would refuse, and the command given them
@@ -1128,12 +1159,12 @@ def failing_run(kind, sy, tmp, monkeypatch):
         return moran + ["--categories", "cinemas"]
     if kind == "no categories":
         return moran + ["--categories"]
-    if kind == "radar name collision":
-        # both sub-regions would be drawn to radar-SY_a_b.svg
+    if kind in BAD_RADAR_NAMES:
         header = Path(csv_path).read_text().partition("\n")[0]
-        rows = [f"SY,{cell},2020-03-{d:02d},1,2,3,4,5,6" for cell in ("a/b", "a_b") for d in range(1, 22)]
-        (tmp / "slash.csv").write_text("\n".join([header, *rows]) + "\n")
-        return ["indicator", "--input", str(tmp / "slash.csv"), "--country", "SY", "--subnational",
+        rows = [f"SY,{cell},2020-03-{d:02d},1,2,3,4,5,6"
+                for cell in BAD_RADAR_NAMES[kind] for d in range(1, 22)]
+        (tmp / "names.csv").write_text("\n".join([header, *rows]) + "\n")
+        return ["indicator", "--input", str(tmp / "names.csv"), "--country", "SY", "--subnational",
                 "--from", "2020-03-01", "--to", "2020-03-21"]
     if kind == "missing input":
         return ["ingest", "--input", str(tmp / "absent.csv")]
@@ -1195,7 +1226,7 @@ def failing_run(kind, sy, tmp, monkeypatch):
         ("moran window gap", 3),
         ("reversed window", 3),
         ("moran reversed window", 3),
-        ("radar name collision", 3),
+        *((kind, 3) for kind in BAD_RADAR_NAMES),
         ("alpha 1.5", 3),
         ("impossible permutations", 3),
         ("geometry array", 3),
@@ -1290,7 +1321,7 @@ def test_late_failure_writes_nothing(sy, tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "kind",
     ["window gap", "moran window gap", "reversed window", "moran reversed window",
-     "radar name collision", "robust without deseasonalize", "trend only without deseasonalize",
+     *BAD_RADAR_NAMES, "robust without deseasonalize", "trend only without deseasonalize",
      "center nan", "center -inf", "alpha 1.5", "no categories", "config categories empty", "center -1e160", "overflowing categories",
      "moran overflowing categories", "huge coordinates", "overflowing spread",
      "geometry nested too deep", "config nested too deep", "toml config nested too deep",
@@ -1319,6 +1350,8 @@ FAILURE_MESSAGES = {
     "snap tol 1e-320": "error: snap_tol 1e-320 is too small for coordinates as large as 4.0",
     "huge coordinates": "error: snap_tol 1e-07 is too small for coordinates as large as 4e+302",
     "radar name collision": "error: regions 'SY/a/b' and 'SY/a_b' would both be drawn to radar-SY_a_b.svg",
+    "radar name with NUL": "error: region 'SY/a\\x00b' cannot name a radar file: it holds NUL or is over 255 bytes",
+    "radar name over 255 bytes": f"error: region 'SY/{'a' * 300}' cannot name a radar file",
     "no categories": "schema error: mobility-esda moran: argument --categories: expected at least one",
     "robust without deseasonalize": "error: --robust and --trend-only need --deseasonalize",
     "trend only without deseasonalize": "error: --robust and --trend-only need --deseasonalize",
